@@ -304,6 +304,107 @@ TEST(RecordWriter, TruncateModeAndCounts) {
   EXPECT_EQ(read_records(file.path()).size(), 1u);
 }
 
+// Reads `content` through one RecordReader and pins its counters.
+struct ReadOutcome {
+  std::size_t lines_read = 0;
+  std::size_t records_read = 0;
+  std::vector<std::size_t> error_lines;
+  std::vector<TuningRecord> records;
+};
+
+ReadOutcome read_content(const std::string& name, const std::string& content) {
+  TempFile file(name);
+  file.write(content);
+  ReadOutcome out;
+  RecordReader reader;
+  EXPECT_TRUE(reader.open(file.path()));
+  TuningRecord rec;
+  while (reader.next(&rec)) out.records.push_back(rec);
+  EXPECT_FALSE(reader.next(&rec));  // end of file stays the end
+  out.lines_read = reader.lines_read();
+  out.records_read = reader.records_read();
+  for (const RecordReadError& e : reader.errors()) {
+    out.error_lines.push_back(e.line_number);
+  }
+  return out;
+}
+
+TEST(RecordReader, FinalLineWithoutNewlineIsParsed) {
+  std::string good = valid_line();
+  ReadOutcome r = read_content("no_newline.jsonl", good + "\n" + good);
+  EXPECT_EQ(r.lines_read, 2u);
+  EXPECT_EQ(r.records_read, 2u);
+  EXPECT_TRUE(r.error_lines.empty());
+  EXPECT_EQ(record_to_json(r.records[1]), good);
+}
+
+TEST(RecordReader, CrlfLinesParse) {
+  std::string good = valid_line();
+  ReadOutcome r =
+      read_content("crlf.jsonl", good + "\r\n" + good + "\r\n\r\n" + good + "\r");
+  EXPECT_EQ(r.lines_read, 4u);
+  EXPECT_EQ(r.records_read, 3u);
+  EXPECT_TRUE(r.error_lines.empty());
+  for (const TuningRecord& rec : r.records) EXPECT_EQ(record_to_json(rec), good);
+}
+
+TEST(RecordReader, BlankAndWhitespaceLinesAreCountedNotReported) {
+  std::string good = valid_line();
+  std::string content = "\n";                  // 1
+  content += " \t \n";                          // 2
+  content += good + "\n";                       // 3
+  content += "\r\n";                            // 4
+  content += "\n";                              // 5
+  content += good + "\n";                       // 6
+  content += "  \t";                            // 7: whitespace, no newline
+  ReadOutcome r = read_content("blank.jsonl", content);
+  EXPECT_EQ(r.lines_read, 7u);
+  EXPECT_EQ(r.records_read, 2u);
+  EXPECT_TRUE(r.error_lines.empty());
+
+  ReadOutcome empty = read_content("empty.jsonl", "");
+  EXPECT_EQ(empty.lines_read, 0u);
+  EXPECT_EQ(empty.records_read, 0u);
+}
+
+TEST(RecordReader, LinesLongerThan64KiB) {
+  std::string good = valid_line();
+  // An unknown field makes a valid record of 100 KB; the same bulk as
+  // garbage makes a long malformed line.  Both straddle any buffer size.
+  std::string big = good.substr(0, good.size() - 1) + ",\"pad\":\"" +
+                    std::string(100000, 'x') + "\"}";
+  std::string junk(70000, 'z');
+  ReadOutcome r = read_content(
+      "long.jsonl", good + "\n" + big + "\n" + junk + "\n" + big + "\n" + good);
+  EXPECT_EQ(r.lines_read, 5u);
+  EXPECT_EQ(r.records_read, 4u);
+  ASSERT_EQ(r.error_lines.size(), 1u);
+  EXPECT_EQ(r.error_lines[0], 3u);
+  EXPECT_EQ(record_to_json(r.records[1]), good);  // the pad is not a field
+}
+
+TEST(RecordReader, EmbeddedNulByteIsAMalformedLine) {
+  std::string good = valid_line();
+  std::string nul_line = good;
+  nul_line.insert(nul_line.size() / 2, 1, '\0');
+  std::string content = good + "\n" + nul_line + "\n" + good + "\n";
+  content += std::string("\0", 1) + "\n";  // a lone NUL is not blank
+  content += good + "\n";
+  ReadOutcome r = read_content("nul.jsonl", content);
+  EXPECT_EQ(r.lines_read, 5u);
+  EXPECT_EQ(r.records_read, 3u);
+  EXPECT_EQ(r.error_lines, (std::vector<std::size_t>{2, 4}));
+}
+
+TEST(RecordReader, MalformedLineInTheMiddle) {
+  std::string good = valid_line();
+  ReadOutcome r = read_content(
+      "middle.jsonl", good + "\n" + good + "\n{\"v\":1,\"net\"\n" + good + "\n");
+  EXPECT_EQ(r.lines_read, 4u);
+  EXPECT_EQ(r.records_read, 3u);
+  EXPECT_EQ(r.error_lines, (std::vector<std::size_t>{3}));
+}
+
 TEST(RecordReader, MissingFileIsEmpty) {
   EXPECT_TRUE(read_records("harl_test_definitely_missing.jsonl").empty());
   RecordReader reader;
