@@ -271,14 +271,9 @@ int remote_watch(LineClient& cli, std::int64_t job) {
       }
       std::printf("\n");
     } else if (ev.event == "best") {
-      std::printf("job %lld new best  task=%s %s ms",
+      std::printf("job %lld new best  task=%s %s ms\n",
                   static_cast<long long>(ev.job), ev.task.c_str(),
                   json::format_double(ev.est_time_ms).c_str());
-      if (ev.net_latency_ms >= 0) {
-        std::printf("  net latency %s ms",
-                    json::format_double(ev.net_latency_ms).c_str());
-      }
-      std::printf("\n");
     } else if (ev.event == "done") {
       std::printf("job %lld %s", static_cast<long long>(ev.job),
                   ev.state.c_str());
@@ -668,7 +663,7 @@ int main(int argc, char** argv) {
       std::printf("score: %s\n", json::format_double(result.score).c_str());
       std::printf("est_time_ms: %s\n",
                   json::format_double(result.est_time_ms).c_str());
-      std::printf("record: %s\n", record_to_json(result.record).c_str());
+      std::printf("record: %s\n", result.record_json.c_str());
     }
     std::printf("schedule:\n%s", result.schedule.to_string().c_str());
   }
@@ -690,8 +685,7 @@ int main(int argc, char** argv) {
     // The CI round-trip contract: the answer must be an L1 hit whose record
     // is byte-identical to the best record the logs hold for this triple.
     return check_expect_best(logs, net_name, sub_name, hw.fingerprint(),
-                             serve_tier_name(result.tier),
-                             record_to_json(result.record));
+                             serve_tier_name(result.tier), result.record_json);
   }
   return 0;
 }

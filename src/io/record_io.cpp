@@ -1,8 +1,19 @@
 #include "io/record_io.hpp"
 
+#include <cstring>
+
 #include "io/json.hpp"
 
 namespace harl {
+
+namespace {
+
+/// Blank and whitespace-only lines are skipped silently by the reader.
+bool is_blank(const std::string& line) {
+  return line.find_first_not_of(" \t\r") == std::string::npos;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- writer
 
@@ -71,39 +82,48 @@ void RecordReader::close() {
     file_ = nullptr;
   }
   path_.clear();
+  buf_pos_ = 0;
+  buf_len_ = 0;
+}
+
+bool RecordReader::next_line() {
+  line_.clear();
+  for (;;) {
+    if (buf_pos_ == buf_len_) {
+      if (buf_.empty()) buf_.resize(1 << 16);
+      buf_len_ = std::fread(buf_.data(), 1, buf_.size(), file_);
+      buf_pos_ = 0;
+      // End of file: a final line without its newline is still a line.
+      if (buf_len_ == 0) return !line_.empty();
+    }
+    const char* start = buf_.data() + buf_pos_;
+    const std::size_t avail = buf_len_ - buf_pos_;
+    const void* nl = std::memchr(start, '\n', avail);
+    if (nl == nullptr) {
+      line_.append(start, avail);
+      buf_pos_ = buf_len_;
+      continue;
+    }
+    const std::size_t len = static_cast<const char*>(nl) - start;
+    line_.append(start, len);
+    buf_pos_ += len + 1;
+    return true;
+  }
 }
 
 bool RecordReader::next(TuningRecord* rec) {
   if (file_ == nullptr) return false;
-  std::string line;
-  for (;;) {
-    line.clear();
-    int c;
-    while ((c = std::fgetc(file_)) != EOF && c != '\n') {
-      line += static_cast<char>(c);
-    }
-    if (line.empty() && c == EOF) return false;
+  while (next_line()) {
     ++lines_read_;
-    // Skip blank / whitespace-only lines silently.
-    bool blank = true;
-    for (char ch : line) {
-      if (ch != ' ' && ch != '\t' && ch != '\r') {
-        blank = false;
-        break;
-      }
-    }
-    if (blank) {
-      if (c == EOF) return false;
-      continue;
-    }
+    if (is_blank(line_)) continue;
     std::string error;
-    if (record_from_json(line, rec, &error)) {
+    if (record_from_json(line_, rec, &error)) {
       ++records_read_;
       return true;
     }
     errors_.push_back({lines_read_, error});
-    if (c == EOF) return false;
   }
+  return false;
 }
 
 std::vector<TuningRecord> read_records(const std::string& path,
@@ -124,14 +144,7 @@ namespace {
 /// A line the tolerant reader accepts or merely counts: blank, a well-formed
 /// record, or a well-formed JSON object from a newer schema version.
 bool line_is_tolerable(const std::string& line) {
-  bool blank = true;
-  for (char ch : line) {
-    if (ch != ' ' && ch != '\t' && ch != '\r') {
-      blank = false;
-      break;
-    }
-  }
-  if (blank) return true;
+  if (is_blank(line)) return true;
   TuningRecord rec;
   std::string error;
   if (record_from_json(line, &rec, &error)) return true;

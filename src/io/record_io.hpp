@@ -58,7 +58,9 @@ struct RecordReadError {
 /// malformed or incompatible lines are skipped and reported through
 /// `errors()` instead of aborting the read, and unknown JSON fields are
 /// ignored by the record parser.  A partially-written final line (crash mid
-/// append) therefore costs exactly one record.
+/// append) therefore costs exactly one record.  Lines are cut out of one
+/// reusable 64 KiB read buffer, so a log costs one bulk read, not one
+/// library call per byte.
 class RecordReader {
  public:
   RecordReader() = default;
@@ -80,8 +82,15 @@ class RecordReader {
   const std::vector<RecordReadError>& errors() const { return errors_; }
 
  private:
+  /// Fills `line_` with the next line, without its '\n'.  False at EOF.
+  bool next_line();
+
   std::FILE* file_ = nullptr;
   std::string path_;
+  std::vector<char> buf_;   ///< read buffer, allocated on first use
+  std::size_t buf_pos_ = 0; ///< first unconsumed byte of `buf_`
+  std::size_t buf_len_ = 0; ///< bytes of `buf_` holding file data
+  std::string line_;        ///< the current line, reused across calls
   std::size_t lines_read_ = 0;
   std::size_t records_read_ = 0;
   std::vector<RecordReadError> errors_;

@@ -49,6 +49,19 @@ bool KnowledgeCache::insert(const TuningRecord& rec, bool* displaced_best) {
     ++stats_.rejected;
     return false;
   }
+  {
+    // Most records of a long log lose to a full entry on time alone: count
+    // them evicted without serializing.  `find`, so the check never creates
+    // an entry; equal times still need the byte tie-break below.
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(Key{rec.network, rec.task, rec.hardware_fp});
+    if (it != entries_.end() &&
+        it->second.records.size() >= static_cast<std::size_t>(opts_.top_k) &&
+        rec.time_ms > it->second.records.back().time_ms) {
+      ++stats_.evictions;
+      return false;
+    }
+  }
   std::string serialized = record_to_json(rec);
   std::lock_guard<std::mutex> lock(mu_);
   return insert_locked(rec, std::move(serialized), displaced_best);
@@ -97,7 +110,10 @@ bool KnowledgeCache::insert_locked(const TuningRecord& rec,
 
 std::size_t KnowledgeCache::insert_log(const std::string& path) {
   std::size_t added = 0;
-  for (const TuningRecord& rec : read_records(path)) {
+  RecordReader reader;
+  if (!reader.open(path)) return 0;
+  TuningRecord rec;
+  while (reader.next(&rec)) {
     if (insert(rec)) ++added;
   }
   return added;
@@ -161,6 +177,7 @@ ServeResult KnowledgeCache::serve(const std::string& network,
       res.est_time_ms = rec.time_ms;
       res.score = 1.0;
       res.record = rec;
+      res.record_json = it->second.serialized[i];
       return res;
     }
   }
@@ -294,6 +311,7 @@ ServeResult KnowledgeCache::serve_l2_locked(const Key& query_key,
   res.est_time_ms = adapted[winner].cand->est_time_ms;
   res.score = adapted[winner].cand->score;
   res.record = *adapted[winner].cand->record;
+  res.record_json = *adapted[winner].cand->serialized;
   return res;
 }
 
@@ -471,7 +489,9 @@ bool cache_from_json(const std::string& text, KnowledgeCache* out,
     if (out->opts_.top_k < 1) out->opts_.top_k = 1;
     if (out->opts_.rerank_k < 1) out->opts_.rerank_k = 1;
     out->entries_.clear();
-    out->contexts_.clear();
+    // Task contexts survive a reload: they derive from the queried tasks,
+    // not from the records, and schedules served before the reload still
+    // point into their sketches.
     for (const TuningRecord& rec : records) {
       if (!(rec.time_ms > 0) || !rec.fail.empty()) continue;
       out->insert_locked(rec, record_to_json(rec));

@@ -83,8 +83,9 @@ struct ServeStats {
 };
 
 /// One served answer.  `schedule.sketch` points into the cache's per-task
-/// sketch store and stays valid for the cache's lifetime (or until a task
-/// with the same (network, task) name but different structure re-registers).
+/// sketch store and stays valid for the cache's lifetime, reloads included
+/// (or until a task with the same (network, task) name but different
+/// structure re-registers).
 struct ServeResult {
   ServeTier tier = ServeTier::kMiss;
   Schedule schedule;       ///< sketch == nullptr only for kMiss
@@ -94,6 +95,9 @@ struct ServeResult {
   /// served schedule rebuilds exactly from it, which is what the CI
   /// round-trip gate bit-compares against the tuning log.
   TuningRecord record;
+  /// `record_to_json(record)`, copied from the bytes the cache stored at
+  /// insert, so a reply never re-serializes (empty for L3/miss).
+  std::string record_json;
 };
 
 /// Three-tier schedule-knowledge cache over the record-log/experience

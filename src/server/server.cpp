@@ -148,8 +148,9 @@ class HarlServer::ProgressPublisher : public TuningCallback {
     ev.job = job_;
     if (task >= 0) ev.task = scheduler.task(task).graph().name();
     ev.est_time_ms = best.time_ms;
-    double net = scheduler.estimated_latency_ms();
-    if (std::isfinite(net)) ev.net_latency_ms = net;
+    // No network latency here: this runs on the bus thread, and the task
+    // bests it would sum belong to the tuning thread.  The `round` event
+    // that follows carries the latency captured on that thread.
     server_->publish_event(job_, ev, /*terminal=*/false);
   }
 
@@ -765,9 +766,7 @@ Response HarlServer::handle_query(const Request& req) {
     resp.schedule_fp = result.schedule.fingerprint();
     resp.est_time_ms = result.est_time_ms;
     resp.score = result.score;
-    if (result.tier != ServeTier::kL3) {
-      resp.record = record_to_json(result.record);
-    }
+    resp.record = std::move(result.record_json);  // empty for L3
   }
   return resp;
 }

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/presets.hpp"
 #include "core/tuning.hpp"
+#include "io/record_io.hpp"
 #include "io/record_logger.hpp"
 #include "serve/cache_updater.hpp"
 #include "serve/knowledge_cache.hpp"
@@ -101,6 +105,161 @@ TEST(KnowledgeCache, ContentsAreInsertOrderIndependent) {
   for (const TuningRecord& r : recs) b.insert(r);
   EXPECT_EQ(cache_to_json(a), cache_to_json(b));
   EXPECT_EQ(cache_fingerprint(a), cache_fingerprint(b));
+}
+
+/// The insert rule restated without shortcuts: every offered record is
+/// serialized and placed under (time asc, bytes asc).  Its counters are what
+/// `KnowledgeCache` must report for the same insert order.
+struct ReferenceCache {
+  using Item = std::pair<double, std::string>;
+  explicit ReferenceCache(std::size_t k) : top_k(k) {}
+
+  void insert(const TuningRecord& rec) {
+    if (!(rec.time_ms > 0) || !rec.fail.empty()) {
+      ++stats.rejected;
+      return;
+    }
+    std::vector<Item>& entry =
+        entries[std::make_tuple(rec.network, rec.task, rec.hardware_fp)];
+    if (entry.size() == top_k && rec.time_ms == entry.back().first) {
+      ++boundary_ties;
+    }
+    Item item{rec.time_ms, record_to_json(rec)};
+    auto pos = std::lower_bound(entry.begin(), entry.end(), item);
+    if (pos != entry.end() && *pos == item) {
+      ++stats.duplicates;
+      return;
+    }
+    if (static_cast<std::size_t>(pos - entry.begin()) >= top_k) {
+      ++stats.evictions;
+      return;
+    }
+    if (pos == entry.begin() && !entry.empty()) ++stats.invalidations;
+    entry.insert(pos, std::move(item));
+    ++stats.inserts;
+    if (entry.size() > top_k) {
+      entry.pop_back();
+      ++stats.evictions;
+    }
+  }
+
+  std::size_t top_k;
+  std::map<std::tuple<std::string, std::string, std::uint64_t>,
+           std::vector<Item>>
+      entries;
+  ServeStats stats;
+  std::size_t boundary_ties = 0;  ///< offers tied with a full entry's worst
+};
+
+void expect_same_insert_stats(const ServeStats& a, const ServeStats& b,
+                              const std::string& what) {
+  EXPECT_EQ(a.inserts, b.inserts) << what;
+  EXPECT_EQ(a.duplicates, b.duplicates) << what;
+  EXPECT_EQ(a.evictions, b.evictions) << what;
+  EXPECT_EQ(a.invalidations, b.invalidations) << what;
+  EXPECT_EQ(a.rejected, b.rejected) << what;
+}
+
+// Hydration property: a record set loaded from its log, or inserted record
+// by record in any order, gives the same cache bytes, and the counters match
+// the shortcut-free reference rule for that order.  The sets mix several
+// keys, coarse times (ties at the k-th kept time), byte-identical duplicates
+// and failed or timeless records.
+TEST(KnowledgeCache, HydrationMatchesTheReferenceRuleInAnyOrder) {
+  HardwareConfig hw = HardwareConfig::test_config();
+  HardwareConfig xeon = HardwareConfig::xeon_6226r();
+  Subgraph g1 = make_gemm(64, 64, 64);
+  Subgraph g2 = make_gemm(128, 64, 32, 1, "gemm2");
+  Subgraph sibling = make_gemm(128, 64, 64, 1, "gemm_big");
+  std::vector<Sketch> sk1 = generate_sketches(g1);
+  std::vector<Sketch> sk2 = generate_sketches(g2);
+
+  std::size_t boundary_ties = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 7919);
+    KnowledgeCacheOptions opts;
+    opts.top_k = 2 + static_cast<int>(seed % 3);
+    std::vector<TuningRecord> recs;
+    for (int i = 0; i < 120; ++i) {
+      const double kind = rng.next_double();
+      if (kind < 0.1 && !recs.empty()) {
+        recs.push_back(recs[rng.pick_index(recs.size())]);  // exact duplicate
+        continue;
+      }
+      const bool first = rng.next_double() < 0.5;
+      const HardwareConfig& h = rng.next_double() < 0.5 ? hw : xeon;
+      std::string net = rng.next_double() < 0.5 ? "netA" : "netB";
+      double time_ms = 1.0 + 0.5 * static_cast<double>(rng.pick_index(6));
+      TuningRecord rec = synth_record(first ? g1 : g2, first ? sk1 : sk2, h,
+                                      net, time_ms,
+                                      seed * 1000 + static_cast<std::uint64_t>(i));
+      if (kind < 0.15) rec.fail = "timeout";
+      else if (kind < 0.2) rec.time_ms = (kind < 0.175) ? 0.0 : -1.0;
+      recs.push_back(std::move(rec));
+    }
+    const std::string tag = "seed " + std::to_string(seed);
+
+    TempPath log("test_kcache_hydrate_" + std::to_string(seed) + ".jsonl");
+    {
+      RecordWriter writer;
+      ASSERT_TRUE(writer.open(log.path, /*append=*/false));
+      for (const TuningRecord& r : recs) ASSERT_TRUE(writer.write(r));
+    }
+    KnowledgeCache from_log(opts);
+    const std::size_t added = from_log.insert_log(log.path);
+    const std::string bytes = cache_to_json(from_log);
+
+    ReferenceCache ref(static_cast<std::size_t>(opts.top_k));
+    KnowledgeCache in_order(opts);
+    for (const TuningRecord& r : recs) {
+      ref.insert(r);
+      in_order.insert(r);
+    }
+    boundary_ties += ref.boundary_ties;
+    EXPECT_EQ(added, ref.stats.inserts) << tag;
+    EXPECT_EQ(cache_to_json(in_order), bytes) << tag;
+    expect_same_insert_stats(from_log.stats(), ref.stats, tag + " log");
+    expect_same_insert_stats(in_order.stats(), ref.stats, tag + " in order");
+
+    std::vector<TuningRecord> shuffled = recs;
+    for (int order = 0; order < 3; ++order) {
+      rng.shuffle(shuffled);
+      ReferenceCache ref_shuffled(static_cast<std::size_t>(opts.top_k));
+      KnowledgeCache cache(opts);
+      for (const TuningRecord& r : shuffled) {
+        ref_shuffled.insert(r);
+        cache.insert(r);
+      }
+      boundary_ties += ref_shuffled.boundary_ties;
+      const std::string what = tag + " order " + std::to_string(order);
+      EXPECT_EQ(cache_to_json(cache), bytes) << what;
+      expect_same_insert_stats(cache.stats(), ref_shuffled.stats, what);
+      // Order moves records between the counters, never in or out of them.
+      const ServeStats s = cache.stats();
+      EXPECT_EQ(s.rejected, ref.stats.rejected) << what;
+      EXPECT_EQ(s.evictions + s.duplicates,
+                ref.stats.evictions + ref.stats.duplicates)
+          << what;
+    }
+
+    // Replies carry the stored bytes of the record they came from.
+    ServeResult l1 = from_log.serve("netA", g1, hw);
+    ASSERT_EQ(l1.tier, ServeTier::kL1) << tag;
+    EXPECT_EQ(l1.record_json, record_to_json(l1.record)) << tag;
+    const auto& best =
+        ref.entries[std::make_tuple(std::string("netA"), g1.name(),
+                                    hw.fingerprint())];
+    ASSERT_FALSE(best.empty()) << tag;
+    EXPECT_EQ(l1.record_json, best.front().second) << tag;
+    ServeResult l2 = from_log.serve("netQ", sibling, hw);
+    ASSERT_EQ(l2.tier, ServeTier::kL2) << tag;
+    EXPECT_EQ(l2.record_json, record_to_json(l2.record)) << tag;
+    ServeResult l3 = from_log.serve("netQ", make_softmax(64, 256), hw);
+    ASSERT_EQ(l3.tier, ServeTier::kL3) << tag;
+    EXPECT_TRUE(l3.record_json.empty()) << tag;
+  }
+  // The sets really exercised the byte tie-break at a full entry's bound.
+  EXPECT_GT(boundary_ties, 0u);
 }
 
 TEST(KnowledgeCache, SaveLoadByteIdentityFuzz) {
