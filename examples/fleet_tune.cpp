@@ -66,13 +66,12 @@ int main(int argc, char** argv) {
 
   // Per-network results are identical to tuning each network alone with the
   // same seed; concurrency only changes wall-clock time.
-  for (int i = 0; i < fleet.num_workloads(); ++i) {
-    const TuningSession& s = fleet.session(i);
-    std::printf("%-14s best task latencies:", s.network().name.c_str());
-    for (int t = 0; t < s.scheduler().num_tasks() && t < 4; ++t) {
-      std::printf(" %.4f", s.task_best_ms(t));
+  for (const FleetNetworkResult& r : report.networks) {
+    std::printf("%-14s best task latencies:", r.name.c_str());
+    for (int t = 0; t < r.num_tasks && t < 4; ++t) {
+      std::printf(" %.4f", r.task_best_ms[static_cast<std::size_t>(t)]);
     }
-    std::printf("%s ms\n", s.scheduler().num_tasks() > 4 ? " ..." : "");
+    std::printf("%s ms\n", r.num_tasks > 4 ? " ..." : "");
   }
   return 0;
 }

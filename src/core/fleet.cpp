@@ -395,6 +395,9 @@ void FleetTuner::tune_one(std::size_t i) {
   FleetNetworkResult r;
   r.name = w->name;
   r.num_tasks = s->scheduler().num_tasks();
+  for (int t = 0; t < r.num_tasks; ++t) {
+    r.task_best_ms.push_back(s->task_best_ms(t));
+  }
   r.trials_used = s->measurer().trials_used();
   r.latency_ms = s->latency_ms();
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -426,8 +429,23 @@ void FleetTuner::tune_one(std::size_t i) {
     r.latency_gain_ms = std::max(0.0, first_finite - log.back().net_latency_ms);
   }
 
+  // Release the job's search state: a fleet keeps only the results of
+  // finished jobs, so memory and open fds track running jobs.  The session
+  // goes first — its destructor drains the async bus into the logger, the
+  // cache updater and user callbacks, all still alive — then the logger.
+  // The state flips only afterwards, so kDone/kStopped (and on_complete)
+  // follow every event and every close of the job.
+  std::unique_ptr<TuningSession> finished;
+  std::unique_ptr<RecordLogger> finished_logger;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    results_[i] = std::move(r);
+    finished = std::move(sessions_[i]);
+    finished_logger = std::move(loggers_[i]);
+  }
+  finished.reset();
+  finished_logger.reset();
   std::lock_guard<std::mutex> lk(mu_);
-  results_[i] = std::move(r);
   states_[i] =
       results_[i].completed ? FleetJobState::kDone : FleetJobState::kStopped;
 }
@@ -440,16 +458,6 @@ FleetJobState FleetTuner::workload_state(int i) const {
 FleetNetworkResult FleetTuner::result(int i) const {
   std::lock_guard<std::mutex> lk(mu_);
   return results_.at(static_cast<std::size_t>(i));
-}
-
-const TuningSession& FleetTuner::session(int i) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return *sessions_.at(static_cast<std::size_t>(i));
-}
-
-TuningSession& FleetTuner::session(int i) {
-  std::lock_guard<std::mutex> lk(mu_);
-  return *sessions_.at(static_cast<std::size_t>(i));
 }
 
 FleetReport FleetTuner::report_locked() const {

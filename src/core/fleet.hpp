@@ -33,9 +33,9 @@ struct FleetWorkload {
   HardwareConfig hardware;
   SearchOptions options;     ///< options.pool == nullptr inherits the fleet pool
   std::int64_t trials = 1000;  ///< measurement-trial budget for this network
-  /// Extra observers registered on this workload's session (not owned).  A
-  /// callback shared across workloads runs on several fleet threads at once
-  /// and must be thread-safe.
+  /// Extra observers registered on this workload's session (not owned;
+  /// must outlive the workload's run).  A callback shared across workloads
+  /// runs on several fleet threads at once and must be thread-safe.
   std::vector<TuningCallback*> callbacks;
 };
 
@@ -56,6 +56,9 @@ struct FleetNetworkResult {
   int num_tasks = 0;
   std::int64_t trials_used = 0;
   double latency_ms = 0;        ///< estimated network latency after tuning
+  /// Best measured time per task (ms), indexed like the network's
+  /// subgraphs; infinity for a task with no valid measurement.
+  std::vector<double> task_best_ms;
   double wall_seconds = 0;      ///< wall-clock time of this session's tuning
   std::int64_t cache_hits = 0;  ///< measure-cache hits (deduplicated trials)
   std::size_t rounds = 0;       ///< completed scheduler rounds
@@ -110,6 +113,11 @@ struct FleetReport {
 /// Results per network are bit-identical to tuning that network alone with
 /// the same options: sessions share threads but no tuning state, and all
 /// determinism is per-(session seed, trial index).
+///
+/// A workload holds its `TuningSession` and `RecordLogger` only while it
+/// runs: once it finishes (or is drained) both are destroyed and only its
+/// `FleetNetworkResult` remains, so a long-lived fleet's memory and open
+/// fds scale with running workloads, not with workloads served.
 class FleetTuner {
  public:
   struct Options {
@@ -187,8 +195,10 @@ class FleetTuner {
     std::string cache_save_path;
     /// Incremental-mode completion hook: called on the fleet worker thread
     /// after a workload finishes (or is drained — check
-    /// `FleetNetworkResult::completed`).  May call `submit()`; must not
-    /// block for long (it occupies a tuning worker).
+    /// `FleetNetworkResult::completed`) and its session and logger are
+    /// destroyed, so no event of that workload reaches a callback after it.
+    /// May call `submit()`; must not block for long (it occupies a tuning
+    /// worker).
     std::function<void(int index, const FleetNetworkResult&)> on_complete;
   };
 
@@ -239,11 +249,6 @@ class FleetTuner {
   /// Aggregated snapshot over every finished workload, in index order.
   FleetReport report() const;
 
-  /// Sessions of the most recent `run()`, indexed like the workloads
-  /// (empty before the first run).
-  const TuningSession& session(int i) const;
-  TuningSession& session(int i);
-
   /// The record-log path workload `i` uses under `Options::log_dir`.
   std::string log_path(int i) const;
 
@@ -269,7 +274,8 @@ class FleetTuner {
   // All containers are indexed only under `mu_`; elements are reached
   // through pointers taken under the lock (std::deque keeps references
   // stable across push_back, so a worker's workload/session pointers
-  // survive concurrent submits).
+  // survive concurrent submits).  sessions_[i] and loggers_[i] are non-null
+  // only while workload i runs; its worker moves them out when it finishes.
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< wakes workers (submit/stop/drain)
   std::condition_variable idle_cv_;   ///< wakes wait_idle

@@ -657,6 +657,9 @@ void HarlServer::handle_fleet_complete(const std::string& shard_name,
     Job& job = jobs_[job_id];
     job.result = result;
     active_jobs_ -= 1;
+    // The fleet destroyed the job's session before this hook, so nothing
+    // references its publisher any more (a re-dispatch creates a new one).
+    publishers_.erase(job_id);
     if (result.completed) {
       job.done = true;
       job.state = FleetJobState::kDone;

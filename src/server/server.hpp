@@ -234,6 +234,7 @@ class HarlServer {
   std::map<std::string, std::unique_ptr<Shard>> shards_;
   std::map<std::int64_t, Job> jobs_;
   std::vector<std::int64_t> pending_;  ///< admitted, not yet dispatched
+  /// Running jobs' event publishers; erased when the job completes.
   std::map<std::int64_t, std::unique_ptr<ProgressPublisher>> publishers_;
   std::int64_t next_job_id_ = 1;
   int active_jobs_ = 0;

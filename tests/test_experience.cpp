@@ -561,10 +561,21 @@ TEST(PretrainedPriorTest, SessionStartsWarmFromModelFile) {
   w.hardware = hw;
   w.options = tiny_options(PolicyKind::kRandom, 6);
   w.trials = 10;
+  // The fleet frees each session when its job ends, so observe the model
+  // from inside the run.
+  struct PretrainedProbe : TuningCallback {
+    bool seen = false;
+    bool pretrained = true;
+    void on_round(const TaskScheduler& scheduler, const RoundEvent&) override {
+      seen = true;
+      pretrained = pretrained && scheduler.task(0).cost_model().has_pretrained();
+    }
+  } probe;
+  w.callbacks.push_back(&probe);
   fleet.add(std::move(w));
   fleet.run();
-  EXPECT_TRUE(
-      fleet.session(0).scheduler().task(0).cost_model().has_pretrained());
+  EXPECT_TRUE(probe.seen);
+  EXPECT_TRUE(probe.pretrained);
 }
 
 // ------------------------------------------------------------ verify resume

@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <cstdio>
+#include <mutex>
+#include <string>
 
 #include "core/fleet.hpp"
 #include "core/presets.hpp"
+#include "io/record_logger.hpp"
+#include "io/safe_file.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/operators.hpp"
 
@@ -104,6 +114,116 @@ TEST(FleetTuner, EmptyFleetAndRerun) {
   ASSERT_EQ(first.networks.size(), 1u);
   EXPECT_EQ(first.networks[0].latency_ms, second.networks[0].latency_ms);
   EXPECT_EQ(first.networks[0].trials_used, second.networks[0].trials_used);
+}
+
+int open_fd_count() {
+  DIR* d = ::opendir("/proc/self/fd");
+  if (d == nullptr) return -1;
+  int n = 0;
+  while (dirent* e = ::readdir(d)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  ::closedir(d);
+  return n;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::string text, error;
+  EXPECT_TRUE(read_text_file(path, &text, &error)) << error;
+  return text;
+}
+
+/// Counts the events of one job and those that arrive after its completion
+/// hook ran.  Events come from the job's async-bus thread.
+struct LateEventProbe : TuningCallback {
+  std::atomic<bool> completed{false};
+  std::atomic<int> events{0};
+  std::atomic<int> late{0};
+
+  void note() {
+    events.fetch_add(1);
+    if (completed.load()) late.fetch_add(1);
+  }
+  void on_records(const TaskScheduler&, int,
+                  const std::vector<MeasuredRecord>&) override { note(); }
+  void on_failure(const TaskScheduler&, const FailureEvent&) override { note(); }
+  void on_new_best(const TaskScheduler&, int, const MeasuredRecord&) override {
+    note();
+  }
+  void on_round(const TaskScheduler&, const RoundEvent&) override { note(); }
+  void on_task_complete(const TaskScheduler&, int) override { note(); }
+};
+
+// A daemon-style fleet frees each job's session and record logger when the
+// job finishes: open fds return to their pre-job count, no event reaches a
+// job's callbacks after its completion hook, and the release changes no
+// output — every log and latency equals tuning that job alone.
+TEST(FleetTuner, FinishedJobsReleaseTheirSessionAndLogger) {
+  const std::string log_dir = "harl_test_fleet_lifecycle";
+  constexpr int kJobs = 4;
+  LateEventProbe probes[kJobs];
+  std::mutex mu;
+  std::condition_variable cv;
+  int completions = 0;
+
+  ThreadPool pool(2);
+  FleetTuner::Options opts;
+  opts.max_concurrent = 1;
+  opts.measure_pool = &pool;
+  opts.log_dir = log_dir;
+  opts.async_callbacks.enabled = true;
+  opts.on_complete = [&](int index, const FleetNetworkResult&) {
+    probes[index].completed.store(true);
+    std::lock_guard<std::mutex> lk(mu);
+    ++completions;
+    cv.notify_all();
+  };
+  FleetTuner fleet(opts);
+  fleet.start();
+
+  for (int j = 0; j < kJobs; ++j) {
+    const std::string name = "life_" + std::to_string(j);
+    auto workload = [&] {
+      return make_workload(name.c_str(), 48 + 16 * j,
+                           static_cast<std::uint64_t>(30 + j), 30);
+    };
+    const int fds_before = open_fd_count();
+    FleetWorkload w = workload();
+    w.callbacks.push_back(&probes[j]);
+    const int index = fleet.submit(std::move(w));
+    ASSERT_EQ(index, j);
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      cv.wait(lk, [&] { return completions == j + 1; });
+    }
+    fleet.wait_idle();
+    ASSERT_EQ(fleet.workload_state(index), FleetJobState::kDone);
+    EXPECT_EQ(open_fd_count(), fds_before) << "job " << j;
+    EXPECT_GT(probes[j].events.load(), 0);
+    EXPECT_EQ(probes[j].late.load(), 0) << "job " << j;
+
+    const std::string solo_log = log_dir + "/solo_" + name + ".jsonl";
+    FleetWorkload solo_w = workload();
+    TuningSession solo(solo_w.network, solo_w.hardware, solo_w.options);
+    {
+      RecordLogger logger;
+      ASSERT_TRUE(logger.open(solo_log, /*append=*/false));
+      solo.add_callback(&logger);
+      solo.run(solo_w.trials);
+    }
+    const FleetNetworkResult r = fleet.result(index);
+    EXPECT_EQ(r.latency_ms, solo.latency_ms());  // bitwise
+    ASSERT_EQ(r.task_best_ms.size(), 2u);
+    EXPECT_EQ(r.task_best_ms[0], solo.task_best_ms(0));
+    EXPECT_EQ(r.task_best_ms[1], solo.task_best_ms(1));
+    const std::string fleet_bytes = file_bytes(fleet.log_path(index));
+    EXPECT_FALSE(fleet_bytes.empty());
+    EXPECT_EQ(fleet_bytes, file_bytes(solo_log)) << "job " << j;
+    std::remove(solo_log.c_str());
+    std::remove(fleet.log_path(index).c_str());
+  }
+  fleet.stop();
+  ::rmdir(log_dir.c_str());
 }
 
 }  // namespace
