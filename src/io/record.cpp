@@ -1,5 +1,8 @@
 #include "io/record.hpp"
 
+#include <charconv>
+#include <string_view>
+
 #include "io/json.hpp"
 
 namespace harl {
@@ -30,227 +33,399 @@ std::vector<StageDecision> decisions_from_schedule(const Schedule& sched) {
   return out;
 }
 
-std::string record_to_json(const TuningRecord& rec) {
-  using json::Value;
-  Value obj = Value::object();
-  obj.set("v", Value::number(static_cast<std::int64_t>(rec.version)));
-  obj.set("net", Value::string(rec.network));
-  obj.set("task", Value::string(rec.task));
-  obj.set("task_index", Value::number(static_cast<std::int64_t>(rec.task_index)));
-  obj.set("hw", Value::number(rec.hardware_fp));
-  obj.set("policy", Value::string(rec.policy));
-  obj.set("seed", Value::number(rec.seed));
-  obj.set("sketch", Value::number(static_cast<std::int64_t>(rec.sketch_id)));
-  obj.set("tag", Value::string(rec.sketch_tag));
-  Value stages = Value::array();
-  for (const StageDecision& d : rec.stages) {
-    Value s = Value::object();
-    Value tiles = Value::array();
-    for (const auto& tv : d.tiles) {
-      Value axis = Value::array();
-      for (std::int64_t f : tv) axis.push_back(Value::number(f));
-      tiles.push_back(std::move(axis));
-    }
-    s.set("t", std::move(tiles));
-    s.set("ca", Value::number(static_cast<std::int64_t>(d.compute_at)));
-    s.set("par", Value::number(static_cast<std::int64_t>(d.parallel_depth)));
-    s.set("unr", Value::number(static_cast<std::int64_t>(d.unroll_index)));
-    stages.push_back(std::move(s));
-  }
-  obj.set("stages", std::move(stages));
-  obj.set("ms", Value::number(rec.time_ms));
-  obj.set("trial", Value::number(rec.trial_index));
-  obj.set("cached", Value::boolean(rec.cached));
-  // Optional failure provenance: omitted when the measurement succeeded, so
-  // healthy logs stay byte-identical to those of builds without the field.
-  if (!rec.fail.empty()) obj.set("fail", Value::string(rec.fail));
-  // Optional transfer provenance: omitted when empty, so records without it
-  // (and re-serialized old records) stay byte-identical to their source.
-  if (!rec.task_sig.empty()) obj.set("sig", Value::string(rec.task_sig));
-  if (!rec.hw_sim.empty()) {
-    Value hwv = Value::array();
-    for (double d : rec.hw_sim) hwv.push_back(Value::number(d));
-    obj.set("hwv", std::move(hwv));
-  }
-  if (rec.experience_fp != 0) obj.set("xm", Value::number(rec.experience_fp));
-  if (rec.value_fp != 0) obj.set("vm", Value::number(rec.value_fp));
-  return obj.dump();
-}
-
 namespace {
 
-bool require(const json::Value& obj, const char* key, const json::Value** out,
-             std::string* error) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) {
-    *error = std::string("missing required field \"") + key + "\"";
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool get_string(const json::Value& obj, const char* key, std::string* out,
-                std::string* error) {
-  const json::Value* v = nullptr;
-  if (!require(obj, key, &v, error)) return false;
-  if (!v->is_string()) {
-    *error = std::string("field \"") + key + "\" is not a string";
-    return false;
-  }
-  *out = v->as_string();
-  return true;
-}
-
-bool get_number(const json::Value& obj, const char* key, const json::Value** out,
-                std::string* error) {
-  if (!require(obj, key, out, error)) return false;
-  if (!(*out)->is_number()) {
-    *error = std::string("field \"") + key + "\" is not a number";
-    return false;
-  }
-  return true;
+template <typename Int>
+void append_int(std::string* out, Int v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 }  // namespace
 
+std::string record_to_json(const TuningRecord& rec) {
+  std::string out;
+  out.reserve(512);
+  out += "{\"v\":";
+  append_int(&out, rec.version);
+  out += ",\"net\":";
+  json::append_escaped(&out, rec.network);
+  out += ",\"task\":";
+  json::append_escaped(&out, rec.task);
+  out += ",\"task_index\":";
+  append_int(&out, rec.task_index);
+  out += ",\"hw\":";
+  append_int(&out, rec.hardware_fp);
+  out += ",\"policy\":";
+  json::append_escaped(&out, rec.policy);
+  out += ",\"seed\":";
+  append_int(&out, rec.seed);
+  out += ",\"sketch\":";
+  append_int(&out, rec.sketch_id);
+  out += ",\"tag\":";
+  json::append_escaped(&out, rec.sketch_tag);
+  out += ",\"stages\":[";
+  for (std::size_t s = 0; s < rec.stages.size(); ++s) {
+    const StageDecision& d = rec.stages[s];
+    out += s ? ",{\"t\":[" : "{\"t\":[";
+    for (std::size_t a = 0; a < d.tiles.size(); ++a) {
+      out += a ? ",[" : "[";
+      for (std::size_t i = 0; i < d.tiles[a].size(); ++i) {
+        if (i) out += ',';
+        append_int(&out, d.tiles[a][i]);
+      }
+      out += ']';
+    }
+    out += "],\"ca\":";
+    append_int(&out, d.compute_at);
+    out += ",\"par\":";
+    append_int(&out, d.parallel_depth);
+    out += ",\"unr\":";
+    append_int(&out, d.unroll_index);
+    out += '}';
+  }
+  out += "],\"ms\":";
+  json::append_double(&out, rec.time_ms);
+  out += ",\"trial\":";
+  append_int(&out, rec.trial_index);
+  out += rec.cached ? ",\"cached\":true" : ",\"cached\":false";
+  // Optional failure provenance: omitted when the measurement succeeded, so
+  // healthy logs stay byte-identical to those of builds without the field.
+  if (!rec.fail.empty()) {
+    out += ",\"fail\":";
+    json::append_escaped(&out, rec.fail);
+  }
+  // Optional transfer provenance: omitted when empty, so records without it
+  // (and re-serialized old records) stay byte-identical to their source.
+  if (!rec.task_sig.empty()) {
+    out += ",\"sig\":";
+    json::append_escaped(&out, rec.task_sig);
+  }
+  if (!rec.hw_sim.empty()) {
+    out += ",\"hwv\":[";
+    for (std::size_t i = 0; i < rec.hw_sim.size(); ++i) {
+      if (i) out += ',';
+      json::append_double(&out, rec.hw_sim[i]);
+    }
+    out += ']';
+  }
+  if (rec.experience_fp != 0) {
+    out += ",\"xm\":";
+    append_int(&out, rec.experience_fp);
+  }
+  if (rec.value_fp != 0) {
+    out += ",\"vm\":";
+    append_int(&out, rec.value_fp);
+  }
+  out += '}';
+  return out;
+}
+
+namespace {
+
+using Kind = json::Value::Kind;
+
+// Record members, in the order `record_from_json` checks them.
+enum Field {
+  kV, kNet, kTask, kPolicy, kTag, kTaskIndex, kHw, kSeed, kSketch, kMs,
+  kTrial, kCached, kFail, kSig, kHwv, kXm, kVm, kStages, kNumFields
+};
+constexpr std::string_view kFieldNames[kNumFields] = {
+    "v",  "net",   "task",   "policy", "tag", "task_index", "hw",
+    "seed", "sketch", "ms",  "trial",  "cached", "fail", "sig",
+    "hwv", "xm",   "vm",     "stages"};
+
+// Stage members, in check order.
+enum StageField { kT, kCa, kPar, kUnr, kNumStageFields };
+constexpr std::string_view kStageFieldNames[kNumStageFields] = {"t", "ca",
+                                                                "par", "unr"};
+
+/// The last occurrence of a member (duplicate keys: last one wins).
+struct Member {
+  bool present = false;
+  Kind kind = Kind::kNull;
+  std::string_view number;  ///< raw token when `kind == kNumber`
+};
+
+template <std::size_t N>
+int field_index(const std::string& key, const std::string_view (&names)[N]) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (key == names[i]) return static_cast<int>(i);
+  }
+  return static_cast<int>(N);
+}
+
+/// Field checks shared by the record and its stages; each fills `*error` and
+/// returns false.
+bool require(const Member& m, std::string_view key, std::string* error) {
+  if (m.present) return true;
+  *error = "missing required field \"" + std::string(key) + "\"";
+  return false;
+}
+
+bool check_kind(const Member& m, std::string_view key, Kind kind,
+                const char* what, std::string* error) {
+  if (m.kind == kind) return true;
+  *error = "field \"" + std::string(key) + "\" is not " + what;
+  return false;
+}
+
+bool require_kind(const Member& m, std::string_view key, Kind kind,
+                  const char* what, std::string* error) {
+  return require(m, key, error) && check_kind(m, key, kind, what, error);
+}
+
+std::string stage_error(std::size_t s, const char* what) {
+  return "stage " + std::to_string(s) + " " + what;
+}
+
+/// Decodes an array of numbers into `*out` through `convert`; `*numeric`
+/// turns false when an item is not a number.
+template <typename T, typename Convert>
+bool read_numbers(json::Cursor& c, std::vector<T>* out, Convert convert,
+                  bool* numeric) {
+  out->clear();
+  *numeric = true;
+  Kind kind;
+  std::string_view token;
+  c.enter_array();
+  while (c.next_item()) {
+    if (!c.peek(&kind)) return false;
+    if (kind == Kind::kNumber) {
+      if (!c.read_number(&token)) return false;
+      out->push_back(convert(token));
+      continue;
+    }
+    *numeric = false;
+    if (!c.skip_value()) return false;
+  }
+  return c.ok();
+}
+
+std::int64_t to_int64(std::string_view token) {
+  return json::number_to_int64(token, 0);
+}
+
+double to_double(std::string_view token) {
+  return json::number_to_double(token, 0);
+}
+
+/// Decodes one "t" array into `*tiles`.  `*bad` names the first tile vector
+/// that is not an array or factor that is not a number (nullptr if none).
+bool read_tiles(json::Cursor& c, std::vector<std::vector<std::int64_t>>* tiles,
+                const char** bad) {
+  *bad = nullptr;
+  std::size_t n = 0;
+  Kind kind;
+  c.enter_array();
+  while (c.next_item()) {
+    if (!c.peek(&kind)) return false;
+    if (n == tiles->size()) tiles->emplace_back();
+    ++n;
+    if (kind != Kind::kArray) {
+      if (*bad == nullptr) *bad = "tile vector is not an array";
+      if (!c.skip_value()) return false;
+      continue;
+    }
+    bool numeric = true;
+    if (!read_numbers(c, &(*tiles)[n - 1], to_int64, &numeric)) return false;
+    if (!numeric && *bad == nullptr) *bad = "tile factor is not a number";
+  }
+  tiles->resize(n);
+  return c.ok();
+}
+
+/// Decodes stage object `s` into `*d`; the first field error of the stage
+/// goes to `*error` unless an earlier stage already set one.
+bool read_stage(json::Cursor& c, std::size_t s, StageDecision* d,
+                std::string* key, std::string* error) {
+  Member m[kNumStageFields];
+  const char* bad_tiles = nullptr;
+  Kind kind;
+  c.enter_object();
+  while (c.next_member(key)) {
+    const int f = field_index(*key, kStageFieldNames);
+    if (f == kNumStageFields) {
+      if (!c.skip_value()) return false;
+      continue;
+    }
+    if (!c.peek(&kind)) return false;
+    m[f] = Member{true, kind, {}};
+    bool consumed;
+    if (kind == Kind::kNumber) {
+      consumed = c.read_number(&m[f].number);
+    } else if (kind == Kind::kArray && f == kT) {
+      consumed = read_tiles(c, &d->tiles, &bad_tiles);
+    } else {
+      consumed = c.skip_value();
+    }
+    if (!consumed) return false;
+  }
+  if (!c.ok()) return false;
+  if (!error->empty()) return true;
+  if (!require(m[kT], "t", error)) return true;
+  if (m[kT].kind != Kind::kArray) {
+    *error = stage_error(s, "tiles are not an array");
+    return true;
+  }
+  if (bad_tiles != nullptr) {
+    *error = stage_error(s, bad_tiles);
+    return true;
+  }
+  for (int f = kCa; f < kNumStageFields; ++f) {
+    if (!require_kind(m[f], kStageFieldNames[f], Kind::kNumber, "a number",
+                      error)) {
+      return true;
+    }
+  }
+  d->compute_at = static_cast<int>(json::number_to_int64(m[kCa].number, 0));
+  d->parallel_depth = static_cast<int>(json::number_to_int64(m[kPar].number, 0));
+  d->unroll_index = static_cast<int>(json::number_to_int64(m[kUnr].number, 0));
+  return true;
+}
+
+/// Decodes a "stages" array into `*stages`, reusing its capacity.
+bool read_stages(json::Cursor& c, std::vector<StageDecision>* stages,
+                 std::string* key, std::string* error) {
+  error->clear();
+  std::size_t n = 0;
+  Kind kind;
+  c.enter_array();
+  while (c.next_item()) {
+    if (!c.peek(&kind)) return false;
+    if (n == stages->size()) stages->emplace_back();
+    const std::size_t s = n++;
+    if (kind == Kind::kObject) {
+      if (!read_stage(c, s, &(*stages)[s], key, error)) return false;
+      continue;
+    }
+    if (error->empty()) *error = stage_error(s, "is not an object");
+    if (!c.skip_value()) return false;
+  }
+  stages->resize(n);
+  return c.ok();
+}
+
+std::string* string_field(TuningRecord* rec, int f) {
+  switch (f) {
+    case kNet: return &rec->network;
+    case kTask: return &rec->task;
+    case kPolicy: return &rec->policy;
+    case kTag: return &rec->sketch_tag;
+    case kFail: return &rec->fail;
+    case kSig: return &rec->task_sig;
+    default: return nullptr;
+  }
+}
+
+}  // namespace
+
+// One pass over the line pulls every member straight into `*rec`; the field
+// checks run afterwards, in a fixed order, so a syntax error anywhere in the
+// line is reported before any field error.
 bool record_from_json(const std::string& line, TuningRecord* rec,
                       std::string* error) {
   json::ParseError perr;
-  json::Value obj = json::parse(line, &perr);
-  if (!perr.ok) {
+  json::Cursor c(line, &perr);
+  Member m[kNumFields];
+  bool hwv_numeric = true;
+  std::string stages_error;
+  std::string key;
+  rec->fail.clear();
+  rec->task_sig.clear();
+  rec->hw_sim.clear();
+
+  Kind kind;
+  const bool is_object = c.peek(&kind) && kind == Kind::kObject;
+  if (is_object) {
+    c.enter_object();
+    while (c.next_member(&key)) {
+      const int f = field_index(key, kFieldNames);
+      if (f == kNumFields) {
+        if (!c.skip_value()) break;
+        continue;
+      }
+      if (!c.peek(&kind)) break;
+      m[f] = Member{true, kind, {}};
+      std::string* str = string_field(rec, f);
+      bool consumed;
+      if (kind == Kind::kNumber) {
+        consumed = c.read_number(&m[f].number);
+      } else if (kind == Kind::kString && str != nullptr) {
+        consumed = c.read_string(str);
+      } else if (kind == Kind::kBool && f == kCached) {
+        consumed = c.read_bool(&rec->cached);
+      } else if (kind == Kind::kArray && f == kHwv) {
+        consumed = read_numbers(c, &rec->hw_sim, to_double, &hwv_numeric);
+      } else if (kind == Kind::kArray && f == kStages) {
+        consumed = read_stages(c, &rec->stages, &key, &stages_error);
+      } else {
+        consumed = c.skip_value();
+      }
+      if (!consumed) break;
+    }
+  } else {
+    c.skip_value();
+  }
+  if (!c.finish()) {
     *error = perr.to_string();
     return false;
   }
-  if (!obj.is_object()) {
+  if (!is_object) {
     *error = "record line is not a JSON object";
     return false;
   }
 
-  const json::Value* v = nullptr;
-  if (!get_number(obj, "v", &v, error)) return false;
-  TuningRecord out;
-  out.version = static_cast<int>(v->as_int64());
-  if (out.version > kRecordSchemaVersion) {
-    *error = "incompatible version " + std::to_string(out.version) +
+  auto required = [&](int f, Kind k, const char* what) {
+    return require_kind(m[f], kFieldNames[f], k, what, error);
+  };
+  auto optional = [&](int f, Kind k, const char* what) {
+    return !m[f].present || check_kind(m[f], kFieldNames[f], k, what, error);
+  };
+  auto int_of = [&](int f, std::int64_t fallback) {
+    return json::number_to_int64(m[f].number, fallback);
+  };
+  auto uint_of = [&](int f) { return json::number_to_uint64(m[f].number, 0); };
+
+  if (!required(kV, Kind::kNumber, "a number")) return false;
+  rec->version = static_cast<int>(int_of(kV, 0));
+  if (rec->version > kRecordSchemaVersion) {
+    *error = "incompatible version " + std::to_string(rec->version) +
              " (reader supports <= " + std::to_string(kRecordSchemaVersion) + ")";
     return false;
   }
-
-  if (!get_string(obj, "net", &out.network, error)) return false;
-  if (!get_string(obj, "task", &out.task, error)) return false;
-  if (!get_string(obj, "policy", &out.policy, error)) return false;
-  if (!get_string(obj, "tag", &out.sketch_tag, error)) return false;
-  if (!get_number(obj, "task_index", &v, error)) return false;
-  out.task_index = static_cast<int>(v->as_int64(-1));
-  if (!get_number(obj, "hw", &v, error)) return false;
-  out.hardware_fp = v->as_uint64();
-  if (!get_number(obj, "seed", &v, error)) return false;
-  out.seed = v->as_uint64();
-  if (!get_number(obj, "sketch", &v, error)) return false;
-  out.sketch_id = static_cast<int>(v->as_int64());
-  if (!get_number(obj, "ms", &v, error)) return false;
-  out.time_ms = v->as_double();
-  if (!get_number(obj, "trial", &v, error)) return false;
-  out.trial_index = v->as_int64();
-
-  if (!require(obj, "cached", &v, error)) return false;
-  if (!v->is_bool()) {
-    *error = "field \"cached\" is not a boolean";
-    return false;
+  for (int f : {kNet, kTask, kPolicy, kTag}) {
+    if (!required(f, Kind::kString, "a string")) return false;
   }
-  out.cached = v->as_bool();
+  for (int f = kTaskIndex; f <= kTrial; ++f) {
+    if (!required(f, Kind::kNumber, "a number")) return false;
+  }
+  rec->task_index = static_cast<int>(int_of(kTaskIndex, -1));
+  rec->hardware_fp = uint_of(kHw);
+  rec->seed = uint_of(kSeed);
+  rec->sketch_id = static_cast<int>(int_of(kSketch, 0));
+  rec->time_ms = json::number_to_double(m[kMs].number, 0);
+  rec->trial_index = int_of(kTrial, 0);
+  if (!required(kCached, Kind::kBool, "a boolean")) return false;
 
   // Optional fields (absent in records written before the features landed).
-  if (const json::Value* fail = obj.find("fail"); fail != nullptr) {
-    if (!fail->is_string()) {
-      *error = "field \"fail\" is not a string";
-      return false;
-    }
-    out.fail = fail->as_string();
-  }
-  if (const json::Value* sig = obj.find("sig"); sig != nullptr) {
-    if (!sig->is_string()) {
-      *error = "field \"sig\" is not a string";
-      return false;
-    }
-    out.task_sig = sig->as_string();
-  }
-  if (const json::Value* hwv = obj.find("hwv"); hwv != nullptr) {
-    if (!hwv->is_array()) {
-      *error = "field \"hwv\" is not an array";
-      return false;
-    }
-    out.hw_sim.reserve(hwv->items().size());
-    for (const json::Value& d : hwv->items()) {
-      if (!d.is_number()) {
-        *error = "field \"hwv\" has a non-numeric entry";
-        return false;
-      }
-      out.hw_sim.push_back(d.as_double());
-    }
-  }
-  if (const json::Value* xm = obj.find("xm"); xm != nullptr) {
-    if (!xm->is_number()) {
-      *error = "field \"xm\" is not a number";
-      return false;
-    }
-    out.experience_fp = xm->as_uint64();
-  }
-  if (const json::Value* vm = obj.find("vm"); vm != nullptr) {
-    if (!vm->is_number()) {
-      *error = "field \"vm\" is not a number";
-      return false;
-    }
-    out.value_fp = vm->as_uint64();
-  }
-
-  if (!require(obj, "stages", &v, error)) return false;
-  if (!v->is_array()) {
-    *error = "field \"stages\" is not an array";
+  if (!optional(kFail, Kind::kString, "a string")) return false;
+  if (!optional(kSig, Kind::kString, "a string")) return false;
+  if (!optional(kHwv, Kind::kArray, "an array")) return false;
+  if (!hwv_numeric) {
+    *error = "field \"hwv\" has a non-numeric entry";
     return false;
   }
-  out.stages.reserve(v->items().size());
-  for (std::size_t s = 0; s < v->items().size(); ++s) {
-    const json::Value& sv = v->items()[s];
-    if (!sv.is_object()) {
-      *error = "stage " + std::to_string(s) + " is not an object";
-      return false;
-    }
-    StageDecision d;
-    const json::Value* f = nullptr;
-    if (!require(sv, "t", &f, error)) return false;
-    if (!f->is_array()) {
-      *error = "stage " + std::to_string(s) + " tiles are not an array";
-      return false;
-    }
-    d.tiles.reserve(f->items().size());
-    for (const json::Value& axis : f->items()) {
-      if (!axis.is_array()) {
-        *error = "stage " + std::to_string(s) + " tile vector is not an array";
-        return false;
-      }
-      std::vector<std::int64_t> factors;
-      factors.reserve(axis.items().size());
-      for (const json::Value& fv : axis.items()) {
-        if (!fv.is_number()) {
-          *error = "stage " + std::to_string(s) + " tile factor is not a number";
-          return false;
-        }
-        factors.push_back(fv.as_int64());
-      }
-      d.tiles.push_back(std::move(factors));
-    }
-    if (!get_number(sv, "ca", &f, error)) return false;
-    d.compute_at = static_cast<int>(f->as_int64());
-    if (!get_number(sv, "par", &f, error)) return false;
-    d.parallel_depth = static_cast<int>(f->as_int64());
-    if (!get_number(sv, "unr", &f, error)) return false;
-    d.unroll_index = static_cast<int>(f->as_int64());
-    out.stages.push_back(std::move(d));
-  }
+  if (!optional(kXm, Kind::kNumber, "a number")) return false;
+  rec->experience_fp = m[kXm].present ? uint_of(kXm) : 0;
+  if (!optional(kVm, Kind::kNumber, "a number")) return false;
+  rec->value_fp = m[kVm].present ? uint_of(kVm) : 0;
 
-  *rec = std::move(out);
+  if (!required(kStages, Kind::kArray, "an array")) return false;
+  if (!stages_error.empty()) {
+    *error = std::move(stages_error);
+    return false;
+  }
   return true;
 }
 

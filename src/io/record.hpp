@@ -96,9 +96,13 @@ std::string record_to_json(const TuningRecord& rec);
 
 /// Parse one JSONL line.  Returns false and fills `*error` on malformed JSON
 /// (with line/column), wrong field types, or missing required fields; unknown
-/// fields are ignored (forward compatibility).  A record with
+/// fields are ignored (forward compatibility) but must still be valid JSON.
+/// A duplicated member counts by its last occurrence, and a syntax error
+/// anywhere in the line is reported before any field error.  A record with
 /// `version > kRecordSchemaVersion` fails with an "incompatible version"
-/// message so callers can count it as skipped rather than corrupt.
+/// message so callers can count it as skipped rather than corrupt.  Decodes
+/// in one pass straight into `*rec`, reusing its string and vector capacity;
+/// on failure `*rec` holds unspecified (valid) contents.
 bool record_from_json(const std::string& line, TuningRecord* rec,
                       std::string* error);
 

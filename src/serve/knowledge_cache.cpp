@@ -116,6 +116,12 @@ std::size_t KnowledgeCache::insert_log(const std::string& path) {
   while (reader.next(&rec)) {
     if (insert(rec)) ++added;
   }
+  // A damaged log still hydrates what it can, but never silently.
+  if (const auto& errors = reader.errors(); !errors.empty()) {
+    HARL_LOG_WARN("kcache: %s: skipped %zu malformed line(s); first at line %zu: %s",
+                  path.c_str(), errors.size(), errors.front().line_number,
+                  errors.front().message.c_str());
+  }
   return added;
 }
 

@@ -14,6 +14,7 @@
 #include "io/record_logger.hpp"
 #include "serve/cache_updater.hpp"
 #include "serve/knowledge_cache.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "workloads/operators.hpp"
 
@@ -260,6 +261,53 @@ TEST(KnowledgeCache, HydrationMatchesTheReferenceRuleInAnyOrder) {
   }
   // The sets really exercised the byte tie-break at a full entry's bound.
   EXPECT_GT(boundary_ties, 0u);
+}
+
+TEST(KnowledgeCache, HydrationWarnsOnceAboutSkippedLines) {
+  HardwareConfig hw = HardwareConfig::test_config();
+  Subgraph g = make_gemm(64, 64, 64);
+  std::vector<Sketch> sketches = generate_sketches(g);
+  const std::string good1 =
+      record_to_json(synth_record(g, sketches, hw, "netA", 1.5, 1));
+  const std::string good2 =
+      record_to_json(synth_record(g, sketches, hw, "netA", 2.5, 2));
+  std::string first_error;
+  TuningRecord scratch;
+  ASSERT_FALSE(record_from_json("{\"v\":1", &scratch, &first_error));
+
+  TempPath damaged("test_kcache_damaged.jsonl");
+  TempPath clean("test_kcache_clean.jsonl");
+  for (const auto& [path, text] :
+       {std::make_pair(damaged.path, good1 + "\n{\"v\":1\n" + good2 +
+                                         "\nnot json\n"),
+        std::make_pair(clean.path, good1 + "\n" + good2 + "\n")}) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  }
+
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kWarn);
+  KnowledgeCache from_damaged;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(from_damaged.insert_log(damaged.path), 2u);
+  const std::string warned = testing::internal::GetCapturedStderr();
+  KnowledgeCache from_clean;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(from_clean.insert_log(clean.path), 2u);
+  const std::string quiet = testing::internal::GetCapturedStderr();
+  set_log_level(saved);
+
+  // One line per file: the count, and where the first bad line is and why.
+  EXPECT_EQ(std::count(warned.begin(), warned.end(), '\n'), 1) << warned;
+  EXPECT_NE(warned.find(damaged.path + ": skipped 2 malformed line(s); "
+                        "first at line 2: " + first_error),
+            std::string::npos)
+      << warned;
+  EXPECT_EQ(quiet, "");
+  // The warning is the only difference: the cache bytes match.
+  EXPECT_EQ(cache_to_json(from_damaged), cache_to_json(from_clean));
 }
 
 TEST(KnowledgeCache, SaveLoadByteIdentityFuzz) {

@@ -1,0 +1,1060 @@
+// Differential tests of the one-pass record codec and the JSON cursor
+// against the reference implementation they replaced: a recursive-descent
+// parser building a `json::Value` tree, a DOM walk over it, and a DOM build
+// plus `dump()` for encoding.  The reference lives here, in `ref`, as the
+// oracle; the library keeps one path per direction.
+
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <cerrno>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "io/json.hpp"
+#include "io/record.hpp"
+#include "sched/schedule.hpp"
+#include "sched/sketch.hpp"
+#include "util/rng.hpp"
+#include "workloads/operators.hpp"
+
+namespace harl {
+namespace {
+
+// ================================================================ oracle
+
+namespace ref {
+
+using json::ParseError;
+using json::Value;
+
+std::string format_double(double v) {
+  char buf[40];
+  for (int prec = 15; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+std::string escape(const std::string& s) {
+  std::string out = "\"";
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
+std::string dump(const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kNull: return "null";
+    case Value::Kind::kBool: return v.as_bool() ? "true" : "false";
+    case Value::Kind::kNumber: return v.raw_number();
+    case Value::Kind::kString: return escape(v.as_string());
+    case Value::Kind::kArray: {
+      std::string out = "[";
+      for (std::size_t i = 0; i < v.items().size(); ++i) {
+        if (i) out += ',';
+        out += dump(v.items()[i]);
+      }
+      return out + "]";
+    }
+    case Value::Kind::kObject: {
+      std::string out = "{";
+      for (std::size_t i = 0; i < v.members().size(); ++i) {
+        if (i) out += ',';
+        out += escape(v.members()[i].first) + ":" + dump(v.members()[i].second);
+      }
+      return out + "}";
+    }
+  }
+  return "null";
+}
+
+class Parser {
+ public:
+  Parser(const std::string& text, ParseError* err) : text_(text), err_(err) {}
+
+  Value run() {
+    skip_ws();
+    Value v = parse_value();
+    if (!err_->ok) return Value();
+    skip_ws();
+    if (pos_ < text_.size()) {
+      fail("trailing content after JSON value");
+      return Value();
+    }
+    return v;
+  }
+
+ private:
+  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
+  bool at_end() const { return pos_ >= text_.size(); }
+
+  void advance() {
+    if (pos_ >= text_.size()) return;
+    if (text_[pos_] == '\n') {
+      ++line_;
+      col_ = 1;
+    } else {
+      ++col_;
+    }
+    ++pos_;
+  }
+
+  void skip_ws() {
+    while (!at_end() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
+                         peek() == '\r')) {
+      advance();
+    }
+  }
+
+  void fail(const std::string& msg) {
+    if (!err_->ok) return;
+    err_->ok = false;
+    err_->line = line_;
+    err_->column = col_;
+    err_->message = msg;
+  }
+
+  bool expect(char c, const char* what) {
+    if (peek() != c) {
+      fail(std::string("expected ") + what);
+      return false;
+    }
+    advance();
+    return true;
+  }
+
+  bool literal(const char* word) {
+    std::size_t n = std::strlen(word);
+    if (text_.compare(pos_, n, word) != 0) {
+      fail(std::string("invalid literal (expected ") + word + ")");
+      return false;
+    }
+    for (std::size_t i = 0; i < n; ++i) advance();
+    return true;
+  }
+
+  Value parse_value() {
+    if (depth_ > 64) {
+      fail("nesting too deep");
+      return Value();
+    }
+    switch (peek()) {
+      case '{': return parse_object();
+      case '[': return parse_array();
+      case '"': return parse_string();
+      case 't': return literal("true") ? Value::boolean(true) : Value();
+      case 'f': return literal("false") ? Value::boolean(false) : Value();
+      case 'n': return literal("null") ? Value::null() : Value();
+      case '\0':
+        fail("unexpected end of input");
+        return Value();
+      default:
+        return parse_number();
+    }
+  }
+
+  Value parse_object() {
+    ++depth_;
+    Value obj = Value::object();
+    advance();
+    skip_ws();
+    if (peek() == '}') {
+      advance();
+      --depth_;
+      return obj;
+    }
+    for (;;) {
+      skip_ws();
+      if (peek() != '"') {
+        fail("expected object key string");
+        return Value();
+      }
+      Value key = parse_string();
+      if (!err_->ok) return Value();
+      skip_ws();
+      if (!expect(':', "':'")) return Value();
+      skip_ws();
+      Value v = parse_value();
+      if (!err_->ok) return Value();
+      obj.set(key.as_string(), std::move(v));
+      skip_ws();
+      if (peek() == ',') {
+        advance();
+        continue;
+      }
+      if (!expect('}', "',' or '}'")) return Value();
+      break;
+    }
+    --depth_;
+    return obj;
+  }
+
+  Value parse_array() {
+    ++depth_;
+    Value arr = Value::array();
+    advance();
+    skip_ws();
+    if (peek() == ']') {
+      advance();
+      --depth_;
+      return arr;
+    }
+    for (;;) {
+      skip_ws();
+      Value v = parse_value();
+      if (!err_->ok) return Value();
+      arr.push_back(std::move(v));
+      skip_ws();
+      if (peek() == ',') {
+        advance();
+        continue;
+      }
+      if (!expect(']', "',' or ']'")) return Value();
+      break;
+    }
+    --depth_;
+    return arr;
+  }
+
+  Value parse_string() {
+    advance();
+    std::string out;
+    for (;;) {
+      if (at_end()) {
+        fail("unterminated string");
+        return Value();
+      }
+      char c = peek();
+      if (c == '"') {
+        advance();
+        return Value::string(std::move(out));
+      }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("unescaped control character in string");
+        return Value();
+      }
+      if (c != '\\') {
+        out += c;
+        advance();
+        continue;
+      }
+      advance();
+      switch (peek()) {
+        case '"': out += '"'; advance(); break;
+        case '\\': out += '\\'; advance(); break;
+        case '/': out += '/'; advance(); break;
+        case 'b': out += '\b'; advance(); break;
+        case 'f': out += '\f'; advance(); break;
+        case 'n': out += '\n'; advance(); break;
+        case 'r': out += '\r'; advance(); break;
+        case 't': out += '\t'; advance(); break;
+        case 'u': {
+          advance();
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            char h = peek();
+            unsigned d;
+            if (h >= '0' && h <= '9') d = static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') d = static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') d = static_cast<unsigned>(h - 'A' + 10);
+            else {
+              fail("invalid \\u escape");
+              return Value();
+            }
+            code = code * 16 + d;
+            advance();
+          }
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
+        }
+        default:
+          fail("invalid escape character");
+          return Value();
+      }
+    }
+  }
+
+  Value parse_number() {
+    std::size_t start = pos_;
+    if (peek() == '-') advance();
+    if (!std::isdigit(static_cast<unsigned char>(peek()))) {
+      fail("invalid number");
+      return Value();
+    }
+    while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
+    if (peek() == '.') {
+      advance();
+      if (!std::isdigit(static_cast<unsigned char>(peek()))) {
+        fail("digit expected after decimal point");
+        return Value();
+      }
+      while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
+    }
+    if (peek() == 'e' || peek() == 'E') {
+      advance();
+      if (peek() == '+' || peek() == '-') advance();
+      if (!std::isdigit(static_cast<unsigned char>(peek()))) {
+        fail("digit expected in exponent");
+        return Value();
+      }
+      while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
+    }
+    return Value::number_raw(text_.substr(start, pos_ - start));
+  }
+
+  const std::string& text_;
+  ParseError* err_;
+  std::size_t pos_ = 0;
+  int line_ = 1;
+  int col_ = 1;
+  int depth_ = 0;
+};
+
+Value parse(const std::string& text, ParseError* err) {
+  *err = ParseError{};
+  Value v = Parser(text, err).run();
+  return err->ok ? v : Value();
+}
+
+double as_double(const Value& v, double fallback = 0) {
+  if (!v.is_number()) return fallback;
+  errno = 0;
+  char* end = nullptr;
+  double d = std::strtod(v.raw_number().c_str(), &end);
+  if (end == v.raw_number().c_str() || errno == ERANGE) return fallback;
+  return d;
+}
+
+std::int64_t as_int64(const Value& v, std::int64_t fallback = 0) {
+  if (!v.is_number()) return fallback;
+  const char* s = v.raw_number().c_str();
+  errno = 0;
+  char* end = nullptr;
+  long long n = std::strtoll(s, &end, 10);
+  if (end == s || errno == ERANGE) return fallback;
+  if (*end == '.' || *end == 'e' || *end == 'E') {
+    double d = as_double(v, static_cast<double>(fallback));
+    // The reference cast was undefined outside int64; the library defines
+    // it as "does not fit", and so does the oracle.
+    if (!(d >= -0x1p63 && d < 0x1p63)) return fallback;
+    return static_cast<std::int64_t>(d);
+  }
+  return n;
+}
+
+std::uint64_t as_uint64(const Value& v, std::uint64_t fallback = 0) {
+  if (!v.is_number()) return fallback;
+  const std::string& s = v.raw_number();
+  if (!s.empty() && s[0] == '-') return fallback;
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long n = std::strtoull(s.c_str(), &end, 10);
+  if (end == s.c_str() || errno == ERANGE) return fallback;
+  return n;
+}
+
+Value int_value(std::int64_t n) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(n));
+  return Value::number_raw(buf);
+}
+
+Value uint_value(std::uint64_t n) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(n));
+  return Value::number_raw(buf);
+}
+
+std::string record_to_json(const TuningRecord& rec) {
+  Value obj = Value::object();
+  obj.set("v", int_value(rec.version));
+  obj.set("net", Value::string(rec.network));
+  obj.set("task", Value::string(rec.task));
+  obj.set("task_index", int_value(rec.task_index));
+  obj.set("hw", uint_value(rec.hardware_fp));
+  obj.set("policy", Value::string(rec.policy));
+  obj.set("seed", uint_value(rec.seed));
+  obj.set("sketch", int_value(rec.sketch_id));
+  obj.set("tag", Value::string(rec.sketch_tag));
+  Value stages = Value::array();
+  for (const StageDecision& d : rec.stages) {
+    Value s = Value::object();
+    Value tiles = Value::array();
+    for (const auto& tv : d.tiles) {
+      Value axis = Value::array();
+      for (std::int64_t f : tv) axis.push_back(int_value(f));
+      tiles.push_back(std::move(axis));
+    }
+    s.set("t", std::move(tiles));
+    s.set("ca", int_value(d.compute_at));
+    s.set("par", int_value(d.parallel_depth));
+    s.set("unr", int_value(d.unroll_index));
+    stages.push_back(std::move(s));
+  }
+  obj.set("stages", std::move(stages));
+  obj.set("ms", Value::number_raw(format_double(rec.time_ms)));
+  obj.set("trial", int_value(rec.trial_index));
+  obj.set("cached", Value::boolean(rec.cached));
+  if (!rec.fail.empty()) obj.set("fail", Value::string(rec.fail));
+  if (!rec.task_sig.empty()) obj.set("sig", Value::string(rec.task_sig));
+  if (!rec.hw_sim.empty()) {
+    Value hwv = Value::array();
+    for (double d : rec.hw_sim) hwv.push_back(Value::number_raw(format_double(d)));
+    obj.set("hwv", std::move(hwv));
+  }
+  if (rec.experience_fp != 0) obj.set("xm", uint_value(rec.experience_fp));
+  if (rec.value_fp != 0) obj.set("vm", uint_value(rec.value_fp));
+  return dump(obj);
+}
+
+bool require(const Value& obj, const char* key, const Value** out,
+             std::string* error) {
+  const Value* v = obj.find(key);
+  if (v == nullptr) {
+    *error = std::string("missing required field \"") + key + "\"";
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+bool get_string(const Value& obj, const char* key, std::string* out,
+                std::string* error) {
+  const Value* v = nullptr;
+  if (!require(obj, key, &v, error)) return false;
+  if (!v->is_string()) {
+    *error = std::string("field \"") + key + "\" is not a string";
+    return false;
+  }
+  *out = v->as_string();
+  return true;
+}
+
+bool get_number(const Value& obj, const char* key, const Value** out,
+                std::string* error) {
+  if (!require(obj, key, out, error)) return false;
+  if (!(*out)->is_number()) {
+    *error = std::string("field \"") + key + "\" is not a number";
+    return false;
+  }
+  return true;
+}
+
+bool record_from_json(const std::string& line, TuningRecord* rec,
+                      std::string* error) {
+  ParseError perr;
+  Value obj = ref::parse(line, &perr);
+  if (!perr.ok) {
+    *error = perr.to_string();
+    return false;
+  }
+  if (!obj.is_object()) {
+    *error = "record line is not a JSON object";
+    return false;
+  }
+  const Value* v = nullptr;
+  if (!get_number(obj, "v", &v, error)) return false;
+  TuningRecord out;
+  out.version = static_cast<int>(as_int64(*v));
+  if (out.version > kRecordSchemaVersion) {
+    *error = "incompatible version " + std::to_string(out.version) +
+             " (reader supports <= " + std::to_string(kRecordSchemaVersion) + ")";
+    return false;
+  }
+  if (!get_string(obj, "net", &out.network, error)) return false;
+  if (!get_string(obj, "task", &out.task, error)) return false;
+  if (!get_string(obj, "policy", &out.policy, error)) return false;
+  if (!get_string(obj, "tag", &out.sketch_tag, error)) return false;
+  if (!get_number(obj, "task_index", &v, error)) return false;
+  out.task_index = static_cast<int>(as_int64(*v, -1));
+  if (!get_number(obj, "hw", &v, error)) return false;
+  out.hardware_fp = as_uint64(*v);
+  if (!get_number(obj, "seed", &v, error)) return false;
+  out.seed = as_uint64(*v);
+  if (!get_number(obj, "sketch", &v, error)) return false;
+  out.sketch_id = static_cast<int>(as_int64(*v));
+  if (!get_number(obj, "ms", &v, error)) return false;
+  out.time_ms = as_double(*v);
+  if (!get_number(obj, "trial", &v, error)) return false;
+  out.trial_index = as_int64(*v);
+  if (!require(obj, "cached", &v, error)) return false;
+  if (!v->is_bool()) {
+    *error = "field \"cached\" is not a boolean";
+    return false;
+  }
+  out.cached = v->as_bool();
+  if (const Value* fail = obj.find("fail"); fail != nullptr) {
+    if (!fail->is_string()) {
+      *error = "field \"fail\" is not a string";
+      return false;
+    }
+    out.fail = fail->as_string();
+  }
+  if (const Value* sig = obj.find("sig"); sig != nullptr) {
+    if (!sig->is_string()) {
+      *error = "field \"sig\" is not a string";
+      return false;
+    }
+    out.task_sig = sig->as_string();
+  }
+  if (const Value* hwv = obj.find("hwv"); hwv != nullptr) {
+    if (!hwv->is_array()) {
+      *error = "field \"hwv\" is not an array";
+      return false;
+    }
+    for (const Value& d : hwv->items()) {
+      if (!d.is_number()) {
+        *error = "field \"hwv\" has a non-numeric entry";
+        return false;
+      }
+      out.hw_sim.push_back(as_double(d));
+    }
+  }
+  if (const Value* xm = obj.find("xm"); xm != nullptr) {
+    if (!xm->is_number()) {
+      *error = "field \"xm\" is not a number";
+      return false;
+    }
+    out.experience_fp = as_uint64(*xm);
+  }
+  if (const Value* vm = obj.find("vm"); vm != nullptr) {
+    if (!vm->is_number()) {
+      *error = "field \"vm\" is not a number";
+      return false;
+    }
+    out.value_fp = as_uint64(*vm);
+  }
+  if (!require(obj, "stages", &v, error)) return false;
+  if (!v->is_array()) {
+    *error = "field \"stages\" is not an array";
+    return false;
+  }
+  for (std::size_t s = 0; s < v->items().size(); ++s) {
+    const Value& sv = v->items()[s];
+    if (!sv.is_object()) {
+      *error = "stage " + std::to_string(s) + " is not an object";
+      return false;
+    }
+    StageDecision d;
+    const Value* f = nullptr;
+    if (!require(sv, "t", &f, error)) return false;
+    if (!f->is_array()) {
+      *error = "stage " + std::to_string(s) + " tiles are not an array";
+      return false;
+    }
+    for (const Value& axis : f->items()) {
+      if (!axis.is_array()) {
+        *error = "stage " + std::to_string(s) + " tile vector is not an array";
+        return false;
+      }
+      std::vector<std::int64_t> factors;
+      for (const Value& fv : axis.items()) {
+        if (!fv.is_number()) {
+          *error = "stage " + std::to_string(s) + " tile factor is not a number";
+          return false;
+        }
+        factors.push_back(as_int64(fv));
+      }
+      d.tiles.push_back(std::move(factors));
+    }
+    if (!get_number(sv, "ca", &f, error)) return false;
+    d.compute_at = static_cast<int>(as_int64(*f));
+    if (!get_number(sv, "par", &f, error)) return false;
+    d.parallel_depth = static_cast<int>(as_int64(*f));
+    if (!get_number(sv, "unr", &f, error)) return false;
+    d.unroll_index = static_cast<int>(as_int64(*f));
+    out.stages.push_back(std::move(d));
+  }
+  *rec = std::move(out);
+  return true;
+}
+
+}  // namespace ref
+
+// ============================================================ generators
+
+std::uint64_t next_u64(Rng& rng) {
+  return (static_cast<std::uint64_t>(rng.next_u32()) << 32) | rng.next_u32();
+}
+
+double from_bits(std::uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+// Names that exercise every escape class: quotes, backslash, the short
+// escapes, a \u00XX control byte and multi-byte UTF-8.
+const char* const kNames[] = {"fuzz_net", "bert_b1", "q\"uote\\back/slash",
+                              "tab\tnl\ncr\rff\fbs\b", "ctl\x01\x1f end",
+                              "utf8 \xc3\xa9\xe2\x82\xac"};
+
+/// Random valid records across every sketch kind, optional fields included.
+std::vector<TuningRecord> fuzz_records(Rng& rng) {
+  std::vector<Subgraph> graphs;
+  graphs.push_back(make_gemm(128, 96, 64, 1, "rt_gemm"));
+  graphs.push_back(make_conv2d(1, 14, 14, 32, 64, 3, 1, 1, "rt_conv"));
+  graphs.push_back(make_softmax(64, 256, "rt_softmax"));
+  graphs.push_back(make_elementwise(1 << 12, 2.0, "rt_ew"));
+  graphs.push_back(make_gemm_act(64, 64, 96, "tanh", "rt_fused"));
+  graphs.push_back(make_depthwise_conv2d(1, 16, 16, 32, 3, 1, 1, "rt_dw"));
+  const int kNumUnroll = 4;
+  std::vector<TuningRecord> out;
+  for (const Subgraph& graph : graphs) {
+    for (const Sketch& sketch : generate_sketches(graph)) {
+      for (int i = 0; i < 16; ++i) {
+        Schedule sched = random_schedule(sketch, kNumUnroll, rng);
+        TuningRecord rec;
+        rec.network = kNames[rng.next_below(6)];
+        rec.task = graph.name() + (rng.next_bool(0.2) ? kNames[rng.next_below(6)] : "");
+        rec.task_index = rng.next_int(0, 30);
+        rec.hardware_fp = next_u64(rng);
+        rec.policy = rng.next_bool() ? "HARL" : "Ansor";
+        rec.seed = next_u64(rng);
+        rec.sketch_id = sketch.sketch_id;
+        rec.sketch_tag = sketch.tag;
+        rec.stages = decisions_from_schedule(sched);
+        rec.time_ms = rng.next_bool(0.1) ? 0.0 : 0.001 + rng.next_double() * 10;
+        rec.trial_index = rng.next_int(0, 5000);
+        rec.cached = rng.next_bool(0.3);
+        if (rng.next_bool(0.2)) rec.fail = rng.next_bool() ? "timeout" : kNames[3];
+        if (rng.next_bool(0.4)) rec.task_sig = graph.structure_signature();
+        if (rng.next_bool(0.4)) {
+          for (int k = 0; k < 6; ++k) rec.hw_sim.push_back(rng.next_normal());
+          rec.hw_sim.push_back(from_bits(next_u64(rng) & 0x000fffffffffffffULL));
+        }
+        if (rng.next_bool(0.3)) rec.experience_fp = next_u64(rng) | 1;
+        if (rng.next_bool(0.3)) rec.value_fp = next_u64(rng) | 1;
+        out.push_back(std::move(rec));
+      }
+    }
+  }
+  return out;
+}
+
+/// A random value of a random kind, for type swaps.
+json::Value random_value(Rng& rng) {
+  using json::Value;
+  switch (rng.next_below(10)) {
+    case 0: return Value::null();
+    case 1: return Value::boolean(rng.next_bool());
+    case 2: return Value::number_raw("7");
+    case 3: return Value::number_raw("-3.25");
+    case 4: return Value::string(rng.next_bool() ? "str" : "");
+    case 5: return Value::array();
+    case 6: {
+      Value a = Value::array();
+      a.push_back(Value::number_raw("1"));
+      a.push_back(Value::string("x"));
+      return a;
+    }
+    case 7: return Value::object();
+    case 8: {
+      Value o = Value::object();
+      o.set("a", Value::number_raw("1"));
+      return o;
+    }
+    default: {
+      Value a = Value::array();
+      Value inner = Value::array();
+      inner.push_back(Value::number_raw("2"));
+      a.push_back(std::move(inner));
+      return a;
+    }
+  }
+}
+
+// Number tokens the integer and double conversions must agree on:
+// fractional, negative, exponent, and out-of-range in every direction.
+const char* const kNumberTokens[] = {
+    "1.5",  "-2.7", "2e3",  "1E2",   "-0",   "0.0",  "-1",   "0",
+    "3.999999", "99999999999999999999", "-9223372036854775809",
+    "9223372036854775807", "-9223372036854775808", "18446744073709551615",
+    "18446744073709551616", "1e400", "-1e400", "1e-400", "4.9e-324",
+    "1e30", "-1e30", "2147483648", "-2147483649", "4294967296.5", "1e18"};
+
+/// Every number-valued slot in a record DOM, for token replacement.
+void collect_numbers(json::Value& v, std::vector<json::Value*>* out) {
+  if (v.is_number()) out->push_back(&v);
+  for (json::Value& item : v.items()) collect_numbers(item, out);
+  for (auto& member : v.members()) collect_numbers(member.second, out);
+}
+
+/// Every object in a record DOM (the record and its stages).
+void collect_objects(json::Value& v, std::vector<json::Value*>* out) {
+  if (v.is_object()) out->push_back(&v);
+  for (json::Value& item : v.items()) collect_objects(item, out);
+  for (auto& member : v.members()) collect_objects(member.second, out);
+}
+
+/// Every array in a record DOM (stages, tiles, tile vectors, hwv).
+void collect_arrays(json::Value& v, std::vector<json::Value*>* out) {
+  if (v.is_array()) out->push_back(&v);
+  for (json::Value& item : v.items()) collect_arrays(item, out);
+  for (auto& member : v.members()) collect_arrays(member.second, out);
+}
+
+/// One structural mutation of a record line, through the reference DOM.
+std::string mutate_structure(const std::string& line, Rng& rng) {
+  json::ParseError err;
+  json::Value doc = ref::parse(line, &err);
+  if (!err.ok) return line;
+  std::vector<json::Value*> objects;
+  collect_objects(doc, &objects);
+  if (objects.empty()) return line;
+  json::Value& obj = *objects[rng.next_below(static_cast<std::uint32_t>(objects.size()))];
+  auto& members = obj.members();
+  switch (rng.next_below(6)) {
+    case 0:  // delete a member
+      if (!members.empty()) {
+        members.erase(members.begin() + rng.next_below(static_cast<std::uint32_t>(members.size())));
+      }
+      break;
+    case 1: {  // duplicate a member, before or after, maybe retyped
+      if (members.empty()) break;
+      auto copy = members[rng.next_below(static_cast<std::uint32_t>(members.size()))];
+      if (rng.next_bool()) copy.second = random_value(rng);
+      members.insert(members.begin() + rng.next_below(static_cast<std::uint32_t>(members.size() + 1)),
+                     std::move(copy));
+      break;
+    }
+    case 2:  // reorder
+      for (std::size_t i = members.size(); i > 1; --i) {
+        std::swap(members[i - 1], members[rng.next_below(static_cast<std::uint32_t>(i))]);
+      }
+      break;
+    case 3:  // type swap of a member
+      if (!members.empty()) {
+        members[rng.next_below(static_cast<std::uint32_t>(members.size()))].second =
+            random_value(rng);
+      }
+      break;
+    case 4: {  // type swap of an array item (stage, tile vector, factor, hwv)
+      std::vector<json::Value*> arrays;
+      collect_arrays(doc, &arrays);
+      if (arrays.empty()) break;
+      json::Value& arr = *arrays[rng.next_below(static_cast<std::uint32_t>(arrays.size()))];
+      if (!arr.items().empty()) {
+        arr.items()[rng.next_below(static_cast<std::uint32_t>(arr.items().size()))] =
+            random_value(rng);
+      }
+      break;
+    }
+    default: {  // replace a number token
+      std::vector<json::Value*> numbers;
+      collect_numbers(doc, &numbers);
+      if (numbers.empty()) break;
+      *numbers[rng.next_below(static_cast<std::uint32_t>(numbers.size()))] = json::Value::number_raw(
+          kNumberTokens[rng.next_below(sizeof(kNumberTokens) / sizeof(kNumberTokens[0]))]);
+      break;
+    }
+  }
+  return ref::dump(doc);
+}
+
+/// An unknown member nesting `levels` containers around a scalar.
+std::string nested_member(int levels, bool objects) {
+  std::string open;
+  std::string close;
+  for (int i = 0; i < levels; ++i) {
+    open += objects ? "{\"k\":" : "[";
+    close += objects ? "}" : "]";
+  }
+  return "\"zz\":" + open + "1" + close;
+}
+
+/// One byte-level mutation: flip, insert or delete, biased toward JSON's
+/// structural bytes so mutants reach past the first token.
+std::string mutate_bytes(std::string line, Rng& rng) {
+  static const char kBytes[] = "\"\\,:{}[]-.eE0123456789 \ntfnu/";
+  const std::size_t pos = rng.next_below(static_cast<std::uint32_t>(line.size() + 1));
+  char b = rng.next_bool(0.7) ? kBytes[rng.next_below(sizeof(kBytes) - 1)]
+                              : static_cast<char>(rng.next_below(256));
+  switch (rng.next_below(3)) {
+    case 0:
+      if (pos < line.size()) line[pos] = b;
+      break;
+    case 1:
+      line.insert(pos, 1, b);
+      break;
+    default:
+      if (pos < line.size()) line.erase(pos, 1);
+      break;
+  }
+  return line;
+}
+
+// ============================================================ comparison
+
+/// Decodes `line` with both codecs and expects the same verdict, error and
+/// record.  `reused` carries state from earlier lines into the one-pass
+/// decoder, which must not leak into the result.
+void expect_same_decode(const std::string& line, TuningRecord* reused,
+                        std::set<std::string>* errors, int* accepted) {
+  TuningRecord want;
+  std::string want_error;
+  std::string got_error;
+  const bool want_ok = ref::record_from_json(line, &want, &want_error);
+  const bool got_ok = record_from_json(line, reused, &got_error);
+  ASSERT_EQ(got_ok, want_ok) << line << "\nref: " << want_error
+                             << "\nnew: " << got_error;
+  if (!want_ok) {
+    ASSERT_EQ(got_error, want_error) << line;
+    // The message without its position, so "line 1, column 9" and
+    // "column 10" count as one class.
+    errors->insert(want_error.substr(want_error.find(':') + 1));
+    return;
+  }
+  ++*accepted;
+  ASSERT_TRUE(*reused == want) << line;
+  ASSERT_EQ(record_to_json(*reused), ref::record_to_json(want)) << line;
+
+  json::ParseError got_perr;
+  json::ParseError want_perr;
+  json::Value got = json::parse(line, &got_perr);
+  json::Value ref_doc = ref::parse(line, &want_perr);
+  ASSERT_TRUE(got_perr.ok);
+  ASSERT_EQ(got.dump(), ref::dump(ref_doc));
+}
+
+/// `json::parse` (on the cursor) against the reference parser.
+void expect_same_parse(const std::string& text) {
+  json::ParseError got_err;
+  json::ParseError want_err;
+  json::Value got = json::parse(text, &got_err);
+  json::Value want = ref::parse(text, &want_err);
+  ASSERT_EQ(got_err.ok, want_err.ok) << text;
+  ASSERT_EQ(got_err.to_string(), want_err.to_string()) << text;
+  ASSERT_EQ(got.dump(), ref::dump(want)) << text;
+}
+
+// ================================================================= tests
+
+TEST(RecordCodec, EncoderMatchesDomBuild) {
+  Rng rng(2026);
+  std::vector<TuningRecord> records = fuzz_records(rng);
+  ASSERT_GT(records.size(), 200u);
+  int with_optional = 0;
+  for (const TuningRecord& rec : records) {
+    const std::string line = record_to_json(rec);
+    ASSERT_EQ(line, ref::record_to_json(rec));
+    // Decoding agrees with the reference, which is not always `rec`: a
+    // subnormal `hwv` entry underflows (ERANGE) and reads back as 0.
+    TuningRecord back;
+    TuningRecord want;
+    std::string error;
+    ASSERT_TRUE(record_from_json(line, &back, &error)) << error;
+    ASSERT_TRUE(ref::record_from_json(line, &want, &error)) << error;
+    EXPECT_TRUE(back == want) << line;
+    with_optional += !rec.fail.empty() && !rec.hw_sim.empty();
+  }
+  EXPECT_GT(with_optional, 5);  // the optional fields really were covered
+}
+
+TEST(RecordCodec, DecoderMatchesDomWalkUnderMutation) {
+  Rng rng(14);
+  std::vector<TuningRecord> records = fuzz_records(rng);
+  std::vector<std::string> lines;
+  for (const TuningRecord& rec : records) lines.push_back(record_to_json(rec));
+
+  TuningRecord reused;
+  std::set<std::string> errors;
+  int accepted = 0;
+  const int kMutants = 20000;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string line = lines[rng.next_below(static_cast<std::uint32_t>(lines.size()))];
+    const int steps = 1 + static_cast<int>(rng.next_below(3));
+    for (int s = 0; s < steps; ++s) {
+      line = rng.next_bool(0.6) ? mutate_structure(line, rng)
+                                : mutate_bytes(std::move(line), rng);
+    }
+    expect_same_decode(line, &reused, &errors, &accepted);
+    expect_same_parse(line);
+    if (HasFatalFailure()) return;
+  }
+  // Both verdicts, and most of the reader's error classes, were exercised.
+  EXPECT_GT(accepted, kMutants / 20);
+  EXPECT_LT(accepted, kMutants / 2);
+  EXPECT_GE(errors.size(), 25u);
+}
+
+TEST(RecordCodec, TruncationAtEveryOffset) {
+  Rng rng(3);
+  std::vector<TuningRecord> records = fuzz_records(rng);
+  TuningRecord reused;
+  std::set<std::string> errors;
+  int accepted = 0;
+  for (std::size_t r = 0; r < records.size(); r += 37) {
+    const std::string line = record_to_json(records[r]);
+    for (std::size_t n = 0; n <= line.size(); ++n) {
+      expect_same_decode(line.substr(0, n), &reused, &errors, &accepted);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(accepted, 0);  // the full lines
+}
+
+TEST(RecordCodec, DepthCapOnUnknownMembers) {
+  Rng rng(5);
+  const std::string line = record_to_json(fuzz_records(rng).front());
+  TuningRecord reused;
+  std::set<std::string> errors;
+  int accepted = 0;
+  // The member's value sits at depth 1; a scalar under 63 more containers is
+  // at depth 64 (accepted), under 64 more it is at 65 (rejected).
+  for (int levels = 60; levels <= 66; ++levels) {
+    for (bool objects : {false, true}) {
+      for (bool front : {false, true}) {
+        std::string mutant = line;
+        const std::string member = nested_member(levels, objects);
+        if (front) {
+          mutant.insert(1, member + ",");
+        } else {
+          mutant.insert(mutant.size() - 1, "," + member);
+        }
+        expect_same_decode(mutant, &reused, &errors, &accepted);
+        expect_same_parse(mutant);
+        if (HasFatalFailure()) return;
+        TuningRecord rec;
+        std::string error;
+        EXPECT_EQ(record_from_json(mutant, &rec, &error), levels <= 63)
+            << levels << " " << error;
+      }
+    }
+  }
+  EXPECT_TRUE(errors.count(" nesting too deep"));
+}
+
+TEST(RecordCodec, ReaderContract) {
+  Rng rng(9);
+  TuningRecord base = fuzz_records(rng).front();
+  base.fail.clear();
+  const std::string line = record_to_json(base);
+  TuningRecord rec;
+  std::string error;
+
+  // Integer fields truncate fractional and exponent tokens toward zero, and
+  // fall back to the field default when a token does not fit.
+  auto with = [&](const std::string& key, const std::string& token) {
+    json::ParseError err;
+    json::Value doc = json::parse(line, &err);
+    for (auto& member : doc.members()) {
+      if (member.first == key) member.second = json::Value::number_raw(token);
+    }
+    return doc.dump();
+  };
+  ASSERT_TRUE(record_from_json(with("trial", "1.5"), &rec, &error)) << error;
+  EXPECT_EQ(rec.trial_index, 1);
+  ASSERT_TRUE(record_from_json(with("trial", "-2.7"), &rec, &error));
+  EXPECT_EQ(rec.trial_index, -2);
+  ASSERT_TRUE(record_from_json(with("trial", "2e3"), &rec, &error));
+  EXPECT_EQ(rec.trial_index, 2000);
+  ASSERT_TRUE(record_from_json(with("trial", "99999999999999999999"), &rec, &error));
+  EXPECT_EQ(rec.trial_index, 0);
+  ASSERT_TRUE(record_from_json(with("task_index", "1e30"), &rec, &error));
+  EXPECT_EQ(rec.task_index, -1);
+  ASSERT_TRUE(record_from_json(with("hw", "-5"), &rec, &error));
+  EXPECT_EQ(rec.hardware_fp, 0u);
+  ASSERT_TRUE(record_from_json(with("ms", "1e400"), &rec, &error));
+  EXPECT_EQ(rec.time_ms, 0.0);
+  ASSERT_TRUE(record_from_json(with("ms", "4.9e-324"), &rec, &error));
+  EXPECT_EQ(rec.time_ms, 0.0);  // underflow is ERANGE too
+
+  // A duplicated member counts by its last occurrence, type included.
+  std::string dup = line;
+  dup.insert(dup.size() - 1, ",\"trial\":77");
+  ASSERT_TRUE(record_from_json(dup, &rec, &error)) << error;
+  EXPECT_EQ(rec.trial_index, 77);
+  dup.insert(dup.size() - 1, ",\"trial\":\"77\"");
+  EXPECT_FALSE(record_from_json(dup, &rec, &error));
+  EXPECT_EQ(error, "field \"trial\" is not a number");
+
+  // A syntax error anywhere beats a field error earlier in the line.
+  std::string both = line;
+  both.insert(both.size() - 1, ",\"v\":\"one\"");
+  EXPECT_FALSE(record_from_json(both, &rec, &error));
+  EXPECT_EQ(error, "field \"v\" is not a number");
+  both.insert(both.size() - 1, ",\"zz\":[1,]");
+  EXPECT_FALSE(record_from_json(both, &rec, &error));
+  EXPECT_EQ(error.find("line 1, column "), 0u) << error;
+  EXPECT_NE(error.find("invalid number"), std::string::npos) << error;
+}
+
+TEST(RecordCodec, FormatDoubleMatchesPrintfLoop) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 6.795162141492879,
+      DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN,
+      DBL_EPSILON, 1e15, 1e16, 1e17, 123456789012345678.0, 9007199254740993.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(599901);
+  for (int i = 0; i < 200000; ++i) {  // random finite bit patterns
+    double d = from_bits(next_u64(rng));
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  for (int i = 0; i < 100000; ++i) {  // subnormals
+    values.push_back(from_bits(next_u64(rng) & 0x800fffffffffffffULL));
+  }
+  for (int i = 0; i < 100000; ++i) {  // latency-like values
+    values.push_back(rng.next_double() * std::pow(10.0, rng.next_int(-6, 6)));
+  }
+  for (int i = 0; i < 100000; ++i) {  // integers, small and near 2^53
+    const double big = static_cast<double>(next_u64(rng) >> 11);
+    values.push_back(rng.next_bool() ? static_cast<double>(rng.next_int(-100000, 100000))
+                                     : big);
+  }
+  for (int i = 0; i < 20000; ++i) values.push_back(rng.next_normal());
+  ASSERT_GE(values.size(), 500000u);
+  for (double d : values) {
+    ASSERT_EQ(json::format_double(d), ref::format_double(d)) << std::hexfloat << d;
+  }
+}
+
+TEST(RecordCodec, EscapeMatchesReference) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) all += static_cast<char>(c);
+  EXPECT_EQ(json::escape(all), ref::escape(all));
+  for (const char* name : kNames) EXPECT_EQ(json::escape(name), ref::escape(name));
+  EXPECT_EQ(json::escape(""), "\"\"");
+}
+
+}  // namespace
+}  // namespace harl
