@@ -130,14 +130,15 @@ void BM_PpoTrainMinibatch(benchmark::State& state) {
   cfg.update_epochs = 1;
   PpoAgent agent(32, {16, 3, 3, 3}, cfg, 2);
   Rng rng(8);
+  std::vector<double> obs;
+  PpoAgent::ActResult act;
+  act.logp = -2.0;
   for (int i = 0; i < 512; ++i) {
-    PpoTransition t;
-    t.obs.assign(32, rng.next_double());
-    t.actions = {rng.next_int(0, 15), rng.next_int(0, 2), rng.next_int(0, 2),
-                 rng.next_int(0, 2)};
-    t.logp = -2.0;
-    t.reward = rng.next_normal();
-    agent.store(std::move(t));
+    obs.assign(32, rng.next_double());
+    act.actions = {rng.next_int(0, 15), rng.next_int(0, 2), rng.next_int(0, 2),
+                   rng.next_int(0, 2)};
+    double reward = rng.next_normal();
+    agent.store(obs, act, reward, 0.0, {});
   }
   for (auto _ : state) benchmark::DoNotOptimize(agent.train(rng));
 }

@@ -13,8 +13,6 @@ LinearLayer::LinearLayer(int in, int out, Rng& rng) : in_dim(in), out_dim(out) {
   double bound = std::sqrt(6.0 / (in + out));
   for (double& v : w) v = rng.next_range(-bound, bound);
   b.assign(static_cast<std::size_t>(out), 0.0);
-  gw.assign(n, 0.0);
-  gb.assign(static_cast<std::size_t>(out), 0.0);
   mw.assign(n, 0.0);
   vw.assign(n, 0.0);
   mb.assign(static_cast<std::size_t>(out), 0.0);
@@ -33,6 +31,7 @@ void LinearLayer::forward(const std::vector<double>& x, std::vector<double>* y) 
 
 void LinearLayer::backward(const std::vector<double>& x, const std::vector<double>& dy,
                            std::vector<double>* dx) {
+  if (gw.empty()) zero_grad();
   if (dx != nullptr) dx->assign(static_cast<std::size_t>(in_dim), 0.0);
   for (int o = 0; o < out_dim; ++o) {
     double d = dy[static_cast<std::size_t>(o)];
@@ -48,11 +47,12 @@ void LinearLayer::backward(const std::vector<double>& x, const std::vector<doubl
 }
 
 void LinearLayer::zero_grad() {
-  std::fill(gw.begin(), gw.end(), 0.0);
-  std::fill(gb.begin(), gb.end(), 0.0);
+  gw.assign(w.size(), 0.0);
+  gb.assign(b.size(), 0.0);
 }
 
 void LinearLayer::adam_step(double lr, double beta1, double beta2, double eps, int t) {
+  HARL_CHECK(!gw.empty(), "adam_step: no gradients (call zero_grad or backward first)");
   double bc1 = 1.0 - std::pow(beta1, t);
   double bc2 = 1.0 - std::pow(beta2, t);
   auto update = [&](std::vector<double>& p, std::vector<double>& g,
@@ -65,6 +65,9 @@ void LinearLayer::adam_step(double lr, double beta1, double beta2, double eps, i
   };
   update(w, gw, mw, vw);
   update(b, gb, mb, vb);
+  // Release, not clear: a resting layer holds no gradient storage.
+  std::vector<double>().swap(gw);
+  std::vector<double>().swap(gb);
 }
 
 Mlp::Mlp(const std::vector<int>& dims, Rng& rng) {
@@ -75,6 +78,8 @@ Mlp::Mlp(const std::vector<int>& dims, Rng& rng) {
 }
 
 std::vector<double> Mlp::forward(const std::vector<double>& x, Trace* trace) const {
+  HARL_CHECK(x.size() == static_cast<std::size_t>(in_dim()),
+             "Mlp::forward: input width differs from in_dim");
   std::vector<double> cur = x;
   if (trace != nullptr) {
     trace->acts.clear();

@@ -15,25 +15,31 @@ namespace harl {
 /// A fully-connected layer with its Adam optimizer state.
 ///
 /// Weights are row-major [out x in]. Gradients accumulate across backward
-/// calls until `adam_step` consumes and clears them, so minibatch gradients
-/// are averaged by the caller's scaling of the loss.
+/// calls until `adam_step` consumes and releases them, so minibatch gradients
+/// are averaged by the caller's scaling of the loss.  `gw`/`gb` are empty
+/// outside that window: `zero_grad` (or the first `backward` after a step)
+/// allocates them zeroed, and a layer at rest holds only weights and Adam
+/// moments.
 struct LinearLayer {
   LinearLayer(int in_dim, int out_dim, Rng& rng);
 
   void forward(const std::vector<double>& x, std::vector<double>* y) const;
 
-  /// Accumulate dL/dW, dL/db given dL/dy and the cached input x; writes
-  /// dL/dx into `dx` when non-null.
+  /// Accumulate dL/dW, dL/db given dL/dy and the cached input x (starting
+  /// from zero when no gradients are held); writes dL/dx into `dx` when
+  /// non-null.
   void backward(const std::vector<double>& x, const std::vector<double>& dy,
                 std::vector<double>* dx);
 
+  /// Allocate zeroed gradients (or zero the held ones).
   void zero_grad();
+  /// Apply the held gradients and release them; aborts when none are held.
   void adam_step(double lr, double beta1, double beta2, double eps, int t);
 
   int in_dim;
   int out_dim;
   std::vector<double> w, b;
-  std::vector<double> gw, gb;
+  std::vector<double> gw, gb;  // empty outside zero_grad/backward .. adam_step
   std::vector<double> mw, vw, mb, vb;  // Adam moments
 };
 
@@ -55,7 +61,8 @@ class Mlp {
     std::vector<std::vector<double>> acts;
   };
 
-  /// Forward one sample; fills `trace` when non-null.
+  /// Forward one sample; fills `trace` when non-null.  `x` must be
+  /// in_dim() wide.
   std::vector<double> forward(const std::vector<double>& x, Trace* trace = nullptr) const;
 
   /// Backprop dL/dout through the trace, accumulating parameter gradients.
@@ -63,10 +70,12 @@ class Mlp {
 
   void zero_grad();
 
-  /// One Adam update over all layers (increments the internal step counter).
+  /// One Adam update over all layers (increments the internal step counter),
+  /// consuming and releasing the gradients.
   void adam_step(double lr);
 
-  /// Global L2 norm of accumulated gradients (for diagnostics/tests).
+  /// Global L2 norm of accumulated gradients, 0 when none are held (for
+  /// diagnostics/tests).
   double grad_norm() const;
 
   std::size_t num_parameters() const;

@@ -31,6 +31,25 @@ PpoAgent::PpoAgent(int obs_dim, std::vector<int> head_sizes, PpoConfig cfg,
         return Mlp(mlp_dims(obs_dim, cfg.hidden_dim, 1), rng);
       }()) {
   HARL_CHECK(!head_sizes_.empty(), "PpoAgent needs at least one action head");
+  HARL_CHECK(cfg_.buffer_capacity >= 1, "PpoAgent needs buffer_capacity >= 1");
+  HARL_CHECK(cfg_.minibatch_size >= 1, "PpoAgent needs minibatch_size >= 1");
+  // One allocation per array for the agent's lifetime; pages stay untouched
+  // (not resident) until rows are stored into them.
+  const auto cap = static_cast<std::size_t>(cfg_.buffer_capacity);
+  obs_.reserve(cap * static_cast<std::size_t>(obs_dim_));
+  actions_.reserve(cap * head_sizes_.size());
+  for (std::vector<double>* col : {&logp_, &reward_, &value_, &next_value_}) col->reserve(cap);
+  mask_bits_.reserve(cap * static_cast<std::size_t>(head_sizes_[0]));
+  has_mask_.reserve(cap);
+}
+
+void PpoAgent::check_row(const std::vector<double>& obs,
+                         const std::vector<bool>& head0_mask) const {
+  HARL_CHECK(obs.size() == static_cast<std::size_t>(obs_dim_),
+             "PpoAgent: observation width differs from obs_dim");
+  HARL_CHECK(head0_mask.empty() ||
+                 head0_mask.size() == static_cast<std::size_t>(head_sizes_[0]),
+             "PpoAgent: head-0 mask width differs from head 0's size");
 }
 
 std::vector<std::vector<double>> PpoAgent::split_heads(
@@ -49,6 +68,7 @@ std::vector<std::vector<double>> PpoAgent::split_heads(
 PpoAgent::ActResult PpoAgent::act(const std::vector<double>& obs,
                                   const std::vector<bool>& head0_mask,
                                   Rng& rng) const {
+  check_row(obs, head0_mask);
   ActResult res;
   std::vector<double> logits = actor_.forward(obs);
   std::vector<std::vector<double>> heads = split_heads(logits);
@@ -65,33 +85,66 @@ PpoAgent::ActResult PpoAgent::act(const std::vector<double>& obs,
 }
 
 double PpoAgent::value(const std::vector<double>& obs) const {
+  check_row(obs, {});
   return critic_.forward(obs)[0];
 }
 
-void PpoAgent::store(PpoTransition t) {
-  if (buffer_.size() < static_cast<std::size_t>(cfg_.buffer_capacity)) {
-    buffer_.push_back(std::move(t));
-  } else {
-    buffer_[buffer_next_ % buffer_.size()] = std::move(t);
+void PpoAgent::store(const std::vector<double>& obs, const ActResult& act, double reward,
+                     double next_value, const std::vector<bool>& head0_mask) {
+  check_row(obs, head0_mask);
+  const std::size_t heads = head_sizes_.size();
+  HARL_CHECK(act.actions.size() == heads, "PpoAgent::store: need one action per head");
+  for (std::size_t h = 0; h < heads; ++h) {
+    HARL_CHECK(act.actions[h] >= 0 && act.actions[h] < head_sizes_[h],
+               "PpoAgent::store: action out of its head's range");
   }
+  const std::size_t dim = static_cast<std::size_t>(obs_dim_);
+  const auto width = static_cast<std::size_t>(head_sizes_[0]);
+  const std::size_t row = buffer_next_ % static_cast<std::size_t>(cfg_.buffer_capacity);
   ++buffer_next_;
+  if (row == buffer_size()) {  // still filling: grow each array by one row
+    obs_.resize(obs_.size() + dim);
+    actions_.resize(actions_.size() + heads);
+    for (std::vector<double>* col : {&logp_, &reward_, &value_, &next_value_}) {
+      col->push_back(0.0);
+    }
+    mask_bits_.resize(mask_bits_.size() + width);
+    has_mask_.push_back(false);
+  }
+  std::copy(obs.begin(), obs.end(), obs_.begin() + static_cast<std::ptrdiff_t>(row * dim));
+  std::copy(act.actions.begin(), act.actions.end(),
+            actions_.begin() + static_cast<std::ptrdiff_t>(row * heads));
+  logp_[row] = act.logp;
+  reward_[row] = reward;
+  value_[row] = act.value;
+  next_value_[row] = next_value;
+  const bool masked = !head0_mask.empty();
+  has_mask_[row] = masked;
+  for (std::size_t i = 0; i < width; ++i) mask_bits_[row * width + i] = masked && head0_mask[i];
 }
 
 double PpoAgent::train(Rng& rng) {
-  if (buffer_.size() < static_cast<std::size_t>(cfg_.minibatch_size)) return 0;
+  const std::size_t rows = buffer_size();
+  if (rows < static_cast<std::size_t>(cfg_.minibatch_size)) return 0;
+  const std::size_t dim = static_cast<std::size_t>(obs_dim_);
+  const std::size_t num_heads = head_sizes_.size();
+  const auto width = static_cast<std::size_t>(head_sizes_[0]);
   double mean_objective = 0;
   int num_updates = 0;
+  // One row of the ring, unpacked for the Mlp and the masked softmax.
+  std::vector<double> obs(dim);
+  std::vector<bool> mask(width);
 
   for (int epoch = 0; epoch < cfg_.update_epochs; ++epoch) {
     // Sample one minibatch (with replacement across epochs).
     std::vector<std::size_t> batch(static_cast<std::size_t>(cfg_.minibatch_size));
-    for (std::size_t& i : batch) i = rng.pick_index(buffer_.size());
+    for (std::size_t& i : batch) i = rng.pick_index(rows);
 
     // Advantages from collection-time values, normalized per batch (Eq. 6).
     std::vector<double> adv(batch.size());
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      const PpoTransition& t = buffer_[batch[k]];
-      adv[k] = advantage(t.reward, t.value, t.next_value);
+      const std::size_t r = batch[k];
+      adv[k] = advantage(reward_[r], value_[r], next_value_[r]);
     }
     double mean = std::accumulate(adv.begin(), adv.end(), 0.0) /
                   static_cast<double>(adv.size());
@@ -105,22 +158,26 @@ double PpoAgent::train(Rng& rng) {
     double inv_n = 1.0 / static_cast<double>(batch.size());
 
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      const PpoTransition& t = buffer_[batch[k]];
+      const std::size_t r = batch[k];
+      std::copy_n(obs_.begin() + static_cast<std::ptrdiff_t>(r * dim), dim, obs.begin());
+      const std::vector<bool>* mask0 = nullptr;
+      if (has_mask_[r]) {
+        for (std::size_t i = 0; i < width; ++i) mask[i] = mask_bits_[r * width + i];
+        mask0 = &mask;
+      }
+      const int* actions = &actions_[r * num_heads];
       Mlp::Trace atrace;
-      std::vector<double> logits = actor_.forward(t.obs, &atrace);
+      std::vector<double> logits = actor_.forward(obs, &atrace);
       std::vector<std::vector<double>> heads = split_heads(logits);
 
       double logp_new = 0;
       std::vector<std::vector<double>> head_probs(heads.size());
       for (std::size_t h = 0; h < heads.size(); ++h) {
-        const std::vector<bool>* mask =
-            (h == 0 && !t.head0_mask.empty()) ? &t.head0_mask : nullptr;
-        head_probs[h] = masked_softmax(heads[h], mask);
-        logp_new += categorical_log_prob(head_probs[h],
-                                         t.actions[h]);
+        head_probs[h] = masked_softmax(heads[h], h == 0 ? mask0 : nullptr);
+        logp_new += categorical_log_prob(head_probs[h], actions[h]);
       }
 
-      double ratio = std::exp(std::clamp(logp_new - t.logp, -20.0, 20.0));
+      double ratio = std::exp(std::clamp(logp_new - logp_[r], -20.0, 20.0));
       double unclipped = ratio * adv[k];
       double clipped =
           std::clamp(ratio, 1.0 - cfg_.clip_eps, 1.0 + cfg_.clip_eps) * adv[k];
@@ -133,12 +190,10 @@ double PpoAgent::train(Rng& rng) {
       std::vector<double> dlogits_full;
       dlogits_full.reserve(logits.size());
       for (std::size_t h = 0; h < heads.size(); ++h) {
-        const std::vector<bool>* mask =
-            (h == 0 && !t.head0_mask.empty()) ? &t.head0_mask : nullptr;
         // Loss = -objective - w_ent * H  =>  dLoss/dlogits via helper with
         // coef_logp = dlogp and coef_entropy = -(-w_ent) handled by sign:
         std::vector<double> dl = categorical_backward(
-            head_probs[h], t.actions[h], dlogp, -cfg_.entropy_weight, mask);
+            head_probs[h], actions[h], dlogp, -cfg_.entropy_weight, h == 0 ? mask0 : nullptr);
         // categorical_backward returns d(coef_logp*logp + coef_ent*H); since
         // we folded the loss signs into the coefficients, accumulate as-is.
         dlogits_full.insert(dlogits_full.end(), dl.begin(), dl.end());
@@ -148,8 +203,8 @@ double PpoAgent::train(Rng& rng) {
 
       // Critic: w_MSE * (V(s) - (r + gamma * V(s')))^2.
       Mlp::Trace ctrace;
-      double v = critic_.forward(t.obs, &ctrace)[0];
-      double target = t.reward + cfg_.gamma * t.next_value;
+      double v = critic_.forward(obs, &ctrace)[0];
+      double target = reward_[r] + cfg_.gamma * next_value_[r];
       std::vector<double> dv = {cfg_.value_loss_weight * 2.0 * (v - target) * inv_n};
       critic_.backward(ctrace, dv);
     }

@@ -23,20 +23,9 @@ struct PpoConfig {
   double value_loss_weight = 0.5;///< w_MSE
   int train_interval = 2;        ///< T_rl: steps between training calls
   int update_epochs = 4;         ///< minibatches sampled per train()
-  int minibatch_size = 64;
+  int minibatch_size = 64;       ///< >= 1
   int hidden_dim = 64;
-  int buffer_capacity = 4096;
-};
-
-/// One recorded environment step (Algorithm 1, line 12).
-struct PpoTransition {
-  std::vector<double> obs;
-  std::vector<int> actions;          ///< one sub-action per head
-  double logp = 0;                   ///< joint log-prob at collection time
-  double reward = 0;
-  double value = 0;                  ///< V(s) at collection time
-  double next_value = 0;             ///< V(s')
-  std::vector<bool> head0_mask;      ///< legality mask of head 0 (may be empty)
+  int buffer_capacity = 4096;    ///< replay ring rows, >= 1
 };
 
 /// Proximal Policy Optimization agent with a multi-head categorical policy.
@@ -47,10 +36,21 @@ struct PpoTransition {
 /// (invalid tiling moves get probability zero).  The critic is a separate
 /// value MLP; both use two tanh hidden layers, trained with Adam.
 ///
-/// Training samples minibatches from a bounded replay buffer (Algorithm 1,
+/// Training samples minibatches from a bounded replay ring (Algorithm 1,
 /// lines 14-17) and applies the clipped surrogate objective with an entropy
 /// bonus; the critic minimizes MSE against the one-step TD target
 /// r + gamma * V(s') (Eq. 6).
+///
+/// Memory: the ring is a set of flat arrays (observations, actions, log-prob,
+/// reward, value, next value, head-0 mask bits and a has-mask flag per row),
+/// each reserved at `buffer_capacity` rows when the agent is built, so it
+/// never reallocates and only the rows actually stored become resident.
+/// Rows fill in order and then overwrite the oldest.  The actor and critic
+/// keep weights and Adam moments; their gradients exist only inside train().
+///
+/// Every input is checked: an observation must be `obs_dim` wide, an action
+/// list must hold one in-range index per head, and a head-0 mask must be
+/// empty or exactly head 0's width.
 class PpoAgent {
  public:
   PpoAgent(int obs_dim, std::vector<int> head_sizes, PpoConfig cfg,
@@ -74,8 +74,13 @@ class PpoAgent {
     return reward + cfg_.gamma * next_value - value;
   }
 
-  void store(PpoTransition t);
-  std::size_t buffer_size() const { return buffer_.size(); }
+  /// Record one environment step (Algorithm 1, line 12): the observation,
+  /// the action taken with its collection-time log-prob and value, the
+  /// reward, V(s') and head 0's mask (may be empty).  The row is copied in;
+  /// callers keep and reuse their buffers.
+  void store(const std::vector<double>& obs, const ActResult& act, double reward,
+             double next_value, const std::vector<bool>& head0_mask);
+  std::size_t buffer_size() const { return logp_.size(); }
 
   /// Run `update_epochs` minibatch updates (no-op while the buffer is
   /// smaller than one minibatch). Returns the mean actor objective.
@@ -89,13 +94,22 @@ class PpoAgent {
   /// Split the actor's flat logits into per-head vectors.
   std::vector<std::vector<double>> split_heads(const std::vector<double>& logits) const;
 
+  /// Aborts unless `obs` is obs_dim wide and `head0_mask` is empty or head
+  /// 0's width.
+  void check_row(const std::vector<double>& obs, const std::vector<bool>& head0_mask) const;
+
   PpoConfig cfg_;
   int obs_dim_;
   std::vector<int> head_sizes_;
   Mlp actor_;
   Mlp critic_;
-  std::vector<PpoTransition> buffer_;
-  std::size_t buffer_next_ = 0;  ///< ring-buffer write cursor
+  // Replay ring, one row per stored step; row r of every array below.
+  std::vector<double> obs_;         ///< rows x obs_dim
+  std::vector<int> actions_;        ///< rows x heads
+  std::vector<double> logp_, reward_, value_, next_value_;
+  std::vector<bool> mask_bits_;     ///< rows x head_sizes_[0]
+  std::vector<bool> has_mask_;
+  std::size_t buffer_next_ = 0;     ///< ring write cursor (steps stored so far)
 };
 
 }  // namespace harl

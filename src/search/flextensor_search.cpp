@@ -1,6 +1,7 @@
 #include "search/flextensor_search.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace harl {
 
@@ -22,9 +23,13 @@ std::vector<MeasuredRecord> FlextensorSearchPolicy::tune_round(Measurer& measure
   }
 
   std::vector<MeasuredRecord> all_records;
+  // Step buffers reused across steps and tracks; the agent copies rows in.
+  std::vector<double> obs;
+  std::vector<double> next_obs;
+  std::vector<bool> mask;
   for (int track = 0; track < cfg_.tracks; ++track) {
     Schedule cur = random_schedule(sketch, space.num_unroll_options(), rng_);
-    std::vector<double> obs = rl_observation(fx_, space, cur);
+    rl_observation_into(fx_, space, cur, obs);
     MeasureResult first = measurer.measure_one(cur);
     double cur_time = first.time_ms;
     all_records.push_back({cur, first.time_ms, first.trial_index, first.cached});
@@ -32,7 +37,6 @@ std::vector<MeasuredRecord> FlextensorSearchPolicy::tune_round(Measurer& measure
     double best_time = cur_time;
     int best_step = 0;
     for (int step = 1; step <= cfg_.track_length; ++step) {
-      std::vector<bool> mask;
       space.tile_action_mask(cur, &mask);
       PpoAgent::ActResult act = agent_->act(obs, mask, rng_);
       Schedule next = cur;
@@ -45,24 +49,15 @@ std::vector<MeasuredRecord> FlextensorSearchPolicy::tune_round(Measurer& measure
       double next_time = stepped.time_ms;
       all_records.push_back({next, stepped.time_ms, stepped.trial_index, stepped.cached});
 
-      std::vector<double> next_obs = rl_observation(fx_, space, next);
+      rl_observation_into(fx_, space, next, next_obs);
       // Reward: measured relative speedup (Flextensor learns from hardware).
       double reward = (cur_time - next_time) / std::max(next_time, 1e-9);
       double next_value = agent_->value(next_obs);
-
-      PpoTransition tr;
-      tr.obs = std::move(obs);
-      tr.actions = act.actions;
-      tr.logp = act.logp;
-      tr.reward = reward;
-      tr.value = act.value;
-      tr.next_value = next_value;
-      tr.head0_mask = std::move(mask);
-      agent_->store(std::move(tr));
+      agent_->store(obs, act, reward, next_value, mask);
       if (step % cfg_.ppo.train_interval == 0) agent_->train(rng_);
 
       cur = std::move(next);
-      obs = std::move(next_obs);
+      std::swap(obs, next_obs);
       cur_time = next_time;
       if (next_time < best_time) {
         best_time = next_time;

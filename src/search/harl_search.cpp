@@ -173,16 +173,7 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
         if (cfg_.use_rl_policy) {
           double next_value = agent_ptr->value(next_obs[k]);
           t.advantage = agent_ptr->advantage(reward, acts[k].value, next_value);
-
-          PpoTransition tr;
-          tr.obs = std::move(t.obs);
-          tr.actions = acts[k].actions;
-          tr.logp = acts[k].logp;
-          tr.reward = reward;
-          tr.value = acts[k].value;
-          tr.next_value = next_value;
-          tr.head0_mask = std::move(masks[k]);
-          agent_ptr->store(std::move(tr));
+          agent_ptr->store(t.obs, acts[k], reward, next_value, masks[k]);
         } else {
           // Without the critic, the elimination ranking falls back to the
           // raw one-step reward.

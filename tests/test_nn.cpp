@@ -114,6 +114,68 @@ TEST(Mlp, BackwardAccumulatesAcrossSamples) {
   EXPECT_NE(g1, g2);  // second backward added gradient mass
 }
 
+/// Gradients live only from zero_grad/backward to adam_step.
+TEST(Mlp, AdamStepReleasesGradients) {
+  Rng rng(5);
+  Mlp net({3, 4, 2}, rng);
+  EXPECT_EQ(net.grad_norm(), 0.0);
+  net.zero_grad();
+  Mlp::Trace tr;
+  net.forward({0.2, -0.4, 0.9}, &tr);
+  net.backward(tr, {1.0, -1.0});
+  EXPECT_GT(net.grad_norm(), 0.0);
+  net.adam_step(1e-3);
+  EXPECT_EQ(net.grad_norm(), 0.0);
+  for (const LinearLayer& layer : net.layers()) {
+    EXPECT_TRUE(layer.gw.empty());
+    EXPECT_TRUE(layer.gb.empty());
+  }
+}
+
+/// A backward on a fresh net, or right after a step, starts from zero: it
+/// matches a backward preceded by an explicit zero_grad.
+TEST(Mlp, BackwardAccumulatesFromZero) {
+  const std::vector<double> x = {0.3, -0.1, 0.7};
+  auto grads_after_backward = [&](bool zero_first, bool step_first) {
+    Rng rng(6);
+    Mlp net({3, 4, 2}, rng);
+    Mlp::Trace tr;
+    if (step_first) {
+      net.forward(x, &tr);
+      net.backward(tr, {0.5, 0.5});
+      net.adam_step(1e-3);
+    }
+    if (zero_first) net.zero_grad();
+    net.forward(x, &tr);
+    net.backward(tr, {1.0, 2.0});
+    std::vector<double> g;
+    for (const LinearLayer& layer : net.layers()) {
+      g.insert(g.end(), layer.gw.begin(), layer.gw.end());
+      g.insert(g.end(), layer.gb.begin(), layer.gb.end());
+    }
+    return g;
+  };
+  EXPECT_EQ(grads_after_backward(false, false), grads_after_backward(true, false));
+  EXPECT_EQ(grads_after_backward(false, true), grads_after_backward(true, true));
+}
+
+TEST(MlpDeathTest, SecondAdamStepWithoutGradientsDies) {
+  Rng rng(7);
+  Mlp net({2, 3, 1}, rng);
+  Mlp::Trace tr;
+  net.zero_grad();
+  net.forward({1.0, -1.0}, &tr);
+  net.backward(tr, {1.0});
+  net.adam_step(1e-2);
+  EXPECT_DEATH(net.adam_step(1e-2), "no gradients");
+}
+
+TEST(MlpDeathTest, ForwardRejectsWrongInputWidth) {
+  Rng rng(8);
+  Mlp net({4, 3, 1}, rng);
+  EXPECT_DEATH(net.forward({1.0, 2.0}), "input width differs from in_dim");
+}
+
 TEST(Categorical, SoftmaxSumsToOne) {
   std::vector<double> logits = {1.0, 2.0, 3.0, -1.0};
   auto p = masked_softmax(logits, nullptr);

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
+#include "nn/categorical.hpp"
 #include "rl/ppo.hpp"
 
 namespace harl {
@@ -60,12 +64,9 @@ TEST(Ppo, BufferIsBoundedRing) {
   PpoConfig cfg = small_config();
   cfg.buffer_capacity = 16;
   PpoAgent agent(1, {2}, cfg, 5);
-  for (int i = 0; i < 100; ++i) {
-    PpoTransition t;
-    t.obs = {0.0};
-    t.actions = {0};
-    agent.store(std::move(t));
-  }
+  PpoAgent::ActResult act;
+  act.actions = {0};
+  for (int i = 0; i < 100; ++i) agent.store({0.0}, act, 0.0, 0.0, {});
   EXPECT_EQ(agent.buffer_size(), 16u);
 }
 
@@ -88,14 +89,7 @@ TEST(Ppo, LearnsContextualBandit) {
       double reward = res.actions[0] == ctx ? 1.0 : 0.0;
       total += reward;
       if (train) {
-        PpoTransition t;
-        t.obs = obs;
-        t.actions = res.actions;
-        t.logp = res.logp;
-        t.reward = reward;
-        t.value = res.value;
-        t.next_value = 0.0;  // episodic single-step
-        agent.store(std::move(t));
+        agent.store(obs, res, reward, 0.0, {});  // episodic single-step
         if (i % 8 == 0) agent.train(rng);
       }
     }
@@ -124,14 +118,7 @@ TEST(Ppo, LearnsJointMultiHeadAction) {
       double reward = (res.actions[0] == 2 && res.actions[1] == 0) ? 1.0 : 0.0;
       total += reward;
       if (train) {
-        PpoTransition t;
-        t.obs = obs;
-        t.actions = res.actions;
-        t.logp = res.logp;
-        t.reward = reward;
-        t.value = res.value;
-        t.next_value = 0.0;
-        agent.store(std::move(t));
+        agent.store(obs, res, reward, 0.0, {});
         if (i % 8 == 0) agent.train(rng);
       }
     }
@@ -151,17 +138,274 @@ TEST(Ppo, ValueLearnsReturns) {
   std::vector<double> obs = {1.0};
   for (int i = 0; i < 600; ++i) {
     auto res = agent.act(obs, {}, rng);
-    PpoTransition t;
-    t.obs = obs;
-    t.actions = res.actions;
-    t.logp = res.logp;
-    t.reward = 1.0;
-    t.value = res.value;
-    t.next_value = 0.0;
-    agent.store(std::move(t));
+    agent.store(obs, res, 1.0, 0.0, {});
     if (i % 4 == 0) agent.train(rng);
   }
   EXPECT_NEAR(agent.value(obs), 1.0, 0.2);
+}
+
+
+// ---------------------------------------------------------------------------
+// Differential oracle: the agent as it was when every replay row was its own
+// heap-owning struct.  PpoAgent's flat ring must reproduce it bit for bit.
+
+struct PpoTransition {
+  std::vector<double> obs;
+  std::vector<int> actions;
+  double logp = 0;
+  double reward = 0;
+  double value = 0;
+  double next_value = 0;
+  std::vector<bool> head0_mask;
+};
+
+class ReferencePpoAgent {
+ public:
+  ReferencePpoAgent(int obs_dim, std::vector<int> head_sizes, PpoConfig cfg,
+                    std::uint64_t seed)
+      : cfg_(cfg),
+        head_sizes_(std::move(head_sizes)),
+        actor_([&] {
+          Rng rng(seed);
+          int total = std::accumulate(head_sizes_.begin(), head_sizes_.end(), 0);
+          return Mlp({obs_dim, cfg.hidden_dim, cfg.hidden_dim, total}, rng);
+        }()),
+        critic_([&] {
+          Rng rng(seed ^ 0x5bd1e995ULL);
+          return Mlp({obs_dim, cfg.hidden_dim, cfg.hidden_dim, 1}, rng);
+        }()) {}
+
+  PpoAgent::ActResult act(const std::vector<double>& obs, const std::vector<bool>& head0_mask,
+                          Rng& rng) const {
+    PpoAgent::ActResult res;
+    std::vector<std::vector<double>> heads = split_heads(actor_.forward(obs));
+    for (std::size_t h = 0; h < heads.size(); ++h) {
+      const std::vector<bool>* mask =
+          (h == 0 && !head0_mask.empty()) ? &head0_mask : nullptr;
+      std::vector<double> probs = masked_softmax(heads[h], mask);
+      int a = sample_categorical(probs, rng);
+      res.actions.push_back(a);
+      res.logp += categorical_log_prob(probs, a);
+    }
+    res.value = critic_.forward(obs)[0];
+    return res;
+  }
+
+  double value(const std::vector<double>& obs) const { return critic_.forward(obs)[0]; }
+
+  void store(PpoTransition t) {
+    if (buffer_.size() < static_cast<std::size_t>(cfg_.buffer_capacity)) {
+      buffer_.push_back(std::move(t));
+    } else {
+      buffer_[buffer_next_ % buffer_.size()] = std::move(t);
+    }
+    ++buffer_next_;
+  }
+
+  std::size_t buffer_size() const { return buffer_.size(); }
+
+  double train(Rng& rng) {
+    if (buffer_.size() < static_cast<std::size_t>(cfg_.minibatch_size)) return 0;
+    double mean_objective = 0;
+    int num_updates = 0;
+    for (int epoch = 0; epoch < cfg_.update_epochs; ++epoch) {
+      std::vector<std::size_t> batch(static_cast<std::size_t>(cfg_.minibatch_size));
+      for (std::size_t& i : batch) i = rng.pick_index(buffer_.size());
+      std::vector<double> adv(batch.size());
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        const PpoTransition& t = buffer_[batch[k]];
+        adv[k] = t.reward + cfg_.gamma * t.next_value - t.value;
+      }
+      double mean = std::accumulate(adv.begin(), adv.end(), 0.0) /
+                    static_cast<double>(adv.size());
+      double var = 0;
+      for (double a : adv) var += (a - mean) * (a - mean);
+      double stdev = std::sqrt(var / static_cast<double>(adv.size())) + 1e-8;
+      for (double& a : adv) a = (a - mean) / stdev;
+
+      actor_.zero_grad();
+      critic_.zero_grad();
+      double inv_n = 1.0 / static_cast<double>(batch.size());
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        const PpoTransition& t = buffer_[batch[k]];
+        Mlp::Trace atrace;
+        std::vector<double> logits = actor_.forward(t.obs, &atrace);
+        std::vector<std::vector<double>> heads = split_heads(logits);
+        double logp_new = 0;
+        std::vector<std::vector<double>> head_probs(heads.size());
+        for (std::size_t h = 0; h < heads.size(); ++h) {
+          const std::vector<bool>* mask =
+              (h == 0 && !t.head0_mask.empty()) ? &t.head0_mask : nullptr;
+          head_probs[h] = masked_softmax(heads[h], mask);
+          logp_new += categorical_log_prob(head_probs[h], t.actions[h]);
+        }
+        double ratio = std::exp(std::clamp(logp_new - t.logp, -20.0, 20.0));
+        double unclipped = ratio * adv[k];
+        double clipped =
+            std::clamp(ratio, 1.0 - cfg_.clip_eps, 1.0 + cfg_.clip_eps) * adv[k];
+        mean_objective += std::min(unclipped, clipped);
+        bool pass_gradient = (adv[k] >= 0 && ratio < 1.0 + cfg_.clip_eps) ||
+                             (adv[k] < 0 && ratio > 1.0 - cfg_.clip_eps);
+        double dlogp = pass_gradient ? -adv[k] * ratio : 0.0;
+        std::vector<double> dlogits_full;
+        for (std::size_t h = 0; h < heads.size(); ++h) {
+          const std::vector<bool>* mask =
+              (h == 0 && !t.head0_mask.empty()) ? &t.head0_mask : nullptr;
+          std::vector<double> dl = categorical_backward(
+              head_probs[h], t.actions[h], dlogp, -cfg_.entropy_weight, mask);
+          dlogits_full.insert(dlogits_full.end(), dl.begin(), dl.end());
+        }
+        for (double& d : dlogits_full) d *= inv_n;
+        actor_.backward(atrace, dlogits_full);
+
+        Mlp::Trace ctrace;
+        double v = critic_.forward(t.obs, &ctrace)[0];
+        double target = t.reward + cfg_.gamma * t.next_value;
+        critic_.backward(ctrace, {cfg_.value_loss_weight * 2.0 * (v - target) * inv_n});
+      }
+      actor_.adam_step(cfg_.lr_actor);
+      critic_.adam_step(cfg_.lr_critic);
+      num_updates += cfg_.minibatch_size;
+    }
+    return num_updates > 0 ? mean_objective / num_updates : 0.0;
+  }
+
+ private:
+  std::vector<std::vector<double>> split_heads(const std::vector<double>& logits) const {
+    std::vector<std::vector<double>> heads;
+    auto it = logits.begin();
+    for (int h : head_sizes_) {
+      heads.emplace_back(it, it + h);
+      it += h;
+    }
+    return heads;
+  }
+
+  PpoConfig cfg_;
+  std::vector<int> head_sizes_;
+  Mlp actor_;
+  Mlp critic_;
+  std::vector<PpoTransition> buffer_;
+  std::size_t buffer_next_ = 0;
+};
+
+/// Drives a PpoAgent and the reference with one seeded stream of act, value,
+/// store and train calls: masked and unmasked rows, several head layouts,
+/// capacities that wrap the ring many times.  Every ActResult, value and
+/// train() objective must be bit-identical.
+void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, int capacity,
+                              std::uint64_t seed) {
+  PpoConfig cfg;
+  cfg.hidden_dim = 16;
+  cfg.minibatch_size = 8;
+  cfg.update_epochs = 2;
+  cfg.buffer_capacity = capacity;
+  PpoAgent agent(obs_dim, head_sizes, cfg, seed);
+  ReferencePpoAgent ref(obs_dim, head_sizes, cfg, seed);
+  Rng stream(seed * 7919 + 1);
+  Rng agent_rng(seed + 11);
+  Rng ref_rng(seed + 11);
+  const auto width = static_cast<std::size_t>(head_sizes[0]);
+
+  auto random_obs = [&] {
+    std::vector<double> obs(static_cast<std::size_t>(obs_dim));
+    for (double& v : obs) v = stream.next_range(-1, 1);
+    return obs;
+  };
+  std::vector<double> obs = random_obs();
+  std::vector<bool> mask;
+  const int steps = capacity * 6 + 7;
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    // Roughly half the rows carry a head-0 mask with at least one legal move.
+    mask.clear();
+    if (stream.next_bool()) {
+      mask.assign(width, false);
+      for (std::size_t i = 0; i < width; ++i) mask[i] = stream.next_double() < 0.5;
+      mask[stream.pick_index(width)] = true;
+    }
+    PpoAgent::ActResult got = agent.act(obs, mask, agent_rng);
+    PpoAgent::ActResult want = ref.act(obs, mask, ref_rng);
+    ASSERT_EQ(got.actions, want.actions);
+    ASSERT_EQ(got.logp, want.logp);
+    ASSERT_EQ(got.value, want.value);
+
+    std::vector<double> next_obs = random_obs();
+    double next_value = agent.value(next_obs);
+    ASSERT_EQ(next_value, ref.value(next_obs));
+    double reward = stream.next_normal();
+    agent.store(obs, got, reward, next_value, mask);
+    ref.store({obs, want.actions, want.logp, reward, want.value, next_value, mask});
+    ASSERT_EQ(agent.buffer_size(), ref.buffer_size());
+
+    if (stream.next_double() < 0.3) {
+      ASSERT_EQ(agent.train(agent_rng), ref.train(ref_rng));
+    }
+    obs = std::move(next_obs);
+  }
+  // The ring wrapped: training over it still agrees, and so does the policy.
+  ASSERT_EQ(agent.buffer_size(), static_cast<std::size_t>(capacity));
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(agent.train(agent_rng), ref.train(ref_rng));
+  ASSERT_EQ(agent.act(obs, {}, agent_rng).logp, ref.act(obs, {}, ref_rng).logp);
+}
+
+TEST(PpoRing, MatchesReferenceSingleHead) { expect_matches_reference(3, {5}, 16, 21); }
+
+TEST(PpoRing, MatchesReferenceTwoHeads) { expect_matches_reference(5, {4, 3}, 33, 22); }
+
+TEST(PpoRing, MatchesReferenceHarlLayout) {
+  // HARL's four heads: tiling moves plus three knob deltas.
+  expect_matches_reference(7, {9, 3, 3, 3}, 16, 23);
+  expect_matches_reference(7, {9, 3, 3, 3}, 33, 24);
+}
+
+// ---------------------------------------------------------------------------
+// Inputs are checked, not trusted.
+
+TEST(PpoDeathTest, RejectsZeroCapacity) {
+  PpoConfig cfg = small_config();
+  cfg.buffer_capacity = 0;
+  EXPECT_DEATH(PpoAgent(2, {3}, cfg, 1), "buffer_capacity >= 1");
+}
+
+TEST(PpoDeathTest, RejectsZeroMinibatch) {
+  PpoConfig cfg = small_config();
+  cfg.minibatch_size = 0;
+  EXPECT_DEATH(PpoAgent(2, {3}, cfg, 1), "minibatch_size >= 1");
+}
+
+TEST(PpoDeathTest, RejectsWrongObservationWidth) {
+  PpoAgent agent(64, {3}, small_config(), 1);
+  Rng rng(1);
+  const std::vector<double> narrow = {0.5, -0.5};
+  PpoAgent::ActResult act;
+  act.actions = {0};
+  EXPECT_DEATH(agent.act(narrow, {}, rng), "observation width differs from obs_dim");
+  EXPECT_DEATH(agent.value(narrow), "observation width differs from obs_dim");
+  EXPECT_DEATH(agent.store(narrow, act, 0, 0, {}), "observation width differs from obs_dim");
+}
+
+TEST(PpoDeathTest, RejectsWrongMaskWidth) {
+  PpoAgent agent(2, {4, 2}, small_config(), 1);
+  Rng rng(1);
+  const std::vector<double> obs = {0.5, -0.5};
+  const std::vector<bool> short_mask = {true, false};
+  PpoAgent::ActResult act;
+  act.actions = {0, 1};
+  EXPECT_DEATH(agent.act(obs, short_mask, rng), "head-0 mask width");
+  EXPECT_DEATH(agent.store(obs, act, 0, 0, short_mask), "head-0 mask width");
+}
+
+TEST(PpoDeathTest, RejectsBadActions) {
+  PpoAgent agent(2, {4, 2}, small_config(), 1);
+  const std::vector<double> obs = {0.5, -0.5};
+  PpoAgent::ActResult act;
+  act.actions = {0};
+  EXPECT_DEATH(agent.store(obs, act, 0, 0, {}), "one action per head");
+  act.actions = {0, 2};
+  EXPECT_DEATH(agent.store(obs, act, 0, 0, {}), "out of its head's range");
+  act.actions = {-1, 0};
+  EXPECT_DEATH(agent.store(obs, act, 0, 0, {}), "out of its head's range");
 }
 
 }  // namespace
