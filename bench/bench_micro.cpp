@@ -115,9 +115,12 @@ void BM_PpoAct(benchmark::State& state) {
   Rng rng(7);
   Schedule s = random_schedule(sketches[0], hw().num_unroll_options(), rng);
   std::vector<double> obs = rl_observation(fx, space, s);
+  RlStateCodec codec(fx, space);
   auto sizes = space.head_sizes();
-  PpoAgent agent(static_cast<int>(obs.size()),
-                 std::vector<int>(sizes.begin(), sizes.end()), PpoConfig{}, 1);
+  PpoAgent agent(
+      rl_observation_dim(space), codec.width(),
+      [&codec](const std::int32_t* state, double* out) { codec.observe(state, out); },
+      std::vector<int>(sizes.begin(), sizes.end()), PpoConfig{}, 1);
   std::vector<bool> mask;
   space.tile_action_mask(s, &mask);
   for (auto _ : state) benchmark::DoNotOptimize(agent.act(obs, mask, rng));
@@ -128,17 +131,24 @@ void BM_PpoTrainMinibatch(benchmark::State& state) {
   PpoConfig cfg;
   cfg.minibatch_size = 64;
   cfg.update_epochs = 1;
-  PpoAgent agent(32, {16, 3, 3, 3}, cfg, 2);
+  // States are ids into a table of observations (the ring stores the id).
+  std::vector<std::vector<double>> table;
+  PpoAgent agent(
+      32, 1,
+      [&table](const std::int32_t* state, double* out) {
+        const std::vector<double>& row = table[static_cast<std::size_t>(state[0])];
+        std::copy(row.begin(), row.end(), out);
+      },
+      {16, 3, 3, 3}, cfg, 2);
   Rng rng(8);
-  std::vector<double> obs;
   PpoAgent::ActResult act;
   act.logp = -2.0;
   for (int i = 0; i < 512; ++i) {
-    obs.assign(32, rng.next_double());
+    table.emplace_back(32, rng.next_double());
     act.actions = {rng.next_int(0, 15), rng.next_int(0, 2), rng.next_int(0, 2),
                    rng.next_int(0, 2)};
     double reward = rng.next_normal();
-    agent.store(obs, act, reward, 0.0, {});
+    agent.store({i}, act, reward, 0.0, {});
   }
   for (auto _ : state) benchmark::DoNotOptimize(agent.train(rng));
 }

@@ -5,6 +5,7 @@
 
 #include "io/json.hpp"
 #include "io/safe_file.hpp"
+#include "util/fnv.hpp"
 
 namespace harl {
 
@@ -218,12 +219,7 @@ bool gbdt_from_json(const std::string& text, Gbdt* out, std::string* error) {
 }
 
 std::uint64_t gbdt_fingerprint(const Gbdt& model) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : gbdt_to_json(model)) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h == 0 ? 1 : h;
+  return fnv1a_nonzero(gbdt_to_json(model));
 }
 
 bool save_gbdt(const Gbdt& model, const std::string& path, std::string* error,

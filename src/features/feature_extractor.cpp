@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
@@ -236,14 +237,15 @@ std::vector<double> slot_features(const Schedule& sched,
   return out;
 }
 
+int rl_observation_dim(const ActionSpace& space) {
+  return FeatureExtractor::kNumFeatures + space.num_slots() + 3;
+}
+
 void rl_observation_into(const FeatureExtractor& fx, const ActionSpace& space,
-                         const Schedule& sched, std::vector<double>& out) {
-  const std::vector<TileSlot>& slots = space.slots();
-  out.resize(static_cast<std::size_t>(FeatureExtractor::kNumFeatures) +
-             slots.size() + 3);
-  fx.extract_into(sched, out.data());
+                         const Schedule& sched, double* out) {
+  fx.extract_into(sched, out);
   std::size_t p = FeatureExtractor::kNumFeatures;
-  for (const TileSlot& slot : slots) out[p++] = slot_feature(sched, slot);
+  for (const TileSlot& slot : space.slots()) out[p++] = slot_feature(sched, slot);
   const Sketch& sk = space.sketch();
   int ca_stage = sk.primary_compute_at_stage;
   out[p++] = ca_stage >= 0 ? static_cast<double>(sched.stage(ca_stage).compute_at) /
@@ -260,11 +262,77 @@ void rl_observation_into(const FeatureExtractor& fx, const ActionSpace& space,
                  : 0.0;
 }
 
+void rl_observation_into(const FeatureExtractor& fx, const ActionSpace& space,
+                         const Schedule& sched, std::vector<double>& out) {
+  out.resize(static_cast<std::size_t>(rl_observation_dim(space)));
+  rl_observation_into(fx, space, sched, out.data());
+}
+
 std::vector<double> rl_observation(const FeatureExtractor& fx, const ActionSpace& space,
                                    const Schedule& sched) {
   std::vector<double> obs;
   rl_observation_into(fx, space, sched, obs);
   return obs;
+}
+
+RlStateCodec::RlStateCodec(const FeatureExtractor& fx, const ActionSpace& space)
+    : fx_(fx), space_(&space) {
+  // The all-undecided prefix of any schedule of the sketch has its layout.
+  Schedule blank;
+  blank.sketch = &space.sketch();
+  blank.stages.resize(static_cast<std::size_t>(space.sketch().graph->num_stages()));
+  scratch_ = prefix_schedule(blank, 0);
+  for (const StageSchedule& ss : scratch_.stages) {
+    for (const TileVector& t : ss.tiles) width_ += t.levels();
+    width_ += 3;
+  }
+}
+
+void RlStateCodec::encode(const Schedule& sched, std::int32_t* row) const {
+  HARL_CHECK(sched.sketch == scratch_.sketch,
+             "RlStateCodec::encode: schedule of another sketch");
+  HARL_CHECK(sched.stages.size() == scratch_.stages.size(),
+             "RlStateCodec::encode: stage count differs from the sketch's");
+  for (std::size_t s = 0; s < sched.stages.size(); ++s) {
+    const StageSchedule& ss = sched.stages[s];
+    const std::vector<TileVector>& layout = scratch_.stages[s].tiles;
+    HARL_CHECK(ss.tiles.size() == layout.size(),
+               "RlStateCodec::encode: tile layout differs from the sketch's");
+    for (std::size_t a = 0; a < layout.size(); ++a) {
+      HARL_CHECK(ss.tiles[a].levels() == layout[a].levels(),
+                 "RlStateCodec::encode: tile layout differs from the sketch's");
+      for (std::int64_t f : ss.tiles[a].factors) {
+        HARL_CHECK(f >= INT32_MIN && f <= INT32_MAX,
+                   "RlStateCodec::encode: tile factor outside int32");
+        *row++ = static_cast<std::int32_t>(f);
+      }
+    }
+    *row++ = ss.compute_at;
+    *row++ = ss.parallel_depth;
+    *row++ = ss.unroll_index;
+  }
+}
+
+void RlStateCodec::decode_into(const std::int32_t* row, Schedule* out) {
+  for (StageSchedule& ss : out->stages) {
+    for (TileVector& t : ss.tiles) {
+      for (std::int64_t& f : t.factors) f = *row++;
+    }
+    ss.compute_at = *row++;
+    ss.parallel_depth = *row++;
+    ss.unroll_index = *row++;
+  }
+}
+
+Schedule RlStateCodec::decode(const std::int32_t* row) const {
+  Schedule out = scratch_;
+  decode_into(row, &out);
+  return out;
+}
+
+void RlStateCodec::observe(const std::int32_t* row, double* obs) {
+  decode_into(row, &scratch_);
+  rl_observation_into(fx_, *space_, scratch_, obs);
 }
 
 }  // namespace harl

@@ -7,6 +7,7 @@
 /// extraction is deterministic and row layout is stable (kNumFeatures).
 /// Collaborators: XgbCostModel, ExperienceStore, RL observations.
 
+#include <cstdint>
 #include <vector>
 
 #include "hwsim/hardware_config.hpp"
@@ -84,16 +85,60 @@ class FeatureExtractor {
 std::vector<double> slot_features(const Schedule& sched,
                                   const std::vector<TileSlot>& slots);
 
+/// Width of the RL observation of `space`'s schedules:
+/// FeatureExtractor::kNumFeatures + space.num_slots() + 3.
+int rl_observation_dim(const ActionSpace& space);
+
 /// Full RL observation: FeatureExtractor output followed by slot features
-/// and the normalized compute-at/parallel/unroll knob values.
-/// Dimension: FeatureExtractor::kNumFeatures + slots.size() + 3.
+/// and the normalized compute-at/parallel/unroll knob values, in
+/// rl_observation_dim(space) values.
 std::vector<double> rl_observation(const FeatureExtractor& fx, const ActionSpace& space,
                                    const Schedule& sched);
 
-/// In-place variant: resizes `out` to the observation dimension and fills it
-/// without further allocation when the caller reuses the buffer across steps
-/// (the HARL tune-round inner loop does).
+/// In-place variants: fill `out` (rl_observation_dim(space) values) without
+/// allocating.  The vector form resizes `out` first, so a buffer reused
+/// across steps (the HARL tune-round inner loop does) allocates once.
+void rl_observation_into(const FeatureExtractor& fx, const ActionSpace& space,
+                         const Schedule& sched, double* out);
 void rl_observation_into(const FeatureExtractor& fx, const ActionSpace& space,
                          const Schedule& sched, std::vector<double>& out);
+
+/// The RL state of one sketch's schedules as a fixed-width int32 row: the
+/// replay ring stores these rows and derives observations from them.
+///
+/// Row layout, stage by stage in sketch order: every tile factor of every
+/// axis (outermost level first), then compute_at, parallel_depth and
+/// unroll_index.  The sketch fixes which stages carry tiles and how many
+/// levels each axis has, so every schedule of the sketch has the same
+/// width() and a row round-trips to a schedule with the same fingerprint().
+class RlStateCodec {
+ public:
+  /// `space` (and its sketch) must outlive the codec; `fx` is copied.
+  RlStateCodec(const FeatureExtractor& fx, const ActionSpace& space);
+
+  int width() const { return width_; }
+
+  /// Write `sched`'s decisions to `row` (width() ints).  Aborts unless
+  /// `sched` belongs to this codec's sketch with its tile layout and every
+  /// tile factor fits in an int32.
+  void encode(const Schedule& sched, std::int32_t* row) const;
+
+  /// The schedule `row` encodes.
+  Schedule decode(const std::int32_t* row) const;
+
+  /// rl_observation of the schedule `row` encodes, written to `obs`
+  /// (rl_observation_dim wide).  Decodes into a reused scratch schedule, so
+  /// it does not allocate; not safe to call concurrently on one codec.
+  void observe(const std::int32_t* row, double* obs);
+
+ private:
+  /// Overwrite the decisions of `out`, which already has the row layout.
+  static void decode_into(const std::int32_t* row, Schedule* out);
+
+  FeatureExtractor fx_;
+  const ActionSpace* space_;
+  Schedule scratch_;  ///< a schedule of the sketch; fixes the row layout
+  int width_ = 0;
+};
 
 }  // namespace harl

@@ -5,48 +5,45 @@
 #include <cstring>
 #include <sstream>
 
+#include "util/fnv.hpp"
+
 namespace harl {
 
 namespace {
 
-void mix64(std::uint64_t* h, std::uint64_t v) {
-  *h ^= v;
-  *h *= 1099511628211ULL;  // FNV-1a
-}
-
-void mix_double(std::uint64_t* h, double d) {
+void mix_double(Fnv1a& h, double d) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &d, sizeof(bits));
-  mix64(h, bits);
+  h.mix(bits);
 }
 
-void mix_string(std::uint64_t* h, const std::string& s) {
-  for (unsigned char c : s) mix64(h, c);
-  mix64(h, 0xffULL);  // terminator so "ab","c" != "a","bc"
+void mix_string(Fnv1a& h, const std::string& s) {
+  h.mix_bytes(s);
+  h.mix(0xffULL);  // terminator so "ab","c" != "a","bc"
 }
 
 }  // namespace
 
 std::uint64_t HardwareConfig::fingerprint() const {
-  std::uint64_t h = 1469598103934665603ULL;
-  mix_string(&h, name);
-  mix64(&h, static_cast<std::uint64_t>(num_cores));
-  mix_double(&h, freq_ghz);
-  mix64(&h, static_cast<std::uint64_t>(vector_lanes));
-  mix_double(&h, flops_per_cycle_per_lane);
+  Fnv1a h;
+  mix_string(h, name);
+  h.mix(static_cast<std::uint64_t>(num_cores));
+  mix_double(h, freq_ghz);
+  h.mix(static_cast<std::uint64_t>(vector_lanes));
+  mix_double(h, flops_per_cycle_per_lane);
   for (const CacheLevel& l : levels) {
-    mix_string(&h, l.name);
-    mix_double(&h, l.capacity_bytes);
-    mix_double(&h, l.serve_bandwidth_gbps);
-    mix64(&h, l.per_core ? 1 : 2);
+    mix_string(h, l.name);
+    mix_double(h, l.capacity_bytes);
+    mix_double(h, l.serve_bandwidth_gbps);
+    h.mix(l.per_core ? 1 : 2);
   }
-  mix_double(&h, fork_join_us);
-  mix_double(&h, loop_overhead_cycles);
-  mix_double(&h, stage_call_overhead_cycles);
-  mix_double(&h, icache_unroll_limit);
-  for (int d : unroll_depths) mix64(&h, static_cast<std::uint64_t>(d + 1));
-  mix_double(&h, noise_sigma);
-  return h;
+  mix_double(h, fork_join_us);
+  mix_double(h, loop_overhead_cycles);
+  mix_double(h, stage_call_overhead_cycles);
+  mix_double(h, icache_unroll_limit);
+  for (int d : unroll_depths) h.mix(static_cast<std::uint64_t>(d + 1));
+  mix_double(h, noise_sigma);
+  return h.value();
 }
 
 std::vector<double> HardwareConfig::similarity_vector() const {

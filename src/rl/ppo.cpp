@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "nn/categorical.hpp"
 #include "util/logging.hpp"
@@ -15,10 +16,12 @@ std::vector<int> mlp_dims(int in, int hidden, int out) { return {in, hidden, hid
 
 }  // namespace
 
-PpoAgent::PpoAgent(int obs_dim, std::vector<int> head_sizes, PpoConfig cfg,
-                   std::uint64_t seed)
+PpoAgent::PpoAgent(int obs_dim, int state_width, ObserveFn observe,
+                   std::vector<int> head_sizes, PpoConfig cfg, std::uint64_t seed)
     : cfg_(cfg),
       obs_dim_(obs_dim),
+      state_width_(state_width),
+      observe_(std::move(observe)),
       head_sizes_(std::move(head_sizes)),
       actor_([&] {
         Rng rng(seed);
@@ -33,20 +36,23 @@ PpoAgent::PpoAgent(int obs_dim, std::vector<int> head_sizes, PpoConfig cfg,
   HARL_CHECK(!head_sizes_.empty(), "PpoAgent needs at least one action head");
   HARL_CHECK(cfg_.buffer_capacity >= 1, "PpoAgent needs buffer_capacity >= 1");
   HARL_CHECK(cfg_.minibatch_size >= 1, "PpoAgent needs minibatch_size >= 1");
+  HARL_CHECK(state_width_ >= 1 && observe_, "PpoAgent needs a state width and observe");
   // One allocation per array for the agent's lifetime; pages stay untouched
   // (not resident) until rows are stored into them.
   const auto cap = static_cast<std::size_t>(cfg_.buffer_capacity);
-  obs_.reserve(cap * static_cast<std::size_t>(obs_dim_));
+  states_.reserve(cap * static_cast<std::size_t>(state_width_));
   actions_.reserve(cap * head_sizes_.size());
   for (std::vector<double>* col : {&logp_, &reward_, &value_, &next_value_}) col->reserve(cap);
   mask_bits_.reserve(cap * static_cast<std::size_t>(head_sizes_[0]));
   has_mask_.reserve(cap);
 }
 
-void PpoAgent::check_row(const std::vector<double>& obs,
-                         const std::vector<bool>& head0_mask) const {
+void PpoAgent::check_obs(const std::vector<double>& obs) const {
   HARL_CHECK(obs.size() == static_cast<std::size_t>(obs_dim_),
              "PpoAgent: observation width differs from obs_dim");
+}
+
+void PpoAgent::check_mask(const std::vector<bool>& head0_mask) const {
   HARL_CHECK(head0_mask.empty() ||
                  head0_mask.size() == static_cast<std::size_t>(head_sizes_[0]),
              "PpoAgent: head-0 mask width differs from head 0's size");
@@ -68,7 +74,8 @@ std::vector<std::vector<double>> PpoAgent::split_heads(
 PpoAgent::ActResult PpoAgent::act(const std::vector<double>& obs,
                                   const std::vector<bool>& head0_mask,
                                   Rng& rng) const {
-  check_row(obs, head0_mask);
+  check_obs(obs);
+  check_mask(head0_mask);
   ActResult res;
   std::vector<double> logits = actor_.forward(obs);
   std::vector<std::vector<double>> heads = split_heads(logits);
@@ -85,25 +92,28 @@ PpoAgent::ActResult PpoAgent::act(const std::vector<double>& obs,
 }
 
 double PpoAgent::value(const std::vector<double>& obs) const {
-  check_row(obs, {});
+  check_obs(obs);
   return critic_.forward(obs)[0];
 }
 
-void PpoAgent::store(const std::vector<double>& obs, const ActResult& act, double reward,
-                     double next_value, const std::vector<bool>& head0_mask) {
-  check_row(obs, head0_mask);
+void PpoAgent::store(const std::vector<std::int32_t>& state, const ActResult& act,
+                     double reward, double next_value,
+                     const std::vector<bool>& head0_mask) {
+  HARL_CHECK(state.size() == static_cast<std::size_t>(state_width_),
+             "PpoAgent::store: state width differs from state_width");
+  check_mask(head0_mask);
   const std::size_t heads = head_sizes_.size();
   HARL_CHECK(act.actions.size() == heads, "PpoAgent::store: need one action per head");
   for (std::size_t h = 0; h < heads; ++h) {
     HARL_CHECK(act.actions[h] >= 0 && act.actions[h] < head_sizes_[h],
                "PpoAgent::store: action out of its head's range");
   }
-  const std::size_t dim = static_cast<std::size_t>(obs_dim_);
+  const auto sw = static_cast<std::size_t>(state_width_);
   const auto width = static_cast<std::size_t>(head_sizes_[0]);
   const std::size_t row = buffer_next_ % static_cast<std::size_t>(cfg_.buffer_capacity);
   ++buffer_next_;
   if (row == buffer_size()) {  // still filling: grow each array by one row
-    obs_.resize(obs_.size() + dim);
+    states_.resize(states_.size() + sw);
     actions_.resize(actions_.size() + heads);
     for (std::vector<double>* col : {&logp_, &reward_, &value_, &next_value_}) {
       col->push_back(0.0);
@@ -111,7 +121,8 @@ void PpoAgent::store(const std::vector<double>& obs, const ActResult& act, doubl
     mask_bits_.resize(mask_bits_.size() + width);
     has_mask_.push_back(false);
   }
-  std::copy(obs.begin(), obs.end(), obs_.begin() + static_cast<std::ptrdiff_t>(row * dim));
+  std::copy(state.begin(), state.end(),
+            states_.begin() + static_cast<std::ptrdiff_t>(row * sw));
   std::copy(act.actions.begin(), act.actions.end(),
             actions_.begin() + static_cast<std::ptrdiff_t>(row * heads));
   logp_[row] = act.logp;
@@ -126,13 +137,13 @@ void PpoAgent::store(const std::vector<double>& obs, const ActResult& act, doubl
 double PpoAgent::train(Rng& rng) {
   const std::size_t rows = buffer_size();
   if (rows < static_cast<std::size_t>(cfg_.minibatch_size)) return 0;
-  const std::size_t dim = static_cast<std::size_t>(obs_dim_);
+  const auto sw = static_cast<std::size_t>(state_width_);
   const std::size_t num_heads = head_sizes_.size();
   const auto width = static_cast<std::size_t>(head_sizes_[0]);
   double mean_objective = 0;
   int num_updates = 0;
   // One row of the ring, unpacked for the Mlp and the masked softmax.
-  std::vector<double> obs(dim);
+  std::vector<double> obs(static_cast<std::size_t>(obs_dim_));
   std::vector<bool> mask(width);
 
   for (int epoch = 0; epoch < cfg_.update_epochs; ++epoch) {
@@ -159,7 +170,7 @@ double PpoAgent::train(Rng& rng) {
 
     for (std::size_t k = 0; k < batch.size(); ++k) {
       const std::size_t r = batch[k];
-      std::copy_n(obs_.begin() + static_cast<std::ptrdiff_t>(r * dim), dim, obs.begin());
+      observe_(&states_[r * sw], obs.data());
       const std::vector<bool>* mask0 = nullptr;
       if (has_mask_[r]) {
         for (std::size_t i = 0; i < width; ++i) mask[i] = mask_bits_[r * width + i];

@@ -7,6 +7,7 @@
 /// Collaborators: nn (Mlp, Categorical), HarlSearchPolicy.
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "nn/mlp.hpp"
@@ -41,20 +42,30 @@ struct PpoConfig {
 /// bonus; the critic minimizes MSE against the one-step TD target
 /// r + gamma * V(s') (Eq. 6).
 ///
-/// Memory: the ring is a set of flat arrays (observations, actions, log-prob,
-/// reward, value, next value, head-0 mask bits and a has-mask flag per row),
-/// each reserved at `buffer_capacity` rows when the agent is built, so it
-/// never reallocates and only the rows actually stored become resident.
-/// Rows fill in order and then overwrite the oldest.  The actor and critic
-/// keep weights and Adam moments; their gradients exist only inside train().
+/// Memory: the ring stores each step's *state*, not its observation.  A
+/// state is a caller-defined row of `state_width` int32s (HARL's is the
+/// schedule's decisions, see RlStateCodec), and train() rebuilds the
+/// observation of every sampled row through the `observe` function the agent
+/// was built with, so the networks see exactly what act() saw.  The ring is
+/// a set of flat arrays (states, actions, log-prob, reward, value, next
+/// value, head-0 mask bits and a has-mask flag per row), each reserved at
+/// `buffer_capacity` rows when the agent is built, so it never reallocates
+/// and only the rows actually stored become resident.  Rows fill in order
+/// and then overwrite the oldest.  The actor and critic keep weights and
+/// Adam moments; their gradients exist only inside train().
 ///
-/// Every input is checked: an observation must be `obs_dim` wide, an action
-/// list must hold one in-range index per head, and a head-0 mask must be
-/// empty or exactly head 0's width.
+/// Every input is checked: an observation must be `obs_dim` wide, a state
+/// `state_width` wide, an action list must hold one in-range index per head,
+/// and a head-0 mask must be empty or exactly head 0's width.
 class PpoAgent {
  public:
-  PpoAgent(int obs_dim, std::vector<int> head_sizes, PpoConfig cfg,
-           std::uint64_t seed);
+  /// Writes the observation (obs_dim doubles) of one stored state row
+  /// (state_width int32s).  Must be deterministic: it is called again for
+  /// every sampled row in train().
+  using ObserveFn = std::function<void(const std::int32_t* state, double* obs)>;
+
+  PpoAgent(int obs_dim, int state_width, ObserveFn observe, std::vector<int> head_sizes,
+           PpoConfig cfg, std::uint64_t seed);
 
   struct ActResult {
     std::vector<int> actions;
@@ -74,11 +85,11 @@ class PpoAgent {
     return reward + cfg_.gamma * next_value - value;
   }
 
-  /// Record one environment step (Algorithm 1, line 12): the observation,
-  /// the action taken with its collection-time log-prob and value, the
+  /// Record one environment step (Algorithm 1, line 12): the state acted
+  /// in, the action taken with its collection-time log-prob and value, the
   /// reward, V(s') and head 0's mask (may be empty).  The row is copied in;
   /// callers keep and reuse their buffers.
-  void store(const std::vector<double>& obs, const ActResult& act, double reward,
+  void store(const std::vector<std::int32_t>& state, const ActResult& act, double reward,
              double next_value, const std::vector<bool>& head0_mask);
   std::size_t buffer_size() const { return logp_.size(); }
 
@@ -90,21 +101,28 @@ class PpoAgent {
   int obs_dim() const { return obs_dim_; }
   const std::vector<int>& head_sizes() const { return head_sizes_; }
 
+  /// White-box access for differential tests.
+  const Mlp& actor() const { return actor_; }
+  const Mlp& critic() const { return critic_; }
+
  private:
   /// Split the actor's flat logits into per-head vectors.
   std::vector<std::vector<double>> split_heads(const std::vector<double>& logits) const;
 
-  /// Aborts unless `obs` is obs_dim wide and `head0_mask` is empty or head
-  /// 0's width.
-  void check_row(const std::vector<double>& obs, const std::vector<bool>& head0_mask) const;
+  /// Aborts unless `obs` is obs_dim wide.
+  void check_obs(const std::vector<double>& obs) const;
+  /// Aborts unless `head0_mask` is empty or head 0's width.
+  void check_mask(const std::vector<bool>& head0_mask) const;
 
   PpoConfig cfg_;
   int obs_dim_;
+  int state_width_;
+  ObserveFn observe_;
   std::vector<int> head_sizes_;
   Mlp actor_;
   Mlp critic_;
   // Replay ring, one row per stored step; row r of every array below.
-  std::vector<double> obs_;         ///< rows x obs_dim
+  std::vector<std::int32_t> states_;  ///< rows x state_width
   std::vector<int> actions_;        ///< rows x heads
   std::vector<double> logp_, reward_, value_, next_value_;
   std::vector<bool> mask_bits_;     ///< rows x head_sizes_[0]

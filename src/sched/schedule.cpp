@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/fnv.hpp"
+
 namespace harl {
 
 int levels_for_axis(StageStructure structure, AxisKind kind) {
@@ -18,29 +20,32 @@ int levels_for_axis(StageStructure structure, AxisKind kind) {
   return 0;
 }
 
+namespace {
+
+/// One stage's decisions, mixed the same way by both fingerprints.
+void mix_stage(Fnv1a& h, const StageSchedule& ss) {
+  for (const TileVector& t : ss.tiles) {
+    for (std::int64_t f : t.factors) h.mix(static_cast<std::uint64_t>(f));
+    h.mix(0xabcdULL);
+  }
+  h.mix(static_cast<std::uint64_t>(ss.compute_at + 1));
+  h.mix(static_cast<std::uint64_t>(ss.parallel_depth + 1));
+  h.mix(static_cast<std::uint64_t>(ss.unroll_index + 1));
+  h.mix(0x1234ULL);
+}
+
+}  // namespace
+
 std::uint64_t Schedule::fingerprint() const {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
+  Fnv1a h;
   // The schedule's identity includes where it comes from: sketches of one
   // subgraph differ structurally (cache_write/rfactor/fusion) even when the
   // low-level parameters coincide, and the measure cache may see schedules of
   // every task in a network, so the subgraph must disambiguate too.  The
   // sketch precomputes that prefix as a single salt word.
-  mix(sketch->identity_salt);
-  for (const StageSchedule& ss : stages) {
-    for (const TileVector& t : ss.tiles) {
-      for (std::int64_t f : t.factors) mix(static_cast<std::uint64_t>(f));
-      mix(0xabcdULL);
-    }
-    mix(static_cast<std::uint64_t>(ss.compute_at + 1));
-    mix(static_cast<std::uint64_t>(ss.parallel_depth + 1));
-    mix(static_cast<std::uint64_t>(ss.unroll_index + 1));
-    mix(0x1234ULL);
-  }
-  return h;
+  h.mix(sketch->identity_salt);
+  for (const StageSchedule& ss : stages) mix_stage(h, ss);
+  return h.value();
 }
 
 std::string Schedule::to_string() const {
@@ -122,28 +127,14 @@ Schedule prefix_schedule(const Schedule& full, int depth) {
 }
 
 std::uint64_t prefix_fingerprint(const Schedule& sched, int depth) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a, as fingerprint()
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  mix(sched.sketch->identity_salt);
+  Fnv1a h;
+  h.mix(sched.sketch->identity_salt);
   if (depth < 0) depth = 0;
   int stages = static_cast<int>(sched.stages.size());
   if (depth > stages) depth = stages;
-  mix(static_cast<std::uint64_t>(depth) + 0x9e3779b9ULL);
-  for (int s = 0; s < depth; ++s) {
-    const StageSchedule& ss = sched.stages[static_cast<std::size_t>(s)];
-    for (const TileVector& t : ss.tiles) {
-      for (std::int64_t f : t.factors) mix(static_cast<std::uint64_t>(f));
-      mix(0xabcdULL);
-    }
-    mix(static_cast<std::uint64_t>(ss.compute_at + 1));
-    mix(static_cast<std::uint64_t>(ss.parallel_depth + 1));
-    mix(static_cast<std::uint64_t>(ss.unroll_index + 1));
-    mix(0x1234ULL);
-  }
-  return h;
+  h.mix(static_cast<std::uint64_t>(depth) + 0x9e3779b9ULL);
+  for (int s = 0; s < depth; ++s) mix_stage(h, sched.stages[static_cast<std::size_t>(s)]);
+  return h.value();
 }
 
 std::string validate_schedule(const Schedule& sched, int num_unroll_options) {

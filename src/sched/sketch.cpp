@@ -1,5 +1,7 @@
 #include "sched/sketch.hpp"
 
+#include "util/fnv.hpp"
+
 namespace harl {
 
 const char* stage_structure_name(StageStructure s) {
@@ -90,16 +92,13 @@ std::vector<Sketch> generate_sketches(const Subgraph& g) {
     sk.primary_compute_at_stage = pick_primary_compute_at(sk.plans, anchor);
     // FNV-1a over the structural identity, hashed once here so per-candidate
     // fingerprinting only mixes a single word.
-    std::uint64_t salt = 1469598103934665603ULL;
-    auto mix = [&salt](std::uint64_t v) {
-      salt ^= v;
-      salt *= 1099511628211ULL;
-    };
-    for (char c : g.name()) mix(static_cast<std::uint64_t>(c));
-    mix(0x5347ULL);
-    for (char c : sk.tag) mix(static_cast<std::uint64_t>(c));
-    mix(0x534bULL);
-    sk.identity_salt = salt;
+    // Characters mix as sign-extended chars, not bytes (salts are persisted).
+    Fnv1a salt;
+    for (char c : g.name()) salt.mix(static_cast<std::uint64_t>(c));
+    salt.mix(0x5347ULL);
+    for (char c : sk.tag) salt.mix(static_cast<std::uint64_t>(c));
+    salt.mix(0x534bULL);
+    sk.identity_salt = salt.value();
     sketches.push_back(std::move(sk));
   };
 

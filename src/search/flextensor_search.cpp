@@ -14,16 +14,18 @@ std::vector<MeasuredRecord> FlextensorSearchPolicy::tune_round(Measurer& measure
   const ActionSpace& space = task_->space(0);
 
   if (!agent_) {
-    Rng probe(cfg_.seed ^ 0x77ULL);
-    Schedule sample = random_schedule(sketch, space.num_unroll_options(), probe);
-    int obs_dim = static_cast<int>(rl_observation(fx_, space, sample).size());
+    codec_ = std::make_unique<RlStateCodec>(fx_, space);
+    RlStateCodec* c = codec_.get();
     auto sizes = space.head_sizes();
     agent_ = std::make_unique<PpoAgent>(
-        obs_dim, std::vector<int>(sizes.begin(), sizes.end()), cfg_.ppo, cfg_.seed);
+        rl_observation_dim(space), c->width(),
+        [c](const std::int32_t* state, double* obs) { c->observe(state, obs); },
+        std::vector<int>(sizes.begin(), sizes.end()), cfg_.ppo, cfg_.seed);
   }
 
   std::vector<MeasuredRecord> all_records;
   // Step buffers reused across steps and tracks; the agent copies rows in.
+  std::vector<std::int32_t> state(static_cast<std::size_t>(codec_->width()));
   std::vector<double> obs;
   std::vector<double> next_obs;
   std::vector<bool> mask;
@@ -53,7 +55,8 @@ std::vector<MeasuredRecord> FlextensorSearchPolicy::tune_round(Measurer& measure
       // Reward: measured relative speedup (Flextensor learns from hardware).
       double reward = (cur_time - next_time) / std::max(next_time, 1e-9);
       double next_value = agent_->value(next_obs);
-      agent_->store(obs, act, reward, next_value, mask);
+      codec_->encode(cur, state.data());
+      agent_->store(state, act, reward, next_value, mask);
       if (step % cfg_.ppo.train_interval == 0) agent_->train(rng_);
 
       cur = std::move(next);

@@ -46,6 +46,7 @@ class FlextensorSearchPolicy : public SearchPolicy {
   TaskState* task_;
   FlextensorConfig cfg_;
   FeatureExtractor fx_;
+  std::unique_ptr<RlStateCodec> codec_;  ///< states of agent_'s replay ring
   std::unique_ptr<PpoAgent> agent_;
   Rng rng_;
 };

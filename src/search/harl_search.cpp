@@ -28,6 +28,7 @@ HarlSearchPolicy::HarlSearchPolicy(TaskState* task, HarlConfig cfg)
       sketch_mab_(task->num_sketches(), cfg.sketch_ucb),
       fx_(&task->hardware()),
       rng_(cfg.seed ^ 0x4841524cULL) {
+  codecs_.resize(static_cast<std::size_t>(task->num_sketches()));
   agents_.resize(static_cast<std::size_t>(task->num_sketches()));
 }
 
@@ -35,15 +36,15 @@ PpoAgent& HarlSearchPolicy::agent_for(int sketch_id) {
   auto& slot = agents_[static_cast<std::size_t>(sketch_id)];
   if (!slot) {
     const ActionSpace& space = task_->space(sketch_id);
-    // Observation dimension probes one sample schedule.
-    Rng probe(cfg_.seed ^ 0x0b5ULL);
-    Schedule sample = random_schedule(task_->sketch(sketch_id),
-                                      space.num_unroll_options(), probe);
-    int obs_dim = static_cast<int>(rl_observation(fx_, space, sample).size());
+    auto& codec = codecs_[static_cast<std::size_t>(sketch_id)];
+    codec = std::make_unique<RlStateCodec>(fx_, space);
+    RlStateCodec* c = codec.get();
     auto sizes = space.head_sizes();
     std::vector<int> head_sizes(sizes.begin(), sizes.end());
-    slot = std::make_unique<PpoAgent>(obs_dim, head_sizes, cfg_.ppo,
-                                      cfg_.seed + static_cast<std::uint64_t>(sketch_id));
+    slot = std::make_unique<PpoAgent>(
+        rl_observation_dim(space), c->width(),
+        [c](const std::int32_t* state, double* obs) { c->observe(state, obs); },
+        head_sizes, cfg_.ppo, cfg_.seed + static_cast<std::uint64_t>(sketch_id));
   }
   return *slot;
 }
@@ -57,6 +58,8 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
   const Sketch& sketch = task_->sketch(u);
   const ActionSpace& space = task_->space(u);
   PpoAgent* agent_ptr = cfg_.use_rl_policy ? &agent_for(u) : nullptr;
+  const RlStateCodec* codec =
+      cfg_.use_rl_policy ? codecs_[static_cast<std::size_t>(u)].get() : nullptr;
   XgbCostModel& cost = task_->cost_model();
 
   // --- PHASE 1: parameter modification episode -----------------------------
@@ -128,6 +131,8 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
   std::vector<double> next_scores;
   std::vector<int> valid;
   std::vector<double> advantages;
+  std::vector<std::int32_t> state(
+      codec != nullptr ? static_cast<std::size_t>(codec->width()) : 0);
 
   bool episode_done = false;
   while (!episode_done) {
@@ -173,7 +178,8 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
         if (cfg_.use_rl_policy) {
           double next_value = agent_ptr->value(next_obs[k]);
           t.advantage = agent_ptr->advantage(reward, acts[k].value, next_value);
-          agent_ptr->store(t.obs, acts[k], reward, next_value, masks[k]);
+          codec->encode(t.sched, state.data());
+          agent_ptr->store(state, acts[k], reward, next_value, masks[k]);
         } else {
           // Without the critic, the elimination ranking falls back to the
           // raw one-step reward.

@@ -73,7 +73,9 @@ class HarlSearchPolicy : public SearchPolicy {
   HarlConfig cfg_;
   SwUcb sketch_mab_;
   FeatureExtractor fx_;
-  std::vector<std::unique_ptr<PpoAgent>> agents_;  ///< one per sketch (lazy)
+  /// Per sketch (lazy): the agent and the codec of the states its ring stores.
+  std::vector<std::unique_ptr<RlStateCodec>> codecs_;
+  std::vector<std::unique_ptr<PpoAgent>> agents_;
   Rng rng_;
   int last_round_max_len_ = 0;
 };

@@ -10,6 +10,7 @@
 #include "io/record_io.hpp"
 #include "io/safe_file.hpp"
 #include "sched/tiling.hpp"
+#include "util/fnv.hpp"
 #include "util/logging.hpp"
 
 namespace harl {
@@ -529,19 +530,6 @@ bool load_cache(const std::string& path, KnowledgeCache* out,
   return true;
 }
 
-namespace {
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h == 0 ? 1 : h;
-}
-
-}  // namespace
-
 bool publish_cache(KnowledgeCache& cache, const std::string& path,
                    std::string* error, bool fsync) {
   // Serialize exactly once so the stamped generation is the fingerprint of
@@ -550,12 +538,12 @@ bool publish_cache(KnowledgeCache& cache, const std::string& path,
   if (!atomic_write_file(path, with_checksum_footer(text), fsync, error)) {
     return false;
   }
-  cache.note_publish(fnv1a(text));
+  cache.note_publish(fnv1a_nonzero(text));
   return true;
 }
 
 std::uint64_t cache_fingerprint(const KnowledgeCache& cache) {
-  return fnv1a(cache_to_json(cache));
+  return fnv1a_nonzero(cache_to_json(cache));
 }
 
 }  // namespace harl

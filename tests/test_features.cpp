@@ -86,6 +86,7 @@ TEST_F(FeatureFixture, RlObservationDimensionIsStable) {
   EXPECT_EQ(o1.size(), o2.size());
   EXPECT_EQ(o1.size(), static_cast<std::size_t>(FeatureExtractor::kNumFeatures +
                                                 space.num_slots() + 3));
+  EXPECT_EQ(rl_observation_dim(space), FeatureExtractor::kNumFeatures + space.num_slots() + 3);
 }
 
 TEST_F(FeatureFixture, ElementwiseScheduleExtractsGlobalsOnly) {

@@ -20,14 +20,42 @@ PpoConfig small_config() {
   return cfg;
 }
 
+/// States are one-int ids into a table of observations: the ring stores the
+/// id and `observe` looks the row up, as HARL's codec decodes a schedule.
+class ObsTable {
+ public:
+  /// Appends `obs` and returns its state row.
+  std::vector<std::int32_t> add(std::vector<double> obs) {
+    rows_.push_back(std::move(obs));
+    return {static_cast<std::int32_t>(rows_.size() - 1)};
+  }
+
+  PpoAgent::ObserveFn observe() const {
+    return [this](const std::int32_t* state, double* obs) {
+      const std::vector<double>& row = rows_.at(static_cast<std::size_t>(state[0]));
+      std::copy(row.begin(), row.end(), obs);
+    };
+  }
+
+ private:
+  std::vector<std::vector<double>> rows_;
+};
+
+PpoAgent make_agent(const ObsTable& table, int obs_dim, std::vector<int> head_sizes,
+                    PpoConfig cfg, std::uint64_t seed) {
+  return PpoAgent(obs_dim, 1, table.observe(), std::move(head_sizes), cfg, seed);
+}
+
 TEST(Ppo, AdvantageIsOneStepTd) {
-  PpoAgent agent(2, {3}, small_config(), 1);
+  ObsTable table;
+  PpoAgent agent = make_agent(table, 2, {3}, small_config(), 1);
   // A = r + gamma * V(s') - V(s) with gamma = 0.9 (Table 5).
   EXPECT_NEAR(agent.advantage(1.0, 0.5, 2.0), 1.0 + 0.9 * 2.0 - 0.5, 1e-12);
 }
 
 TEST(Ppo, ActReturnsValidActionsAndLogp) {
-  PpoAgent agent(4, {5, 3}, small_config(), 2);
+  ObsTable table;
+  PpoAgent agent = make_agent(table, 4, {5, 3}, small_config(), 2);
   Rng rng(1);
   std::vector<double> obs = {0.1, 0.2, -0.3, 0.4};
   for (int i = 0; i < 50; ++i) {
@@ -43,7 +71,8 @@ TEST(Ppo, ActReturnsValidActionsAndLogp) {
 }
 
 TEST(Ppo, MaskExcludesActions) {
-  PpoAgent agent(2, {4}, small_config(), 3);
+  ObsTable table;
+  PpoAgent agent = make_agent(table, 2, {4}, small_config(), 3);
   Rng rng(2);
   std::vector<bool> mask = {false, true, false, true};
   std::vector<double> obs = {1.0, -1.0};
@@ -54,7 +83,8 @@ TEST(Ppo, MaskExcludesActions) {
 }
 
 TEST(Ppo, TrainIsNoopWhileBufferSmall) {
-  PpoAgent agent(2, {3}, small_config(), 4);
+  ObsTable table;
+  PpoAgent agent = make_agent(table, 2, {3}, small_config(), 4);
   Rng rng(3);
   EXPECT_EQ(agent.train(rng), 0.0);
   EXPECT_EQ(agent.buffer_size(), 0u);
@@ -63,20 +93,26 @@ TEST(Ppo, TrainIsNoopWhileBufferSmall) {
 TEST(Ppo, BufferIsBoundedRing) {
   PpoConfig cfg = small_config();
   cfg.buffer_capacity = 16;
-  PpoAgent agent(1, {2}, cfg, 5);
+  ObsTable table;
+  PpoAgent agent = make_agent(table, 1, {2}, cfg, 5);
+  const std::vector<std::int32_t> state = table.add({0.0});
   PpoAgent::ActResult act;
   act.actions = {0};
-  for (int i = 0; i < 100; ++i) agent.store({0.0}, act, 0.0, 0.0, {});
+  for (int i = 0; i < 100; ++i) agent.store(state, act, 0.0, 0.0, {});
   EXPECT_EQ(agent.buffer_size(), 16u);
 }
 
 /// PPO solves a contextual bandit: obs in {(1,0), (0,1)}; the rewarded
 /// action equals the active context bit. Random policy reward = 0.5; a
-/// learning agent should exceed 0.9.
+/// learning agent should exceed 0.9.  The state is the context id.
 TEST(Ppo, LearnsContextualBandit) {
   PpoConfig cfg = small_config();
   cfg.entropy_weight = 0.005;
-  PpoAgent agent(2, {2}, cfg, 6);
+  ObsTable table;
+  const std::vector<std::int32_t> states[2] = {table.add({1.0, 0.0}),
+                                               table.add({0.0, 1.0})};
+  const std::vector<double> observations[2] = {{1.0, 0.0}, {0.0, 1.0}};
+  PpoAgent agent = make_agent(table, 2, {2}, cfg, 6);
   Rng rng(7);
 
   auto run_epoch = [&](bool train) {
@@ -84,12 +120,11 @@ TEST(Ppo, LearnsContextualBandit) {
     const int steps = 256;
     for (int i = 0; i < steps; ++i) {
       int ctx = rng.next_bool() ? 1 : 0;
-      std::vector<double> obs = {ctx == 0 ? 1.0 : 0.0, ctx == 1 ? 1.0 : 0.0};
-      auto res = agent.act(obs, {}, rng);
+      auto res = agent.act(observations[ctx], {}, rng);
       double reward = res.actions[0] == ctx ? 1.0 : 0.0;
       total += reward;
       if (train) {
-        agent.store(obs, res, reward, 0.0, {});  // episodic single-step
+        agent.store(states[ctx], res, reward, 0.0, {});  // episodic single-step
         if (i % 8 == 0) agent.train(rng);
       }
     }
@@ -106,19 +141,21 @@ TEST(Ppo, LearnsContextualBandit) {
 TEST(Ppo, LearnsJointMultiHeadAction) {
   PpoConfig cfg = small_config();
   cfg.entropy_weight = 0.003;
-  PpoAgent agent(1, {3, 3}, cfg, 8);
+  ObsTable table;
+  const std::vector<double> obs = {1.0};
+  const std::vector<std::int32_t> state = table.add(obs);
+  PpoAgent agent = make_agent(table, 1, {3, 3}, cfg, 8);
   Rng rng(9);
 
   auto run_epoch = [&](bool train) {
     double total = 0;
     const int steps = 256;
     for (int i = 0; i < steps; ++i) {
-      std::vector<double> obs = {1.0};
       auto res = agent.act(obs, {}, rng);
       double reward = (res.actions[0] == 2 && res.actions[1] == 0) ? 1.0 : 0.0;
       total += reward;
       if (train) {
-        agent.store(obs, res, reward, 0.0, {});
+        agent.store(state, res, reward, 0.0, {});
         if (i % 8 == 0) agent.train(rng);
       }
     }
@@ -132,13 +169,15 @@ TEST(Ppo, LearnsJointMultiHeadAction) {
 
 TEST(Ppo, ValueLearnsReturns) {
   PpoConfig cfg = small_config();
-  PpoAgent agent(1, {2}, cfg, 10);
+  ObsTable table;
+  PpoAgent agent = make_agent(table, 1, {2}, cfg, 10);
   Rng rng(11);
   // Constant reward 1 with next_value 0: the TD target is exactly 1.
-  std::vector<double> obs = {1.0};
+  const std::vector<double> obs = {1.0};
+  const std::vector<std::int32_t> state = table.add(obs);
   for (int i = 0; i < 600; ++i) {
     auto res = agent.act(obs, {}, rng);
-    agent.store(obs, res, 1.0, 0.0, {});
+    agent.store(state, res, 1.0, 0.0, {});
     if (i % 4 == 0) agent.train(rng);
   }
   EXPECT_NEAR(agent.value(obs), 1.0, 0.2);
@@ -147,7 +186,8 @@ TEST(Ppo, ValueLearnsReturns) {
 
 // ---------------------------------------------------------------------------
 // Differential oracle: the agent as it was when every replay row was its own
-// heap-owning struct.  PpoAgent's flat ring must reproduce it bit for bit.
+// heap-owning struct holding the raw observation.  PpoAgent's flat ring of
+// states, observed again at train() time, must reproduce it bit for bit.
 
 struct PpoTransition {
   std::vector<double> obs;
@@ -203,6 +243,8 @@ class ReferencePpoAgent {
   }
 
   std::size_t buffer_size() const { return buffer_.size(); }
+  const Mlp& actor() const { return actor_; }
+  const Mlp& critic() const { return critic_; }
 
   double train(Rng& rng) {
     if (buffer_.size() < static_cast<std::size_t>(cfg_.minibatch_size)) return 0;
@@ -289,10 +331,29 @@ class ReferencePpoAgent {
   std::size_t buffer_next_ = 0;
 };
 
+/// Weights and Adam moments of every layer must match bit for bit.
+void expect_same_network(const Mlp& got, const Mlp& want) {
+  ASSERT_EQ(got.layers().size(), want.layers().size());
+  for (std::size_t l = 0; l < got.layers().size(); ++l) {
+    const LinearLayer& g = got.layers()[l];
+    const LinearLayer& w = want.layers()[l];
+    ASSERT_EQ(g.w, w.w) << "layer " << l;
+    ASSERT_EQ(g.b, w.b) << "layer " << l;
+    ASSERT_EQ(g.mw, w.mw) << "layer " << l;
+    ASSERT_EQ(g.vw, w.vw) << "layer " << l;
+    ASSERT_EQ(g.mb, w.mb) << "layer " << l;
+    ASSERT_EQ(g.vb, w.vb) << "layer " << l;
+  }
+}
+
 /// Drives a PpoAgent and the reference with one seeded stream of act, value,
 /// store and train calls: masked and unmasked rows, several head layouts,
-/// capacities that wrap the ring many times.  Every ActResult, value and
-/// train() objective must be bit-identical.
+/// capacities that wrap the ring many times.  The agent stores two-int
+/// states {id, ~id} into a table of the observations (the second int pins
+/// the row stride); the reference stores the observations themselves.
+/// Every ActResult, value and train() objective, and the actor's and
+/// critic's weights and Adam moments after every train(), must be
+/// bit-identical.
 void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, int capacity,
                               std::uint64_t seed) {
   PpoConfig cfg;
@@ -300,7 +361,13 @@ void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, i
   cfg.minibatch_size = 8;
   cfg.update_epochs = 2;
   cfg.buffer_capacity = capacity;
-  PpoAgent agent(obs_dim, head_sizes, cfg, seed);
+  std::vector<std::vector<double>> table;
+  auto observe = [&table](const std::int32_t* state, double* out) {
+    ASSERT_EQ(state[1], ~state[0]) << "state row read at the wrong stride";
+    const std::vector<double>& row = table.at(static_cast<std::size_t>(state[0]));
+    std::copy(row.begin(), row.end(), out);
+  };
+  PpoAgent agent(obs_dim, 2, observe, head_sizes, cfg, seed);
   ReferencePpoAgent ref(obs_dim, head_sizes, cfg, seed);
   Rng stream(seed * 7919 + 1);
   Rng agent_rng(seed + 11);
@@ -334,18 +401,24 @@ void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, i
     double next_value = agent.value(next_obs);
     ASSERT_EQ(next_value, ref.value(next_obs));
     double reward = stream.next_normal();
-    agent.store(obs, got, reward, next_value, mask);
+    const auto id = static_cast<std::int32_t>(table.size());
+    table.push_back(obs);
+    agent.store({id, ~id}, got, reward, next_value, mask);
     ref.store({obs, want.actions, want.logp, reward, want.value, next_value, mask});
     ASSERT_EQ(agent.buffer_size(), ref.buffer_size());
 
     if (stream.next_double() < 0.3) {
       ASSERT_EQ(agent.train(agent_rng), ref.train(ref_rng));
+      expect_same_network(agent.actor(), ref.actor());
+      expect_same_network(agent.critic(), ref.critic());
     }
     obs = std::move(next_obs);
   }
   // The ring wrapped: training over it still agrees, and so does the policy.
   ASSERT_EQ(agent.buffer_size(), static_cast<std::size_t>(capacity));
   for (int i = 0; i < 3; ++i) ASSERT_EQ(agent.train(agent_rng), ref.train(ref_rng));
+  expect_same_network(agent.actor(), ref.actor());
+  expect_same_network(agent.critic(), ref.critic());
   ASSERT_EQ(agent.act(obs, {}, agent_rng).logp, ref.act(obs, {}, ref_rng).logp);
 }
 
@@ -365,47 +438,66 @@ TEST(PpoRing, MatchesReferenceHarlLayout) {
 TEST(PpoDeathTest, RejectsZeroCapacity) {
   PpoConfig cfg = small_config();
   cfg.buffer_capacity = 0;
-  EXPECT_DEATH(PpoAgent(2, {3}, cfg, 1), "buffer_capacity >= 1");
+  ObsTable table;
+  EXPECT_DEATH(make_agent(table, 2, {3}, cfg, 1), "buffer_capacity >= 1");
 }
 
 TEST(PpoDeathTest, RejectsZeroMinibatch) {
   PpoConfig cfg = small_config();
   cfg.minibatch_size = 0;
-  EXPECT_DEATH(PpoAgent(2, {3}, cfg, 1), "minibatch_size >= 1");
+  ObsTable table;
+  EXPECT_DEATH(make_agent(table, 2, {3}, cfg, 1), "minibatch_size >= 1");
+}
+
+TEST(PpoDeathTest, RejectsMissingStateLayout) {
+  ObsTable table;
+  EXPECT_DEATH(PpoAgent(2, 0, table.observe(), {3}, small_config(), 1),
+               "state width and observe");
+  EXPECT_DEATH(PpoAgent(2, 1, nullptr, {3}, small_config(), 1), "state width and observe");
 }
 
 TEST(PpoDeathTest, RejectsWrongObservationWidth) {
-  PpoAgent agent(64, {3}, small_config(), 1);
+  ObsTable table;
+  PpoAgent agent = make_agent(table, 64, {3}, small_config(), 1);
   Rng rng(1);
   const std::vector<double> narrow = {0.5, -0.5};
-  PpoAgent::ActResult act;
-  act.actions = {0};
   EXPECT_DEATH(agent.act(narrow, {}, rng), "observation width differs from obs_dim");
   EXPECT_DEATH(agent.value(narrow), "observation width differs from obs_dim");
-  EXPECT_DEATH(agent.store(narrow, act, 0, 0, {}), "observation width differs from obs_dim");
+}
+
+TEST(PpoDeathTest, RejectsWrongStateWidth) {
+  ObsTable table;
+  PpoAgent agent = make_agent(table, 2, {3}, small_config(), 1);
+  PpoAgent::ActResult act;
+  act.actions = {0};
+  EXPECT_DEATH(agent.store({}, act, 0, 0, {}), "state width differs from state_width");
+  EXPECT_DEATH(agent.store({0, 0}, act, 0, 0, {}), "state width differs from state_width");
 }
 
 TEST(PpoDeathTest, RejectsWrongMaskWidth) {
-  PpoAgent agent(2, {4, 2}, small_config(), 1);
+  ObsTable table;
+  PpoAgent agent = make_agent(table, 2, {4, 2}, small_config(), 1);
   Rng rng(1);
   const std::vector<double> obs = {0.5, -0.5};
+  const std::vector<std::int32_t> state = table.add(obs);
   const std::vector<bool> short_mask = {true, false};
   PpoAgent::ActResult act;
   act.actions = {0, 1};
   EXPECT_DEATH(agent.act(obs, short_mask, rng), "head-0 mask width");
-  EXPECT_DEATH(agent.store(obs, act, 0, 0, short_mask), "head-0 mask width");
+  EXPECT_DEATH(agent.store(state, act, 0, 0, short_mask), "head-0 mask width");
 }
 
 TEST(PpoDeathTest, RejectsBadActions) {
-  PpoAgent agent(2, {4, 2}, small_config(), 1);
-  const std::vector<double> obs = {0.5, -0.5};
+  ObsTable table;
+  PpoAgent agent = make_agent(table, 2, {4, 2}, small_config(), 1);
+  const std::vector<std::int32_t> state = table.add({0.5, -0.5});
   PpoAgent::ActResult act;
   act.actions = {0};
-  EXPECT_DEATH(agent.store(obs, act, 0, 0, {}), "one action per head");
+  EXPECT_DEATH(agent.store(state, act, 0, 0, {}), "one action per head");
   act.actions = {0, 2};
-  EXPECT_DEATH(agent.store(obs, act, 0, 0, {}), "out of its head's range");
+  EXPECT_DEATH(agent.store(state, act, 0, 0, {}), "out of its head's range");
   act.actions = {-1, 0};
-  EXPECT_DEATH(agent.store(obs, act, 0, 0, {}), "out of its head's range");
+  EXPECT_DEATH(agent.store(state, act, 0, 0, {}), "out of its head's range");
 }
 
 }  // namespace
