@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   };
   std::vector<Result> results;
   for (const Variant& v : variants) {
-    // make_policy derives stop.enabled from the PolicyKind, so the
-    // fixed-length variants must go through kHarlFixedLength.
+    // Each registered HARL policy fixes stop.enabled, so the fixed-length
+    // variants must run the "Hierarchical-RL" policy.
     PolicyKind kind = v.adaptive ? PolicyKind::kHarl : PolicyKind::kHarlFixedLength;
     SearchOptions opts = args.options(kind);
     opts.harl.use_sketch_mab = v.sketch_mab;

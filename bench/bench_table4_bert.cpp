@@ -25,16 +25,16 @@ int main(int argc, char** argv) {
   // --- The three tuning runs ------------------------------------------------
   // Ansor baseline (greedy allocation), full HARL, HARL without subgraph MAB
   // (HARL's per-task policy under the greedy allocator).
-  auto run = [&](PolicyKind kind, std::optional<TaskSelectKind> select) {
+  auto run = [&](PolicyKind kind, const char* task_select) {
     SearchOptions opts = args.options(kind);
-    opts.task_select = select;
+    opts.task_select_name = task_select;
     auto session = std::make_unique<TuningSession>(make_bert(1), hw, opts);
     session->run(trials);
     return session;
   };
-  auto ansor = run(PolicyKind::kAnsor, std::nullopt);
-  auto harl = run(PolicyKind::kHarl, std::nullopt);
-  auto harl_nomab = run(PolicyKind::kHarl, TaskSelectKind::kGreedyGradient);
+  auto ansor = run(PolicyKind::kAnsor, "");
+  auto harl = run(PolicyKind::kHarl, "");
+  auto harl_nomab = run(PolicyKind::kHarl, "greedy-gradient");
 
   const Network& net = harl->network();
   int n = harl->scheduler().num_tasks();

@@ -16,17 +16,18 @@
 int main(int argc, char** argv) {
   using namespace harl;
   std::int64_t trials = 300;
-  std::vector<PolicyKind> kinds = {PolicyKind::kRandom, PolicyKind::kAutoTvmSa,
-                                   PolicyKind::kFlextensor, PolicyKind::kAnsor,
-                                   PolicyKind::kHarlFixedLength, PolicyKind::kHarl};
+  std::vector<std::string> names;
+  for (PolicyKind kind : {PolicyKind::kRandom, PolicyKind::kAutoTvmSa,
+                          PolicyKind::kFlextensor, PolicyKind::kAnsor,
+                          PolicyKind::kHarlFixedLength, PolicyKind::kHarl}) {
+    names.push_back(policy_kind_name(kind));
+  }
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--policy=", 9) == 0) {
-      // Comma-separated policy names, resolved through the name <-> kind
-      // round trip (policy_kind_from_name is the inverse of
-      // policy_kind_name, case-insensitive).
-      kinds.clear();
+      // Comma-separated registry names (case-insensitive).
+      names.clear();
       std::string list = arg + 9;
       std::size_t start = 0;
       while (start <= list.size()) {
@@ -34,10 +35,10 @@ int main(int argc, char** argv) {
         std::string name = list.substr(
             start, comma == std::string::npos ? std::string::npos : comma - start);
         if (!name.empty()) {
-          if (auto kind = policy_kind_from_name(name)) {
-            kinds.push_back(*kind);
+          if (PolicyRegistry::instance().contains(name)) {
+            names.push_back(name);
           } else {
-            std::fprintf(stderr, "unknown policy \"%s\"; built-in names:\n",
+            std::fprintf(stderr, "unknown policy \"%s\"; registered names:\n",
                          name.c_str());
             for (const std::string& n : PolicyRegistry::instance().names()) {
               std::fprintf(stderr, "  %s\n", n.c_str());
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
         if (comma == std::string::npos) break;
         start = comma + 1;
       }
-      if (kinds.empty()) {
+      if (names.empty()) {
         std::fprintf(stderr, "--policy= needs at least one name\n");
         return 1;
       }
@@ -77,11 +78,13 @@ int main(int argc, char** argv) {
 
   double overall_best = 1e300;
   std::vector<std::vector<std::string>> rows;
-  for (PolicyKind kind : kinds) {
-    TuningSession session(conv, cpu, quick_options(kind, 99));
+  for (const std::string& name : names) {
+    SearchOptions opts = quick_options(PolicyKind::kHarl, 99);
+    opts.policy_name = name;
+    TuningSession session(conv, cpu, opts);
     session.run(trials);
     const auto& curve = session.scheduler().task(0).curve();
-    std::vector<std::string> row = {policy_kind_name(kind)};
+    std::vector<std::string> row = {name};
     for (int frac = 1; frac <= 4; ++frac) {
       row.push_back(Table::fmt(best_at(curve, trials * frac / 4), 4));
     }

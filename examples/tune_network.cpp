@@ -252,7 +252,6 @@ int main(int argc, char** argv) {
     }
     SearchOptions opts = quick_options(PolicyKind::kHarl, seed);
     opts.policy_name = policy_name;
-    if (auto kind = policy_kind_from_name(policy_name)) opts.policy = *kind;
     opts.experience_model = model_path;
     opts.async_callbacks.enabled = async_callbacks;
     if (!value_model_path.empty() || sample_clusters > 0) {

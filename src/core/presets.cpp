@@ -4,7 +4,7 @@ namespace harl {
 
 SearchOptions paper_options(PolicyKind policy, std::uint64_t seed) {
   SearchOptions opts;
-  opts.policy = policy;
+  opts.policy_name = policy_kind_name(policy);
   opts.seed = seed;
   // Table 5 defaults are already encoded in the config structs' defaults;
   // restate the scale knobs explicitly for clarity.

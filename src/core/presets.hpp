@@ -6,11 +6,14 @@
 /// so suites run in minutes while preserving every algorithmic property.
 /// Collaborators: SearchOptions consumers everywhere (benches, examples).
 
+#include "search/policy_registry.hpp"
 #include "search/task_scheduler.hpp"
 
 namespace harl {
 
-/// Option presets.
+/// Option presets.  Each sets `SearchOptions::policy_name` to the kind's
+/// registry name (`policy_kind_name`), so a preset and a bare name run the
+/// same search.
 ///
 /// `paper_options` reproduces Table 5 / Section 6.2 verbatim: adaptive
 /// stopping with lambda=20, rho=0.5, p-hat=64, 256 initial tracks; PPO with

@@ -29,7 +29,7 @@ std::string render_session_report(const TuningSession& session, int curve_points
       << " subgraphs)\n";
   out << "hardware : " << session.hardware().name << " ("
       << session.hardware().num_cores << " cores)\n";
-  out << "policy   : " << policy_kind_name(sched.options().policy) << "\n";
+  out << "policy   : " << sched.options().policy_name << "\n";
   out << "result   : " << session_summary_line(session) << "\n\n";
 
   Table tasks("per-subgraph results");

@@ -37,7 +37,7 @@ std::vector<TuningRecord> compact_records(const std::vector<TuningRecord>& recor
   for (const auto& [key, idx] : groups) {
     (void)key;
     // Best-k by measured time; ties keep the earlier record, so the record
-    // `apply_history_best` would pick (first minimum) always survives.
+    // `transfer_history_best` would pick (first minimum) always survives.
     // Failed records log time_ms 0 and would otherwise outrank every real
     // measurement — they may only survive through the recency window.
     std::vector<std::size_t> by_time;

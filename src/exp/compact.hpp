@@ -21,7 +21,7 @@ namespace harl {
 /// granularity `resume_session` matches on).
 struct CompactOptions {
   /// The `best_k` fastest records of the group (ties keep the earlier
-  /// record), so `apply_history_best` and best-schedule queries see exactly
+  /// record), so `transfer_history_best` and best-schedule queries see exactly
   /// the results the full log would give.
   int best_k = 8;
   /// The most recent `window` records of the group in commit order — the

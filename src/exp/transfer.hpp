@@ -6,7 +6,7 @@
 /// siblings are re-tiled to the new extents and *seed* the search with a
 /// pessimistic estimate.  Invariant: only exact matches may claim a task
 /// best; estimates never stand as measurements.
-/// Collaborators: resume/apply_history_best, TaskState::seed_estimate.
+/// Collaborators: read_records, TaskState::seed_estimate.
 
 #include <string>
 #include <vector>
@@ -42,8 +42,8 @@ struct TransferStats {
   int rejected = 0;      ///< candidates dropped during adaptation/validation
 };
 
-/// Scored cross-task / cross-hardware history transfer — the open
-/// replacement for exact `apply_history_best` matching.
+/// Scored cross-task / cross-hardware history transfer — Ansor's
+/// `apply_history_best`, generalised beyond exact matching.
 ///
 /// For every task of the session, candidate records are scored:
 ///   - exact matches (same subgraph name AND same hardware fingerprint) rank

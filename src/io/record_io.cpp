@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "io/json.hpp"
+#include "io/safe_file.hpp"
 
 namespace harl {
 
@@ -212,27 +213,11 @@ SalvageResult salvage_log(const std::string& path) {
     prefix += lines[i];
     prefix += '\n';
   }
-  std::string tmp = path + ".salvage.tmp";
-  std::FILE* w = std::fopen(tmp.c_str(), "wb");
-  if (w == nullptr) {
-    out.error = "cannot open " + tmp + " for writing";
-    return out;
-  }
-  bool ok = std::fwrite(prefix.data(), 1, prefix.size(), w) == prefix.size();
-  ok = std::fclose(w) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    out.error = "short write to " + tmp;
-    return out;
-  }
+  // Quarantine copy first, then the prefix over `path`: each write is
+  // atomic, so both files exist at every instant.
   std::string quarantine = path + ".quarantine";
-  if (std::rename(path.c_str(), quarantine.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    out.error = "cannot move " + path + " to " + quarantine;
-    return out;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    out.error = "cannot rename " + tmp + " to " + path;
+  if (!atomic_write_file(quarantine, text, /*fsync_publish=*/false, &out.error) ||
+      !atomic_write_file(path, prefix, /*fsync_publish=*/false, &out.error)) {
     return out;
   }
   out.salvaged = true;

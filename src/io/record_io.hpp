@@ -107,7 +107,7 @@ struct SalvageResult {
   bool salvaged = false;         ///< corruption found; the file was rewritten
   std::size_t lines_kept = 0;    ///< lines of the preserved valid prefix
   std::size_t lines_dropped = 0; ///< lines quarantined (first corrupt onward)
-  std::string quarantine_path;   ///< where the original moved when salvaged
+  std::string quarantine_path;   ///< the copy of the original when salvaged
   std::string error;             ///< non-empty on I/O failure
 };
 
@@ -117,9 +117,10 @@ struct SalvageResult {
 /// record, nor a well-formed JSON object from a newer schema version (the
 /// reader tolerates and counts those).  On corruption before the final line
 /// — or on a corrupt final line that ends in '\n', i.e. a completed write —
-/// the original file moves to `path + ".quarantine"` (evidence preserved)
-/// and the valid prefix before the first corrupt line is rewritten to
-/// `path`, byte-exact.  A torn *tail* (corrupt last line without a trailing
+/// the original bytes are copied to `path + ".quarantine"` (evidence
+/// preserved), then the valid prefix before the first corrupt line replaces
+/// `path`, byte-exact.  Both writes go through `atomic_write_file`, so the
+/// log and its quarantine copy each exist, whole, at every instant.  A torn *tail* (corrupt last line without a trailing
 /// newline) is left alone: the tolerant reader and the writer's newline
 /// probe already handle it, and the fragment may still be mid-write.
 SalvageResult salvage_log(const std::string& path);

@@ -12,7 +12,7 @@ TuningRecord make_tuning_record(const TaskScheduler& scheduler, int task,
   out.task = scheduler.task(task).graph().name();
   out.task_index = task;
   out.hardware_fp = scheduler.hardware().fingerprint();
-  out.policy = scheduler.options().effective_policy_name();
+  out.policy = scheduler.options().policy_name;
   out.seed = scheduler.options().seed;
   out.sketch_id = rec.sched.sketch->sketch_id;
   out.sketch_tag = rec.sched.sketch->tag;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/tuning.hpp"
-#include "exp/transfer.hpp"
 #include "util/logging.hpp"
 
 namespace harl {
@@ -17,7 +16,7 @@ ResumeStats resume_session(TuningSession& session,
 
   const TaskScheduler& sched = session.scheduler();
   const std::string net = sched.network().name;
-  const std::string policy = sched.options().effective_policy_name();
+  const std::string policy = sched.options().policy_name;
   const std::uint64_t seed = sched.options().seed;
   const std::uint64_t hw_fp = sched.hardware().fingerprint();
   const std::uint64_t exp_fp = sched.experience_fingerprint();
@@ -64,22 +63,13 @@ ResumeStats resume_session(TuningSession& session, const std::string& log_path) 
   return stats;
 }
 
-int apply_history_best(TuningSession& session,
-                       const std::vector<TuningRecord>& records) {
-  return transfer_history_best(session, records).applied;
-}
-
-int apply_history_best(TuningSession& session, const std::string& log_path) {
-  return apply_history_best(session, read_records(log_path));
-}
-
 VerifyResumeReport verify_resume(const TuningSession& session,
                                  const std::vector<TuningRecord>& records,
                                  std::size_t max_checks) {
   VerifyResumeReport report;
   const TaskScheduler& sched = session.scheduler();
   const std::string net = sched.network().name;
-  const std::string policy = sched.options().effective_policy_name();
+  const std::string policy = sched.options().policy_name;
   const std::uint64_t seed = sched.options().seed;
   const std::uint64_t hw_fp = sched.hardware().fingerprint();
   const std::uint64_t exp_fp = sched.experience_fingerprint();

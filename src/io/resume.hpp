@@ -2,10 +2,11 @@
 
 /// \file resume.hpp
 /// Checkpoint-resume by deterministic re-execution with measurement replay,
-/// cross-run transfer (`apply_history_best`), and `verify_resume` drift
-/// detection.  Invariant: records replay only into a session whose full run
-/// identity (network, hw, policy, seed, xm) matches; resumed runs are
-/// bit-identical to uninterrupted ones.  Collaborators: Measurer, transfer.
+/// and `verify_resume` drift detection.  Invariant: records replay only into
+/// a session whose full run identity (network, hw, policy, seed, xm)
+/// matches; resumed runs are bit-identical to uninterrupted ones.
+/// Collaborators: Measurer, TaskScheduler.  Cross-run transfer (seeding a
+/// fresh session with logged bests) is exp/transfer.hpp.
 
 #include <string>
 #include <vector>
@@ -52,26 +53,6 @@ ResumeStats resume_session(TuningSession& session, const std::string& log_path);
 /// As above, from already-parsed records (no I/O).
 ResumeStats resume_session(TuningSession& session,
                            const std::vector<TuningRecord>& records);
-
-/// Cross-run transfer: seed a *fresh* session with the best logged schedule
-/// of each task, Ansor's `apply_history_best`.  Unlike `resume_session` this
-/// does not replay the search: the best matching record per task is
-/// reconstructed and committed as a cached measurement, so `latency_ms()`
-/// is immediately finite and the search starts warm.
-///
-/// Matching is the *scored* rule of `transfer_history_best`
-/// (exp/transfer.hpp): exact (subgraph name, hardware fingerprint) matches
-/// rank first and commit their logged time verbatim — the original
-/// behavior — and, when no exact match exists, a structurally similar
-/// record (same op kinds, close extents, similar hardware) is adapted to
-/// the task's extents and *seeded* into the search with a pessimistically
-/// scaled time estimate (best pool + cost model, no claimed best).  Pass a
-/// `TransferOptions` with `structural = false` to `transfer_history_best`
-/// directly for the strict exact rule.
-/// Returns the number of tasks that received a schedule.
-int apply_history_best(TuningSession& session,
-                       const std::vector<TuningRecord>& records);
-int apply_history_best(TuningSession& session, const std::string& log_path);
 
 /// One divergence found by `verify_resume`: the logged time of a replayed
 /// trial no longer matches what the simulator produces for the same

@@ -1,7 +1,6 @@
 #include "search/task_scheduler.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -13,73 +12,39 @@
 
 namespace harl {
 
-const char* policy_kind_name(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kHarl: return "HARL";
-    case PolicyKind::kHarlFixedLength: return "Hierarchical-RL";
-    case PolicyKind::kAnsor: return "Ansor";
-    case PolicyKind::kFlextensor: return "Flextensor";
-    case PolicyKind::kAutoTvmSa: return "AutoTVM-SA";
-    case PolicyKind::kRandom: return "Random";
+namespace {
+
+// A bad name is user input (a --policy= flag or SearchOptions field), not an
+// internal invariant — report it recoverably, like make_network.
+[[noreturn]] void throw_unknown_policy(const std::string& name) {
+  std::string known;
+  for (const std::string& n : PolicyRegistry::instance().names()) {
+    if (!known.empty()) known += ", ";
+    known += n;
   }
-  return "?";
+  throw std::invalid_argument("unknown policy \"" + name +
+                              "\" (registered: " + known + ")");
 }
 
-std::optional<PolicyKind> policy_kind_from_name(const std::string& name) {
-  auto eq_ci = [](const std::string& a, const char* b) {
-    std::size_t i = 0;
-    for (; i < a.size() && b[i] != '\0'; ++i) {
-      if (std::tolower(static_cast<unsigned char>(a[i])) !=
-          std::tolower(static_cast<unsigned char>(b[i]))) {
-        return false;
-      }
-    }
-    return i == a.size() && b[i] == '\0';
-  };
-  static constexpr PolicyKind kAll[] = {
-      PolicyKind::kHarl,       PolicyKind::kHarlFixedLength,
-      PolicyKind::kAnsor,      PolicyKind::kFlextensor,
-      PolicyKind::kAutoTvmSa,  PolicyKind::kRandom,
-  };
-  for (PolicyKind kind : kAll) {
-    if (eq_ci(name, policy_kind_name(kind))) return kind;
-  }
-  return std::nullopt;
-}
-
-std::string SearchOptions::effective_task_select_name() const {
-  return task_select_name.empty() ? task_select_kind_name(effective_task_select())
-                                  : task_select_name;
-}
-
-std::unique_ptr<SearchPolicy> make_policy(PolicyKind kind, TaskState* task,
-                                          const SearchOptions& opts) {
-  return make_policy(std::string(policy_kind_name(kind)), task, opts);
-}
+}  // namespace
 
 std::unique_ptr<SearchPolicy> make_policy(const std::string& name, TaskState* task,
                                           const SearchOptions& opts) {
   std::unique_ptr<SearchPolicy> policy =
       PolicyRegistry::instance().create(name, task, opts);
-  if (policy == nullptr) {
-    // A bad name is user input (a --policy= flag or SearchOptions field),
-    // not an internal invariant — report it recoverably, like make_network.
-    std::string known;
-    for (const std::string& n : PolicyRegistry::instance().names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw std::invalid_argument("unknown policy \"" + name +
-                                "\" (registered: " + known + ")");
-  }
+  if (policy == nullptr) throw_unknown_policy(name);
   return policy;
 }
 
 TaskScheduler::TaskScheduler(const Network* net, const HardwareConfig* hw,
                              SearchOptions opts)
     : net_(net), hw_(hw), opts_(opts) {
-  selector_ = make_task_selector(opts_.effective_task_select_name(),
-                                 static_cast<int>(net->subgraphs.size()), opts_);
+  std::string rule = opts_.task_select_name;
+  if (rule.empty()) {
+    rule = PolicyRegistry::instance().task_select(opts_.policy_name);
+    if (rule.empty()) throw_unknown_policy(opts_.policy_name);
+  }
+  selector_ = make_task_selector(rule, static_cast<int>(net->subgraphs.size()), opts_);
   // Load the pretrained experience model once and share it read-only across
   // every task's cost model (Gbdt::predict is const and stateless).
   if (opts_.cost_model.pretrained == nullptr && !opts_.experience_model.empty()) {
@@ -140,7 +105,7 @@ TaskScheduler::TaskScheduler(const Network* net, const HardwareConfig* hw,
     SearchOptions per_task = opts_;
     per_task.seed = opts_.seed + 1000003ULL * (n + 1);
     policies_.push_back(
-        make_policy(opts_.effective_policy_name(), tasks_.back().get(), per_task));
+        make_policy(opts_.policy_name, tasks_.back().get(), per_task));
   }
   if (opts_.async_callbacks.enabled) {
     async_bus_ =

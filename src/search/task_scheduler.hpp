@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,38 +27,6 @@ namespace harl {
 
 class ThreadPool;
 
-/// The built-in per-subgraph search policies.  This enum survives as a thin
-/// shim over the open `PolicyRegistry` (see policy_registry.hpp): each kind
-/// maps to a registered factory keyed by `policy_kind_name`, and custom
-/// policies plug in by name via `SearchOptions::policy_name` without
-/// extending the enum.
-enum class PolicyKind {
-  kHarl,            ///< full HARL (hierarchical RL + adaptive stopping)
-  kHarlFixedLength, ///< "Hierarchical-RL" ablation: no adaptive stopping
-  kAnsor,           ///< evolutionary baseline
-  kFlextensor,      ///< fixed-sketch RL baseline
-  kAutoTvmSa,       ///< simulated-annealing baseline
-  kRandom,
-};
-
-const char* policy_kind_name(PolicyKind kind);
-
-/// Inverse of `policy_kind_name`, case-insensitive ("harl", "HARL", and
-/// "Harl" all resolve).  std::nullopt for names that are not built-in kinds
-/// (they may still be registered policies — check `PolicyRegistry`).
-std::optional<PolicyKind> policy_kind_from_name(const std::string& name);
-
-/// How the tuner distributes trials across subgraphs (Table 1 column 1).
-/// Like `PolicyKind`, this enum survives as a thin shim over the open
-/// `TaskSelectRegistry` (see task_select.hpp): each kind maps to a
-/// registered factory keyed by `task_select_kind_name`, and custom rules
-/// plug in by name via `SearchOptions::task_select_name`.
-enum class TaskSelectKind {
-  kGreedyGradient,  ///< Ansor: argmin of the Eq. 3 gradient (deterministic)
-  kSwUcbMab,        ///< HARL: non-stationary MAB with reward -gradient
-  kRoundRobin,
-};
-
 class TaskSelector;
 
 /// Everything configurable about a tuning run.  Defaults reproduce the
@@ -67,17 +34,14 @@ class TaskSelector;
 /// track counts via `harl.stop` for wall-clock reasons; `--paper` restores
 /// the published values).
 struct SearchOptions {
-  PolicyKind policy = PolicyKind::kHarl;
-  /// Registry name of the per-subgraph policy.  When non-empty it overrides
-  /// `policy` and is resolved through `PolicyRegistry::create`, so policies
-  /// registered outside the library run through the same TuningSession path
-  /// as the built-ins.
-  std::string policy_name;
-  std::optional<TaskSelectKind> task_select;  ///< default derived from policy
-  /// Registry name of the task-selection rule.  When non-empty it overrides
-  /// `task_select` and is resolved through `TaskSelectRegistry::create`, so
-  /// budget allocators registered outside the library drive the same
-  /// scheduler loop as the built-ins.
+  /// Registry name of the per-subgraph policy, resolved case-insensitively
+  /// through `PolicyRegistry::create`, so policies registered outside the
+  /// library run through the same TuningSession path as the built-ins.
+  /// Also the provenance string stamped into tuning records.
+  std::string policy_name = "HARL";
+  /// Registry name of the task-selection rule, resolved through
+  /// `TaskSelectRegistry::create`.  Empty = the rule `policy_name` was
+  /// registered with (`PolicyRegistry::task_select`).
   std::string task_select_name;
 
   HarlConfig harl;
@@ -134,33 +98,7 @@ struct SearchOptions {
   /// synchronous path.  See io/async_bus.hpp for capacity/backpressure.
   AsyncCallbackOptions async_callbacks;
 
-  /// The registry key the run resolves its policy with — `policy_name` when
-  /// set, else the built-in name of `policy`.  Also the provenance string
-  /// stamped into tuning records.
-  std::string effective_policy_name() const {
-    return policy_name.empty() ? policy_kind_name(policy) : policy_name;
-  }
-
-  TaskSelectKind effective_task_select() const {
-    if (task_select.has_value()) return *task_select;
-    switch (policy) {
-      case PolicyKind::kHarl: return TaskSelectKind::kSwUcbMab;
-      case PolicyKind::kHarlFixedLength: return TaskSelectKind::kSwUcbMab;
-      case PolicyKind::kAnsor: return TaskSelectKind::kGreedyGradient;
-      default: return TaskSelectKind::kRoundRobin;
-    }
-  }
-
-  /// The registry key the scheduler resolves its task-selection rule with —
-  /// `task_select_name` when set, else the built-in name of
-  /// `effective_task_select()`.
-  std::string effective_task_select_name() const;
 };
-
-/// Instantiate the per-subgraph policy of `kind` for a task.  Thin shim over
-/// `PolicyRegistry::create(policy_kind_name(kind), ...)`.
-std::unique_ptr<SearchPolicy> make_policy(PolicyKind kind, TaskState* task,
-                                          const SearchOptions& opts);
 
 /// Instantiate a policy by registry name (case-insensitive).  Throws
 /// std::invalid_argument listing the registered names when `name` is
@@ -280,7 +218,8 @@ class TaskScheduler {
   double task_gradient(int i) const;
 
   /// The task-selection rule driving this scheduler (resolved from
-  /// `SearchOptions::effective_task_select_name()` at construction).
+  /// `SearchOptions::task_select_name`, else the policy's registered rule,
+  /// at construction).
   const TaskSelector& selector() const { return *selector_; }
 
   /// Fingerprint of the pretrained experience model this run starts from

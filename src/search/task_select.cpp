@@ -82,15 +82,15 @@ class RoundRobinSelector : public TaskSelector {
 };
 
 void register_builtins(TaskSelectRegistry& reg) {
-  reg.register_selector(task_select_kind_name(TaskSelectKind::kGreedyGradient),
+  reg.register_selector("greedy-gradient",
                         [](int, const SearchOptions&) {
                           return std::make_unique<GreedyGradientSelector>();
                         });
-  reg.register_selector(task_select_kind_name(TaskSelectKind::kSwUcbMab),
+  reg.register_selector("sw-ucb",
                         [](int num_tasks, const SearchOptions& opts) {
                           return std::make_unique<SwUcbSelector>(num_tasks, opts);
                         });
-  reg.register_selector(task_select_kind_name(TaskSelectKind::kRoundRobin),
+  reg.register_selector("round-robin",
                         [](int, const SearchOptions&) {
                           return std::make_unique<RoundRobinSelector>();
                         });
@@ -143,28 +143,6 @@ std::vector<std::string> TaskSelectRegistry::names() const {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-const char* task_select_kind_name(TaskSelectKind kind) {
-  switch (kind) {
-    case TaskSelectKind::kGreedyGradient: return "greedy-gradient";
-    case TaskSelectKind::kSwUcbMab: return "sw-ucb";
-    case TaskSelectKind::kRoundRobin: return "round-robin";
-  }
-  return "?";
-}
-
-std::optional<TaskSelectKind> task_select_kind_from_name(const std::string& name) {
-  std::string key = lowercase(name);
-  static constexpr TaskSelectKind kAll[] = {
-      TaskSelectKind::kGreedyGradient,
-      TaskSelectKind::kSwUcbMab,
-      TaskSelectKind::kRoundRobin,
-  };
-  for (TaskSelectKind kind : kAll) {
-    if (key == task_select_kind_name(kind)) return kind;
-  }
-  return std::nullopt;
 }
 
 std::unique_ptr<TaskSelector> make_task_selector(const std::string& name,

@@ -3,13 +3,13 @@
 /// \file task_select.hpp
 /// Open task-selection registry (TaskSelectRegistry) and the built-in
 /// rules: greedy argmin-gradient, SW-UCB bandit, round-robin.  Invariant:
-/// name-selected and enum-selected rules run bit-identically.
-/// Collaborators: TaskScheduler, SearchOptions.
+/// a rule is chosen by name only — `SearchOptions::task_select_name`, else
+/// the rule the policy was registered with.  Collaborators: TaskScheduler,
+/// SearchOptions, PolicyRegistry.
 
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,11 +18,9 @@ namespace harl {
 
 class TaskScheduler;
 struct SearchOptions;
-enum class TaskSelectKind;
 
 /// How a tuner distributes measurement trials across subgraphs — the first
-/// level of HARL's hierarchy, pulled out of the scheduler's closed
-/// `TaskSelectKind` switch into an open interface (the same treatment
+/// level of HARL's hierarchy, as an open interface (the same treatment
 /// `SearchPolicy` got with `PolicyRegistry`).
 ///
 /// The scheduler handles warmup itself (every task gets one round before any
@@ -56,7 +54,7 @@ class TaskSelector {
 ///         return std::make_unique<MyAllocator>(num_tasks, opts.seed);
 ///       });
 ///   SearchOptions opts = quick_options(PolicyKind::kHarl);
-///   opts.task_select_name = "my-allocator";   // overrides the enum
+///   opts.task_select_name = "my-allocator";   // instead of HARL's "sw-ucb"
 ///
 /// Lookup is case-insensitive so names round-trip through command-line
 /// flags.  All methods are thread-safe (`FleetTuner` builds schedulers from
@@ -96,15 +94,6 @@ class TaskSelectRegistry {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;  ///< keyed lowercase
 };
-
-/// Registry name of a built-in selection kind ("greedy-gradient", "sw-ucb",
-/// "round-robin").
-const char* task_select_kind_name(TaskSelectKind kind);
-
-/// Inverse of `task_select_kind_name`, case-insensitive.  std::nullopt for
-/// names that are not built-in kinds (they may still be registered
-/// selectors — check `TaskSelectRegistry`).
-std::optional<TaskSelectKind> task_select_kind_from_name(const std::string& name);
 
 /// Instantiate a selector by registry name.  Throws std::invalid_argument
 /// listing the registered names when `name` is unknown (a bad name is user

@@ -19,6 +19,7 @@
 #include "exp/experience.hpp"
 #include "io/json.hpp"
 #include "io/safe_file.hpp"
+#include "search/policy_registry.hpp"
 #include "util/logging.hpp"
 #include "workloads/networks.hpp"
 
@@ -118,8 +119,9 @@ void accumulate(ServeStats* into, const ServeStats& s) {
 /// Per-job server-side TuningCallback: turns scheduler events into protocol
 /// event lines for the job's subscribers.  Registered through the workload's
 /// callback list, so with the fleet's async bus enabled it runs on the
-/// session's dispatcher thread — a slow subscriber socket never stalls the
-/// tuning hot loop (the bus absorbs, then sheds, the backlog).
+/// session's dispatcher thread.  The fleet's buses use `kBlock`: a slow
+/// subscriber socket is absorbed up to the bus capacity, then blocks the
+/// tuning thread; no event is ever shed.
 class HarlServer::ProgressPublisher : public TuningCallback {
  public:
   ProgressPublisher(HarlServer* server, std::int64_t job)
@@ -162,9 +164,10 @@ class HarlServer::ProgressPublisher : public TuningCallback {
 /// One accepted client socket: its own reader thread, a write mutex so
 /// request replies and subscription events interleave without tearing lines.
 struct HarlServer::Connection {
-  int fd = -1;
+  int fd = -1;  ///< guarded by write_mu once the reader thread runs
   std::mutex write_mu;
   std::atomic<bool> dead{false};
+  std::atomic<bool> finished{false};  ///< reader thread is done; joinable now
   std::thread thread;
   std::string buffer;
 };
@@ -610,7 +613,15 @@ void HarlServer::dispatch_locked() {
     w.hardware = shard->hw;
     w.options = opts_.tuning;
     w.options.seed = job.seed;
-    if (!job.policy.empty()) w.options.policy_name = job.policy;
+    if (!job.policy.empty()) {
+      // A named job keeps the base options' task-selection rule (sw-ucb
+      // under harl_serve), not the named policy's own default.
+      if (w.options.task_select_name.empty()) {
+        w.options.task_select_name =
+            PolicyRegistry::instance().task_select(w.options.policy_name);
+      }
+      w.options.policy_name = job.policy;
+    }
     w.trials = job.trials;
 
     auto publisher = std::make_unique<ProgressPublisher>(this, job.id);
@@ -795,8 +806,7 @@ Response HarlServer::handle_tune(const Request& req) {
     return error_response("unknown hw preset \"" + req.hw +
                           "\" (xeon, rtx3090, test)");
   }
-  if (!req.policy.empty() &&
-      !policy_kind_from_name(req.policy).has_value()) {
+  if (!req.policy.empty() && !PolicyRegistry::instance().contains(req.policy)) {
     return error_response("unknown policy \"" + req.policy + "\"");
   }
 
@@ -1020,6 +1030,7 @@ void HarlServer::accept_loop() {
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
     int rc = ::poll(&pfd, 1, 50);
+    reap_finished_connections();
     if (rc <= 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
@@ -1033,6 +1044,18 @@ void HarlServer::accept_loop() {
     }
     conn->thread = std::thread([this, conn] { connection_loop(conn); });
   }
+}
+
+void HarlServer::reap_finished_connections() {
+  // A finished reader thread still holds its stack until joined; join them
+  // here so a long-lived daemon's footprint tracks live connections only.
+  std::lock_guard<std::mutex> lk(conns_mu_);
+  auto done = std::partition(conns_.begin(), conns_.end(),
+                             [](const std::shared_ptr<Connection>& c) {
+                               return !c->finished.load();
+                             });
+  for (auto it = done; it != conns_.end(); ++it) (*it)->thread.join();
+  conns_.erase(done, conns_.end());
 }
 
 void HarlServer::connection_loop(std::shared_ptr<Connection> conn) {
@@ -1079,8 +1102,14 @@ void HarlServer::connection_loop(std::shared_ptr<Connection> conn) {
       v.erase(std::remove(v.begin(), v.end(), conn), v.end());
     }
   }
-  ::close(conn->fd);
-  conn->fd = -1;
+  {
+    // Under write_mu: a concurrent publish_event must never send to a
+    // closed (and possibly reused) descriptor number.
+    std::lock_guard<std::mutex> lk(conn->write_mu);
+    ::close(conn->fd);
+    conn->fd = -1;
+  }
+  conn->finished.store(true);
 }
 
 }  // namespace harl

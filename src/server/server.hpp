@@ -205,6 +205,7 @@ class HarlServer {
                      bool terminal);
 
   void accept_loop();
+  void reap_finished_connections();
   void connection_loop(std::shared_ptr<Connection> conn);
   bool send_to(Connection& conn, const Response& resp);
   Response handle_request(const Request& req,

@@ -382,8 +382,9 @@ TEST(CompactTest, ApplyHistoryBestIdenticalOnCompactedLog) {
 
   TuningSession from_full(net, hw, tiny_options(PolicyKind::kHarl, 7));
   TuningSession from_compact(net, hw, tiny_options(PolicyKind::kHarl, 7));
-  int applied_full = apply_history_best(from_full, log.path);
-  int applied_compact = apply_history_best(from_compact, out.path);
+  int applied_full = transfer_history_best(from_full, read_records(log.path)).applied;
+  int applied_compact =
+      transfer_history_best(from_compact, read_records(out.path)).applied;
   EXPECT_EQ(applied_full, applied_compact);
   EXPECT_EQ(applied_full, from_full.scheduler().num_tasks());
   ASSERT_TRUE(std::isfinite(from_full.latency_ms()));

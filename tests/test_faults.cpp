@@ -33,7 +33,6 @@ struct TempPath {
   void cleanup() {
     std::remove(path.c_str());
     std::remove((path + ".quarantine").c_str());
-    std::remove((path + ".salvage.tmp").c_str());
   }
   std::string path;
 };

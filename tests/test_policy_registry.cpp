@@ -8,29 +8,11 @@
 #include "core/tuning.hpp"
 #include "search/policy_registry.hpp"
 #include "search/task_scheduler.hpp"
+#include "search/task_select.hpp"
 #include "workloads/operators.hpp"
 
 namespace harl {
 namespace {
-
-TEST(PolicyKindRoundTrip, NameToKindInvertsKindToName) {
-  for (PolicyKind kind : {PolicyKind::kHarl, PolicyKind::kHarlFixedLength,
-                          PolicyKind::kAnsor, PolicyKind::kFlextensor,
-                          PolicyKind::kAutoTvmSa, PolicyKind::kRandom}) {
-    auto back = policy_kind_from_name(policy_kind_name(kind));
-    ASSERT_TRUE(back.has_value()) << policy_kind_name(kind);
-    EXPECT_EQ(*back, kind);
-  }
-}
-
-TEST(PolicyKindRoundTrip, CaseInsensitiveAndUnknown) {
-  EXPECT_EQ(policy_kind_from_name("harl"), PolicyKind::kHarl);
-  EXPECT_EQ(policy_kind_from_name("ANSOR"), PolicyKind::kAnsor);
-  EXPECT_EQ(policy_kind_from_name("AuToTvM-sA"), PolicyKind::kAutoTvmSa);
-  EXPECT_FALSE(policy_kind_from_name("").has_value());
-  EXPECT_FALSE(policy_kind_from_name("HARLx").has_value());
-  EXPECT_FALSE(policy_kind_from_name("HAR").has_value());
-}
 
 TEST(PolicyRegistryTest, BuiltinsRegistered) {
   PolicyRegistry& reg = PolicyRegistry::instance();
@@ -57,16 +39,29 @@ TEST(PolicyRegistryTest, DuplicateRegistrationRejected) {
   EXPECT_FALSE(reg.register_policy("", nullptr));
 }
 
-TEST(PolicyRegistryTest, EnumShimUsesRegistry) {
-  Subgraph g = make_gemm(32, 32, 32, 1, "shim_gemm");
+TEST(PolicyRegistryTest, RegisteredRuleIsTheDefaultTaskSelection) {
+  PolicyRegistry& reg = PolicyRegistry::instance();
+  auto factory = [](TaskState* task, const SearchOptions& opts) {
+    return std::make_unique<RandomSearchPolicy>(task, opts.seed);
+  };
+  reg.register_policy("test-no-rule", factory);
+  reg.register_policy("test-greedy", factory, "greedy-gradient");
+  EXPECT_FALSE(reg.register_policy("test-empty-rule", factory, ""));
+  EXPECT_EQ(reg.task_select("test-no-rule"), "sw-ucb");
+  EXPECT_EQ(reg.task_select("TEST-GREEDY"), "greedy-gradient");
+  EXPECT_EQ(reg.task_select("ansor"), "greedy-gradient");
+  EXPECT_EQ(reg.task_select("no-such-policy"), "");
+
+  Network net;
+  net.subgraphs.push_back(make_gemm(32, 32, 32, 1, "rule_gemm"));
   HardwareConfig hw = HardwareConfig::test_config();
-  TaskState task(&g, &hw);
-  SearchOptions opts = quick_options(PolicyKind::kAnsor, 3);
-  auto from_enum = make_policy(PolicyKind::kAnsor, &task, opts);
-  auto from_name = make_policy(std::string("ansor"), &task, opts);
-  ASSERT_NE(from_enum, nullptr);
-  ASSERT_NE(from_name, nullptr);
-  EXPECT_STREQ(from_enum->name(), from_name->name());
+  SearchOptions opts;
+  opts.policy_name = "test-no-rule";
+  EXPECT_STREQ(TaskScheduler(&net, &hw, opts).selector().name(), "sw-ucb");
+  opts.policy_name = "test-greedy";
+  EXPECT_STREQ(TaskScheduler(&net, &hw, opts).selector().name(), "greedy-gradient");
+  opts.task_select_name = "round-robin";  // an explicit rule wins
+  EXPECT_STREQ(TaskScheduler(&net, &hw, opts).selector().name(), "round-robin");
 }
 
 // ---- the acceptance criterion: a policy registered from test code (outside
@@ -115,7 +110,7 @@ TEST(PolicyRegistryTest, ExternalPolicyRunsEndToEnd) {
   net.subgraphs.push_back(make_elementwise(1 << 12, 2.0, "xp_ew", 1.0));
 
   SearchOptions opts = quick_options(PolicyKind::kHarl, 17);
-  opts.policy_name = "test-random-walk";  // overrides the enum
+  opts.policy_name = "test-random-walk";
   opts.measures_per_round = 5;
 
   HardwareConfig hw = HardwareConfig::xeon_6226r();
@@ -126,8 +121,9 @@ TEST(PolicyRegistryTest, ExternalPolicyRunsEndToEnd) {
   EXPECT_TRUE(std::isfinite(session.latency_ms()));
   EXPECT_GE(session.measurer().trials_used(), 40);
   EXPECT_FALSE(session.scheduler().round_log().empty());
-  EXPECT_EQ(session.scheduler().options().effective_policy_name(),
-            "test-random-walk");
+  EXPECT_EQ(session.scheduler().options().policy_name, "test-random-walk");
+  // Registered without a rule: the SW-UCB bandit, like any name-only config.
+  EXPECT_STREQ(session.scheduler().selector().name(), "sw-ucb");
 }
 
 TEST(PolicyRegistryTest, UnknownPolicyNameThrows) {

@@ -45,6 +45,15 @@ TEST(Report, FullReportListsEveryTask) {
   EXPECT_NE(report.find("xeon_6226r"), std::string::npos);
 }
 
+TEST(Report, NamesThePolicyThatRan) {
+  SearchOptions opts = tiny(PolicyKind::kHarl);
+  opts.policy_name = "Random";
+  TuningSession session(make_gemm(64, 64, 64), HardwareConfig::xeon_6226r(), opts);
+  session.run(10);
+  EXPECT_NE(render_session_report(session).find("policy   : Random\n"),
+            std::string::npos);
+}
+
 TEST(Report, CurveDownsamplingRespectsPointBudget) {
   TuningSession session(make_gemm(64, 64, 64), HardwareConfig::xeon_6226r(),
                         tiny(PolicyKind::kRandom));

@@ -361,7 +361,7 @@ TEST(ApplyHistoryBestTest, SeedsFreshSessionAcrossPolicies) {
   // (matching is by subgraph name + hardware fingerprint only).
   TuningSession fresh(net, hw, tiny_options(PolicyKind::kHarl, 99));
   EXPECT_TRUE(std::isinf(fresh.latency_ms()));
-  int applied = apply_history_best(fresh, log.path);
+  int applied = transfer_history_best(fresh, read_records(log.path)).applied;
   EXPECT_EQ(applied, fresh.scheduler().num_tasks());
   EXPECT_TRUE(std::isfinite(fresh.latency_ms()));
   EXPECT_DOUBLE_EQ(fresh.latency_ms(), tuned_latency);

@@ -442,6 +442,35 @@ TEST(Server, RejectsInvalidRequests) {
   server.shutdown();
 }
 
+TEST(Server, NamedPolicyJobKeepsTheBaseTaskSelection) {
+  // A job that names a policy swaps the per-subgraph policy only; subgraph
+  // selection stays the daemon's base rule (sw-ucb under quick_options
+  // (kHarl)), not the named policy's own default (Ansor: greedy-gradient).
+  auto job_log = [](const std::string& state_dir, const SearchOptions& base,
+                    const std::string& policy) {
+    ServerOptions opts = make_server_options(state_dir);
+    opts.tuning = base;
+    HarlServer server(opts);
+    std::string error, log;
+    EXPECT_TRUE(server.start(&error)) << error;
+    Request req = tune_request("pat", 200, 41);  // warmup is 100 trials
+    req.policy = policy;
+    Response admitted = server.handle_for_test(req);
+    EXPECT_TRUE(admitted.ok) << admitted.error;
+    EXPECT_EQ(wait_for_job(server, admitted.job, 120).state, "done");
+    server.shutdown();
+    EXPECT_TRUE(read_text_file(state_dir + "/test/bert_b1-job1.jsonl", &log, nullptr));
+    return log;
+  };
+  TempDir named_dir("test_server_named_policy");
+  TempDir preset_dir("test_server_preset_policy");
+  SearchOptions ansor_on_sw_ucb = quick_options(PolicyKind::kAnsor);
+  ansor_on_sw_ucb.task_select_name = "sw-ucb";
+  std::string named = job_log(named_dir.path, quick_options(PolicyKind::kHarl), "Ansor");
+  ASSERT_FALSE(named.empty());
+  EXPECT_EQ(named, job_log(preset_dir.path, ansor_on_sw_ucb, ""));
+}
+
 TEST(Server, DrainCheckpointsAndRestartResumesBitIdentically) {
   TempDir victim_dir("test_server_victim");
   TempDir ref_dir("test_server_reference");
@@ -602,6 +631,45 @@ TEST(Server, SurvivesConcurrentAndMalformedClients) {
   query.hw = "test";
   Response served = server.handle_for_test(query);
   EXPECT_TRUE(served.ok) << served.error;
+  server.shutdown();
+}
+
+/// The process's virtual size in KiB (VmSize of /proc/self/status).
+long vm_size_kib() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  long kib = -1;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmSize: %ld kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib;
+}
+
+TEST(Server, ClosedConnectionsAreReaped) {
+  // Every connection runs on its own thread; a finished thread keeps its
+  // stack mapped until joined, so a daemon that never joins closed
+  // connections grows by a stack (8 MiB by default) per client served.
+  TempDir dir("test_server_reap");
+  HarlServer server(make_server_options(dir.path));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  auto serve_stats_connections = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      LineClient cli;
+      std::string err, reply;
+      ASSERT_TRUE(cli.connect("127.0.0.1", server.port(), &err)) << err;
+      ASSERT_TRUE(cli.send_line("{\"v\":1,\"type\":\"stats\"}", &err)) << err;
+      ASSERT_TRUE(cli.recv_line(&reply, &err)) << err;
+    }
+  };
+  serve_stats_connections(16);  // warm-up: thread-stack cache, allocator
+  long before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  serve_stats_connections(64);
+  long growth_kib = vm_size_kib() - before;
+  EXPECT_LT(growth_kib, 16 * 1024) << "VmSize grew " << growth_kib << " KiB";
   server.shutdown();
 }
 

@@ -4,6 +4,7 @@
 
 #include "core/presets.hpp"
 #include "search/task_scheduler.hpp"
+#include "search/task_select.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/operators.hpp"
 
@@ -119,19 +120,19 @@ TEST_F(SchedulerFixture, MabAllocatesBeyondWarmup) {
   sched.run(measurer, 150);
   auto alloc = sched.task_allocations();
   for (std::int64_t a : alloc) EXPECT_GE(a, 5);  // everyone got warmup+
-  EXPECT_EQ(opts.effective_task_select(), TaskSelectKind::kSwUcbMab);
+  EXPECT_STREQ(sched.selector().name(), "sw-ucb");
 }
 
 TEST_F(SchedulerFixture, GreedySelectDefaultsForAnsor) {
   SearchOptions opts = tiny_options(PolicyKind::kAnsor);
-  EXPECT_EQ(opts.effective_task_select(), TaskSelectKind::kGreedyGradient);
-  opts.task_select = TaskSelectKind::kRoundRobin;
-  EXPECT_EQ(opts.effective_task_select(), TaskSelectKind::kRoundRobin);
+  EXPECT_STREQ(TaskScheduler(&net, &hw, opts).selector().name(), "greedy-gradient");
+  opts.task_select_name = "round-robin";
+  EXPECT_STREQ(TaskScheduler(&net, &hw, opts).selector().name(), "round-robin");
 }
 
 TEST_F(SchedulerFixture, RoundRobinBalancesAllocations) {
   SearchOptions opts = tiny_options(PolicyKind::kRandom);
-  opts.task_select = TaskSelectKind::kRoundRobin;
+  opts.task_select_name = "round-robin";
   TaskScheduler sched(&net, &hw, opts);
   sched.run(measurer, 90);
   auto alloc = sched.task_allocations();

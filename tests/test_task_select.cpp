@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -33,19 +34,6 @@ SearchOptions small_options(PolicyKind kind, std::uint64_t seed = 7) {
   opts.ansor.generations = 2;
   opts.measures_per_round = 5;
   return opts;
-}
-
-TEST(TaskSelectKindRoundTrip, NameToKindInvertsKindToName) {
-  for (TaskSelectKind kind :
-       {TaskSelectKind::kGreedyGradient, TaskSelectKind::kSwUcbMab,
-        TaskSelectKind::kRoundRobin}) {
-    auto back = task_select_kind_from_name(task_select_kind_name(kind));
-    ASSERT_TRUE(back.has_value()) << task_select_kind_name(kind);
-    EXPECT_EQ(*back, kind);
-  }
-  EXPECT_EQ(task_select_kind_from_name("SW-UCB"), TaskSelectKind::kSwUcbMab);
-  EXPECT_FALSE(task_select_kind_from_name("no-such-rule").has_value());
-  EXPECT_FALSE(task_select_kind_from_name("").has_value());
 }
 
 TEST(TaskSelectRegistryTest, BuiltinsRegistered) {
@@ -83,33 +71,41 @@ TEST(TaskSelectRegistryTest, UnknownNameThrowsWithRegisteredList) {
   }
 }
 
-TEST(TaskSelectRegistryTest, EffectiveNameResolution) {
-  SearchOptions opts = small_options(PolicyKind::kHarl);
-  EXPECT_EQ(opts.effective_task_select_name(), "sw-ucb");
-  opts.policy = PolicyKind::kAnsor;
-  EXPECT_EQ(opts.effective_task_select_name(), "greedy-gradient");
-  opts.task_select = TaskSelectKind::kRoundRobin;
-  EXPECT_EQ(opts.effective_task_select_name(), "round-robin");
-  opts.task_select_name = "sw-ucb";  // name overrides the enum
-  EXPECT_EQ(opts.effective_task_select_name(), "sw-ucb");
-}
-
-/// The enum path and the name path must drive bit-identical runs (the shim
-/// contract): same rounds, same task choices, same latencies.
-TEST(TaskSelectRegistryTest, NameAndEnumRunsBitIdentical) {
+/// Every built-in policy resolves the rule it is registered with, whether
+/// named exactly, named in lowercase on another preset's options, or chosen
+/// by preset.
+TEST(TaskSelectRegistryTest, EveryBuiltinPolicyResolvesItsRule) {
+  struct Row {
+    PolicyKind kind;
+    const char* rule;
+  };
+  const Row rows[] = {
+      {PolicyKind::kHarl, "sw-ucb"},
+      {PolicyKind::kHarlFixedLength, "sw-ucb"},
+      {PolicyKind::kAnsor, "greedy-gradient"},
+      {PolicyKind::kFlextensor, "round-robin"},
+      {PolicyKind::kAutoTvmSa, "round-robin"},
+      {PolicyKind::kRandom, "round-robin"},
+  };
   Network net = small_network();
   HardwareConfig hw = HardwareConfig::test_config();
+  for (const Row& row : rows) {
+    const std::string name = policy_kind_name(row.kind);
+    std::string lower = name;
+    for (char& c : lower) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
 
-  SearchOptions by_enum = small_options(PolicyKind::kHarl, 11);
-  by_enum.task_select = TaskSelectKind::kSwUcbMab;
-  TuningSession a(net, hw, by_enum);
-  a.run(60);
+    SearchOptions by_name;
+    by_name.policy_name = name;
+    SearchOptions by_lower = quick_options(PolicyKind::kHarl);
+    by_lower.policy_name = lower;
+    for (const SearchOptions& opts : {by_name, by_lower, quick_options(row.kind)}) {
+      TaskScheduler sched(&net, &hw, opts);
+      EXPECT_STREQ(sched.selector().name(), row.rule) << opts.policy_name;
+    }
+  }
+}
 
-  SearchOptions by_name = small_options(PolicyKind::kHarl, 11);
-  by_name.task_select_name = "SW-UCB";
-  TuningSession b(net, hw, by_name);
-  b.run(60);
-
+void expect_same_rounds(const TuningSession& a, const TuningSession& b) {
   const auto& log_a = a.scheduler().round_log();
   const auto& log_b = b.scheduler().round_log();
   ASSERT_EQ(log_a.size(), log_b.size());
@@ -118,6 +114,29 @@ TEST(TaskSelectRegistryTest, NameAndEnumRunsBitIdentical) {
     EXPECT_EQ(log_a[i].trials_after, log_b[i].trials_after) << "round " << i;
     EXPECT_EQ(log_a[i].net_latency_ms, log_b[i].net_latency_ms) << "round " << i;
   }
+}
+
+/// Naming a rule or a policy drives the same run as choosing it by preset:
+/// same rounds, same task choices, same latencies.
+TEST(TaskSelectRegistryTest, NameAndPresetRunsBitIdentical) {
+  Network net = small_network();
+  HardwareConfig hw = HardwareConfig::test_config();
+
+  TuningSession harl(net, hw, small_options(PolicyKind::kHarl, 11));
+  harl.run(60);
+  SearchOptions rule_by_name = small_options(PolicyKind::kHarl, 11);
+  rule_by_name.task_select_name = "SW-UCB";
+  TuningSession harl_named(net, hw, rule_by_name);
+  harl_named.run(60);
+  expect_same_rounds(harl, harl_named);
+
+  TuningSession ansor(net, hw, small_options(PolicyKind::kAnsor, 11));
+  ansor.run(60);
+  SearchOptions policy_by_name = small_options(PolicyKind::kHarl, 11);
+  policy_by_name.policy_name = "ansor";
+  TuningSession ansor_named(net, hw, policy_by_name);
+  ansor_named.run(60);
+  expect_same_rounds(ansor, ansor_named);
 }
 
 // ---- the acceptance criterion: a selection rule registered from test code
