@@ -29,8 +29,6 @@
 /// `--dir=DIR` adds every `*.jsonl` file in DIR (sorted) to the input list —
 /// handy on a `FleetTuner::Options::log_dir`.  `--help` prints usage.
 
-#include <dirent.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -49,26 +47,6 @@ bool flag_value(const char* arg, const char* name, const char** value) {
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
   *value = arg + n + 1;
   return true;
-}
-
-/// All *.jsonl files under `dir`, sorted for deterministic input order
-/// (harvesting is order-independent anyway; compaction output order is not).
-std::vector<std::string> jsonl_files(const std::string& dir) {
-  std::vector<std::string> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    std::fprintf(stderr, "cannot open directory %s\n", dir.c_str());
-    return out;
-  }
-  while (dirent* e = ::readdir(d)) {
-    std::string name = e->d_name;
-    if (name.size() > 6 && name.compare(name.size() - 6, 6, ".jsonl") == 0) {
-      out.push_back(dir + "/" + name);
-    }
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 struct CommonArgs {
@@ -102,7 +80,9 @@ CommonArgs parse_args(int argc, char** argv, int first) {
     } else if (flag_value(argv[i], "--window", &v)) {
       args.compact.window = std::atoi(v);
     } else if (flag_value(argv[i], "--dir", &v)) {
-      for (std::string& f : jsonl_files(v)) args.logs.push_back(std::move(f));
+      std::string error;
+      for (std::string& f : jsonl_files(v, &error)) args.logs.push_back(std::move(f));
+      if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
     } else if (std::strcmp(argv[i], "--help") == 0) {
       args.help = true;
     } else if (argv[i][0] != '-') {

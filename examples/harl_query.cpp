@@ -78,8 +78,6 @@
 #include "server/client.hpp"
 #include "server/protocol.hpp"
 
-#include <dirent.h>
-
 namespace {
 
 using namespace harl;
@@ -89,24 +87,6 @@ bool flag_value(const char* arg, const char* name, const char** value) {
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
   *value = arg + n + 1;
   return true;
-}
-
-std::vector<std::string> jsonl_files(const std::string& dir) {
-  std::vector<std::string> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    std::fprintf(stderr, "cannot open directory %s\n", dir.c_str());
-    return out;
-  }
-  while (dirent* e = ::readdir(d)) {
-    std::string name = e->d_name;
-    if (name.size() > 6 && name.compare(name.size() - 6, 6, ".jsonl") == 0) {
-      out.push_back(dir + "/" + name);
-    }
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 HardwareConfig hardware_for(const std::string& name, bool* ok) {
@@ -480,7 +460,9 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--logs", &v)) {
       logs.push_back(v);
     } else if (flag_value(argv[i], "--dir", &v)) {
-      for (std::string& f : jsonl_files(v)) logs.push_back(std::move(f));
+      std::string error;
+      for (std::string& f : jsonl_files(v, &error)) logs.push_back(std::move(f));
+      if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
     } else if (flag_value(argv[i], "--model", &v)) {
       model_path = v;
     } else if (flag_value(argv[i], "--save-cache", &v)) {

@@ -230,12 +230,8 @@ bool save_gbdt(const Gbdt& model, const std::string& path, std::string* error,
 
 bool load_gbdt(const std::string& path, Gbdt* out, std::string* error) {
   std::string text;
-  if (!read_text_file(path, &text, error)) return false;
+  if (!read_checked_file(path, &text, error)) return false;
   std::string reason;
-  if (!strip_checksum_footer(&text, &reason)) {
-    if (error != nullptr) *error = path + ": " + reason;
-    return false;
-  }
   if (!gbdt_from_json(text, out, &reason)) {
     if (error != nullptr) *error = path + ": " + reason;
     return false;

@@ -320,13 +320,10 @@ std::string* string_field(TuningRecord* rec, int f) {
 
 }  // namespace
 
-// One pass over the line pulls every member straight into `*rec`; the field
-// checks run afterwards, in a fixed order, so a syntax error anywhere in the
-// line is reported before any field error.
-bool record_from_json(const std::string& line, TuningRecord* rec,
-                      std::string* error) {
-  json::ParseError perr;
-  json::Cursor c(line, &perr);
+// One pass over the value pulls every member straight into `*rec`; the
+// field checks run afterwards, in a fixed order, so a syntax error anywhere
+// in the value is reported before any field error.
+bool read_record(json::Cursor& c, TuningRecord* rec, std::string* error) {
   Member m[kNumFields];
   bool hwv_numeric = true;
   std::string stages_error;
@@ -334,47 +331,42 @@ bool record_from_json(const std::string& line, TuningRecord* rec,
   rec->fail.clear();
   rec->task_sig.clear();
   rec->hw_sim.clear();
+  error->clear();
 
   Kind kind;
-  const bool is_object = c.peek(&kind) && kind == Kind::kObject;
-  if (is_object) {
-    c.enter_object();
-    while (c.next_member(&key)) {
-      const int f = field_index(key, kFieldNames);
-      if (f == kNumFields) {
-        if (!c.skip_value()) break;
-        continue;
-      }
-      if (!c.peek(&kind)) break;
-      m[f] = Member{true, kind, {}};
-      std::string* str = string_field(rec, f);
-      bool consumed;
-      if (kind == Kind::kNumber) {
-        consumed = c.read_number(&m[f].number);
-      } else if (kind == Kind::kString && str != nullptr) {
-        consumed = c.read_string(str);
-      } else if (kind == Kind::kBool && f == kCached) {
-        consumed = c.read_bool(&rec->cached);
-      } else if (kind == Kind::kArray && f == kHwv) {
-        consumed = read_numbers(c, &rec->hw_sim, to_double, &hwv_numeric);
-      } else if (kind == Kind::kArray && f == kStages) {
-        consumed = read_stages(c, &rec->stages, &key, &stages_error);
-      } else {
-        consumed = c.skip_value();
-      }
-      if (!consumed) break;
-    }
-  } else {
-    c.skip_value();
-  }
-  if (!c.finish()) {
-    *error = perr.to_string();
-    return false;
-  }
-  if (!is_object) {
+  if (!c.peek(&kind)) return false;
+  if (kind != Kind::kObject) {
+    if (!c.skip_value()) return false;
     *error = "record line is not a JSON object";
-    return false;
+    return true;
   }
+  c.enter_object();
+  while (c.next_member(&key)) {
+    const int f = field_index(key, kFieldNames);
+    if (f == kNumFields) {
+      if (!c.skip_value()) return false;
+      continue;
+    }
+    if (!c.peek(&kind)) return false;
+    m[f] = Member{true, kind, {}};
+    std::string* str = string_field(rec, f);
+    bool consumed;
+    if (kind == Kind::kNumber) {
+      consumed = c.read_number(&m[f].number);
+    } else if (kind == Kind::kString && str != nullptr) {
+      consumed = c.read_string(str);
+    } else if (kind == Kind::kBool && f == kCached) {
+      consumed = c.read_bool(&rec->cached);
+    } else if (kind == Kind::kArray && f == kHwv) {
+      consumed = read_numbers(c, &rec->hw_sim, to_double, &hwv_numeric);
+    } else if (kind == Kind::kArray && f == kStages) {
+      consumed = read_stages(c, &rec->stages, &key, &stages_error);
+    } else {
+      consumed = c.skip_value();
+    }
+    if (!consumed) return false;
+  }
+  if (!c.ok()) return false;
 
   auto required = [&](int f, Kind k, const char* what) {
     return require_kind(m[f], kFieldNames[f], k, what, error);
@@ -387,18 +379,18 @@ bool record_from_json(const std::string& line, TuningRecord* rec,
   };
   auto uint_of = [&](int f) { return json::number_to_uint64(m[f].number, 0); };
 
-  if (!required(kV, Kind::kNumber, "a number")) return false;
+  if (!required(kV, Kind::kNumber, "a number")) return true;
   rec->version = static_cast<int>(int_of(kV, 0));
   if (rec->version > kRecordSchemaVersion) {
     *error = "incompatible version " + std::to_string(rec->version) +
              " (reader supports <= " + std::to_string(kRecordSchemaVersion) + ")";
-    return false;
+    return true;
   }
   for (int f : {kNet, kTask, kPolicy, kTag}) {
-    if (!required(f, Kind::kString, "a string")) return false;
+    if (!required(f, Kind::kString, "a string")) return true;
   }
   for (int f = kTaskIndex; f <= kTrial; ++f) {
-    if (!required(f, Kind::kNumber, "a number")) return false;
+    if (!required(f, Kind::kNumber, "a number")) return true;
   }
   rec->task_index = static_cast<int>(int_of(kTaskIndex, -1));
   rec->hardware_fp = uint_of(kHw);
@@ -406,24 +398,37 @@ bool record_from_json(const std::string& line, TuningRecord* rec,
   rec->sketch_id = static_cast<int>(int_of(kSketch, 0));
   rec->time_ms = json::number_to_double(m[kMs].number, 0);
   rec->trial_index = int_of(kTrial, 0);
-  if (!required(kCached, Kind::kBool, "a boolean")) return false;
+  if (!required(kCached, Kind::kBool, "a boolean")) return true;
 
   // Optional fields (absent in records written before the features landed).
-  if (!optional(kFail, Kind::kString, "a string")) return false;
-  if (!optional(kSig, Kind::kString, "a string")) return false;
-  if (!optional(kHwv, Kind::kArray, "an array")) return false;
+  if (!optional(kFail, Kind::kString, "a string")) return true;
+  if (!optional(kSig, Kind::kString, "a string")) return true;
+  if (!optional(kHwv, Kind::kArray, "an array")) return true;
   if (!hwv_numeric) {
     *error = "field \"hwv\" has a non-numeric entry";
-    return false;
+    return true;
   }
-  if (!optional(kXm, Kind::kNumber, "a number")) return false;
+  if (!optional(kXm, Kind::kNumber, "a number")) return true;
   rec->experience_fp = m[kXm].present ? uint_of(kXm) : 0;
-  if (!optional(kVm, Kind::kNumber, "a number")) return false;
+  if (!optional(kVm, Kind::kNumber, "a number")) return true;
   rec->value_fp = m[kVm].present ? uint_of(kVm) : 0;
 
-  if (!required(kStages, Kind::kArray, "an array")) return false;
-  if (!stages_error.empty()) {
-    *error = std::move(stages_error);
+  if (!required(kStages, Kind::kArray, "an array")) return true;
+  if (!stages_error.empty()) *error = std::move(stages_error);
+  return true;
+}
+
+bool record_from_json(const std::string& line, TuningRecord* rec,
+                      std::string* error) {
+  json::ParseError perr;
+  json::Cursor c(line, &perr);
+  std::string field_error;
+  if (!read_record(c, rec, &field_error) || !c.finish()) {
+    *error = perr.to_string();
+    return false;
+  }
+  if (!field_error.empty()) {
+    *error = std::move(field_error);
     return false;
   }
   return true;

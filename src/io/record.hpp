@@ -16,6 +16,10 @@
 
 namespace harl {
 
+namespace json {
+class Cursor;
+}  // namespace json
+
 /// Current TuningRecord schema version.  Bump on incompatible layout changes;
 /// the reader skips records from *newer* versions instead of misparsing them.
 inline constexpr int kRecordSchemaVersion = 1;
@@ -105,6 +109,14 @@ std::string record_to_json(const TuningRecord& rec);
 /// on failure `*rec` holds unspecified (valid) contents.
 bool record_from_json(const std::string& line, TuningRecord* rec,
                       std::string* error);
+
+/// The body of `record_from_json`, on a cursor positioned at any value (a
+/// record embedded in a larger document, say).  Returns false when the
+/// cursor hits a syntax error; the cursor's `ParseError` then holds it.
+/// Otherwise the value is consumed and `*error` holds the field-level
+/// verdict, worded as `record_from_json` words it: empty when `*rec` is a
+/// well-formed record.
+bool read_record(json::Cursor& c, TuningRecord* rec, std::string* error);
 
 /// Rebuild the `Schedule` a record describes against the task's sketch set.
 /// Returns a schedule with `sketch == nullptr` and fills `*error` when the

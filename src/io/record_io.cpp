@@ -1,9 +1,16 @@
 #include "io/record_io.hpp"
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
 
 #include "io/json.hpp"
 #include "io/safe_file.hpp"
+#include "util/fnv.hpp"
 
 namespace harl {
 
@@ -14,7 +21,36 @@ bool is_blank(const std::string& line) {
   return line.find_first_not_of(" \t\r") == std::string::npos;
 }
 
+/// Fingerprint of the last line `c` covers, read back from `fd`.  False when
+/// those bytes cannot be read or do not end a line.
+bool last_line_fp(int fd, const LogCoverage& c, std::uint64_t* fp) {
+  if (c.tail == 0 || c.tail > c.offset) return false;
+  std::string line(c.tail, '\0');
+  const ssize_t got = ::pread(fd, line.data(), line.size(),
+                              static_cast<off_t>(c.offset - c.tail));
+  if (got != static_cast<ssize_t>(line.size()) || line.back() != '\n') {
+    return false;
+  }
+  *fp = fnv1a_nonzero(line);
+  return true;
+}
+
 }  // namespace
+
+bool log_covers(const std::string& path, const LogCoverage& covered) {
+  if (covered.offset == 0) return true;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st{};
+  std::uint64_t fp = 0;
+  const bool ok = ::fstat(fd, &st) == 0 &&
+                  static_cast<std::uint64_t>(st.st_dev) == covered.dev &&
+                  static_cast<std::uint64_t>(st.st_ino) == covered.ino &&
+                  static_cast<std::uint64_t>(st.st_size) >= covered.offset &&
+                  last_line_fp(fd, covered, &fp) && fp == covered.fp;
+  ::close(fd);
+  return ok;
+}
 
 // ---------------------------------------------------------------- writer
 
@@ -67,14 +103,35 @@ void RecordWriter::close() {
 
 RecordReader::~RecordReader() { close(); }
 
-bool RecordReader::open(const std::string& path) {
+bool RecordReader::open(const std::string& path, const LogCoverage& from) {
   close();
-  lines_read_ = 0;
+  lines_read_ = static_cast<std::size_t>(from.lines);
   records_read_ = 0;
   errors_.clear();
+  covered_ = from;
+  fp_known_ = true;
   file_ = std::fopen(path.c_str(), "rb");
-  if (file_ != nullptr) path_ = path;
-  return file_ != nullptr;
+  if (file_ == nullptr) return false;
+  if (from.offset > 0 &&
+      ::fseeko(file_, static_cast<off_t>(from.offset), SEEK_SET) != 0) {
+    close();
+    return false;
+  }
+  path_ = path;
+  return true;
+}
+
+LogCoverage RecordReader::coverage() const {
+  LogCoverage c = covered_;
+  if (file_ == nullptr) return c;
+  const int fd = ::fileno(file_);
+  struct stat st{};
+  if (::fstat(fd, &st) == 0) {
+    c.dev = static_cast<std::uint64_t>(st.st_dev);
+    c.ino = static_cast<std::uint64_t>(st.st_ino);
+  }
+  if (!fp_known_ && !last_line_fp(fd, c, &c.fp)) c.fp = 0;
+  return c;
 }
 
 void RecordReader::close() {
@@ -108,6 +165,10 @@ bool RecordReader::next_line() {
     const std::size_t len = static_cast<const char*>(nl) - start;
     line_.append(start, len);
     buf_pos_ += len + 1;
+    covered_.tail = line_.size() + 1;
+    covered_.offset += covered_.tail;
+    ++covered_.lines;
+    fp_known_ = false;
     return true;
   }
 }
@@ -135,6 +196,25 @@ std::vector<TuningRecord> read_records(const std::string& path,
   TuningRecord rec;
   while (reader.next(&rec)) out.push_back(rec);
   if (errors != nullptr) *errors = reader.errors();
+  return out;
+}
+
+std::vector<std::string> jsonl_files(const std::string& dir,
+                                     std::string* error) {
+  std::vector<std::string> out;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) {
+    if (error != nullptr) *error = "cannot open directory " + dir;
+    return out;
+  }
+  while (const dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (name.size() > 6 && name.compare(name.size() - 6, 6, ".jsonl") == 0) {
+      out.push_back(dir + "/" + name);
+    }
+  }
+  ::closedir(d);
+  std::sort(out.begin(), out.end());
   return out;
 }
 

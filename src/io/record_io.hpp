@@ -6,6 +6,7 @@
 /// Invariant: a crash costs at most the line in flight; everything readable
 /// is replayable.  Collaborators: RecordLogger, resume, ExperienceStore.
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -54,6 +55,30 @@ struct RecordReadError {
   std::string message;
 };
 
+/// The prefix of a record log a reader has consumed: whole lines only, so a
+/// torn tail is never covered.  `dev`/`ino` name the file (salvage and
+/// compaction rewrite logs through `atomic_write_file`, which makes a new
+/// inode), and `fp` fingerprints the last covered line, which catches a log
+/// truncated and rewritten in place without hashing the whole prefix.
+struct LogCoverage {
+  std::uint64_t offset = 0;  ///< bytes through the last complete line
+  std::uint64_t lines = 0;   ///< lines within those bytes
+  std::uint64_t dev = 0;
+  std::uint64_t ino = 0;
+  std::uint64_t tail = 0;    ///< length of the last covered line, '\n' included
+  std::uint64_t fp = 0;      ///< `fnv1a_nonzero` of those `tail` bytes
+
+  bool operator==(const LogCoverage& o) const {
+    return offset == o.offset && lines == o.lines && dev == o.dev &&
+           ino == o.ino && tail == o.tail && fp == o.fp;
+  }
+};
+
+/// True when `path` still begins with the prefix `covered` describes: the
+/// same (device, inode), at least `offset` bytes, and the same last covered
+/// line.  An empty coverage (offset 0) holds for any file.
+bool log_covers(const std::string& path, const LogCoverage& covered);
+
 /// Streams records out of a JSONL file, tolerantly: blank lines are ignored,
 /// malformed or incompatible lines are skipped and reported through
 /// `errors()` instead of aborting the read, and unknown JSON fields are
@@ -65,8 +90,11 @@ class RecordReader {
  public:
   RecordReader() = default;
 
-  /// Returns false when the file cannot be opened.
-  bool open(const std::string& path);
+  /// Returns false when the file cannot be opened.  With a non-empty `from`
+  /// (a `coverage()` of an earlier reader of the same file) reading resumes
+  /// after the covered prefix, and line numbers count the covered lines, so
+  /// they stay absolute.
+  bool open(const std::string& path, const LogCoverage& from = {});
   bool is_open() const { return file_ != nullptr; }
   const std::string& path() const { return path_; }
   ~RecordReader();
@@ -76,6 +104,10 @@ class RecordReader {
   /// Advance to the next well-formed record.  Returns false at end of file.
   bool next(TuningRecord* rec);
   void close();
+
+  /// The prefix read so far, through the last complete line.  Costs an
+  /// fstat, plus one read of the last line when it is new since `open`.
+  LogCoverage coverage() const;
 
   std::size_t lines_read() const { return lines_read_; }
   std::size_t records_read() const { return records_read_; }
@@ -94,12 +126,20 @@ class RecordReader {
   std::size_t lines_read_ = 0;
   std::size_t records_read_ = 0;
   std::vector<RecordReadError> errors_;
+  LogCoverage covered_;     ///< offset/lines/tail; fp valid iff `fp_known_`
+  bool fp_known_ = true;
 };
 
 /// Convenience: read every well-formed record of `path` (empty when the file
 /// does not exist).  `errors` (optional) collects the skipped lines.
 std::vector<TuningRecord> read_records(const std::string& path,
                                        std::vector<RecordReadError>* errors = nullptr);
+
+/// Every `*.jsonl` file directly under `dir`, as `dir + "/" + name`, sorted
+/// by name.  Empty when `dir` cannot be opened; `*error` (optional) then
+/// says so.
+std::vector<std::string> jsonl_files(const std::string& dir,
+                                     std::string* error = nullptr);
 
 /// Outcome of `salvage_log`.
 struct SalvageResult {

@@ -150,4 +150,15 @@ bool read_text_file(const std::string& path, std::string* text,
   return true;
 }
 
+bool read_checked_file(const std::string& path, std::string* text,
+                       std::string* error) {
+  if (!read_text_file(path, text, error)) return false;
+  std::string reason;
+  if (!strip_checksum_footer(text, &reason)) {
+    if (error != nullptr) *error = path + ": " + reason;
+    return false;
+  }
+  return true;
+}
+
 }  // namespace harl

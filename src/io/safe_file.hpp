@@ -6,7 +6,8 @@
 /// rot, and an atomic tmp+rename writer with optional fsync for a durable
 /// publish.  Record logs stay line-granular (torn-tail probe + salvage in
 /// record_io) — a whole-file checksum would reject a log for one bad line.
-/// Collaborators: gbdt_io (save/load_gbdt), knowledge_cache (save/load_cache).
+/// Collaborators: gbdt_io (save/load_gbdt), knowledge_cache (save/load_cache),
+/// shard_snapshot (shard snapshots).
 
 #include <cstddef>
 #include <cstdint>
@@ -41,5 +42,10 @@ bool atomic_write_file(const std::string& path, const std::string& text,
 /// path-prefixed reason in `*error`.
 bool read_text_file(const std::string& path, std::string* text,
                     std::string* error);
+
+/// `read_text_file`, then `strip_checksum_footer`: `*text` is the verified
+/// body.  Every failure reason in `*error` is prefixed with the path.
+bool read_checked_file(const std::string& path, std::string* text,
+                       std::string* error);
 
 }  // namespace harl

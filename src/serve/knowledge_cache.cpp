@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
 #include "exp/transfer.hpp"
@@ -110,9 +111,13 @@ bool KnowledgeCache::insert_locked(const TuningRecord& rec,
 }
 
 std::size_t KnowledgeCache::insert_log(const std::string& path) {
-  std::size_t added = 0;
   RecordReader reader;
   if (!reader.open(path)) return 0;
+  return insert_log(reader);
+}
+
+std::size_t KnowledgeCache::insert_log(RecordReader& reader) {
+  std::size_t added = 0;
   TuningRecord rec;
   while (reader.next(&rec)) {
     if (insert(rec)) ++added;
@@ -120,8 +125,8 @@ std::size_t KnowledgeCache::insert_log(const std::string& path) {
   // A damaged log still hydrates what it can, but never silently.
   if (const auto& errors = reader.errors(); !errors.empty()) {
     HARL_LOG_WARN("kcache: %s: skipped %zu malformed line(s); first at line %zu: %s",
-                  path.c_str(), errors.size(), errors.front().line_number,
-                  errors.front().message.c_str());
+                  reader.path().c_str(), errors.size(),
+                  errors.front().line_number, errors.front().message.c_str());
   }
   return added;
 }
@@ -418,76 +423,182 @@ std::string cache_to_json(const KnowledgeCache& cache) {
   return out;
 }
 
+namespace {
+
+using Kind = json::Value::Kind;
+
+/// The records of one "entries" member, or the first reason it is unusable
+/// (entries, and within an entry its records, are checked in order).
+struct DecodedEntries {
+  std::vector<TuningRecord> records;
+  std::string error;
+};
+
+/// Decodes the value at `c` as the "entries" member.  False on a syntax
+/// error.  A duplicated "records" member counts by its last occurrence.
+bool read_entries(json::Cursor& c, DecodedEntries* out) {
+  out->records.clear();
+  out->error.clear();
+  Kind kind;
+  if (!c.peek(&kind)) return false;
+  if (kind != Kind::kArray) {
+    out->error = "cache field \"entries\" is not an array";
+    return c.skip_value();
+  }
+  std::string key;
+  std::string record_error;
+  c.enter_array();
+  while (c.next_item()) {
+    if (!out->error.empty()) {  // the verdict is in: only validate syntax
+      if (!c.skip_value()) return false;
+      continue;
+    }
+    if (!c.peek(&kind)) return false;
+    if (kind != Kind::kObject) {
+      out->error = "cache entry is not an object";
+      if (!c.skip_value()) return false;
+      continue;
+    }
+    const std::size_t first = out->records.size();
+    bool has_records = false;
+    std::string entry_error;
+    c.enter_object();
+    while (c.next_member(&key)) {
+      if (key != "records") {
+        if (!c.skip_value()) return false;
+        continue;
+      }
+      if (!c.peek(&kind)) return false;
+      out->records.resize(first);
+      entry_error.clear();
+      has_records = kind == Kind::kArray;
+      if (!has_records) {
+        if (!c.skip_value()) return false;
+        continue;
+      }
+      c.enter_array();
+      while (c.next_item()) {
+        if (!entry_error.empty()) {
+          if (!c.skip_value()) return false;
+          continue;
+        }
+        TuningRecord rec;
+        if (!read_record(c, &rec, &record_error)) return false;
+        if (record_error.empty()) {
+          out->records.push_back(std::move(rec));
+        } else {
+          entry_error = "embedded record invalid: " + record_error;
+        }
+      }
+      if (!c.ok()) return false;
+    }
+    if (!c.ok()) return false;
+    if (!has_records) {
+      out->error = "cache entry without a \"records\" array";
+    } else if (!entry_error.empty()) {
+      out->error = std::move(entry_error);
+    }
+  }
+  return c.ok();
+}
+
+/// The last occurrence of a scalar header member.
+struct Scalar {
+  Kind kind = Kind::kNull;  ///< kNull also when absent
+  std::string_view number;  ///< raw token when `kind == kNumber`
+  bool flag = false;        ///< the value when `kind == kBool`
+};
+
+enum HeaderField { kVersion, kTopK, kMinScore, kPenalty, kRerank, kGolden,
+                   kNumHeaderFields };
+constexpr std::string_view kHeaderNames[kNumHeaderFields] = {
+    "harl_kcache", "topk", "min_score", "penalty", "rerank", "golden"};
+
+}  // namespace
+
+// One pass over the document, like `record_from_json`: every member is
+// pulled as it comes (a duplicated member counts by its last occurrence),
+// and the checks run afterwards in a fixed order, so a syntax error anywhere
+// is reported before any other error.
 bool cache_from_json(const std::string& text, KnowledgeCache* out,
                      std::string* error) {
   json::ParseError perr;
-  json::Value doc = json::parse(text, &perr);
-  if (!perr.ok) {
+  json::Cursor c(text, &perr);
+  Scalar header[kNumHeaderFields];
+  DecodedEntries entries;
+  std::string key;
+  Kind kind;
+  const bool is_object = c.peek(&kind) && kind == Kind::kObject;
+  if (is_object) {
+    c.enter_object();
+    while (c.next_member(&key)) {
+      if (key == "entries") {
+        if (!read_entries(c, &entries)) break;
+        continue;
+      }
+      int f = 0;
+      while (f < kNumHeaderFields && key != kHeaderNames[f]) ++f;
+      if (f == kNumHeaderFields || !c.peek(&kind)) {
+        if (!c.skip_value()) break;
+        continue;
+      }
+      Scalar& h = header[f];
+      h = Scalar{kind, {}, false};
+      bool consumed;
+      if (kind == Kind::kNumber) {
+        consumed = c.read_number(&h.number);
+      } else if (kind == Kind::kBool) {
+        consumed = c.read_bool(&h.flag);
+      } else {
+        consumed = c.skip_value();
+      }
+      if (!consumed) break;
+    }
+  } else {
+    c.skip_value();
+  }
+  if (!c.finish()) {
     *error = "cache parse error: " + perr.to_string();
     return false;
   }
-  if (!doc.is_object()) {
+  if (!is_object) {
     *error = "cache document is not an object";
     return false;
   }
-  const json::Value* ver = doc.find("harl_kcache");
-  if (ver == nullptr || !ver->is_number()) {
+  if (header[kVersion].kind != Kind::kNumber) {
     *error = "not a knowledge-cache file (missing harl_kcache)";
     return false;
   }
-  if (ver->as_int64() > kKnowledgeCacheVersion) {
-    *error = "incompatible cache version " + std::to_string(ver->as_int64());
+  const std::int64_t version = json::number_to_int64(header[kVersion].number, 0);
+  if (version > kKnowledgeCacheVersion) {
+    *error = "incompatible cache version " + std::to_string(version);
     return false;
   }
 
   KnowledgeCacheOptions opts;
-  if (const json::Value* v = doc.find("topk"); v != nullptr && v->is_number()) {
-    opts.top_k = static_cast<int>(v->as_int64(opts.top_k));
+  auto number = [&](int f) { return header[f].kind == Kind::kNumber; };
+  if (number(kTopK)) {
+    opts.top_k = static_cast<int>(
+        json::number_to_int64(header[kTopK].number, opts.top_k));
   }
-  if (const json::Value* v = doc.find("min_score");
-      v != nullptr && v->is_number()) {
-    opts.min_score = v->as_double(opts.min_score);
+  if (number(kMinScore)) {
+    opts.min_score = json::number_to_double(header[kMinScore].number,
+                                            opts.min_score);
   }
-  if (const json::Value* v = doc.find("penalty");
-      v != nullptr && v->is_number()) {
-    opts.time_penalty = v->as_double(opts.time_penalty);
+  if (number(kPenalty)) {
+    opts.time_penalty = json::number_to_double(header[kPenalty].number,
+                                               opts.time_penalty);
   }
-  if (const json::Value* v = doc.find("rerank");
-      v != nullptr && v->is_number()) {
-    opts.rerank_k = static_cast<int>(v->as_int64(opts.rerank_k));
+  if (number(kRerank)) {
+    opts.rerank_k = static_cast<int>(
+        json::number_to_int64(header[kRerank].number, opts.rerank_k));
   }
-  if (const json::Value* v = doc.find("golden"); v != nullptr && v->is_bool()) {
-    opts.golden_advice = v->as_bool();
+  if (header[kGolden].kind == Kind::kBool) {
+    opts.golden_advice = header[kGolden].flag;
   }
-
-  // Validate every record before mutating *out.
-  std::vector<TuningRecord> records;
-  const json::Value* entries = doc.find("entries");
-  if (entries != nullptr) {
-    if (!entries->is_array()) {
-      *error = "cache field \"entries\" is not an array";
-      return false;
-    }
-    for (const json::Value& e : entries->items()) {
-      if (!e.is_object()) {
-        *error = "cache entry is not an object";
-        return false;
-      }
-      const json::Value* recs = e.find("records");
-      if (recs == nullptr || !recs->is_array()) {
-        *error = "cache entry without a \"records\" array";
-        return false;
-      }
-      for (const json::Value& r : recs->items()) {
-        TuningRecord rec;
-        std::string rerr;
-        if (!record_from_json(r.dump(), &rec, &rerr)) {
-          *error = "embedded record invalid: " + rerr;
-          return false;
-        }
-        records.push_back(std::move(rec));
-      }
-    }
+  if (!entries.error.empty()) {
+    *error = std::move(entries.error);
+    return false;
   }
 
   {
@@ -499,7 +610,7 @@ bool cache_from_json(const std::string& text, KnowledgeCache* out,
     // Task contexts survive a reload: they derive from the queried tasks,
     // not from the records, and schedules served before the reload still
     // point into their sketches.
-    for (const TuningRecord& rec : records) {
+    for (const TuningRecord& rec : entries.records) {
       if (!(rec.time_ms > 0) || !rec.fail.empty()) continue;
       out->insert_locked(rec, record_to_json(rec));
     }
@@ -517,12 +628,8 @@ bool save_cache(const KnowledgeCache& cache, const std::string& path,
 bool load_cache(const std::string& path, KnowledgeCache* out,
                 std::string* error) {
   std::string text;
-  if (!read_text_file(path, &text, error)) return false;
+  if (!read_checked_file(path, &text, error)) return false;
   std::string reason;
-  if (!strip_checksum_footer(&text, &reason)) {
-    if (error != nullptr) *error = path + ": " + reason;
-    return false;
-  }
   if (!cache_from_json(text, out, &reason)) {
     if (error != nullptr) *error = path + ": " + reason;
     return false;

@@ -21,6 +21,7 @@
 #include "cost/gbdt.hpp"
 #include "hwsim/hardware_config.hpp"
 #include "io/record.hpp"
+#include "io/record_io.hpp"
 #include "sched/sketch.hpp"
 
 namespace harl {
@@ -148,6 +149,9 @@ class KnowledgeCache {
   /// Fold every well-formed record of a JSONL tuning log (missing file = 0,
   /// matching `read_records`).  Returns the records that entered the cache.
   std::size_t insert_log(const std::string& path);
+  /// The same for the rest of an open reader (a log's tail, say).  Malformed
+  /// lines get one warning, at their absolute line numbers.
+  std::size_t insert_log(RecordReader& reader);
 
   /// Answer one query: the best-known schedule for `task` on `hw`.
   /// `network` is the task's provenance (the same (network, task) pair
@@ -242,10 +246,12 @@ Schedule golden_advice_schedule(const Sketch& sketch, int num_unroll_options);
 /// from the same record set serialize identically.
 std::string cache_to_json(const KnowledgeCache& cache);
 
-/// Parse a document produced by `cache_to_json`.  Returns false and fills
-/// `*error` on malformed JSON, a newer version, or a malformed embedded
-/// record; `*out` is untouched on failure.  The cost model is not part of
-/// the file — call `set_model` after loading.
+/// Parse a document produced by `cache_to_json`, in one pass over the JSON
+/// `Cursor`.  Returns false and fills `*error` on malformed JSON, a newer
+/// version, or a malformed embedded record; `*out` is untouched on failure.
+/// A duplicated member counts by its last occurrence, and a syntax error
+/// anywhere is reported before any other error.  The cost model is not part
+/// of the file — call `set_model` after loading.
 bool cache_from_json(const std::string& text, KnowledgeCache* out,
                      std::string* error);
 

@@ -1,7 +1,6 @@
 #include "server/server.hpp"
 
 #include <arpa/inet.h>
-#include <dirent.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -20,6 +19,7 @@
 #include "io/json.hpp"
 #include "io/safe_file.hpp"
 #include "search/policy_registry.hpp"
+#include "serve/shard_snapshot.hpp"
 #include "util/logging.hpp"
 #include "workloads/networks.hpp"
 
@@ -39,21 +39,6 @@ bool make_dirs(const std::string& dir) {
     }
   }
   return true;
-}
-
-std::vector<std::string> jsonl_files(const std::string& dir) {
-  std::vector<std::string> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (dirent* e = ::readdir(d)) {
-    std::string name = e->d_name;
-    if (name.size() > 6 && name.compare(name.size() - 6, 6, ".jsonl") == 0) {
-      out.push_back(dir + "/" + name);
-    }
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 /// Resolve a hardware preset name to its canonical shard name + config.
@@ -292,30 +277,35 @@ void HarlServer::reload_shard(Shard* shard) {
   const std::int64_t cache_stamp = file_stamp(cache_path);
   if (cache_stamp != shard->cache_stamp && cache_stamp != -1) {
     shard->cache_stamp = cache_stamp;
-    // Validate into a scratch cache first: the live cache must keep serving
-    // the old answers unless the new file is complete and sound (the CRC
-    // footer + atomic rename make a torn read impossible, but a reload must
-    // also never tear the *serving* state).
-    KnowledgeCache fresh(shard->cache.options());
+    // Read and verify the file once, then decode it into a scratch cache:
+    // the live cache must keep serving the old answers unless the new file
+    // is complete and sound (the CRC footer + atomic rename make a torn read
+    // impossible, but a reload must also never tear the *serving* state).
+    std::string text;
     std::string err;
-    if (!load_cache(cache_path, &fresh, &err)) {
+    KnowledgeCache fresh(shard->cache.options());
+    bool valid = read_checked_file(cache_path, &text, &err);
+    if (valid && !cache_from_json(text, &fresh, &err)) {
+      err = cache_path + ": " + err;
+      valid = false;
+    }
+    if (!valid) {
       HARL_LOG_WARN("replica: reload of %s skipped: %s", cache_path.c_str(),
                     err.c_str());
-    } else if (cache_fingerprint(fresh) != shard->cache.generation()) {
-      // Content actually changed: swap the live cache in place.  The second
-      // load lands under the cache's own mutex after full validation, so
-      // queries serve complete old-generation or new-generation answers,
-      // never a mix.  Serve counters survive via the reload base.
+    } else if (const std::uint64_t fp = cache_fingerprint(fresh);
+               fp != shard->cache.generation()) {
+      // Content actually changed: apply the same validated bytes to the live
+      // cache in place (a republish since the read cannot slip in).  The
+      // decode lands under the cache's own mutex, so queries serve complete
+      // old-generation or new-generation answers, never a mix.  Serve
+      // counters survive via the reload base.
       {
         std::lock_guard<std::mutex> lk(shard->watch_mu);
         accumulate(&shard->reload_base, shard->cache.stats());
       }
-      if (load_cache(cache_path, &shard->cache, &err)) {
-        shard->cache.note_reload(cache_fingerprint(shard->cache));
+      if (cache_from_json(text, &shard->cache, &err)) {
+        shard->cache.note_reload(fp);
         reloads_.fetch_add(1);
-      } else {
-        HARL_LOG_WARN("replica: reload of %s failed: %s", cache_path.c_str(),
-                      err.c_str());
       }
     }
   }
@@ -373,6 +363,24 @@ void HarlServer::shutdown() {
   for (FleetTuner* fleet : fleets) {
     fleet->wait_idle();
     fleet->stop();
+  }
+
+  // Snapshot every hydrated shard for the next start.  From disk, not from
+  // the live cache: the snapshot must equal a replay of the logs as they
+  // stand, and the live cache also holds what a later salvage dropped.
+  std::vector<std::pair<std::string, KnowledgeCacheOptions>> snapshots;
+  if (!opts_.replica) {
+    std::lock_guard<std::mutex> lk(jobs_mu_);
+    for (auto& kv : shards_) {
+      snapshots.emplace_back(shard_dir(kv.first), kv.second->cache.options());
+    }
+  }
+  for (const auto& [dir, copts] : snapshots) {
+    std::string err;
+    if (!snapshot_shard(dir, copts, &err)) {
+      HARL_LOG_WARN("server: snapshot of %s failed: %s", dir.c_str(),
+                    err.c_str());
+    }
   }
 
   {
@@ -516,12 +524,11 @@ HarlServer::Shard* HarlServer::shard_for_locked(const std::string& hw_name) {
   }
 
   make_dirs(dir);
-  // Hydrate from the shard's record logs: the cache is a pure function of
-  // the record set, so replaying the logs beats trusting a maybe-stale
-  // cache file (which remains published for external consumers).
-  for (const std::string& log : jsonl_files(dir)) {
-    shard->cache.insert_log(log);
-  }
+  // Hydrate from the shard's snapshot plus the log bytes appended since
+  // (a full replay when there is no valid snapshot).  The published cache
+  // file is not trusted: it may predate the logs' last rounds, and it
+  // remains for external consumers only.
+  hydrate_shard(dir, &shard->cache);
 
   FleetTuner::Options fopts;
   fopts.max_concurrent = opts_.max_concurrent;

@@ -139,7 +139,8 @@ class HarlServer {
   /// Graceful drain, idempotent: stop accepting, checkpoint running jobs at
   /// their next round boundary (their journals and record logs survive; done
   /// markers are only written for *completed* jobs, so a restart re-admits
-  /// the rest), stop the fleets, close every connection.
+  /// the rest), stop the fleets, snapshot each shard's cache from disk for
+  /// the next start (`snapshot_shard`), close every connection.
   void shutdown();
 
   ServerStats stats() const;

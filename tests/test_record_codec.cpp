@@ -1,8 +1,10 @@
-// Differential tests of the one-pass record codec and the JSON cursor
-// against the reference implementation they replaced: a recursive-descent
-// parser building a `json::Value` tree, a DOM walk over it, and a DOM build
-// plus `dump()` for encoding.  The reference lives here, in `ref`, as the
-// oracle; the library keeps one path per direction.
+// Differential tests of the one-pass record codec, the JSON cursor and the
+// one-pass knowledge-cache decoder against the reference implementations
+// they replaced: a recursive-descent parser building a `json::Value` tree, a
+// DOM walk over it, and a DOM build plus `dump()` for encoding; for caches,
+// the library DOM with every embedded record dumped and decoded again.  The
+// references live here, in `ref` and `ref_cache`, as the oracles; the
+// library keeps one path per direction.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "io/record.hpp"
 #include "sched/schedule.hpp"
 #include "sched/sketch.hpp"
+#include "serve/knowledge_cache.hpp"
 #include "util/rng.hpp"
 #include "workloads/operators.hpp"
 
@@ -607,6 +611,101 @@ bool record_from_json(const std::string& line, TuningRecord* rec,
 
 }  // namespace ref
 
+namespace ref_cache {
+
+/// What the DOM decoder read: the options and the records, in file order.
+struct Decoded {
+  KnowledgeCacheOptions opts;
+  std::vector<TuningRecord> records;
+};
+
+/// The knowledge-cache decoder the one-pass `cache_from_json` replaced.
+bool cache_from_json(const std::string& text, Decoded* out, std::string* error) {
+  json::ParseError perr;
+  json::Value doc = json::parse(text, &perr);
+  if (!perr.ok) {
+    *error = "cache parse error: " + perr.to_string();
+    return false;
+  }
+  if (!doc.is_object()) {
+    *error = "cache document is not an object";
+    return false;
+  }
+  const json::Value* ver = doc.find("harl_kcache");
+  if (ver == nullptr || !ver->is_number()) {
+    *error = "not a knowledge-cache file (missing harl_kcache)";
+    return false;
+  }
+  if (ver->as_int64() > kKnowledgeCacheVersion) {
+    *error = "incompatible cache version " + std::to_string(ver->as_int64());
+    return false;
+  }
+
+  KnowledgeCacheOptions opts;
+  if (const json::Value* v = doc.find("topk"); v != nullptr && v->is_number()) {
+    opts.top_k = static_cast<int>(v->as_int64(opts.top_k));
+  }
+  if (const json::Value* v = doc.find("min_score");
+      v != nullptr && v->is_number()) {
+    opts.min_score = v->as_double(opts.min_score);
+  }
+  if (const json::Value* v = doc.find("penalty");
+      v != nullptr && v->is_number()) {
+    opts.time_penalty = v->as_double(opts.time_penalty);
+  }
+  if (const json::Value* v = doc.find("rerank");
+      v != nullptr && v->is_number()) {
+    opts.rerank_k = static_cast<int>(v->as_int64(opts.rerank_k));
+  }
+  if (const json::Value* v = doc.find("golden"); v != nullptr && v->is_bool()) {
+    opts.golden_advice = v->as_bool();
+  }
+
+  std::vector<TuningRecord> records;
+  const json::Value* entries = doc.find("entries");
+  if (entries != nullptr) {
+    if (!entries->is_array()) {
+      *error = "cache field \"entries\" is not an array";
+      return false;
+    }
+    for (const json::Value& e : entries->items()) {
+      if (!e.is_object()) {
+        *error = "cache entry is not an object";
+        return false;
+      }
+      const json::Value* recs = e.find("records");
+      if (recs == nullptr || !recs->is_array()) {
+        *error = "cache entry without a \"records\" array";
+        return false;
+      }
+      for (const json::Value& r : recs->items()) {
+        TuningRecord rec;
+        std::string rerr;
+        if (!record_from_json(r.dump(), &rec, &rerr)) {
+          *error = "embedded record invalid: " + rerr;
+          return false;
+        }
+        records.push_back(std::move(rec));
+      }
+    }
+  }
+  out->opts = opts;
+  out->records = std::move(records);
+  return true;
+}
+
+/// The cache the DOM decoder built from what it read: every servable
+/// record inserted in file order.
+std::string cache_bytes(const Decoded& d) {
+  KnowledgeCache cache(d.opts);
+  for (const TuningRecord& rec : d.records) {
+    if (rec.time_ms > 0 && rec.fail.empty()) cache.insert(rec);
+  }
+  return cache_to_json(cache);
+}
+
+}  // namespace ref_cache
+
 // ============================================================ generators
 
 std::uint64_t next_u64(Rng& rng) {
@@ -864,6 +963,67 @@ void expect_same_parse(const std::string& text) {
   ASSERT_EQ(got.dump(), ref::dump(want)) << text;
 }
 
+/// Decodes a cache document with both decoders and expects the same
+/// verdict, error and cache; on failure the target must be untouched.
+/// `classes` counts the failures by the start of their message.
+void expect_same_cache_decode(const std::string& text,
+                              const TuningRecord& sentinel,
+                              std::map<std::string, int>* classes,
+                              int* accepted) {
+  ref_cache::Decoded want;
+  std::string want_error;
+  const bool want_ok = ref_cache::cache_from_json(text, &want, &want_error);
+  KnowledgeCacheOptions other;
+  other.top_k = 5;
+  other.golden_advice = false;
+  KnowledgeCache got(other);
+  got.insert(sentinel);
+  const std::string before = cache_to_json(got);
+  std::string got_error;
+  const bool got_ok = cache_from_json(text, &got, &got_error);
+  ASSERT_EQ(got_ok, want_ok) << text << "\nref: " << want_error
+                             << "\nnew: " << got_error;
+  if (!want_ok) {
+    ASSERT_EQ(got_error, want_error) << text;
+    ASSERT_EQ(cache_to_json(got), before) << "target changed by: " << text;
+    ASSERT_EQ(got.stats().inserts, 1u) << "counters changed by: " << text;
+    ++(*classes)[want_error.substr(0, want_error.find_first_of(":0123456789"))];
+    return;
+  }
+  ++*accepted;
+  ASSERT_EQ(cache_to_json(got), ref_cache::cache_bytes(want)) << text;
+  ASSERT_EQ(got.stats().inserts, 0u);
+}
+
+/// Cache documents of one to six fuzz records under random options.
+std::vector<std::string> fuzz_cache_docs(const std::vector<TuningRecord>& records,
+                                         Rng& rng, int n) {
+  std::vector<std::string> docs;
+  for (int i = 0; i < n; ++i) {
+    KnowledgeCacheOptions opts;
+    opts.top_k = 1 + static_cast<int>(rng.next_below(3));
+    opts.min_score = rng.next_double();
+    opts.time_penalty = 1.0 + rng.next_double();
+    opts.rerank_k = 1 + static_cast<int>(rng.next_below(5));
+    opts.golden_advice = rng.next_bool();
+    KnowledgeCache cache(opts);
+    const int m = 1 + static_cast<int>(rng.next_below(6));
+    for (int j = 0; j < m; ++j) {
+      cache.insert(records[rng.next_below(static_cast<std::uint32_t>(records.size()))]);
+    }
+    docs.push_back(cache_to_json(cache));
+  }
+  return docs;
+}
+
+/// The first servable fuzz record: the contents a failed decode must keep.
+TuningRecord servable(const std::vector<TuningRecord>& records) {
+  for (const TuningRecord& rec : records) {
+    if (rec.time_ms > 0 && rec.fail.empty()) return rec;
+  }
+  return records.front();
+}
+
 // ================================================================= tests
 
 TEST(RecordCodec, EncoderMatchesDomBuild) {
@@ -1054,6 +1214,75 @@ TEST(RecordCodec, EscapeMatchesReference) {
   EXPECT_EQ(json::escape(all), ref::escape(all));
   for (const char* name : kNames) EXPECT_EQ(json::escape(name), ref::escape(name));
   EXPECT_EQ(json::escape(""), "\"\"");
+}
+
+TEST(CacheCodec, DecoderMatchesDomUnderMutation) {
+  Rng rng(20);
+  const std::vector<TuningRecord> records = fuzz_records(rng);
+  const std::vector<std::string> docs = fuzz_cache_docs(records, rng, 64);
+  const TuningRecord sentinel = servable(records);
+  std::map<std::string, int> classes;
+  int accepted = 0;
+  const int kMutants = 4000;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string text = docs[rng.next_below(static_cast<std::uint32_t>(docs.size()))];
+    const int steps = 1 + static_cast<int>(rng.next_below(3));
+    for (int s = 0; s < steps; ++s) {
+      text = rng.next_bool(0.7) ? mutate_structure(text, rng)
+                                : mutate_bytes(std::move(text), rng);
+    }
+    expect_same_cache_decode(text, sentinel, &classes, &accepted);
+    if (HasFatalFailure()) return;
+  }
+  // Shapes the mutations rarely reach: other top-level kinds, and the
+  // duplicated members whose last occurrence decides.
+  const std::string doc = docs.front();
+  const std::string body = doc.substr(1, doc.size() - 3);  // no braces, no \n
+  std::vector<std::string> shapes = {
+      "[]", "42", "\"kcache\"", "null", "true", "{}", " {\"harl_kcache\":1} \n",
+      "{\"harl_kcache\":1,\"entries\":null}",
+      "{\"harl_kcache\":\"1\",\"entries\":[]}",
+      "{" + body + ",\"harl_kcache\":2}",
+      "{" + body + ",\"harl_kcache\":1,\"topk\":\"3\",\"golden\":1}",
+      "{" + body + ",\"entries\":[]}",
+      "{\"entries\":7," + body + "}",
+      "{" + body + ",\"entries\":[{\"records\":[]},{\"records\":{}}]}",
+      "{" + body + ",\"entries\":[{\"records\":[1]},{\"records\":[]}]}",
+      "{" + body + ",\"entries\":[3,{\"records\":[1]}]}",
+      "{" + body + ",\"entries\":[{\"records\":[1],\"records\":[]}]}",
+      "{" + body + ",\"entries\":[{\"records\":[],\"records\":[1]}]}",
+      "{" + body + ",\"entries\":[{\"records\":[1]}],\"harl_kcache\":9}",
+      "{" + body + ",\"entries\":[{\"records\":[1]}],\"zz\":[1,]}"};
+  for (const std::string& d : docs) shapes.push_back(d);
+  for (const std::string& shape : shapes) {
+    expect_same_cache_decode(shape, sentinel, &classes, &accepted);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(accepted, kMutants / 10);
+  // Every verdict of the decoder was reached.
+  for (const char* cls :
+       {"cache parse error", "cache document is not an object",
+        "not a knowledge-cache file (missing harl_kcache)",
+        "incompatible cache version ", "cache field \"entries\" is not an array",
+        "cache entry is not an object",
+        "cache entry without a \"records\" array", "embedded record invalid"}) {
+    EXPECT_GT(classes[cls], 0) << cls;
+  }
+}
+
+TEST(CacheCodec, TruncationAtEveryOffset) {
+  Rng rng(21);
+  const std::vector<TuningRecord> records = fuzz_records(rng);
+  const TuningRecord sentinel = servable(records);
+  std::map<std::string, int> classes;
+  int accepted = 0;
+  for (const std::string& doc : fuzz_cache_docs(records, rng, 3)) {
+    for (std::size_t n = 0; n <= doc.size(); ++n) {
+      expect_same_cache_decode(doc.substr(0, n), sentinel, &classes, &accepted);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GE(accepted, 3);  // at least the whole documents
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "io/json.hpp"
 #include "io/record.hpp"
 #include "io/record_io.hpp"
+#include "io/safe_file.hpp"
 #include "sched/schedule.hpp"
 #include "sched/sketch.hpp"
 #include "util/rng.hpp"
@@ -409,6 +410,139 @@ TEST(RecordReader, MissingFileIsEmpty) {
   EXPECT_TRUE(read_records("harl_test_definitely_missing.jsonl").empty());
   RecordReader reader;
   EXPECT_FALSE(reader.open("harl_test_definitely_missing.jsonl"));
+}
+
+// ---------------------------------------------------------------- coverage
+
+void append_to(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+}
+
+std::vector<std::size_t> error_lines(const RecordReader& reader) {
+  std::vector<std::size_t> out;
+  for (const RecordReadError& e : reader.errors()) out.push_back(e.line_number);
+  return out;
+}
+
+TEST(RecordReader, OffsetOpenKeepsAbsoluteLineNumbers) {
+  const std::string good = valid_line();
+  TempFile file("offset.jsonl");
+  const std::string head = good + "\n\n" + good + "\n";
+  file.write(head);
+  RecordReader reader;
+  TuningRecord rec;
+  ASSERT_TRUE(reader.open(file.path()));
+  while (reader.next(&rec)) {
+  }
+  const LogCoverage covered = reader.coverage();
+  EXPECT_EQ(covered.offset, head.size());
+  EXPECT_EQ(covered.lines, 3u);
+  EXPECT_EQ(covered.tail, good.size() + 1);
+  EXPECT_NE(covered.ino, 0u);
+  EXPECT_TRUE(log_covers(file.path(), covered));
+
+  // The tail: a malformed line, a record, a blank line, a malformed line.
+  const std::string tail = "{\"v\":1\n" + good + "\n\nnope\n";
+  append_to(file.path(), tail);
+  ASSERT_TRUE(reader.open(file.path(), covered));
+  int records = 0;
+  while (reader.next(&rec)) ++records;
+  EXPECT_EQ(records, 1);
+  EXPECT_EQ(record_to_json(rec), good);
+  EXPECT_EQ(reader.lines_read(), 7u);
+  EXPECT_EQ(error_lines(reader), (std::vector<std::size_t>{4, 7}));
+  const LogCoverage now = reader.coverage();
+  EXPECT_EQ(now.offset, head.size() + tail.size());
+  EXPECT_EQ(now.lines, 7u);
+  EXPECT_EQ(now.tail, 5u);
+  EXPECT_EQ(now.dev, covered.dev);
+  EXPECT_EQ(now.ino, covered.ino);
+  EXPECT_TRUE(log_covers(file.path(), covered));  // appends keep a prefix
+  EXPECT_TRUE(log_covers(file.path(), now));
+
+  // Nothing new: the coverage stays as it was opened.
+  ASSERT_TRUE(reader.open(file.path(), now));
+  EXPECT_FALSE(reader.next(&rec));
+  EXPECT_TRUE(reader.coverage() == now);
+}
+
+TEST(RecordReader, TornTailIsNeverCovered) {
+  const std::string good = valid_line();
+  TempFile file("torn_cover.jsonl");
+  const std::string whole = good + "\n" + good + "\n";
+  file.write(whole + good.substr(0, good.size() / 2));
+  RecordReader reader;
+  TuningRecord rec;
+  ASSERT_TRUE(reader.open(file.path()));
+  int records = 0;
+  while (reader.next(&rec)) ++records;
+  EXPECT_EQ(records, 2);
+  EXPECT_EQ(reader.lines_read(), 3u);  // the fragment is read, and skipped
+  const LogCoverage covered = reader.coverage();
+  EXPECT_EQ(covered.offset, whole.size());
+  EXPECT_EQ(covered.lines, 2u);
+  EXPECT_EQ(covered.tail, good.size() + 1);
+
+  // A writer isolates the fragment on its own line; a reader resuming at
+  // the coverage sees it as line 3 and the new record as line 4.
+  {
+    RecordWriter writer;
+    ASSERT_TRUE(writer.open(file.path(), /*append=*/true));
+    TuningRecord again;
+    std::string error;
+    ASSERT_TRUE(record_from_json(good, &again, &error)) << error;
+    ASSERT_TRUE(writer.write(again));
+  }
+  ASSERT_TRUE(reader.open(file.path(), covered));
+  records = 0;
+  while (reader.next(&rec)) ++records;
+  EXPECT_EQ(records, 1);
+  EXPECT_EQ(error_lines(reader), (std::vector<std::size_t>{3}));
+  const LogCoverage now = reader.coverage();
+  EXPECT_EQ(now.lines, 4u);
+  EXPECT_EQ(now.tail, good.size() + 1);
+  std::string text;
+  ASSERT_TRUE(read_text_file(file.path(), &text, nullptr));
+  EXPECT_EQ(now.offset, text.size());
+}
+
+TEST(RecordReader, CoverageRejectsRewrittenLogs) {
+  const std::string good = valid_line();
+  const std::size_t ms = good.find("\"ms\":0.25");
+  ASSERT_NE(ms, std::string::npos);
+  std::string other = good;
+  other[ms + 8] = '7';  // 0.25 -> 0.75, same length
+  const std::string original = good + "\n" + good + "\n";
+  TempFile file("rewrite_cover.jsonl");
+  file.write(original);
+  RecordReader reader;
+  TuningRecord rec;
+  ASSERT_TRUE(reader.open(file.path()));
+  while (reader.next(&rec)) {
+  }
+  const LogCoverage covered = reader.coverage();
+  reader.close();
+  ASSERT_TRUE(log_covers(file.path(), covered));
+
+  // Truncated and rewritten in place (same inode): the last covered line
+  // differs, though the file is as long as before.
+  file.write(good + "\n" + other + "\n" + good + "\n");
+  EXPECT_FALSE(log_covers(file.path(), covered));
+  // Shorter than the covered prefix.
+  file.write(good + "\n");
+  EXPECT_FALSE(log_covers(file.path(), covered));
+  // The same bytes in place again: covered.
+  file.write(original);
+  EXPECT_TRUE(log_covers(file.path(), covered));
+  // The same bytes through a new inode, as salvage and compaction write.
+  ASSERT_TRUE(atomic_write_file(file.path(), original, false, nullptr));
+  EXPECT_FALSE(log_covers(file.path(), covered));
+  std::remove(file.path().c_str());
+  EXPECT_FALSE(log_covers(file.path(), covered));
+  EXPECT_TRUE(log_covers(file.path(), LogCoverage{}));  // nothing covered
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "core/harl.hpp"
 #include "io/safe_file.hpp"
 #include "serve/knowledge_cache.hpp"
+#include "serve/shard_snapshot.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
@@ -471,13 +472,26 @@ TEST(Server, NamedPolicyJobKeepsTheBaseTaskSelection) {
   EXPECT_EQ(named, job_log(preset_dir.path, ansor_on_sw_ucb, ""));
 }
 
+/// Cache bytes of the shard in `dir` hydrated as a restart does, and as a
+/// full replay of its logs; a restart from the snapshot must match.
+void expect_snapshot_restart_matches_replay(const std::string& dir) {
+  KnowledgeCache hydrated;
+  const ShardHydration h = hydrate_shard(dir, &hydrated);
+  EXPECT_TRUE(h.restored) << dir;
+  KnowledgeCache replayed;
+  for (const std::string& log : jsonl_files(dir)) replayed.insert_log(log);
+  EXPECT_EQ(cache_to_json(hydrated), cache_to_json(replayed)) << dir;
+}
+
 TEST(Server, DrainCheckpointsAndRestartResumesBitIdentically) {
   TempDir victim_dir("test_server_victim");
   TempDir ref_dir("test_server_reference");
-  const std::int64_t kTrials = 1600;
+  const std::int64_t kTrials = 400;
   const std::uint64_t kSeed = 7;
+  const std::int64_t kDrainRound = 3;  // drain once this many rounds ran
 
-  // Victim: admit the job, let it run a few rounds, then drain mid-flight.
+  // Victim: admit the job, follow its progress stream, and drain on its Nth
+  // round event, so the drain lands mid-run however slow the build is.
   std::string victim_log;
   {
     HarlServer server(make_server_options(victim_dir.path));
@@ -488,16 +502,21 @@ TEST(Server, DrainCheckpointsAndRestartResumesBitIdentically) {
     ASSERT_TRUE(admitted.ok) << admitted.error;
     victim_log = victim_dir.path + "/test/bert_b1-job" +
                  std::to_string(admitted.job) + ".jsonl";
-    // Wait until tuning demonstrably started, then a little longer so the
-    // drain lands mid-run (the job needs seconds to finish 1600 trials).
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    std::string probe;
-    while (!read_text_file(victim_log, &probe, nullptr) &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    LineClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error)) << error;
+    Request subscribe;
+    subscribe.type = RequestType::kSubscribe;
+    subscribe.job = admitted.job;
+    ASSERT_TRUE(client.send_line(request_to_json(subscribe), &error)) << error;
+    Response ev;
+    std::string line;
+    do {
+      ASSERT_TRUE(client.recv_line(&line, &error, 300000)) << error;
+      ASSERT_TRUE(response_from_json(line, &ev, &error)) << error;
+      ASSERT_NE(ev.event, "done") << "the job finished before the drain";
+    } while (!(ev.event == "round" && ev.round + 1 >= kDrainRound));
+    EXPECT_LT(ev.trials_after, kTrials);
+    client.close();
     server.request_shutdown();  // what the SIGTERM handler does
     server.shutdown();
   }
@@ -506,6 +525,11 @@ TEST(Server, DrainCheckpointsAndRestartResumesBitIdentically) {
   std::vector<TuningRecord> partial = read_records(victim_log);
   ASSERT_GT(partial.size(), 0u);
   ASSERT_LT(partial.size(), static_cast<std::size_t>(kTrials));
+  std::string journal;
+  ASSERT_TRUE(read_text_file(victim_dir.path + "/jobs.jsonl", &journal, nullptr));
+  EXPECT_EQ(journal.find("\"ev\":\"done\""), std::string::npos);
+  // The drain snapshotted the shard, and a restart from it is a replay.
+  expect_snapshot_restart_matches_replay(victim_dir.path + "/test");
 
   // Restart over the same state dir: the journal re-admits the job and the
   // fleet resumes it from the salvaged log.
@@ -528,6 +552,7 @@ TEST(Server, DrainCheckpointsAndRestartResumesBitIdentically) {
     EXPECT_EQ(served.tier, "L1");
     server.shutdown();
   }
+  expect_snapshot_restart_matches_replay(victim_dir.path + "/test");
 
   // Reference: the same request uninterrupted in a fresh state dir.
   {
@@ -548,6 +573,13 @@ TEST(Server, DrainCheckpointsAndRestartResumesBitIdentically) {
                              &reference, nullptr));
   EXPECT_EQ(victim, reference)
       << "kill-and-restart must replay to the exact uninterrupted log";
+  // The resumed daemon, hydrated from the drain snapshot, published the
+  // cache the uninterrupted one did.
+  ASSERT_TRUE(read_text_file(victim_dir.path + "/test/knowledge.cache.json",
+                             &victim, nullptr));
+  ASSERT_TRUE(read_text_file(ref_dir.path + "/test/knowledge.cache.json",
+                             &reference, nullptr));
+  EXPECT_EQ(victim, reference);
 }
 
 TEST(Server, SubscribeToFinishedJobYieldsImmediateDoneEvent) {
