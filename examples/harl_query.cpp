@@ -21,8 +21,9 @@
 ///              [--shutdown]
 ///       Client mode: talk to a harl_serve daemon (--connect=PORT implies
 ///       host 127.0.0.1).  Queries print the same tier/record lines as
-///       local mode; tuning requests are admitted against the tenant's
-///       trial budget and can be streamed to completion.
+///       local mode plus `cache_gen:`, the generation fingerprint of the
+///       daemon's cache that answered; tuning requests are admitted against
+///       the tenant's trial budget and can be streamed to completion.
 ///
 ///   --task=NETWORK/SUBGRAPH  what to serve, e.g. bert_b1/GEMM-I (builtin
 ///                            workload names; see harl_harvest stats)
@@ -408,6 +409,9 @@ int remote_main(const RemoteArgs& args) {
                     json::format_double(r.est_time_ms).c_str());
       }
       if (!r.record.empty()) std::printf("record: %s\n", r.record.c_str());
+    }
+    if (r.cache_gen != 0) {
+      std::printf("cache_gen: %llu\n", static_cast<unsigned long long>(r.cache_gen));
     }
     std::sort(micros.begin(), micros.end());
     std::printf("lookup: server %s us, round-trip median %.1f us over %d "

@@ -15,39 +15,34 @@
 
 namespace harl {
 
+const Subgraph* BuiltinNetworks::resolve(const std::string& network,
+                                         const std::string& task) {
+  auto it = networks_.find(network);
+  if (it == networks_.end()) {
+    // "<base>_b<batch>" is the shipped naming scheme (make_bert(2) names
+    // itself "bert_b2"); anything else is an unknown custom network.
+    std::size_t pos = network.rfind("_b");
+    if (pos == std::string::npos || pos + 2 >= network.size()) return nullptr;
+    const std::string digits = network.substr(pos + 2);
+    if (digits.find_first_not_of("0123456789") != std::string::npos) return nullptr;
+    const auto& names = network_names();
+    const std::string base = network.substr(0, pos);
+    if (std::find(names.begin(), names.end(), base) == names.end()) return nullptr;
+    it = networks_
+             .emplace(network, std::make_unique<Network>(
+                                   make_network(base, std::atoll(digits.c_str()))))
+             .first;
+  }
+  for (const Subgraph& g : it->second->subgraphs) {
+    if (g.name() == task) return &g;
+  }
+  return nullptr;
+}
+
 TaskResolver make_builtin_resolver() {
-  struct Cache {
-    std::unordered_map<std::string, std::unique_ptr<Network>> networks;
-  };
-  auto cache = std::make_shared<Cache>();
-  return [cache](const std::string& network,
-                 const std::string& task) -> const Subgraph* {
-    auto it = cache->networks.find(network);
-    if (it == cache->networks.end()) {
-      // "<base>_b<batch>" is the shipped naming scheme (make_bert(2) names
-      // itself "bert_b2"); anything else is an unknown custom network.
-      std::unique_ptr<Network> net;
-      std::size_t pos = network.rfind("_b");
-      if (pos != std::string::npos && pos + 2 < network.size()) {
-        std::string base = network.substr(0, pos);
-        const std::string digits = network.substr(pos + 2);
-        bool numeric = !digits.empty() &&
-                       digits.find_first_not_of("0123456789") == std::string::npos;
-        if (numeric) {
-          const auto& names = network_names();
-          if (std::find(names.begin(), names.end(), base) != names.end()) {
-            net = std::make_unique<Network>(
-                make_network(base, std::atoll(digits.c_str())));
-          }
-        }
-      }
-      it = cache->networks.emplace(network, std::move(net)).first;
-    }
-    if (it->second == nullptr) return nullptr;
-    for (const Subgraph& g : it->second->subgraphs) {
-      if (g.name() == task) return &g;
-    }
-    return nullptr;
+  auto memo = std::make_shared<BuiltinNetworks>();
+  return [memo](const std::string& network, const std::string& task) {
+    return memo->resolve(network, task);
   };
 }
 

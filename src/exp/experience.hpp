@@ -9,13 +9,16 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cost/gbdt.hpp"
 #include "hwsim/hardware_config.hpp"
 #include "io/record.hpp"
 #include "io/record_io.hpp"
+#include "ir/subgraph.hpp"
 
 namespace harl {
 
@@ -28,11 +31,26 @@ class ThreadPool;
 using TaskResolver = std::function<const Subgraph*(const std::string& network,
                                                    const std::string& task)>;
 
-/// Resolver for the shipped workload inventory: parses the
-/// `make_network`-style name "<base>_b<batch>" (e.g. "bert_b1",
-/// "resnet50_b4"), instantiates the network once per distinct name, and
-/// looks the task up by subgraph name.  Custom networks need a custom
-/// resolver (see `ExperienceStore::build_dataset`).
+/// The memo behind `make_builtin_resolver`: parses the `make_network`-style
+/// name "<base>_b<batch>" (e.g. "bert_b1", "resnet50_b4"), instantiates the
+/// network once per distinct name, and looks the task up by subgraph name.
+/// Returned pointers stay valid for the memo's lifetime.  Only names that
+/// build a shipped network are kept: a name that resolves to nothing is
+/// parsed again on every call, so a stream of unknown names (client input,
+/// in the daemon) costs no memory.  Not thread-safe.
+class BuiltinNetworks {
+ public:
+  const Subgraph* resolve(const std::string& network, const std::string& task);
+  /// Networks held.
+  std::size_t size() const { return networks_.size(); }
+
+ private:
+  std::unordered_map<std::string, std::unique_ptr<Network>> networks_;
+};
+
+/// Resolver for the shipped workload inventory: one `BuiltinNetworks` memo
+/// shared by every copy of the returned function.  Custom networks need a
+/// custom resolver (see `ExperienceStore::build_dataset`).
 TaskResolver make_builtin_resolver();
 
 /// Outcome of one harvest (`ExperienceStore::build_dataset`).

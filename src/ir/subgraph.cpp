@@ -75,11 +75,12 @@ double Network::estimate_latency(const std::vector<double>& subgraph_time_ms) co
   return total;
 }
 
-Subgraph make_single_op_subgraph(const TensorOp& op, double weight) {
-  Stage stage;
-  stage.op = op;
-  stage.producer_of_input.assign(op.inputs.size(), -1);
-  return Subgraph(op.name, {stage}, weight);
+Subgraph make_single_op_subgraph(TensorOp op, double weight) {
+  std::string name = op.name;
+  std::vector<Stage> stages(1);
+  stages[0].producer_of_input.assign(op.inputs.size(), -1);
+  stages[0].op = std::move(op);
+  return Subgraph(std::move(name), std::move(stages), weight);
 }
 
 }  // namespace harl

@@ -91,7 +91,8 @@ struct Network {
   double estimate_latency(const std::vector<double>& subgraph_time_ms) const;
 };
 
-/// Convenience builder: a single-stage subgraph wrapping one operator.
-Subgraph make_single_op_subgraph(const TensorOp& op, double weight = 1.0);
+/// Convenience builder: a single-stage subgraph wrapping one operator, named
+/// after it.  Pass the operator as an rvalue to build without copying it.
+Subgraph make_single_op_subgraph(TensorOp op, double weight = 1.0);
 
 }  // namespace harl

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/logging.hpp"
+
 namespace harl {
 
 const char* op_kind_name(OpKind kind) {
@@ -18,6 +20,15 @@ const char* op_kind_name(OpKind kind) {
     case OpKind::kGeneric: return "generic";
   }
   return "?";
+}
+
+DimExpr::Terms::Terms(std::initializer_list<Term> init) {
+  for (const Term& t : init) push_back(t);
+}
+
+void DimExpr::Terms::push_back(const Term& t) {
+  HARL_CHECK(size_ < kMaxTerms, "DimExpr: more than kMaxTerms terms");
+  items_[size_++] = t;
 }
 
 std::int64_t DimExpr::footprint(const std::vector<std::int64_t>& tile_sizes) const {

@@ -5,7 +5,9 @@
 /// with iteration spaces and byte/flop accounting used by featurization and
 /// the simulator.  Collaborators: Subgraph, FeatureExtractor, CostSimulator.
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -39,12 +41,35 @@ const char* op_kind_name(OpKind kind);
 ///   sum_i coeff_i * (t[axis_i] - 1) + 1,
 /// the exact size of the data slab a tile touches for strided/dilated
 /// accesses (e.g. conv input height = stride*(t_oh-1) + dilation*(t_kh-1)+1).
+///
+/// Terms are stored inline, at most `kMaxTerms` of them: one axis for a plain
+/// dimension, two for a windowed one (output position * stride + kernel
+/// offset).  A dimension owns no heap memory, so building and copying an
+/// operator allocates nothing per dimension.  Adding a third term aborts.
 struct DimExpr {
   struct Term {
     int axis = 0;          ///< index into TensorOp::axes
     std::int64_t coeff = 1;
   };
-  std::vector<Term> terms;
+  static constexpr std::size_t kMaxTerms = 2;
+
+  /// Fixed-capacity term list with the read interface of a vector.
+  class Terms {
+   public:
+    Terms() = default;
+    Terms(std::initializer_list<Term> init);  ///< aborts past kMaxTerms
+
+    void push_back(const Term& t);            ///< aborts past kMaxTerms
+    std::size_t size() const { return size_; }
+    const Term& operator[](std::size_t i) const { return items_[i]; }
+    const Term* begin() const { return items_; }
+    const Term* end() const { return items_ + size_; }
+
+   private:
+    Term items_[kMaxTerms];
+    std::size_t size_ = 0;
+  };
+  Terms terms;
 
   /// Footprint extent for the given per-axis tile sizes.
   std::int64_t footprint(const std::vector<std::int64_t>& tile_sizes) const;

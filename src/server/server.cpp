@@ -236,8 +236,10 @@ bool HarlServer::start(std::string* error) {
   }
   if (!port_file.empty()) {
     std::string werr;
-    if (!atomic_write_file(port_file, std::to_string(port_) + "\n", false,
-                           &werr)) {
+    if (atomic_write_file(port_file, std::to_string(port_) + "\n", false,
+                          &werr)) {
+      port_file_ = port_file;
+    } else {
       HARL_LOG_WARN("server: cannot write port file: %s", werr.c_str());
     }
   }
@@ -346,6 +348,13 @@ void HarlServer::shutdown() {
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
+  }
+  // The port is dead now, so take its discovery file down with it, unless
+  // another daemon has since written its own port there.
+  std::string port_text;
+  if (!port_file_.empty() && read_text_file(port_file_, &port_text, nullptr) &&
+      port_text == std::to_string(port_) + "\n") {
+    ::unlink(port_file_.c_str());
   }
 
   // Checkpoint: ask every running session to stop at its next round

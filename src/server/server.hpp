@@ -36,7 +36,7 @@ namespace harl {
 struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port.  The chosen port is
   /// written to `<state_dir>/port` either way, so clients and scripts can
-  /// discover it.
+  /// discover it; a clean shutdown removes the file again.
   int port = 0;
   /// Durable root: per-hardware shard directories with record logs and
   /// knowledge caches, plus the `jobs.jsonl` journal and the `port` file.
@@ -136,11 +136,13 @@ class HarlServer {
   /// Block until `request_shutdown()` (signal or client), then `shutdown()`.
   void serve_forever();
 
-  /// Graceful drain, idempotent: stop accepting, checkpoint running jobs at
-  /// their next round boundary (their journals and record logs survive; done
-  /// markers are only written for *completed* jobs, so a restart re-admits
-  /// the rest), stop the fleets, snapshot each shard's cache from disk for
-  /// the next start (`snapshot_shard`), close every connection.
+  /// Graceful drain, idempotent: stop accepting (and remove the port file
+  /// start() wrote, while it still names this daemon), checkpoint running
+  /// jobs at their next round boundary (their journals and record logs
+  /// survive; done markers are only written for *completed* jobs, so a
+  /// restart re-admits the rest), stop the fleets, snapshot each shard's
+  /// cache from disk for the next start (`snapshot_shard`), close every
+  /// connection.
   void shutdown();
 
   ServerStats stats() const;
@@ -221,6 +223,7 @@ class HarlServer {
 
   ServerOptions opts_;
   int port_ = 0;
+  std::string port_file_;  ///< port file start() wrote; shutdown() removes it
   int listen_fd_ = -1;
   std::thread accept_thread_;
   std::thread watch_thread_;  ///< replica mode: published-file poller

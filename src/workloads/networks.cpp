@@ -18,6 +18,7 @@ Network make_bert(std::int64_t batch) {
 
   Network net;
   net.name = "bert_b" + std::to_string(batch);
+  net.subgraphs.reserve(10);
 
   // Table 4 inventory. Weights = appearances over the 12 encoder layers.
   net.subgraphs.push_back(make_gemm(m, hidden, ffn, 1, "GEMM-I", 12));        // FFN up
@@ -41,11 +42,12 @@ Network make_bert(std::int64_t batch) {
 Network make_resnet50(std::int64_t batch) {
   Network net;
   net.name = "resnet50_b" + std::to_string(batch);
+  net.subgraphs.reserve(24);
   int idx = 0;
   auto conv = [&](std::int64_t h, std::int64_t w, std::int64_t ci, std::int64_t co,
                   std::int64_t k, std::int64_t s, std::int64_t p, double weight) {
-    std::string name = "res_conv" + std::to_string(idx++);
-    net.subgraphs.push_back(make_conv2d_relu(batch, h, w, ci, co, k, s, p, name, weight));
+    net.subgraphs.push_back(make_conv2d_relu(batch, h, w, ci, co, k, s, p,
+                                             "res_conv" + std::to_string(idx++), weight));
   };
 
   // 24 distinct subgraphs: the stem, the distinct bottleneck convolutions of
@@ -87,16 +89,17 @@ Network make_resnet50(std::int64_t batch) {
 Network make_mobilenet_v2(std::int64_t batch) {
   Network net;
   net.name = "mobilenet_v2_b" + std::to_string(batch);
+  net.subgraphs.reserve(21);
   int idx = 0;
   auto conv = [&](std::int64_t h, std::int64_t w, std::int64_t ci, std::int64_t co,
                   std::int64_t k, std::int64_t s, std::int64_t p, double weight) {
-    std::string name = "mbv2_conv" + std::to_string(idx++);
-    net.subgraphs.push_back(make_conv2d_relu(batch, h, w, ci, co, k, s, p, name, weight));
+    net.subgraphs.push_back(make_conv2d_relu(batch, h, w, ci, co, k, s, p,
+                                             "mbv2_conv" + std::to_string(idx++), weight));
   };
   auto dw = [&](std::int64_t h, std::int64_t w, std::int64_t c, std::int64_t s,
                 double weight) {
-    std::string name = "mbv2_dw" + std::to_string(idx++);
-    net.subgraphs.push_back(make_depthwise_conv2d(batch, h, w, c, 3, s, 1, name, weight));
+    net.subgraphs.push_back(make_depthwise_conv2d(batch, h, w, c, 3, s, 1,
+                                                  "mbv2_dw" + std::to_string(idx++), weight));
   };
 
   // 21 distinct subgraphs: stem, the expand/depthwise/project triples of the

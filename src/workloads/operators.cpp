@@ -1,5 +1,8 @@
 #include "workloads/operators.hpp"
 
+#include <utility>
+#include <vector>
+
 namespace harl {
 
 namespace {
@@ -14,17 +17,38 @@ std::int64_t t2d_out(std::int64_t in, std::int64_t kernel, std::int64_t stride,
   return (in - 1) * stride - 2 * pad + kernel;
 }
 
+/// Input position of a sliding window: stride * output axis + kernel axis.
+DimExpr window(int out_axis, std::int64_t stride, int kernel_axis) {
+  DimExpr e;
+  e.terms = {{out_axis, stride}, {kernel_axis, 1}};
+  return e;
+}
+
+/// A two-stage subgraph built by moving both operators into place; the
+/// wiring lists name each input's producer stage (-1 = external tensor).
+Subgraph two_stage(std::string name, TensorOp first, std::vector<int> first_wiring,
+                   TensorOp second, std::vector<int> second_wiring, double weight) {
+  std::vector<Stage> stages(2);
+  stages[0].op = std::move(first);
+  stages[0].producer_of_input = std::move(first_wiring);
+  stages[1].op = std::move(second);
+  stages[1].producer_of_input = std::move(second_wiring);
+  return Subgraph(std::move(name), std::move(stages), weight);
+}
+
 }  // namespace
 
 TensorOp make_gemm_op(std::int64_t m, std::int64_t k, std::int64_t n,
-                      std::int64_t batch, const std::string& name) {
+                      std::int64_t batch, std::string name) {
   TensorOp op;
-  op.name = name;
-  op.kind = batch > 1 ? OpKind::kBatchGemm : OpKind::kGemm;
+  const bool batched = batch > 1;
+  op.name = std::move(name);
+  op.kind = batched ? OpKind::kBatchGemm : OpKind::kGemm;
   op.flops_per_point = 2.0;
   int axis = 0;
   int b_ax = -1;
-  if (batch > 1) {
+  op.axes.reserve(batched ? 4 : 3);
+  if (batched) {
     op.axes.push_back({"b", batch, AxisKind::kSpatial});
     b_ax = axis++;
   }
@@ -35,26 +59,28 @@ TensorOp make_gemm_op(std::int64_t m, std::int64_t k, std::int64_t n,
   op.axes.push_back({"k", k, AxisKind::kReduction});
   int k_ax = axis++;
 
-  TensorAccess a;
+  op.inputs.reserve(2);
+  TensorAccess& a = op.inputs.emplace_back();
   a.tensor_name = "A";
-  if (b_ax >= 0) a.dims.push_back(DimExpr::of_axis(b_ax));
+  a.dims.reserve(batched ? 3 : 2);
+  if (batched) a.dims.push_back(DimExpr::of_axis(b_ax));
   a.dims.push_back(DimExpr::of_axis(i_ax));
   a.dims.push_back(DimExpr::of_axis(k_ax));
-  TensorAccess b;
+  TensorAccess& b = op.inputs.emplace_back();
   b.tensor_name = "B";
-  if (b_ax >= 0) b.dims.push_back(DimExpr::of_axis(b_ax));
+  b.dims.reserve(batched ? 3 : 2);
+  if (batched) b.dims.push_back(DimExpr::of_axis(b_ax));
   b.dims.push_back(DimExpr::of_axis(k_ax));
   b.dims.push_back(DimExpr::of_axis(j_ax));
-  op.inputs = {a, b};
   return op;
 }
 
 TensorOp make_conv1d_op(std::int64_t batch, std::int64_t length, std::int64_t ci,
                         std::int64_t co, std::int64_t kernel, std::int64_t stride,
-                        std::int64_t pad, const std::string& name) {
+                        std::int64_t pad, std::string name) {
   std::int64_t lo = conv_out(length, kernel, stride, pad);
   TensorOp op;
-  op.name = name;
+  op.name = std::move(name);
   op.kind = OpKind::kConv1d;
   op.flops_per_point = 2.0;
   op.axes = {{"n", batch, AxisKind::kSpatial},
@@ -62,27 +88,20 @@ TensorOp make_conv1d_op(std::int64_t batch, std::int64_t length, std::int64_t ci
              {"co", co, AxisKind::kSpatial},
              {"rc", ci, AxisKind::kReduction},
              {"rk", kernel, AxisKind::kReduction}};
-  TensorAccess x;
-  x.tensor_name = "X";
-  x.dims.push_back(DimExpr::of_axis(0));
-  x.dims.push_back(DimExpr::of_axis(3));
-  DimExpr pos;
-  pos.terms = {{1, stride}, {4, 1}};
-  x.dims.push_back(pos);
-  TensorAccess w;
-  w.tensor_name = "W";
-  w.dims = {DimExpr::of_axis(2), DimExpr::of_axis(3), DimExpr::of_axis(4)};
-  op.inputs = {x, w};
+  op.inputs.reserve(2);
+  op.inputs.push_back({"X", {DimExpr::of_axis(0), DimExpr::of_axis(3), window(1, stride, 4)}});
+  op.inputs.push_back(
+      {"W", {DimExpr::of_axis(2), DimExpr::of_axis(3), DimExpr::of_axis(4)}});
   return op;
 }
 
 TensorOp make_conv2d_op(std::int64_t batch, std::int64_t h, std::int64_t w,
                         std::int64_t ci, std::int64_t co, std::int64_t kernel,
-                        std::int64_t stride, std::int64_t pad, const std::string& name) {
+                        std::int64_t stride, std::int64_t pad, std::string name) {
   std::int64_t ho = conv_out(h, kernel, stride, pad);
   std::int64_t wo = conv_out(w, kernel, stride, pad);
   TensorOp op;
-  op.name = name;
+  op.name = std::move(name);
   op.kind = OpKind::kConv2d;
   op.flops_per_point = 2.0;
   op.axes = {{"n", batch, AxisKind::kSpatial},   // 0
@@ -92,32 +111,22 @@ TensorOp make_conv2d_op(std::int64_t batch, std::int64_t h, std::int64_t w,
              {"rc", ci, AxisKind::kReduction},   // 4
              {"rh", kernel, AxisKind::kReduction},  // 5
              {"rw", kernel, AxisKind::kReduction}}; // 6
-  TensorAccess x;
-  x.tensor_name = "X";
-  x.dims.push_back(DimExpr::of_axis(0));
-  x.dims.push_back(DimExpr::of_axis(4));
-  DimExpr hpos;
-  hpos.terms = {{1, stride}, {5, 1}};
-  x.dims.push_back(hpos);
-  DimExpr wpos;
-  wpos.terms = {{2, stride}, {6, 1}};
-  x.dims.push_back(wpos);
-  TensorAccess wt;
-  wt.tensor_name = "W";
-  wt.dims = {DimExpr::of_axis(3), DimExpr::of_axis(4), DimExpr::of_axis(5),
-             DimExpr::of_axis(6)};
-  op.inputs = {x, wt};
+  op.inputs.reserve(2);
+  op.inputs.push_back({"X", {DimExpr::of_axis(0), DimExpr::of_axis(4),
+                             window(1, stride, 5), window(2, stride, 6)}});
+  op.inputs.push_back({"W", {DimExpr::of_axis(3), DimExpr::of_axis(4),
+                             DimExpr::of_axis(5), DimExpr::of_axis(6)}});
   return op;
 }
 
 TensorOp make_depthwise_conv2d_op(std::int64_t batch, std::int64_t h, std::int64_t w,
                                   std::int64_t channels, std::int64_t kernel,
                                   std::int64_t stride, std::int64_t pad,
-                                  const std::string& name) {
+                                  std::string name) {
   std::int64_t ho = conv_out(h, kernel, stride, pad);
   std::int64_t wo = conv_out(w, kernel, stride, pad);
   TensorOp op;
-  op.name = name;
+  op.name = std::move(name);
   op.kind = OpKind::kConv2d;
   op.flops_per_point = 2.0;
   op.axes = {{"n", batch, AxisKind::kSpatial},    // 0
@@ -126,32 +135,23 @@ TensorOp make_depthwise_conv2d_op(std::int64_t batch, std::int64_t h, std::int64
              {"ow", wo, AxisKind::kSpatial},      // 3
              {"rh", kernel, AxisKind::kReduction},   // 4
              {"rw", kernel, AxisKind::kReduction}};  // 5
-  TensorAccess x;
-  x.tensor_name = "X";
-  x.dims.push_back(DimExpr::of_axis(0));
-  x.dims.push_back(DimExpr::of_axis(1));
-  DimExpr hpos;
-  hpos.terms = {{2, stride}, {4, 1}};
-  x.dims.push_back(hpos);
-  DimExpr wpos;
-  wpos.terms = {{3, stride}, {5, 1}};
-  x.dims.push_back(wpos);
-  TensorAccess wt;
-  wt.tensor_name = "W";
-  wt.dims = {DimExpr::of_axis(1), DimExpr::of_axis(4), DimExpr::of_axis(5)};
-  op.inputs = {x, wt};
+  op.inputs.reserve(2);
+  op.inputs.push_back({"X", {DimExpr::of_axis(0), DimExpr::of_axis(1),
+                             window(2, stride, 4), window(3, stride, 5)}});
+  op.inputs.push_back(
+      {"W", {DimExpr::of_axis(1), DimExpr::of_axis(4), DimExpr::of_axis(5)}});
   return op;
 }
 
 TensorOp make_conv3d_op(std::int64_t batch, std::int64_t d, std::int64_t h,
                         std::int64_t w, std::int64_t ci, std::int64_t co,
                         std::int64_t kernel, std::int64_t stride, std::int64_t pad,
-                        const std::string& name) {
+                        std::string name) {
   std::int64_t dout = conv_out(d, kernel, stride, pad);
   std::int64_t ho = conv_out(h, kernel, stride, pad);
   std::int64_t wo = conv_out(w, kernel, stride, pad);
   TensorOp op;
-  op.name = name;
+  op.name = std::move(name);
   op.kind = OpKind::kConv3d;
   op.flops_per_point = 2.0;
   op.axes = {{"n", batch, AxisKind::kSpatial},   // 0
@@ -163,34 +163,21 @@ TensorOp make_conv3d_op(std::int64_t batch, std::int64_t d, std::int64_t h,
              {"rd", kernel, AxisKind::kReduction},  // 6
              {"rh", kernel, AxisKind::kReduction},  // 7
              {"rw", kernel, AxisKind::kReduction}}; // 8
-  TensorAccess x;
-  x.tensor_name = "X";
-  x.dims.push_back(DimExpr::of_axis(0));
-  x.dims.push_back(DimExpr::of_axis(5));
-  DimExpr dpos;
-  dpos.terms = {{1, stride}, {6, 1}};
-  x.dims.push_back(dpos);
-  DimExpr hpos;
-  hpos.terms = {{2, stride}, {7, 1}};
-  x.dims.push_back(hpos);
-  DimExpr wpos;
-  wpos.terms = {{3, stride}, {8, 1}};
-  x.dims.push_back(wpos);
-  TensorAccess wt;
-  wt.tensor_name = "W";
-  wt.dims = {DimExpr::of_axis(4), DimExpr::of_axis(5), DimExpr::of_axis(6),
-             DimExpr::of_axis(7), DimExpr::of_axis(8)};
-  op.inputs = {x, wt};
+  op.inputs.reserve(2);
+  op.inputs.push_back({"X", {DimExpr::of_axis(0), DimExpr::of_axis(5), window(1, stride, 6),
+                             window(2, stride, 7), window(3, stride, 8)}});
+  op.inputs.push_back({"W", {DimExpr::of_axis(4), DimExpr::of_axis(5), DimExpr::of_axis(6),
+                             DimExpr::of_axis(7), DimExpr::of_axis(8)}});
   return op;
 }
 
 TensorOp make_t2d_op(std::int64_t batch, std::int64_t h, std::int64_t w,
                      std::int64_t ci, std::int64_t co, std::int64_t kernel,
-                     std::int64_t stride, std::int64_t pad, const std::string& name) {
+                     std::int64_t stride, std::int64_t pad, std::string name) {
   std::int64_t ho = t2d_out(h, kernel, stride, pad);
   std::int64_t wo = t2d_out(w, kernel, stride, pad);
   TensorOp op;
-  op.name = name;
+  op.name = std::move(name);
   op.kind = OpKind::kTransposedConv2d;
   op.flops_per_point = 2.0;
   op.axes = {{"n", batch, AxisKind::kSpatial},   // 0
@@ -204,97 +191,85 @@ TensorOp make_t2d_op(std::int64_t batch, std::int64_t h, std::int64_t w,
   // The exact footprint divides by stride; we approximate the slab extent
   // with unit coefficients, which upper-bounds reuse by at most `stride`,
   // uniformly across schedules (shape-preserving for search comparisons).
-  TensorAccess x;
-  x.tensor_name = "X";
-  x.dims.push_back(DimExpr::of_axis(0));
-  x.dims.push_back(DimExpr::of_axis(4));
-  DimExpr hpos;
-  hpos.terms = {{1, 1}, {5, 1}};
-  x.dims.push_back(hpos);
-  DimExpr wpos;
-  wpos.terms = {{2, 1}, {6, 1}};
-  x.dims.push_back(wpos);
-  TensorAccess wt;
-  wt.tensor_name = "W";
-  wt.dims = {DimExpr::of_axis(3), DimExpr::of_axis(4), DimExpr::of_axis(5),
-             DimExpr::of_axis(6)};
-  op.inputs = {x, wt};
+  op.inputs.reserve(2);
+  op.inputs.push_back({"X", {DimExpr::of_axis(0), DimExpr::of_axis(4), window(1, 1, 5),
+                             window(2, 1, 6)}});
+  op.inputs.push_back({"W", {DimExpr::of_axis(3), DimExpr::of_axis(4),
+                             DimExpr::of_axis(5), DimExpr::of_axis(6)}});
   return op;
 }
 
 TensorOp make_elementwise_op(std::int64_t elems, double flops_per_point, int arity,
-                             const std::string& name) {
+                             std::string name) {
   TensorOp op;
-  op.name = name;
+  op.name = std::move(name);
   op.kind = OpKind::kElementwise;
   op.flops_per_point = flops_per_point;
   op.axes = {{"x", elems, AxisKind::kSpatial}};
+  op.inputs.reserve(static_cast<std::size_t>(arity < 0 ? 0 : arity));
   for (int i = 0; i < arity; ++i) {
-    TensorAccess in;
-    in.tensor_name = "I" + std::to_string(i);
-    in.dims = {DimExpr::of_axis(0)};
-    op.inputs.push_back(in);
+    op.inputs.push_back({"I" + std::to_string(i), {DimExpr::of_axis(0)}});
   }
   return op;
 }
 
 Subgraph make_gemm(std::int64_t m, std::int64_t k, std::int64_t n,
-                   std::int64_t batch, const std::string& name, double weight) {
-  return make_single_op_subgraph(make_gemm_op(m, k, n, batch, name), weight);
+                   std::int64_t batch, std::string name, double weight) {
+  return make_single_op_subgraph(make_gemm_op(m, k, n, batch, std::move(name)), weight);
 }
 
 Subgraph make_batch_gemm(std::int64_t b, std::int64_t m, std::int64_t k,
-                         std::int64_t n, const std::string& name, double weight) {
-  return make_single_op_subgraph(make_gemm_op(m, k, n, b, name), weight);
+                         std::int64_t n, std::string name, double weight) {
+  return make_single_op_subgraph(make_gemm_op(m, k, n, b, std::move(name)), weight);
 }
 
 Subgraph make_conv1d(std::int64_t batch, std::int64_t length, std::int64_t ci,
                      std::int64_t co, std::int64_t kernel, std::int64_t stride,
-                     std::int64_t pad, const std::string& name, double weight) {
+                     std::int64_t pad, std::string name, double weight) {
   return make_single_op_subgraph(
-      make_conv1d_op(batch, length, ci, co, kernel, stride, pad, name), weight);
+      make_conv1d_op(batch, length, ci, co, kernel, stride, pad, std::move(name)), weight);
 }
 
 Subgraph make_conv2d(std::int64_t batch, std::int64_t h, std::int64_t w,
                      std::int64_t ci, std::int64_t co, std::int64_t kernel,
-                     std::int64_t stride, std::int64_t pad, const std::string& name,
+                     std::int64_t stride, std::int64_t pad, std::string name,
                      double weight) {
   return make_single_op_subgraph(
-      make_conv2d_op(batch, h, w, ci, co, kernel, stride, pad, name), weight);
+      make_conv2d_op(batch, h, w, ci, co, kernel, stride, pad, std::move(name)), weight);
 }
 
 Subgraph make_depthwise_conv2d(std::int64_t batch, std::int64_t h, std::int64_t w,
                                std::int64_t channels, std::int64_t kernel,
                                std::int64_t stride, std::int64_t pad,
-                               const std::string& name, double weight) {
+                               std::string name, double weight) {
   return make_single_op_subgraph(
-      make_depthwise_conv2d_op(batch, h, w, channels, kernel, stride, pad, name),
+      make_depthwise_conv2d_op(batch, h, w, channels, kernel, stride, pad, std::move(name)),
       weight);
 }
 
 Subgraph make_conv3d(std::int64_t batch, std::int64_t d, std::int64_t h,
                      std::int64_t w, std::int64_t ci, std::int64_t co,
                      std::int64_t kernel, std::int64_t stride, std::int64_t pad,
-                     const std::string& name, double weight) {
+                     std::string name, double weight) {
   return make_single_op_subgraph(
-      make_conv3d_op(batch, d, h, w, ci, co, kernel, stride, pad, name), weight);
+      make_conv3d_op(batch, d, h, w, ci, co, kernel, stride, pad, std::move(name)), weight);
 }
 
 Subgraph make_t2d(std::int64_t batch, std::int64_t h, std::int64_t w,
                   std::int64_t ci, std::int64_t co, std::int64_t kernel,
-                  std::int64_t stride, std::int64_t pad, const std::string& name,
+                  std::int64_t stride, std::int64_t pad, std::string name,
                   double weight) {
   return make_single_op_subgraph(
-      make_t2d_op(batch, h, w, ci, co, kernel, stride, pad, name), weight);
+      make_t2d_op(batch, h, w, ci, co, kernel, stride, pad, std::move(name)), weight);
 }
 
 Subgraph make_elementwise(std::int64_t elems, double flops_per_point,
-                          const std::string& name, double weight) {
-  return make_single_op_subgraph(make_elementwise_op(elems, flops_per_point, 2, name),
-                                 weight);
+                          std::string name, double weight) {
+  return make_single_op_subgraph(
+      make_elementwise_op(elems, flops_per_point, 2, std::move(name)), weight);
 }
 
-Subgraph make_softmax(std::int64_t rows, std::int64_t cols, const std::string& name,
+Subgraph make_softmax(std::int64_t rows, std::int64_t cols, std::string name,
                       double weight) {
   // Stage 0: row-wise reduction producing the normalizer (exp-sum).
   TensorOp reduce;
@@ -302,10 +277,7 @@ Subgraph make_softmax(std::int64_t rows, std::int64_t cols, const std::string& n
   reduce.kind = OpKind::kReduce;
   reduce.flops_per_point = 2.0;  // exp + add
   reduce.axes = {{"r", rows, AxisKind::kSpatial}, {"rc", cols, AxisKind::kReduction}};
-  TensorAccess rx;
-  rx.tensor_name = "X";
-  rx.dims = {DimExpr::of_axis(0), DimExpr::of_axis(1)};
-  reduce.inputs = {rx};
+  reduce.inputs.push_back({"X", {DimExpr::of_axis(0), DimExpr::of_axis(1)}});
 
   // Stage 1: elementwise normalization, consuming X and the stage-0 output
   // (broadcast along columns — a data-reuse pattern).
@@ -314,25 +286,16 @@ Subgraph make_softmax(std::int64_t rows, std::int64_t cols, const std::string& n
   norm.kind = OpKind::kSoftmax;
   norm.flops_per_point = 2.0;  // exp + div
   norm.axes = {{"r", rows, AxisKind::kSpatial}, {"c", cols, AxisKind::kSpatial}};
-  TensorAccess nx;
-  nx.tensor_name = "X";
-  nx.dims = {DimExpr::of_axis(0), DimExpr::of_axis(1)};
-  TensorAccess ns;
-  ns.tensor_name = name + ".reduce";
-  ns.dims = {DimExpr::of_axis(0)};
-  norm.inputs = {nx, ns};
+  norm.inputs.reserve(2);
+  norm.inputs.push_back({"X", {DimExpr::of_axis(0), DimExpr::of_axis(1)}});
+  norm.inputs.push_back({reduce.name, {DimExpr::of_axis(0)}});
 
-  Stage s0;
-  s0.op = reduce;
-  s0.producer_of_input = {-1};
-  Stage s1;
-  s1.op = norm;
-  s1.producer_of_input = {-1, 0};
-  return Subgraph(name, {s0, s1}, weight);
+  return two_stage(std::move(name), std::move(reduce), {-1}, std::move(norm), {-1, 0},
+                   weight);
 }
 
 Subgraph make_gemm_act(std::int64_t m, std::int64_t k, std::int64_t n,
-                       const std::string& act_name, const std::string& name,
+                       const std::string& act_name, std::string name,
                        double weight) {
   TensorOp gemm = make_gemm_op(m, k, n, 1, name + ".gemm");
 
@@ -341,45 +304,28 @@ Subgraph make_gemm_act(std::int64_t m, std::int64_t k, std::int64_t n,
   act.kind = OpKind::kElementwise;
   act.flops_per_point = 4.0;  // bias add + activation polynomial
   act.axes = {{"i", m, AxisKind::kSpatial}, {"j", n, AxisKind::kSpatial}};
-  TensorAccess gin;
-  gin.tensor_name = name + ".gemm";
-  gin.dims = {DimExpr::of_axis(0), DimExpr::of_axis(1)};
-  act.inputs = {gin};
+  act.inputs.push_back({gemm.name, {DimExpr::of_axis(0), DimExpr::of_axis(1)}});
 
-  Stage s0;
-  s0.op = gemm;
-  s0.producer_of_input = {-1, -1};
-  Stage s1;
-  s1.op = act;
-  s1.producer_of_input = {0};
-  return Subgraph(name, {s0, s1}, weight);
+  return two_stage(std::move(name), std::move(gemm), {-1, -1}, std::move(act), {0},
+                   weight);
 }
 
 Subgraph make_conv2d_relu(std::int64_t batch, std::int64_t h, std::int64_t w,
                           std::int64_t ci, std::int64_t co, std::int64_t kernel,
                           std::int64_t stride, std::int64_t pad,
-                          const std::string& name, double weight) {
+                          std::string name, double weight) {
   TensorOp conv = make_conv2d_op(batch, h, w, ci, co, kernel, stride, pad,
                                  name + ".conv");
-  std::int64_t out_elems = conv.output_elems();
 
   TensorOp relu;
   relu.name = name + ".relu";
   relu.kind = OpKind::kElementwise;
   relu.flops_per_point = 2.0;  // bias add + max
-  relu.axes = {{"x", out_elems, AxisKind::kSpatial}};
-  TensorAccess cin;
-  cin.tensor_name = name + ".conv";
-  cin.dims = {DimExpr::of_axis(0)};
-  relu.inputs = {cin};
+  relu.axes = {{"x", conv.output_elems(), AxisKind::kSpatial}};
+  relu.inputs.push_back({conv.name, {DimExpr::of_axis(0)}});
 
-  Stage s0;
-  s0.op = conv;
-  s0.producer_of_input = {-1, -1};
-  Stage s1;
-  s1.op = relu;
-  s1.producer_of_input = {0};
-  return Subgraph(name, {s0, s1}, weight);
+  return two_stage(std::move(name), std::move(conv), {-1, -1}, std::move(relu), {0},
+                   weight);
 }
 
 }  // namespace harl

@@ -1,5 +1,6 @@
 #include "workloads/suites.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "workloads/operators.hpp"
@@ -30,6 +31,7 @@ const std::vector<std::string>& table6_suite_names() {
 
 std::vector<OperatorCase> table6_suite(const std::string& suite, std::int64_t batch) {
   std::vector<OperatorCase> cases;
+  cases.reserve(4);
   auto add_gemm = [&](std::int64_t m, std::int64_t k, std::int64_t n) {
     std::string cfg = shape_str({m, k, n});
     cases.push_back({suite, cfg,
@@ -107,9 +109,11 @@ std::vector<OperatorCase> table6_suite(const std::string& suite, std::int64_t ba
 
 std::vector<OperatorCase> table6_all(std::int64_t batch) {
   std::vector<OperatorCase> all;
+  all.reserve(4 * table6_suite_names().size());
   for (const std::string& suite : table6_suite_names()) {
     auto cases = table6_suite(suite, batch);
-    all.insert(all.end(), cases.begin(), cases.end());
+    all.insert(all.end(), std::make_move_iterator(cases.begin()),
+               std::make_move_iterator(cases.end()));
   }
   return all;
 }

@@ -307,6 +307,41 @@ TEST(ExperienceStoreTest, BuiltinResolverHandlesShippedNetworks) {
   }
 }
 
+TEST(ExperienceStoreTest, BuiltinResolverMemoKeepsOnlyShippedNetworks) {
+  BuiltinNetworks memo;
+  const Subgraph* gemm = memo.resolve("bert_b1", "GEMM-I");
+  ASSERT_NE(gemm, nullptr);
+  EXPECT_EQ(gemm->name(), "GEMM-I");
+  EXPECT_EQ(memo.size(), 1u);
+
+  // Unknown names, as a client may send them, all miss and are not kept:
+  // bad bases, bad batch suffixes, and unknown tasks of a known network.
+  for (int i = 0; i < 2000; ++i) {
+    const std::string n = std::to_string(i);
+    EXPECT_EQ(memo.resolve("nosuchnet" + n + "_b1", "GEMM-I"), nullptr);
+    EXPECT_EQ(memo.resolve("bert_b" + n + "x", "GEMM-I"), nullptr);
+    EXPECT_EQ(memo.resolve("bert" + n, "GEMM-I"), nullptr);
+    EXPECT_EQ(memo.resolve("bert_b1", "task" + n), nullptr);
+  }
+  EXPECT_EQ(memo.size(), 1u);
+
+  // Known names still resolve to the same subgraph object on every call.
+  EXPECT_EQ(memo.resolve("bert_b1", "GEMM-I"), gemm);
+  const Subgraph* conv = memo.resolve("resnet50_b2", "res_conv0");
+  ASSERT_NE(conv, nullptr);
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(memo.resolve("resnet50_b2", "res_conv0"), conv);
+  EXPECT_EQ(memo.resolve("bert_b1", "GEMM-I"), gemm);
+
+  // The resolver shares one memo across its copies.
+  TaskResolver resolver = make_builtin_resolver();
+  TaskResolver copy = resolver;
+  const Subgraph* first = resolver("mobilenet_v2_b1", "mbv2_fc");
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(copy("mobilenet_v2_b1", "mbv2_fc"), first);
+  EXPECT_EQ(copy("mobilenet_v2_b1x", "mbv2_fc"), nullptr);
+}
+
 // ------------------------------------------------------------ compaction
 
 TEST(CompactTest, KeepsBestKPlusWindowAndStaysReadable) {

@@ -20,6 +20,64 @@ TEST(DimExpr, StridedConvFootprint) {
   EXPECT_EQ(e.footprint({1, 1}), 1);
 }
 
+TEST(DimExpr, TermsAreInlineAndCappedAtTwo) {
+  DimExpr e;
+  EXPECT_EQ(e.terms.size(), 0u);
+  e.terms.push_back({3, 2});
+  e.terms.push_back({1, 1});
+  ASSERT_EQ(e.terms.size(), DimExpr::kMaxTerms);
+  EXPECT_EQ(e.terms[0].axis, 3);
+  EXPECT_EQ(e.terms[0].coeff, 2);
+  EXPECT_EQ(e.terms[1].axis, 1);
+  // Copies are independent values: no storage is shared.
+  DimExpr copy = e;
+  copy.terms = {{0, 5}};
+  EXPECT_EQ(e.terms.size(), 2u);
+  EXPECT_EQ(copy.terms.size(), 1u);
+  EXPECT_EQ(copy.terms[0].coeff, 5);
+}
+
+void push_third_term() {
+  DimExpr e = DimExpr::of_axis(0);
+  e.terms.push_back({1, 1});
+  e.terms.push_back({2, 1});
+}
+
+void list_three_terms() { DimExpr::Terms t({{0, 1}, {1, 1}, {2, 1}}); }
+
+TEST(DimExprDeathTest, ThirdTermAborts) {
+  EXPECT_DEATH(push_third_term(), "kMaxTerms");
+  EXPECT_DEATH(list_three_terms(), "kMaxTerms");
+}
+
+TEST(DimExpr, WindowedFootprintsOfEveryConvBuilder) {
+  // The windowed input dimensions (stride * out + kernel) of every conv
+  // builder, at a 2x3 output tile with a full 3-wide kernel.
+  auto window_extent = [](const TensorOp& op, std::size_t dim,
+                          std::vector<std::int64_t> tile) {
+    return op.inputs[0].dims[dim].footprint(tile);
+  };
+  // conv1d axes: n, l, co, rc, rk; X dims: n, rc, stride*l + rk.
+  TensorOp c1 = make_conv1d_op(1, 32, 8, 8, 3, 2, 1);
+  EXPECT_EQ(window_extent(c1, 2, {1, 4, 1, 1, 3}), 2 * 3 + 2 + 1);
+  // conv2d axes: n, oh, ow, co, rc, rh, rw; X dims: n, rc, h, w.
+  TensorOp c2 = make_conv2d_op(1, 14, 14, 8, 8, 3, 2, 1);
+  EXPECT_EQ(window_extent(c2, 2, {1, 2, 3, 1, 1, 3, 3}), 2 * 1 + 2 + 1);
+  EXPECT_EQ(window_extent(c2, 3, {1, 2, 3, 1, 1, 3, 3}), 2 * 2 + 2 + 1);
+  EXPECT_EQ(c2.inputs[0].tile_elems({1, 2, 3, 1, 4, 3, 3}), 1 * 4 * 5 * 7);
+  // depthwise axes: n, c, oh, ow, rh, rw; X dims: n, c, h, w.
+  TensorOp dw = make_depthwise_conv2d_op(1, 14, 14, 8, 3, 1, 1);
+  EXPECT_EQ(dw.inputs[0].tile_elems({1, 4, 2, 3, 3, 3}), 1 * 4 * 4 * 5);
+  // conv3d axes: n, od, oh, ow, co, rc, rd, rh, rw.
+  TensorOp c3 = make_conv3d_op(1, 8, 8, 8, 4, 4, 3, 2, 1);
+  EXPECT_EQ(c3.inputs[0].tile_elems({1, 2, 2, 2, 1, 4, 3, 3, 3}), 1 * 4 * 5 * 5 * 5);
+  // t2d reads with unit coefficients: out + kernel - 1.
+  TensorOp t2 = make_t2d_op(1, 4, 4, 8, 8, 4, 2, 1);
+  EXPECT_EQ(t2.inputs[0].tile_elems({1, 2, 3, 1, 4, 4, 4}), 1 * 4 * 5 * 6);
+  // Full-tile input bytes are the compulsory traffic (fp32).
+  EXPECT_EQ(c2.input_bytes_once(), 4 * (1 * 8 * (2 * 6 + 3) * (2 * 6 + 3) + 8 * 8 * 3 * 3));
+}
+
 TEST(TensorOpGemm, ShapesAndCounts) {
   TensorOp op = make_gemm_op(64, 32, 16);
   EXPECT_EQ(op.num_spatial_axes(), 2);

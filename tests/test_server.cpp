@@ -582,6 +582,33 @@ TEST(Server, DrainCheckpointsAndRestartResumesBitIdentically) {
   EXPECT_EQ(victim, reference);
 }
 
+TEST(Server, CleanShutdownRemovesOnlyItsOwnPortFile) {
+  TempDir dir("test_server_port_file");
+  const std::string port_file = dir.path + "/port";
+  std::string error;
+  std::string text;
+  struct stat st{};
+  {
+    HarlServer server(make_server_options(dir.path));
+    ASSERT_TRUE(server.start(&error)) << error;
+    ASSERT_TRUE(read_text_file(port_file, &text, &error)) << error;
+    EXPECT_EQ(text, std::to_string(server.port()) + "\n");
+    server.shutdown();
+    EXPECT_NE(::stat(port_file.c_str(), &st), 0) << "stale port file survived shutdown";
+  }
+  // A port file another daemon has since rewritten names a live port: the
+  // shutdown leaves it alone.
+  {
+    HarlServer server(make_server_options(dir.path));
+    ASSERT_TRUE(server.start(&error)) << error;
+    const std::string other = std::to_string(server.port() + 1) + "\n";
+    ASSERT_TRUE(atomic_write_file(port_file, other, false, &error)) << error;
+    server.shutdown();
+    ASSERT_TRUE(read_text_file(port_file, &text, &error)) << error;
+    EXPECT_EQ(text, other);
+  }
+}
+
 TEST(Server, SubscribeToFinishedJobYieldsImmediateDoneEvent) {
   TempDir dir("test_server_subscribe");
   HarlServer server(make_server_options(dir.path));

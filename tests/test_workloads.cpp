@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <set>
 
+#include "util/fnv.hpp"
 #include "workloads/networks.hpp"
 #include "workloads/operators.hpp"
 #include "workloads/suites.hpp"
@@ -124,6 +128,124 @@ TEST(Networks, AllSubgraphsValidateAtBothBatchSizes) {
         EXPECT_GT(g.weight(), 0) << g.name();
       }
     }
+  }
+}
+
+// --- IR identity ----------------------------------------------------------
+//
+// A digest of every field of the IR the builders produce: subgraph and op
+// names, kinds, axes and extents, access maps term by term, element bytes,
+// flops per point, wiring, consumers, weights, anchors and structure
+// signatures.  Record logs, round dumps, models and caches are all derived
+// from these fields, so a builder change that moves any digest below changes
+// persisted bytes.  The pinned values were computed from the builders before
+// they were made copy-free.
+
+void mix_str(Fnv1a& h, const std::string& s) {
+  h.mix(s.size());
+  h.mix_bytes(s);
+}
+
+void mix_f64(Fnv1a& h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  h.mix(bits);
+}
+
+void mix_i64(Fnv1a& h, std::int64_t v) { h.mix(static_cast<std::uint64_t>(v)); }
+
+void mix_subgraph(Fnv1a& h, const Subgraph& g) {
+  mix_str(h, g.name());
+  mix_f64(h, g.weight());
+  mix_i64(h, g.anchor_stage());
+  mix_str(h, g.structure_signature());
+  mix_i64(h, g.num_stages());
+  for (int s = 0; s < g.num_stages(); ++s) {
+    const Stage& st = g.stage(s);
+    const TensorOp& op = st.op;
+    mix_str(h, op.name);
+    mix_i64(h, static_cast<int>(op.kind));
+    mix_f64(h, op.flops_per_point);
+    mix_i64(h, op.out_elem_bytes);
+    mix_i64(h, op.num_axes());
+    for (const Axis& a : op.axes) {
+      mix_str(h, a.name);
+      mix_i64(h, a.extent);
+      mix_i64(h, static_cast<int>(a.kind));
+    }
+    mix_i64(h, static_cast<std::int64_t>(op.inputs.size()));
+    for (const TensorAccess& in : op.inputs) {
+      mix_str(h, in.tensor_name);
+      mix_i64(h, in.elem_bytes);
+      mix_i64(h, static_cast<std::int64_t>(in.dims.size()));
+      for (const DimExpr& d : in.dims) {
+        mix_i64(h, static_cast<std::int64_t>(d.terms.size()));
+        for (const DimExpr::Term& t : d.terms) {
+          mix_i64(h, t.axis);
+          mix_i64(h, t.coeff);
+        }
+      }
+    }
+    mix_i64(h, static_cast<std::int64_t>(st.producer_of_input.size()));
+    for (int p : st.producer_of_input) mix_i64(h, p);
+    mix_i64(h, static_cast<std::int64_t>(g.consumers(s).size()));
+    for (int c : g.consumers(s)) mix_i64(h, c);
+  }
+}
+
+std::map<std::string, std::uint64_t> ir_digests() {
+  std::map<std::string, std::uint64_t> out;
+  for (std::int64_t batch : {1, 16}) {
+    for (const std::string& name : network_names()) {
+      Network net = make_network(name, batch);
+      Fnv1a h;
+      mix_str(h, net.name);
+      mix_i64(h, static_cast<std::int64_t>(net.subgraphs.size()));
+      for (const Subgraph& g : net.subgraphs) mix_subgraph(h, g);
+      out[net.name] = h.value();
+    }
+    for (const std::string& suite : table6_suite_names()) {
+      Fnv1a h;
+      for (const OperatorCase& c : table6_suite(suite, batch)) {
+        mix_str(h, c.suite);
+        mix_str(h, c.config);
+        mix_subgraph(h, c.graph);
+      }
+      out[suite + "_b" + std::to_string(batch)] = h.value();
+    }
+  }
+  return out;
+}
+
+TEST(IrIdentity, EveryBuiltinGraphMatchesItsPinnedDigest) {
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"C1D_b1", 18283750237283620082ULL},
+      {"C1D_b16", 16180933340279989136ULL},
+      {"C2D_b1", 14935376938575246704ULL},
+      {"C2D_b16", 3468549599206943034ULL},
+      {"C3D_b1", 9941432319402981145ULL},
+      {"C3D_b16", 4087290997013689095ULL},
+      {"GEMM-L_b1", 5189092004979432543ULL},
+      {"GEMM-L_b16", 14339047826465262123ULL},
+      {"GEMM-M_b1", 5753175204284791442ULL},
+      {"GEMM-M_b16", 7270512948267512872ULL},
+      {"GEMM-S_b1", 7442349491791066194ULL},
+      {"GEMM-S_b16", 4364727262485345320ULL},
+      {"T2D_b1", 10916177816226477319ULL},
+      {"T2D_b16", 1826625392736904055ULL},
+      {"bert_b1", 16766203938676571499ULL},
+      {"bert_b16", 4433704418461103022ULL},
+      {"mobilenet_v2_b1", 5324128273536430786ULL},
+      {"mobilenet_v2_b16", 12518705540026913568ULL},
+      {"resnet50_b1", 15851537424263507116ULL},
+      {"resnet50_b16", 17428804287890094945ULL},
+  };
+  const std::map<std::string, std::uint64_t> actual = ir_digests();
+  ASSERT_EQ(actual.size(), pinned.size());
+  for (const auto& [what, digest] : actual) {
+    auto it = pinned.find(what);
+    ASSERT_NE(it, pinned.end()) << what;
+    EXPECT_EQ(digest, it->second) << "{\"" << what << "\", " << digest << "ULL},";
   }
 }
 
