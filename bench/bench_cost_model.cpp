@@ -15,7 +15,8 @@
 /// Emits machine-readable `BENCH_cost_model.json` (override with --json
 /// PATH) and exits non-zero if exact mode is not bit-identical to the
 /// retained seed oracle (the seed algorithm with pinned tie order, see
-/// gbdt_reference.hpp), so CI runs it as a gate next to `bench_parallel`.
+/// tests/support/gbdt_reference.hpp), so CI runs it as a gate next to
+/// `bench_parallel`.
 ///
 /// Flags: --trials N --seed S --paper --csv DIR (see bench_common.hpp),
 /// plus --json PATH and --candidates N.
@@ -27,7 +28,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cost/gbdt_reference.hpp"
+#include "support/gbdt_reference.hpp"
 
 namespace {
 

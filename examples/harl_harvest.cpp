@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,24 +96,17 @@ CommonArgs parse_args(int argc, char** argv, int first) {
   return args;
 }
 
-HardwareConfig hardware_for(const std::string& name, bool* ok) {
-  *ok = true;
-  if (name == "xeon" || name == "xeon_6226r") return HardwareConfig::xeon_6226r();
-  if (name == "rtx3090" || name == "gpu") return HardwareConfig::rtx3090();
-  if (name == "test") return HardwareConfig::test_config();
-  std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n", name.c_str());
-  *ok = false;
-  return HardwareConfig::test_config();
-}
-
 int cmd_harvest(const CommonArgs& args) {
   if (args.out.empty()) {
     std::fprintf(stderr, "harvest: --out=PATH is required\n");
     return 1;
   }
-  bool hw_ok = false;
-  HardwareConfig hw = hardware_for(args.hw_name, &hw_ok);
-  if (!hw_ok) return 1;
+  std::optional<HardwareConfig> hw = HardwareConfig::preset(args.hw_name);
+  if (!hw) {
+    std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n",
+                 args.hw_name.c_str());
+    return 1;
+  }
 
   ExperienceStore store;
   for (const std::string& log : args.logs) {
@@ -125,7 +119,7 @@ int cmd_harvest(const CommonArgs& args) {
     }
   }
   HarvestStats stats;
-  Gbdt model = store.pretrain(hw, args.gbdt, make_builtin_resolver(), &stats);
+  Gbdt model = store.pretrain(*hw, args.gbdt, make_builtin_resolver(), &stats);
 
   std::printf(
       "\nharvest: %zu records (%zu duplicate, %zu unknown-task, %zu invalid) "
@@ -142,7 +136,7 @@ int cmd_harvest(const CommonArgs& args) {
     return 1;
   }
   std::printf("model: %s (%d trees, %d nodes, target hw %s)\n", args.out.c_str(),
-              model.num_trees_fit(), model.total_nodes(), hw.name.c_str());
+              model.num_trees_fit(), model.total_nodes(), hw->name.c_str());
   return 0;
 }
 
@@ -151,9 +145,12 @@ int cmd_value(const CommonArgs& args) {
     std::fprintf(stderr, "value: --out=PATH is required\n");
     return 1;
   }
-  bool hw_ok = false;
-  HardwareConfig hw = hardware_for(args.hw_name, &hw_ok);
-  if (!hw_ok) return 1;
+  std::optional<HardwareConfig> hw = HardwareConfig::preset(args.hw_name);
+  if (!hw) {
+    std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n",
+                 args.hw_name.c_str());
+    return 1;
+  }
 
   ExperienceStore store;
   for (const std::string& log : args.logs) {
@@ -167,7 +164,7 @@ int cmd_value(const CommonArgs& args) {
   }
   HarvestStats stats;
   Gbdt model =
-      store.pretrain_value(hw, args.gbdt, make_builtin_resolver(), &stats);
+      store.pretrain_value(*hw, args.gbdt, make_builtin_resolver(), &stats);
 
   std::printf(
       "\nvalue: %zu records (%zu duplicate, %zu unknown-task, %zu invalid) "
@@ -185,7 +182,7 @@ int cmd_value(const CommonArgs& args) {
   }
   std::printf("value model: %s (%d trees, %d nodes, target hw %s)\n",
               args.out.c_str(), model.num_trees_fit(), model.total_nodes(),
-              hw.name.c_str());
+              hw->name.c_str());
   return 0;
 }
 

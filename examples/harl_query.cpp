@@ -71,6 +71,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,16 +89,6 @@ bool flag_value(const char* arg, const char* name, const char** value) {
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
   *value = arg + n + 1;
   return true;
-}
-
-HardwareConfig hardware_for(const std::string& name, bool* ok) {
-  *ok = true;
-  if (name == "xeon" || name == "xeon_6226r") return HardwareConfig::xeon_6226r();
-  if (name == "rtx3090" || name == "gpu") return HardwareConfig::rtx3090();
-  if (name == "test") return HardwareConfig::test_config();
-  std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n", name.c_str());
-  *ok = false;
-  return HardwareConfig::test_config();
 }
 
 void usage(std::FILE* out) {
@@ -419,16 +410,19 @@ int remote_main(const RemoteArgs& args) {
                 r.serve_us >= 0 ? json::format_double(r.serve_us).c_str() : "?",
                 micros[micros.size() / 2], repeat);
     if (args.expect_best) {
-      bool hw_ok = false;
-      HardwareConfig hw = hardware_for(args.hw, &hw_ok);
-      if (!hw_ok) return 1;
+      std::optional<HardwareConfig> hw = HardwareConfig::preset(args.hw);
+      if (!hw) {
+        std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n",
+                     args.hw.c_str());
+        return 1;
+      }
       if (args.logs.empty()) {
         std::fprintf(stderr,
                      "expect-best: remote mode needs --logs/--dir pointing at "
                      "the daemon's record logs\n");
         return 6;
       }
-      return check_expect_best(args.logs, net_name, sub_name, hw.fingerprint(),
+      return check_expect_best(args.logs, net_name, sub_name, hw->fingerprint(),
                                r.tier, r.record);
     }
   }
@@ -551,9 +545,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bool hw_ok = false;
-  HardwareConfig hw = hardware_for(hw_name, &hw_ok);
-  if (!hw_ok) return 1;
+  std::optional<HardwareConfig> hw = HardwareConfig::preset(hw_name);
+  if (!hw) {
+    std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n",
+                 hw_name.c_str());
+    return 1;
+  }
 
   KnowledgeCacheOptions opts;
   if (topk > 0) opts.top_k = topk;
@@ -631,14 +628,14 @@ int main(int argc, char** argv) {
   micros.reserve(static_cast<std::size_t>(repeat));
   for (int r = 0; r < repeat; ++r) {
     auto t0 = std::chrono::steady_clock::now();
-    result = cache.serve(net_name, *graph, hw);
+    result = cache.serve(net_name, *graph, *hw);
     auto t1 = std::chrono::steady_clock::now();
     micros.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
 
   std::printf("query: %s/%s on %s (fp %llu)\n", net_name.c_str(),
-              sub_name.c_str(), hw.name.c_str(),
-              static_cast<unsigned long long>(hw.fingerprint()));
+              sub_name.c_str(), hw->name.c_str(),
+              static_cast<unsigned long long>(hw->fingerprint()));
   std::printf("tier: %s\n", serve_tier_name(result.tier));
   if (result.tier == ServeTier::kMiss) {
     std::printf("no knowledge for this task; run a tuning session\n");
@@ -670,7 +667,7 @@ int main(int argc, char** argv) {
   if (expect_best) {
     // The CI round-trip contract: the answer must be an L1 hit whose record
     // is byte-identical to the best record the logs hold for this triple.
-    return check_expect_best(logs, net_name, sub_name, hw.fingerprint(),
+    return check_expect_best(logs, net_name, sub_name, hw->fingerprint(),
                              serve_tier_name(result.tier), result.record_json);
   }
   return 0;

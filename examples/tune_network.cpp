@@ -7,7 +7,14 @@
 /// command resumes from the log bit-identically instead of starting over.
 ///
 ///   ./build/tune_network [trials]
-///       [--trials=N] [--network=bert|resnet50|mobilenet_v2] [--seed=N]
+///       [--trials=N] [--network=NAME] [--seed=N]
+///                               NAME: bert|resnet50|mobilenet_v2, a Table 6
+///                               suite (GEMM-S ... T2D: its headline case), or
+///                               gemm:MxKxN (default bert)
+///       [--batch=N]             batch size (default 1)
+///       [--hw=NAME]             hardware preset: xeon (default), xeon_6226r,
+///                               rtx3090, gpu or test
+///       [--paper]               Table 5 options instead of the quick preset
 ///       [--policy=NAME]         tune one policy instead of the comparison
 ///       [--log=PATH]            append records; resume when the log exists
 ///       [--model=PATH]          pretrained experience model (harl_harvest)
@@ -42,6 +49,8 @@
 ///                               drop the crash= term to resume, exactly like
 ///                               --stop-after-rounds
 ///       [--dump-rounds=PATH]    bit-exact round log (hexfloat) for diffing
+///       [--loop-nest]           print each task's best schedule as a loop
+///                               nest (HARL's, in the comparison)
 ///       [--help]                print this usage and exit
 ///
 /// Crash-resume walkthrough (the CI determinism gate):
@@ -52,13 +61,19 @@
 /// failures land on the same trials, so the faulty resume is bit-identical
 /// too (the chaos gate in CI proves both).
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "core/harl.hpp"
+#include "sched/loop_nest.hpp"
 
 namespace {
 
@@ -68,7 +83,12 @@ void print_usage(std::FILE* out) {
   std::fprintf(
       out,
       "usage: tune_network [trials]\n"
-      "  [--trials=N] [--network=bert|resnet50|mobilenet_v2] [--seed=N]\n"
+      "  [--trials=N] [--network=NAME] [--seed=N]\n"
+      "                          NAME: bert|resnet50|mobilenet_v2, a Table 6\n"
+      "                          suite (GEMM-S..T2D) or gemm:MxKxN\n"
+      "  [--batch=N]             batch size (default 1)\n"
+      "  [--hw=NAME]             xeon (default), xeon_6226r, rtx3090, gpu, test\n"
+      "  [--paper]               Table 5 options instead of the quick preset\n"
       "  [--policy=NAME]         tune one registered policy (durable mode)\n"
       "  [--log=PATH]            append records; resume when the log exists\n"
       "  [--model=PATH]          pretrained experience model (harl_harvest)\n"
@@ -84,6 +104,7 @@ void print_usage(std::FILE* out) {
       "  [--inject-faults=SPEC]  deterministic faults: none or\n"
       "                          transient=P,timeout=P,garbage=P,crash=N[:SEED]\n"
       "  [--dump-rounds=PATH]    bit-exact round log (hexfloat) for diffing\n"
+      "  [--loop-nest]           print each task's best schedule as a loop nest\n"
       "  [--help]                print this usage and exit\n");
 }
 
@@ -93,6 +114,50 @@ bool flag_value(const char* arg, const char* name, const char** value) {
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
   *value = arg + n + 1;
   return true;
+}
+
+/// --network=: a builtin network, a Table 6 suite (its headline case as a
+/// one-subgraph network named after the suite) or "gemm:MxKxN".  Throws
+/// std::invalid_argument for anything else, or for a batch below 1.
+Network parse_network(const std::string& name, std::int64_t batch) {
+  if (batch < 1) throw std::invalid_argument("--batch must be >= 1");
+  const std::vector<std::string>& suites = table6_suite_names();
+  if (std::find(suites.begin(), suites.end(), name) != suites.end()) {
+    Network net;
+    net.name = name;
+    net.subgraphs.push_back(std::move(table6_suite(name, batch)[0].graph));
+    return net;
+  }
+  if (name.rfind("gemm:", 0) != 0) return make_network(name, batch);
+  std::int64_t dims[3] = {0, 0, 0};
+  const char* p = name.c_str() + 5;
+  for (int i = 0; i < 3; ++i) {
+    char* end = nullptr;
+    errno = 0;
+    dims[i] = std::isdigit(static_cast<unsigned char>(*p))
+                  ? std::strtoll(p, &end, 10)
+                  : 0;
+    if (dims[i] <= 0 || errno == ERANGE || *end != (i < 2 ? 'x' : '\0')) {
+      throw std::invalid_argument("bad network \"" + name +
+                                  "\": want gemm:MxKxN with positive M, K, N");
+    }
+    p = end + 1;
+  }
+  Network net;
+  net.name = name;
+  net.subgraphs.push_back(make_gemm(dims[0], dims[1], dims[2], batch));
+  return net;
+}
+
+void print_loop_nests(const TuningSession& session) {
+  const TaskScheduler& sched = session.scheduler();
+  for (int i = 0; i < sched.num_tasks(); ++i) {
+    const TaskState& t = sched.task(i);
+    if (!t.has_best()) continue;
+    std::printf("\n%s", render_loop_nest(t.best_schedule(),
+                                         session.hardware().unroll_depths)
+                            .c_str());
+  }
 }
 
 /// Simulated crash for the resume gate: exit without unwinding as soon as N
@@ -153,6 +218,10 @@ int main(int argc, char** argv) {
   std::int64_t trials = 600;
   std::uint64_t seed = 42;
   std::string network_name = "bert";
+  std::string hw_name = "xeon";
+  std::int64_t batch = 1;
+  bool paper = false;
+  bool loop_nest = false;
   std::string policy_name;
   std::string log_path;
   std::string dump_path;
@@ -176,6 +245,14 @@ int main(int argc, char** argv) {
       seed = std::strtoull(v, nullptr, 10);
     } else if (flag_value(argv[i], "--network", &v)) {
       network_name = v;
+    } else if (flag_value(argv[i], "--batch", &v)) {
+      batch = std::atoll(v);
+    } else if (flag_value(argv[i], "--hw", &v)) {
+      hw_name = v;
+    } else if (std::strcmp(argv[i], "--paper") == 0) {
+      paper = true;
+    } else if (std::strcmp(argv[i], "--loop-nest") == 0) {
+      loop_nest = true;
     } else if (flag_value(argv[i], "--policy", &v)) {
       policy_name = v;
     } else if (flag_value(argv[i], "--log", &v)) {
@@ -226,14 +303,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  HardwareConfig cpu = HardwareConfig::xeon_6226r();
+  std::optional<HardwareConfig> hw = HardwareConfig::preset(hw_name);
+  if (!hw) {
+    std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n",
+                 hw_name.c_str());
+    return 1;
+  }
   Network net;
   try {
-    net = make_network(network_name, 1);
+    net = parse_network(network_name, batch);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
+  SearchOptions (*preset)(PolicyKind, std::uint64_t) =
+      paper ? paper_options : quick_options;
 
   if (fault_spec.any() && policy_name.empty()) {
     std::fprintf(stderr, "--inject-faults requires --policy=NAME mode\n");
@@ -250,7 +334,7 @@ int main(int argc, char** argv) {
       }
       return 1;
     }
-    SearchOptions opts = quick_options(PolicyKind::kHarl, seed);
+    SearchOptions opts = preset(PolicyKind::kHarl, seed);
     opts.policy_name = policy_name;
     opts.experience_model = model_path;
     opts.async_callbacks.enabled = async_callbacks;
@@ -268,7 +352,7 @@ int main(int argc, char** argv) {
       ropts.publish_path = !refresh_out.empty() ? refresh_out
                            : !log_path.empty() ? log_path + ".model.json"
                                                : "refresh.model.json";
-      refresher = std::make_unique<ExperienceRefresher>(cpu, ropts);
+      refresher = std::make_unique<ExperienceRefresher>(*hw, ropts);
       if (!model_path.empty()) {
         // Load once, share between the session (its fixed prior) and the
         // refresher (the base the refreshed model continues from).  Same
@@ -295,7 +379,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    TuningSession session(net, cpu, opts);
+    TuningSession session(net, *hw, opts);
     // The injector is installed only when the spec injects something, so a
     // `--inject-faults=none:SEED` invocation runs the exact fault-free code
     // path and its outputs stay byte-identical to a run without the flag.
@@ -462,17 +546,19 @@ int main(int argc, char** argv) {
                      refresher->publish_errors());
       }
     }
+    if (loop_nest) print_loop_nests(session);
     if (!dump_path.empty()) dump_round_log(session.scheduler(), dump_path.c_str());
     return 0;
   }
 
   // ---- comparison mode (legacy default): HARL vs Ansor on the network ----
-  std::printf("Tuning %s (batch 1) with %lld trials per scheduler...\n\n",
-              net.name.c_str(), static_cast<long long>(trials));
+  std::printf("Tuning %s (batch %lld) with %lld trials per scheduler...\n\n",
+              net.name.c_str(), static_cast<long long>(batch),
+              static_cast<long long>(trials));
 
-  TuningSession ansor(net, cpu, quick_options(PolicyKind::kAnsor, seed));
+  TuningSession ansor(net, *hw, preset(PolicyKind::kAnsor, seed));
   ansor.run(trials);
-  TuningSession harl(net, cpu, quick_options(PolicyKind::kHarl, seed));
+  TuningSession harl(net, *hw, preset(PolicyKind::kHarl, seed));
   harl.run(trials);
 
   Table table(net.name + " per-subgraph results");
@@ -494,6 +580,7 @@ int main(int argc, char** argv) {
               ansor.latency_ms() / harl.latency_ms());
 
   std::printf("\n%s", render_session_report(harl).c_str());
+  if (loop_nest) print_loop_nests(harl);
   if (!dump_path.empty()) dump_round_log(harl.scheduler(), dump_path.c_str());
   return 0;
 }

@@ -21,7 +21,8 @@ enum class SplitMode {
   /// so every node scans its samples in O(n) per feature instead of
   /// re-sorting them.  Bit-identical by construction to the per-node
   /// re-sorting algorithm with the same pinned orderings (tie-break by row
-  /// index, stable partition), retained as `reference::ReferenceGbdt`; the
+  /// index, stable partition), retained as the test oracle
+  /// `reference::ReferenceGbdt` (tests/support/gbdt_reference.*); the
   /// original left those orders to std::sort/std::partition internals, which
   /// on tied feature values could pick equivalent splits in a different
   /// float accumulation order.

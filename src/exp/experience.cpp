@@ -20,17 +20,20 @@ const Subgraph* BuiltinNetworks::resolve(const std::string& network,
   auto it = networks_.find(network);
   if (it == networks_.end()) {
     // "<base>_b<batch>" is the shipped naming scheme (make_bert(2) names
-    // itself "bert_b2"); anything else is an unknown custom network.
+    // itself "bert_b2"); anything else is an unknown custom network.  Only
+    // the spelling make_network gives resolves (batch >= 1, no sign, no
+    // leading zero, no overflow: the batch must print back as the suffix),
+    // so one network is never built and kept under two names.
     std::size_t pos = network.rfind("_b");
-    if (pos == std::string::npos || pos + 2 >= network.size()) return nullptr;
+    if (pos == std::string::npos) return nullptr;
     const std::string digits = network.substr(pos + 2);
-    if (digits.find_first_not_of("0123456789") != std::string::npos) return nullptr;
+    const long long batch = std::strtoll(digits.c_str(), nullptr, 10);
+    if (batch < 1 || std::to_string(batch) != digits) return nullptr;
     const auto& names = network_names();
     const std::string base = network.substr(0, pos);
     if (std::find(names.begin(), names.end(), base) == names.end()) return nullptr;
     it = networks_
-             .emplace(network, std::make_unique<Network>(
-                                   make_network(base, std::atoll(digits.c_str()))))
+             .emplace(network, std::make_unique<Network>(make_network(base, batch)))
              .first;
   }
   for (const Subgraph& g : it->second->subgraphs) {

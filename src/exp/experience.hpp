@@ -32,8 +32,10 @@ using TaskResolver = std::function<const Subgraph*(const std::string& network,
                                                    const std::string& task)>;
 
 /// The memo behind `make_builtin_resolver`: parses the `make_network`-style
-/// name "<base>_b<batch>" (e.g. "bert_b1", "resnet50_b4"), instantiates the
-/// network once per distinct name, and looks the task up by subgraph name.
+/// name "<base>_b<batch>" (e.g. "bert_b1", "resnet50_b4"; only as
+/// `make_network` spells it, so "bert_b0" and "bert_b01" are unknown),
+/// instantiates the network once per name, and looks the task up by
+/// subgraph name.
 /// Returned pointers stay valid for the memo's lifetime.  Only names that
 /// build a shipped network are kept: a name that resolves to nothing is
 /// parsed again on every call, so a stream of unknown names (client input,

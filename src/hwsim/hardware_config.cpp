@@ -182,4 +182,23 @@ HardwareConfig HardwareConfig::test_config() {
   return hw;
 }
 
+std::optional<HardwareConfig> HardwareConfig::preset(const std::string& name,
+                                                     std::string* canonical) {
+  static const struct {
+    const char* name;
+    const char* canonical;
+    HardwareConfig (*make)();
+  } kPresets[] = {
+      {"xeon", "xeon", &xeon_6226r},      {"xeon_6226r", "xeon", &xeon_6226r},
+      {"rtx3090", "rtx3090", &rtx3090},   {"gpu", "rtx3090", &rtx3090},
+      {"test", "test", &test_config},
+  };
+  for (const auto& p : kPresets) {
+    if (name != p.name) continue;
+    if (canonical != nullptr) *canonical = p.canonical;
+    return p.make();
+  }
+  return std::nullopt;
+}
+
 }  // namespace harl

@@ -8,6 +8,7 @@
 /// Collaborators: CostSimulator, FeatureExtractor, records/transfer.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,14 @@ struct HardwareConfig {
 
   /// Tiny deterministic config for unit tests (no noise, simple numbers).
   static HardwareConfig test_config();
+
+  /// The preset named `name`, the one name table every CLI and the daemon
+  /// read: "xeon" or "xeon_6226r", "rtx3090" or "gpu", and "test".  On a
+  /// match, sets `*canonical` (when given) to the preset's short name
+  /// ("xeon", "rtx3090", "test"), which names a daemon's shard directory.
+  /// nullopt for any other name, the empty one included.
+  static std::optional<HardwareConfig> preset(const std::string& name,
+                                              std::string* canonical = nullptr);
 };
 
 }  // namespace harl

@@ -1,8 +1,5 @@
 #include "search/policy_registry.hpp"
 
-#include <algorithm>
-#include <cctype>
-
 #include "search/ansor_search.hpp"
 #include "search/autotvm_search.hpp"
 #include "search/flextensor_search.hpp"
@@ -13,14 +10,6 @@
 namespace harl {
 
 namespace {
-
-std::string lowercase(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
 
 /// The shipped policies, registered under `policy_kind_name` with the task
 /// selection each baseline uses: HARL's SW-UCB bandit, Ansor's greedy
@@ -96,45 +85,26 @@ PolicyRegistry& PolicyRegistry::instance() {
 bool PolicyRegistry::register_policy(const std::string& name, Factory factory,
                                      const std::string& task_select) {
   if (name.empty() || !factory || task_select.empty()) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = entries_.emplace(
-      lowercase(name), Entry{name, std::move(factory), task_select});
-  (void)it;
-  return inserted;
+  return entries_.add(name, Entry{std::move(factory), task_select});
 }
 
 bool PolicyRegistry::contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.count(lowercase(name)) > 0;
+  return entries_.contains(name);
 }
 
 std::string PolicyRegistry::task_select(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(lowercase(name));
-  return it == entries_.end() ? std::string() : it->second.task_select;
+  std::optional<Entry> entry = entries_.find(name);
+  return entry ? entry->task_select : std::string();
 }
 
 std::unique_ptr<SearchPolicy> PolicyRegistry::create(
     const std::string& name, TaskState* task, const SearchOptions& opts) const {
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(lowercase(name));
-    if (it == entries_.end()) return nullptr;
-    factory = it->second.factory;  // copy so creation runs unlocked
-  }
-  return factory(task, opts);
+  std::optional<Entry> entry = entries_.find(name);
+  return entry ? entry->factory(task, opts) : nullptr;
 }
 
 std::vector<std::string> PolicyRegistry::names() const {
-  std::vector<std::string> out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out.reserve(entries_.size());
-    for (const auto& kv : entries_) out.push_back(kv.second.canonical_name);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return entries_.names();
 }
 
 }  // namespace harl

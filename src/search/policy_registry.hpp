@@ -10,12 +10,11 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "search/search_common.hpp"
+#include "util/name_registry.hpp"
 
 namespace harl {
 
@@ -91,13 +90,11 @@ class PolicyRegistry {
   PolicyRegistry() = default;
 
   struct Entry {
-    std::string canonical_name;
     Factory factory;
     std::string task_select;
   };
 
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;  ///< keyed lowercase
+  NameRegistry<Entry> entries_;
 };
 
 }  // namespace harl

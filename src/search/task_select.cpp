@@ -1,7 +1,6 @@
 #include "search/task_select.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -12,14 +11,6 @@
 namespace harl {
 
 namespace {
-
-std::string lowercase(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
 
 /// Ansor's rule (Observation 1's baseline): argmin of the Eq. 3 gradient.
 class GreedyGradientSelector : public TaskSelector {
@@ -110,39 +101,21 @@ TaskSelectRegistry& TaskSelectRegistry::instance() {
 bool TaskSelectRegistry::register_selector(const std::string& name,
                                            Factory factory) {
   if (name.empty() || !factory) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] =
-      entries_.emplace(lowercase(name), Entry{name, std::move(factory)});
-  (void)it;
-  return inserted;
+  return entries_.add(name, std::move(factory));
 }
 
 bool TaskSelectRegistry::contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.count(lowercase(name)) > 0;
+  return entries_.contains(name);
 }
 
 std::unique_ptr<TaskSelector> TaskSelectRegistry::create(
     const std::string& name, int num_tasks, const SearchOptions& opts) const {
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(lowercase(name));
-    if (it == entries_.end()) return nullptr;
-    factory = it->second.factory;  // copy so creation runs unlocked
-  }
-  return factory(num_tasks, opts);
+  std::optional<Factory> factory = entries_.find(name);
+  return factory ? (*factory)(num_tasks, opts) : nullptr;
 }
 
 std::vector<std::string> TaskSelectRegistry::names() const {
-  std::vector<std::string> out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out.reserve(entries_.size());
-    for (const auto& kv : entries_) out.push_back(kv.second.canonical_name);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return entries_.names();
 }
 
 std::unique_ptr<TaskSelector> make_task_selector(const std::string& name,

@@ -9,10 +9,10 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
+
+#include "util/name_registry.hpp"
 
 namespace harl {
 
@@ -86,13 +86,7 @@ class TaskSelectRegistry {
  private:
   TaskSelectRegistry() = default;
 
-  struct Entry {
-    std::string canonical_name;
-    Factory factory;
-  };
-
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;  ///< keyed lowercase
+  NameRegistry<Factory> entries_;
 };
 
 /// Instantiate a selector by registry name.  Throws std::invalid_argument

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "cost/gbdt_io.hpp"
 #include "exp/experience.hpp"
@@ -41,25 +42,11 @@ bool make_dirs(const std::string& dir) {
   return true;
 }
 
-/// Resolve a hardware preset name to its canonical shard name + config.
-bool hardware_preset(const std::string& name, std::string* canon,
-                     HardwareConfig* hw) {
-  if (name.empty() || name == "xeon" || name == "xeon_6226r") {
-    *canon = "xeon";
-    *hw = HardwareConfig::xeon_6226r();
-    return true;
-  }
-  if (name == "rtx3090" || name == "gpu") {
-    *canon = "rtx3090";
-    *hw = HardwareConfig::rtx3090();
-    return true;
-  }
-  if (name == "test") {
-    *canon = "test";
-    *hw = HardwareConfig::test_config();
-    return true;
-  }
-  return false;
+/// The daemon's hardware names: the preset table, with an empty name
+/// meaning xeon.  `*canon` becomes the shard name.
+std::optional<HardwareConfig> hardware_preset(const std::string& name,
+                                              std::string* canon) {
+  return HardwareConfig::preset(name.empty() ? "xeon" : name, canon);
 }
 
 bool known_network_base(const std::string& base) {
@@ -510,14 +497,14 @@ HarlServer::Shard* HarlServer::shard_for_locked(const std::string& hw_name) {
   if (it != shards_.end()) return it->second.get();
 
   std::string canon;
-  HardwareConfig hw;
-  if (!hardware_preset(hw_name, &canon, &hw)) return nullptr;
+  std::optional<HardwareConfig> hw = hardware_preset(hw_name, &canon);
+  if (!hw) return nullptr;
 
   KnowledgeCacheOptions copts;
   copts.golden_advice = opts_.golden_advice;
   auto shard = std::make_unique<Shard>(copts);
   shard->name = canon;
-  shard->hw = hw;
+  shard->hw = *hw;
   std::string dir = shard_dir(canon);
 
   if (opts_.replica) {
@@ -563,7 +550,7 @@ HarlServer::Shard* HarlServer::shard_for_locked(const std::string& hw_name) {
     ropts.period_rounds = opts_.cross_refresh;
     ropts.publish_path = dir + "/experience.model.json";
     fopts.shared_refresher = refresh_hub_->register_shard(
-        canon, hw, std::move(ropts), make_builtin_resolver());
+        canon, *hw, std::move(ropts), make_builtin_resolver());
   }
   std::string shard_name = canon;
   fopts.on_complete = [this, shard_name](int index,
@@ -759,8 +746,8 @@ Response HarlServer::handle_query(const Request& req) {
     return error_response("query needs network and task");
   }
   std::string canon;
-  HardwareConfig hw;
-  if (!hardware_preset(req.hw, &canon, &hw)) {
+  std::optional<HardwareConfig> hw = hardware_preset(req.hw, &canon);
+  if (!hw) {
     return error_response("unknown hw preset \"" + req.hw +
                           "\" (xeon, rtx3090, test)");
   }
@@ -782,7 +769,7 @@ Response HarlServer::handle_query(const Request& req) {
   if (shard == nullptr) return error_response("no shard for hw " + canon);
 
   auto t0 = std::chrono::steady_clock::now();
-  ServeResult result = shard->cache.serve(req.network, *graph, hw);
+  ServeResult result = shard->cache.serve(req.network, *graph, *hw);
   auto t1 = std::chrono::steady_clock::now();
 
   Response resp;
@@ -817,8 +804,8 @@ Response HarlServer::handle_tune(const Request& req) {
                           std::to_string(opts_.max_job_trials));
   }
   std::string canon;
-  HardwareConfig hw;
-  if (!hardware_preset(req.hw, &canon, &hw)) {
+  std::optional<HardwareConfig> hw = hardware_preset(req.hw, &canon);
+  if (!hw) {
     return error_response("unknown hw preset \"" + req.hw +
                           "\" (xeon, rtx3090, test)");
   }

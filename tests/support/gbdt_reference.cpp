@@ -1,4 +1,4 @@
-#include "cost/gbdt_reference.hpp"
+#include "support/gbdt_reference.hpp"
 
 #include <algorithm>
 #include <numeric>

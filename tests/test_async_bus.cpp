@@ -16,6 +16,7 @@
 #include "core/tuning.hpp"
 #include "cost/gbdt_io.hpp"
 #include "exp/refresh.hpp"
+#include "exp/shard_refresh.hpp"
 #include "io/async_bus.hpp"
 #include "io/record_io.hpp"
 #include "io/record_logger.hpp"
@@ -447,6 +448,76 @@ TEST(RefresherTest, BelowMinRowsPublishesNothing) {
   std::FILE* f = std::fopen(model_path.path.c_str(), "rb");
   EXPECT_EQ(f, nullptr);
   if (f != nullptr) std::fclose(f);
+}
+
+TEST(ShardRefreshHubTest, EveryShardFoldsEverySessionsRecords) {
+  TempPath xeon_model("hub_xeon.model.json");
+  TempPath test_model("hub_test.model.json");
+  Network net = tiny_network("hub_tiny");
+  ShardRefreshHub hub;
+  auto options_for = [](const std::string& path) {
+    RefreshOptions ropts;
+    ropts.period_rounds = 2;
+    ropts.publish_path = path;
+    return ropts;
+  };
+  ExperienceRefresher* xeon =
+      hub.register_shard("xeon", HardwareConfig::xeon_6226r(),
+                         options_for(xeon_model.path), test_resolver({net}));
+  ExperienceRefresher* test =
+      hub.register_shard("test", HardwareConfig::test_config(),
+                         options_for(test_model.path), test_resolver({net}));
+  ASSERT_NE(xeon, nullptr);
+  ASSERT_NE(test, nullptr);
+  EXPECT_NE(xeon, test);
+  // A second registration under a taken name returns the first refresher.
+  EXPECT_EQ(hub.register_shard("xeon", HardwareConfig::rtx3090(),
+                               options_for("unused.model.json"),
+                               test_resolver({net})),
+            xeon);
+  EXPECT_EQ(hub.refresher("xeon"), xeon);
+  EXPECT_EQ(hub.refresher("test"), test);
+  EXPECT_EQ(hub.refresher("unknown"), nullptr);
+  EXPECT_EQ(hub.num_shards(), 2u);
+
+  /// Counts what one session hands its callbacks.
+  struct Counter : TuningCallback {
+    std::size_t records = 0;
+    int rounds = 0;
+    void on_records(const TaskScheduler&, int,
+                    const std::vector<MeasuredRecord>& batch) override {
+      records += batch.size();
+    }
+    void on_round(const TaskScheduler&, const RoundEvent&) override {
+      rounds += 1;
+    }
+  } counter;
+
+  // One session on one shard's hardware: both shards fold every record.
+  HardwareConfig hw = HardwareConfig::xeon_6226r();
+  TuningSession session(net, hw, tiny_options(PolicyKind::kRandom, 11));
+  session.add_callback(&hub);
+  session.add_callback(&counter);
+  session.run(60);
+  ASSERT_GT(counter.records, 0u);
+  ASSERT_GE(counter.rounds, 2);
+  EXPECT_EQ(xeon->records_folded(), counter.records);
+  EXPECT_EQ(test->records_folded(), counter.records);
+  // Rounds reach both too: each refits on its own period.
+  EXPECT_GT(xeon->refreshes(), 0u);
+  EXPECT_GT(test->refreshes(), 0u);
+  EXPECT_EQ(hub.total_refreshes(), xeon->refreshes() + test->refreshes());
+
+  // A second session adds its batch size again to every shard.
+  std::size_t before = counter.records;
+  TuningSession again(net, HardwareConfig::test_config(),
+                      tiny_options(PolicyKind::kRandom, 12));
+  again.add_callback(&hub);
+  again.add_callback(&counter);
+  again.run(20);
+  ASSERT_GT(counter.records, before);
+  EXPECT_EQ(xeon->records_folded(), counter.records);
+  EXPECT_EQ(test->records_folded(), counter.records);
 }
 
 TEST(RefresherTest, FleetSiblingPicksUpMidRunRepublish) {

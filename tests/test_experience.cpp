@@ -342,6 +342,27 @@ TEST(ExperienceStoreTest, BuiltinResolverMemoKeepsOnlyShippedNetworks) {
   EXPECT_EQ(copy("mobilenet_v2_b1x", "mbv2_fc"), nullptr);
 }
 
+TEST(ExperienceStoreTest, BuiltinResolverAcceptsOnlyCanonicalBatchNames) {
+  BuiltinNetworks memo;
+  const Subgraph* gemm = memo.resolve("bert_b1", "GEMM-I");
+  ASSERT_NE(gemm, nullptr);
+  ASSERT_EQ(memo.size(), 1u);
+
+  // A batch of 0, a leading zero (another spelling of an existing network),
+  // a sign, an empty or overflowing suffix: none builds or keeps a network.
+  for (const char* name :
+       {"bert_b0", "bert_b00", "bert_b01", "bert_b001", "bert_b+1", "bert_b-1",
+        "bert_b 1", "bert_b", "bert_b99999999999999999999",
+        "bert_b9223372036854775808", "resnet50_b02"}) {
+    EXPECT_EQ(memo.resolve(name, "GEMM-I"), nullptr) << name;
+    EXPECT_EQ(memo.size(), 1u) << name;
+  }
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_EQ(memo.resolve("bert_b1", "GEMM-I"), gemm);
+  }
+  EXPECT_EQ(memo.size(), 1u);
+}
+
 // ------------------------------------------------------------ compaction
 
 TEST(CompactTest, KeepsBestKPlusWindowAndStaysReadable) {

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "cost/gbdt.hpp"
-#include "cost/gbdt_reference.hpp"
+#include "support/gbdt_reference.hpp"
 #include "util/rng.hpp"
 
 namespace harl {

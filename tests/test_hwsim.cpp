@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <string>
 
 #include "hwsim/measurer.hpp"
 #include "hwsim/simulator.hpp"
@@ -13,6 +16,41 @@ TEST(HardwareConfig, PresetsValidate) {
   EXPECT_EQ(HardwareConfig::xeon_6226r().validate(), "");
   EXPECT_EQ(HardwareConfig::rtx3090().validate(), "");
   EXPECT_EQ(HardwareConfig::test_config().validate(), "");
+}
+
+TEST(HardwareConfig, PresetTableKeepsEveryAcceptedName) {
+  // Every spelling the daemon, harl_query and harl_harvest accepted, with
+  // the shard name and fingerprint it resolved to before the tables merged
+  // (the fingerprints are pinned: they partition every record log).
+  struct Case {
+    const char* name;
+    const char* canonical;
+    std::uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {"xeon", "xeon", 0xf23674f5dc72bc3dULL},
+      {"xeon_6226r", "xeon", 0xf23674f5dc72bc3dULL},
+      {"rtx3090", "rtx3090", 0x9f1eb63442a5e8a1ULL},
+      {"gpu", "rtx3090", 0x9f1eb63442a5e8a1ULL},
+      {"test", "test", 0x0589ec08610c2c48ULL},
+  };
+  for (const Case& c : cases) {
+    std::string canonical;
+    std::optional<HardwareConfig> hw = HardwareConfig::preset(c.name, &canonical);
+    ASSERT_TRUE(hw.has_value()) << c.name;
+    EXPECT_EQ(canonical, c.canonical) << c.name;
+    EXPECT_EQ(hw->fingerprint(), c.fingerprint) << c.name;
+    EXPECT_TRUE(HardwareConfig::preset(c.name).has_value()) << c.name;
+  }
+  EXPECT_EQ(HardwareConfig::xeon_6226r().fingerprint(), 0xf23674f5dc72bc3dULL);
+
+  // "cpu" and every other unlisted name are rejected,
+  // and a rejected name leaves the canonical out-parameter alone.
+  for (const char* name : {"cpu", "", "Xeon", "XEON", "gpu ", "quantum", "tes"}) {
+    std::string canonical = "untouched";
+    EXPECT_FALSE(HardwareConfig::preset(name, &canonical).has_value()) << name;
+    EXPECT_EQ(canonical, "untouched") << name;
+  }
 }
 
 TEST(HardwareConfig, ValidateCatchesBrokenHierarchy) {

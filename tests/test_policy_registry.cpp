@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/presets.hpp"
 #include "core/tuning.hpp"
@@ -37,6 +42,97 @@ TEST(PolicyRegistryTest, DuplicateRegistrationRejected) {
         return std::make_unique<RandomSearchPolicy>(task, opts.seed);
       }));
   EXPECT_FALSE(reg.register_policy("", nullptr));
+}
+
+TEST(PolicyRegistryTest, CaseVariantsAreOneName) {
+  PolicyRegistry& reg = PolicyRegistry::instance();
+  for (const char* name : {"HARL", "harl", "Harl"}) {
+    EXPECT_TRUE(reg.contains(name)) << name;
+    EXPECT_EQ(reg.task_select(name), "sw-ucb") << name;
+    EXPECT_FALSE(reg.register_policy(
+        name, [](TaskState* task, const SearchOptions& opts) {
+          return std::make_unique<RandomSearchPolicy>(task, opts.seed);
+        }))
+        << name;
+  }
+  std::vector<std::string> names = reg.names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "HARL"), 1);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "harl"), 0);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "Harl"), 0);
+}
+
+TEST(PolicyRegistryTest, FactoryMayCreateAnotherPolicy) {
+  // A wrapping factory (like a timing wrapper around a built-in) looks the
+  // inner policy up from inside its own creation: creation must run with no
+  // registry lock held, or this deadlocks.
+  static std::atomic<int> inner_created{0};
+  PolicyRegistry::instance().register_policy(
+      "test-reentrant", [](TaskState* task, const SearchOptions& opts) {
+        std::unique_ptr<SearchPolicy> inner =
+            PolicyRegistry::instance().create("random", task, opts);
+        if (inner != nullptr) inner_created += 1;
+        return inner;
+      });
+  Network net;
+  net.subgraphs.push_back(make_gemm(32, 32, 32, 1, "reentrant_a"));
+  net.subgraphs.push_back(make_gemm(16, 16, 16, 1, "reentrant_b"));
+  HardwareConfig hw = HardwareConfig::test_config();
+  SearchOptions opts = quick_options(PolicyKind::kHarl, 5);
+  opts.policy_name = "TEST-REENTRANT";
+  opts.measures_per_round = 4;
+  int before = inner_created.load();
+  TuningSession session(net, hw, opts);
+  EXPECT_EQ(inner_created.load() - before, 2);
+  EXPECT_STREQ(session.scheduler().policy(1).name(), "Random");
+  session.run(24);
+  EXPECT_GE(session.measurer().trials_used(), 24);
+}
+
+TEST(PolicyRegistryTest, ConcurrentRegisterAndCreateKeepNamesConsistent) {
+  // Four threads race to register the same 40 names, each in its own
+  // spelling, while creating and listing: each name is won exactly once,
+  // every spelling finds the winner's factory, and names() lists each name
+  // once, in the winner's spelling.
+  constexpr int kThreads = 4;
+  constexpr int kNames = 40;
+  const char* prefixes[kThreads] = {"conc-", "CONC-", "Conc-", "cOnC-"};
+  // Static: the registry outlives this test and keeps the factories.
+  static std::atomic<int> wins[kNames];
+  static std::atomic<int> created[kNames];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      PolicyRegistry& reg = PolicyRegistry::instance();
+      for (int i = 0; i < kNames; ++i) {
+        std::string name = prefixes[t] + std::to_string(i);
+        bool won = reg.register_policy(
+            name, [i](TaskState*, const SearchOptions&) {
+              created[i] += 1;
+              return std::unique_ptr<SearchPolicy>();
+            });
+        if (won) wins[i] += 1;
+        EXPECT_TRUE(reg.contains(prefixes[(t + 1) % kThreads] +
+                                 std::to_string(i)));
+        SearchOptions opts;
+        EXPECT_EQ(reg.create(name, nullptr, opts), nullptr);
+        EXPECT_FALSE(reg.names().empty());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::vector<std::string> names = PolicyRegistry::instance().names();
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  for (int i = 0; i < kNames; ++i) {
+    EXPECT_EQ(wins[i].load(), 1) << i;
+    EXPECT_EQ(created[i].load(), kThreads) << i;
+    int listed = 0;
+    for (const char* prefix : prefixes) {
+      listed += static_cast<int>(std::count(names.begin(), names.end(),
+                                            prefix + std::to_string(i)));
+    }
+    EXPECT_EQ(listed, 1) << i;
+  }
 }
 
 TEST(PolicyRegistryTest, RegisteredRuleIsTheDefaultTaskSelection) {

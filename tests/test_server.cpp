@@ -443,6 +443,54 @@ TEST(Server, RejectsInvalidRequests) {
   server.shutdown();
 }
 
+TEST(Server, HardwareNamesAndTheirErrorReplyAreUnchanged) {
+  TempDir dir("test_server_hw_names");
+  HarlServer server(make_server_options(dir.path));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  LineClient cli;
+  ASSERT_TRUE(cli.connect("127.0.0.1", server.port(), &error)) << error;
+  auto round_trip = [&](const std::string& line) {
+    std::string reply;
+    EXPECT_TRUE(cli.send_line(line, &error)) << error;
+    EXPECT_TRUE(cli.recv_line(&reply, &error)) << error;
+    return reply;
+  };
+
+  // "cpu" was only ever a tuning-CLI spelling: the daemon rejects it with
+  // the same bytes as before, for a query and for a tune.
+  const std::string rejected =
+      "{\"v\":1,\"ok\":false,\"error\":\"unknown hw preset \\\"cpu\\\" "
+      "(xeon, rtx3090, test)\"}";
+  EXPECT_EQ(round_trip("{\"v\":1,\"type\":\"query\",\"network\":\"bert_b1\","
+                       "\"task\":\"GEMM-I\",\"hw\":\"cpu\"}"),
+            rejected);
+  EXPECT_EQ(round_trip("{\"v\":1,\"type\":\"tune\",\"network\":\"bert\","
+                       "\"hw\":\"cpu\",\"trials\":10}"),
+            rejected);
+
+  // Every accepted spelling, and no hw at all (xeon), is served.
+  for (const char* hw : {"", "xeon", "xeon_6226r", "rtx3090", "gpu", "test"}) {
+    Request query;
+    query.type = RequestType::kQuery;
+    query.network = "bert_b1";
+    query.task = "GEMM-I";
+    query.hw = hw;
+    Response resp = server.handle_for_test(query);
+    EXPECT_TRUE(resp.ok) << hw << ": " << resp.error;
+    EXPECT_EQ(resp.tier, "L3") << hw;
+  }
+  // ... from one shard per preset, named by its canonical name.
+  struct stat st{};
+  for (const char* shard : {"xeon", "rtx3090", "test"}) {
+    EXPECT_EQ(::stat((dir.path + "/" + shard).c_str(), &st), 0) << shard;
+  }
+  for (const char* alias : {"xeon_6226r", "gpu", "cpu"}) {
+    EXPECT_NE(::stat((dir.path + "/" + alias).c_str(), &st), 0) << alias;
+  }
+  server.shutdown();
+}
+
 TEST(Server, NamedPolicyJobKeepsTheBaseTaskSelection) {
   // A job that names a policy swaps the per-subgraph policy only; subgraph
   // selection stays the daemon's base rule (sw-ucb under quick_options

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/presets.hpp"
@@ -55,6 +59,86 @@ TEST(TaskSelectRegistryTest, DuplicateRegistrationRejected) {
     return std::unique_ptr<TaskSelector>();
   }));
   EXPECT_FALSE(reg.register_selector("", nullptr));
+}
+
+TEST(TaskSelectRegistryTest, CaseVariantsAreOneName) {
+  TaskSelectRegistry& reg = TaskSelectRegistry::instance();
+  auto factory = [](int, const SearchOptions&) {
+    return std::unique_ptr<TaskSelector>();
+  };
+  reg.register_selector("HARL", factory);
+  for (const char* name : {"HARL", "harl", "Harl"}) {
+    EXPECT_TRUE(reg.contains(name)) << name;
+    EXPECT_FALSE(reg.register_selector(name, factory)) << name;
+  }
+  std::vector<std::string> names = reg.names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "HARL"), 1);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "harl"), 0);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "Harl"), 0);
+}
+
+TEST(TaskSelectRegistryTest, FactoryMayCreateAnotherSelector) {
+  // Creation runs with no registry lock held, so a wrapping factory can
+  // build its inner rule by name.
+  TaskSelectRegistry::instance().register_selector(
+      "test-reentrant-rule", [](int num_tasks, const SearchOptions& opts) {
+        return TaskSelectRegistry::instance().create("Round-Robin", num_tasks,
+                                                     opts);
+      });
+  Network net = small_network();
+  HardwareConfig hw = HardwareConfig::test_config();
+  SearchOptions opts = small_options(PolicyKind::kRandom, 3);
+  opts.task_select_name = "test-reentrant-rule";
+  TuningSession session(net, hw, opts);
+  EXPECT_STREQ(session.scheduler().selector().name(), "round-robin");
+  session.run(30);
+  EXPECT_GE(session.measurer().trials_used(), 30);
+}
+
+TEST(TaskSelectRegistryTest, ConcurrentRegisterAndCreateKeepNamesConsistent) {
+  // Four threads race to register the same 40 names, each in its own
+  // spelling, while creating and listing: each name is won exactly once and
+  // names() lists it once, in the winner's spelling.
+  constexpr int kThreads = 4;
+  constexpr int kNames = 40;
+  const char* prefixes[kThreads] = {"rule-", "RULE-", "Rule-", "rUlE-"};
+  // Static: the registry outlives this test and keeps the factories.
+  static std::atomic<int> wins[kNames];
+  static std::atomic<int> created[kNames];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      TaskSelectRegistry& reg = TaskSelectRegistry::instance();
+      for (int i = 0; i < kNames; ++i) {
+        std::string name = prefixes[t] + std::to_string(i);
+        bool won = reg.register_selector(
+            name, [i](int, const SearchOptions&) {
+              created[i] += 1;
+              return std::unique_ptr<TaskSelector>();
+            });
+        if (won) wins[i] += 1;
+        EXPECT_TRUE(reg.contains(prefixes[(t + 1) % kThreads] +
+                                 std::to_string(i)));
+        SearchOptions opts;
+        EXPECT_EQ(reg.create(name, 1, opts), nullptr);
+        EXPECT_FALSE(reg.names().empty());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::vector<std::string> names = TaskSelectRegistry::instance().names();
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  for (int i = 0; i < kNames; ++i) {
+    EXPECT_EQ(wins[i].load(), 1) << i;
+    EXPECT_EQ(created[i].load(), kThreads) << i;
+    int listed = 0;
+    for (const char* prefix : prefixes) {
+      listed += static_cast<int>(std::count(names.begin(), names.end(),
+                                            prefix + std::to_string(i)));
+    }
+    EXPECT_EQ(listed, 1) << i;
+  }
 }
 
 TEST(TaskSelectRegistryTest, UnknownNameThrowsWithRegisteredList) {
