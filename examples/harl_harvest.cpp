@@ -103,8 +103,8 @@ int cmd_harvest(const CommonArgs& args) {
   }
   std::optional<HardwareConfig> hw = HardwareConfig::preset(args.hw_name);
   if (!hw) {
-    std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n",
-                 args.hw_name.c_str());
+    std::fprintf(stderr, "unknown --hw=%s (%s)\n",
+                 args.hw_name.c_str(), HardwareConfig::kPresetNames);
     return 1;
   }
 
@@ -147,8 +147,8 @@ int cmd_value(const CommonArgs& args) {
   }
   std::optional<HardwareConfig> hw = HardwareConfig::preset(args.hw_name);
   if (!hw) {
-    std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n",
-                 args.hw_name.c_str());
+    std::fprintf(stderr, "unknown --hw=%s (%s)\n",
+                 args.hw_name.c_str(), HardwareConfig::kPresetNames);
     return 1;
   }
 

@@ -412,8 +412,8 @@ int remote_main(const RemoteArgs& args) {
     if (args.expect_best) {
       std::optional<HardwareConfig> hw = HardwareConfig::preset(args.hw);
       if (!hw) {
-        std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n",
-                     args.hw.c_str());
+        std::fprintf(stderr, "unknown --hw=%s (%s)\n",
+                     args.hw.c_str(), HardwareConfig::kPresetNames);
         return 1;
       }
       if (args.logs.empty()) {
@@ -547,8 +547,8 @@ int main(int argc, char** argv) {
 
   std::optional<HardwareConfig> hw = HardwareConfig::preset(hw_name);
   if (!hw) {
-    std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n",
-                 hw_name.c_str());
+    std::fprintf(stderr, "unknown --hw=%s (%s)\n",
+                 hw_name.c_str(), HardwareConfig::kPresetNames);
     return 1;
   }
 

@@ -14,7 +14,7 @@
 ///       [--batch=N]             batch size (default 1)
 ///       [--hw=NAME]             hardware preset: xeon (default), xeon_6226r,
 ///                               rtx3090, gpu or test
-///       [--paper]               Table 5 options instead of the quick preset
+///       [--paper]               Table 5 search options; not with --log
 ///       [--policy=NAME]         tune one policy instead of the comparison
 ///       [--log=PATH]            append records; resume when the log exists
 ///       [--model=PATH]          pretrained experience model (harl_harvest)
@@ -88,7 +88,7 @@ void print_usage(std::FILE* out) {
       "                          suite (GEMM-S..T2D) or gemm:MxKxN\n"
       "  [--batch=N]             batch size (default 1)\n"
       "  [--hw=NAME]             xeon (default), xeon_6226r, rtx3090, gpu, test\n"
-      "  [--paper]               Table 5 options instead of the quick preset\n"
+      "  [--paper]               Table 5 search options; not with --log\n"
       "  [--policy=NAME]         tune one registered policy (durable mode)\n"
       "  [--log=PATH]            append records; resume when the log exists\n"
       "  [--model=PATH]          pretrained experience model (harl_harvest)\n"
@@ -116,15 +116,25 @@ bool flag_value(const char* arg, const char* name, const char** value) {
   return true;
 }
 
+/// Parses a positive decimal integer (no sign or space) at `p`; returns the
+/// character after it, or nullptr for no digit, zero or overflow.
+const char* parse_positive(const char* p, std::int64_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*p))) return nullptr;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoll(p, &end, 10);
+  return *out > 0 && errno != ERANGE ? end : nullptr;
+}
+
 /// --network=: a builtin network, a Table 6 suite (its headline case as a
-/// one-subgraph network named after the suite) or "gemm:MxKxN".  Throws
-/// std::invalid_argument for anything else, or for a batch below 1.
+/// one-subgraph network) or "gemm:MxKxN".  Suite and GEMM networks are named
+/// "<name>_b<batch>" like the builtins, so a record log's network name pins
+/// the batch.  Throws std::invalid_argument for anything else.
 Network parse_network(const std::string& name, std::int64_t batch) {
-  if (batch < 1) throw std::invalid_argument("--batch must be >= 1");
   const std::vector<std::string>& suites = table6_suite_names();
+  Network net;
+  net.name = name + "_b" + std::to_string(batch);
   if (std::find(suites.begin(), suites.end(), name) != suites.end()) {
-    Network net;
-    net.name = name;
     net.subgraphs.push_back(std::move(table6_suite(name, batch)[0].graph));
     return net;
   }
@@ -132,19 +142,13 @@ Network parse_network(const std::string& name, std::int64_t batch) {
   std::int64_t dims[3] = {0, 0, 0};
   const char* p = name.c_str() + 5;
   for (int i = 0; i < 3; ++i) {
-    char* end = nullptr;
-    errno = 0;
-    dims[i] = std::isdigit(static_cast<unsigned char>(*p))
-                  ? std::strtoll(p, &end, 10)
-                  : 0;
-    if (dims[i] <= 0 || errno == ERANGE || *end != (i < 2 ? 'x' : '\0')) {
+    p = parse_positive(p, &dims[i]);
+    if (p == nullptr || *p != (i < 2 ? 'x' : '\0')) {
       throw std::invalid_argument("bad network \"" + name +
                                   "\": want gemm:MxKxN with positive M, K, N");
     }
-    p = end + 1;
+    ++p;
   }
-  Network net;
-  net.name = name;
   net.subgraphs.push_back(make_gemm(dims[0], dims[1], dims[2], batch));
   return net;
 }
@@ -246,7 +250,11 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--network", &v)) {
       network_name = v;
     } else if (flag_value(argv[i], "--batch", &v)) {
-      batch = std::atoll(v);
+      const char* end = parse_positive(v, &batch);
+      if (end == nullptr || *end != '\0') {
+        std::fprintf(stderr, "bad --batch=%s: want a positive integer\n", v);
+        return 1;
+      }
     } else if (flag_value(argv[i], "--hw", &v)) {
       hw_name = v;
     } else if (std::strcmp(argv[i], "--paper") == 0) {
@@ -305,8 +313,8 @@ int main(int argc, char** argv) {
 
   std::optional<HardwareConfig> hw = HardwareConfig::preset(hw_name);
   if (!hw) {
-    std::fprintf(stderr, "unknown --hw=%s (xeon, rtx3090, test)\n",
-                 hw_name.c_str());
+    std::fprintf(stderr, "unknown --hw=%s (%s)\n",
+                 hw_name.c_str(), HardwareConfig::kPresetNames);
     return 1;
   }
   Network net;
@@ -319,6 +327,12 @@ int main(int argc, char** argv) {
   SearchOptions (*preset)(PolicyKind, std::uint64_t) =
       paper ? paper_options : quick_options;
 
+  if (paper && !log_path.empty()) {
+    // The search options are not part of a record's run identity: a resume
+    // across presets would replay logged times onto other schedules.
+    std::fprintf(stderr, "--paper cannot be combined with --log\n");
+    return 1;
+  }
   if (fault_spec.any() && policy_name.empty()) {
     std::fprintf(stderr, "--inject-faults requires --policy=NAME mode\n");
     return 1;

@@ -114,6 +114,9 @@ struct HardwareConfig {
   /// nullopt for any other name, the empty one included.
   static std::optional<HardwareConfig> preset(const std::string& name,
                                               std::string* canonical = nullptr);
+
+  /// The canonical preset names as error messages list them.
+  static constexpr const char* kPresetNames = "xeon, rtx3090, test";
 };
 
 }  // namespace harl

@@ -749,7 +749,7 @@ Response HarlServer::handle_query(const Request& req) {
   std::optional<HardwareConfig> hw = hardware_preset(req.hw, &canon);
   if (!hw) {
     return error_response("unknown hw preset \"" + req.hw +
-                          "\" (xeon, rtx3090, test)");
+                          "\" (" + HardwareConfig::kPresetNames + ")");
   }
   const Subgraph* graph = nullptr;
   {
@@ -807,7 +807,7 @@ Response HarlServer::handle_tune(const Request& req) {
   std::optional<HardwareConfig> hw = hardware_preset(req.hw, &canon);
   if (!hw) {
     return error_response("unknown hw preset \"" + req.hw +
-                          "\" (xeon, rtx3090, test)");
+                          "\" (" + HardwareConfig::kPresetNames + ")");
   }
   if (!req.policy.empty() && !PolicyRegistry::instance().contains(req.policy)) {
     return error_response("unknown policy \"" + req.policy + "\"");

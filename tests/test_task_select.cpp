@@ -66,15 +66,15 @@ TEST(TaskSelectRegistryTest, CaseVariantsAreOneName) {
   auto factory = [](int, const SearchOptions&) {
     return std::unique_ptr<TaskSelector>();
   };
-  reg.register_selector("HARL", factory);
-  for (const char* name : {"HARL", "harl", "Harl"}) {
+  reg.register_selector("TEST-HARL", factory);
+  for (const char* name : {"TEST-HARL", "test-harl", "Test-Harl"}) {
     EXPECT_TRUE(reg.contains(name)) << name;
     EXPECT_FALSE(reg.register_selector(name, factory)) << name;
   }
   std::vector<std::string> names = reg.names();
-  EXPECT_EQ(std::count(names.begin(), names.end(), "HARL"), 1);
-  EXPECT_EQ(std::count(names.begin(), names.end(), "harl"), 0);
-  EXPECT_EQ(std::count(names.begin(), names.end(), "Harl"), 0);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "TEST-HARL"), 1);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "test-harl"), 0);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "Test-Harl"), 0);
 }
 
 TEST(TaskSelectRegistryTest, FactoryMayCreateAnotherSelector) {
@@ -101,10 +101,21 @@ TEST(TaskSelectRegistryTest, ConcurrentRegisterAndCreateKeepNamesConsistent) {
   // names() lists it once, in the winner's spelling.
   constexpr int kThreads = 4;
   constexpr int kNames = 40;
-  const char* prefixes[kThreads] = {"rule-", "RULE-", "Rule-", "rUlE-"};
+  const char* prefixes[kThreads] = {"test-rule-", "TEST-RULE-", "Test-Rule-",
+                                    "tEsT-rUlE-"};
   // Static: the registry outlives this test and keeps the factories.
   static std::atomic<int> wins[kNames];
   static std::atomic<int> created[kNames];
+  // Counts are taken relative to the start, and a name registered by an
+  // earlier pass (--gtest_repeat) is won by nobody this time.
+  int wins_before[kNames];
+  int created_before[kNames];
+  bool fresh[kNames];
+  for (int i = 0; i < kNames; ++i) {
+    wins_before[i] = wins[i].load();
+    created_before[i] = created[i].load();
+    fresh[i] = !TaskSelectRegistry::instance().contains(prefixes[0] + std::to_string(i));
+  }
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -130,8 +141,8 @@ TEST(TaskSelectRegistryTest, ConcurrentRegisterAndCreateKeepNamesConsistent) {
   std::vector<std::string> names = TaskSelectRegistry::instance().names();
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (int i = 0; i < kNames; ++i) {
-    EXPECT_EQ(wins[i].load(), 1) << i;
-    EXPECT_EQ(created[i].load(), kThreads) << i;
+    EXPECT_EQ(wins[i].load() - wins_before[i], fresh[i] ? 1 : 0) << i;
+    EXPECT_EQ(created[i].load() - created_before[i], kThreads) << i;
     int listed = 0;
     for (const char* prefix : prefixes) {
       listed += static_cast<int>(std::count(names.begin(), names.end(),
