@@ -251,8 +251,9 @@ int main(int argc, char** argv) {
       network_name = v;
     } else if (flag_value(argv[i], "--batch", &v)) {
       const char* end = parse_positive(v, &batch);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad --batch=%s: want a positive integer\n", v);
+      if (end == nullptr || *end != '\0' || batch > kMaxBatch) {
+        std::fprintf(stderr, "bad --batch=%s: want an integer in [1, %lld]\n", v,
+                     static_cast<long long>(kMaxBatch));
         return 1;
       }
     } else if (flag_value(argv[i], "--hw", &v)) {

@@ -23,12 +23,13 @@ const Subgraph* BuiltinNetworks::resolve(const std::string& network,
     // itself "bert_b2"); anything else is an unknown custom network.  Only
     // the spelling make_network gives resolves (batch >= 1, no sign, no
     // leading zero, no overflow: the batch must print back as the suffix),
-    // so one network is never built and kept under two names.
+    // so one network is never built and kept under two names, and only a
+    // batch up to kMaxBatch, which bounds the memo.
     std::size_t pos = network.rfind("_b");
     if (pos == std::string::npos) return nullptr;
     const std::string digits = network.substr(pos + 2);
     const long long batch = std::strtoll(digits.c_str(), nullptr, 10);
-    if (batch < 1 || std::to_string(batch) != digits) return nullptr;
+    if (batch < 1 || batch > kMaxBatch || std::to_string(batch) != digits) return nullptr;
     const auto& names = network_names();
     const std::string base = network.substr(0, pos);
     if (std::find(names.begin(), names.end(), base) == names.end()) return nullptr;

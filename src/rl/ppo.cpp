@@ -37,14 +37,12 @@ PpoAgent::PpoAgent(int obs_dim, int state_width, ObserveFn observe,
   HARL_CHECK(cfg_.buffer_capacity >= 1, "PpoAgent needs buffer_capacity >= 1");
   HARL_CHECK(cfg_.minibatch_size >= 1, "PpoAgent needs minibatch_size >= 1");
   HARL_CHECK(state_width_ >= 1 && observe_, "PpoAgent needs a state width and observe");
-  // One allocation per array for the agent's lifetime; pages stay untouched
-  // (not resident) until rows are stored into them.
-  const auto cap = static_cast<std::size_t>(cfg_.buffer_capacity);
-  states_.reserve(cap * static_cast<std::size_t>(state_width_));
-  actions_.reserve(cap * head_sizes_.size());
-  for (std::vector<double>* col : {&logp_, &reward_, &value_, &next_value_}) col->reserve(cap);
-  mask_bits_.reserve(cap * static_cast<std::size_t>(head_sizes_[0]));
-  has_mask_.reserve(cap);
+}
+
+std::size_t PpoAgent::ring_rows_allocated() const {
+  std::size_t rows = 0;
+  for (const RingBlock& b : blocks_) rows += b.logp.capacity();
+  return rows;
 }
 
 void PpoAgent::check_obs(const std::vector<double>& obs) const {
@@ -110,28 +108,41 @@ void PpoAgent::store(const std::vector<std::int32_t>& state, const ActResult& ac
   }
   const auto sw = static_cast<std::size_t>(state_width_);
   const auto width = static_cast<std::size_t>(head_sizes_[0]);
-  const std::size_t row = buffer_next_ % static_cast<std::size_t>(cfg_.buffer_capacity);
+  const auto cap = static_cast<std::size_t>(cfg_.buffer_capacity);
+  const std::size_t row = buffer_next_ % cap;
   ++buffer_next_;
-  if (row == buffer_size()) {  // still filling: grow each array by one row
-    states_.resize(states_.size() + sw);
-    actions_.resize(actions_.size() + heads);
-    for (std::vector<double>* col : {&logp_, &reward_, &value_, &next_value_}) {
+  if (row / kRingBlockRows == blocks_.size()) {  // first row of a new block
+    const std::size_t n = std::min(kRingBlockRows, cap - row);
+    RingBlock& b = blocks_.emplace_back();
+    b.states.reserve(n * sw);
+    b.actions.reserve(n * heads);
+    for (std::vector<double>* col : {&b.logp, &b.reward, &b.value, &b.next_value}) {
+      col->reserve(n);
+    }
+    b.mask_bits.reserve(n * width);
+    b.has_mask.reserve(n);
+  }
+  RingBlock& b = blocks_[row / kRingBlockRows];
+  const std::size_t i = row % kRingBlockRows;
+  if (i == b.logp.size()) {  // still filling: grow each column by one row
+    b.states.resize(b.states.size() + sw);
+    b.actions.resize(b.actions.size() + heads);
+    for (std::vector<double>* col : {&b.logp, &b.reward, &b.value, &b.next_value}) {
       col->push_back(0.0);
     }
-    mask_bits_.resize(mask_bits_.size() + width);
-    has_mask_.push_back(false);
+    b.mask_bits.resize(b.mask_bits.size() + width);
+    b.has_mask.push_back(false);
   }
-  std::copy(state.begin(), state.end(),
-            states_.begin() + static_cast<std::ptrdiff_t>(row * sw));
+  std::copy(state.begin(), state.end(), b.states.begin() + static_cast<std::ptrdiff_t>(i * sw));
   std::copy(act.actions.begin(), act.actions.end(),
-            actions_.begin() + static_cast<std::ptrdiff_t>(row * heads));
-  logp_[row] = act.logp;
-  reward_[row] = reward;
-  value_[row] = act.value;
-  next_value_[row] = next_value;
+            b.actions.begin() + static_cast<std::ptrdiff_t>(i * heads));
+  b.logp[i] = act.logp;
+  b.reward[i] = reward;
+  b.value[i] = act.value;
+  b.next_value[i] = next_value;
   const bool masked = !head0_mask.empty();
-  has_mask_[row] = masked;
-  for (std::size_t i = 0; i < width; ++i) mask_bits_[row * width + i] = masked && head0_mask[i];
+  b.has_mask[i] = masked;
+  for (std::size_t j = 0; j < width; ++j) b.mask_bits[i * width + j] = masked && head0_mask[j];
 }
 
 double PpoAgent::train(Rng& rng) {
@@ -154,8 +165,9 @@ double PpoAgent::train(Rng& rng) {
     // Advantages from collection-time values, normalized per batch (Eq. 6).
     std::vector<double> adv(batch.size());
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      const std::size_t r = batch[k];
-      adv[k] = advantage(reward_[r], value_[r], next_value_[r]);
+      const RingBlock& b = blocks_[batch[k] / kRingBlockRows];
+      const std::size_t i = batch[k] % kRingBlockRows;
+      adv[k] = advantage(b.reward[i], b.value[i], b.next_value[i]);
     }
     double mean = std::accumulate(adv.begin(), adv.end(), 0.0) /
                   static_cast<double>(adv.size());
@@ -169,14 +181,15 @@ double PpoAgent::train(Rng& rng) {
     double inv_n = 1.0 / static_cast<double>(batch.size());
 
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      const std::size_t r = batch[k];
-      observe_(&states_[r * sw], obs.data());
+      const RingBlock& b = blocks_[batch[k] / kRingBlockRows];
+      const std::size_t i = batch[k] % kRingBlockRows;
+      observe_(&b.states[i * sw], obs.data());
       const std::vector<bool>* mask0 = nullptr;
-      if (has_mask_[r]) {
-        for (std::size_t i = 0; i < width; ++i) mask[i] = mask_bits_[r * width + i];
+      if (b.has_mask[i]) {
+        for (std::size_t j = 0; j < width; ++j) mask[j] = b.mask_bits[i * width + j];
         mask0 = &mask;
       }
-      const int* actions = &actions_[r * num_heads];
+      const int* actions = &b.actions[i * num_heads];
       Mlp::Trace atrace;
       std::vector<double> logits = actor_.forward(obs, &atrace);
       std::vector<std::vector<double>> heads = split_heads(logits);
@@ -188,7 +201,7 @@ double PpoAgent::train(Rng& rng) {
         logp_new += categorical_log_prob(head_probs[h], actions[h]);
       }
 
-      double ratio = std::exp(std::clamp(logp_new - logp_[r], -20.0, 20.0));
+      double ratio = std::exp(std::clamp(logp_new - b.logp[i], -20.0, 20.0));
       double unclipped = ratio * adv[k];
       double clipped =
           std::clamp(ratio, 1.0 - cfg_.clip_eps, 1.0 + cfg_.clip_eps) * adv[k];
@@ -215,7 +228,7 @@ double PpoAgent::train(Rng& rng) {
       // Critic: w_MSE * (V(s) - (r + gamma * V(s')))^2.
       Mlp::Trace ctrace;
       double v = critic_.forward(obs, &ctrace)[0];
-      double target = reward_[r] + cfg_.gamma * next_value_[r];
+      double target = b.reward[i] + cfg_.gamma * b.next_value[i];
       std::vector<double> dv = {cfg_.value_loss_weight * 2.0 * (v - target) * inv_n};
       critic_.backward(ctrace, dv);
     }

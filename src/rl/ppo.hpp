@@ -6,6 +6,7 @@
 /// updates are deterministic from the seed and minibatch layout.
 /// Collaborators: nn (Mlp, Categorical), HarlSearchPolicy.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -47,12 +48,19 @@ struct PpoConfig {
 /// schedule's decisions, see RlStateCodec), and train() rebuilds the
 /// observation of every sampled row through the `observe` function the agent
 /// was built with, so the networks see exactly what act() saw.  The ring is
-/// a set of flat arrays (states, actions, log-prob, reward, value, next
-/// value, head-0 mask bits and a has-mask flag per row), each reserved at
-/// `buffer_capacity` rows when the agent is built, so it never reallocates
-/// and only the rows actually stored become resident.  Rows fill in order
-/// and then overwrite the oldest.  The actor and critic keep weights and
-/// Adam moments; their gradients exist only inside train().
+/// a list of blocks of kRingBlockRows rows; each block holds flat columns
+/// (states, actions, log-prob, reward, value, next value, head-0 mask bits
+/// and a has-mask flag per row).  store() reserves a block's columns the
+/// first time it reaches the block, grows them row by row inside that
+/// reservation while filling, and never moves them: row r lives in block
+/// r / kRingBlockRows at offset r % kRingBlockRows.  Nothing is reserved at
+/// `buffer_capacity`: reserved-but-untouched pages stay out of the resident
+/// set only in a fresh process, and once a process has freed an earlier
+/// session, later reservations come from heap pages that are already
+/// resident.  So an agent's memory is its stored rows rounded up to one
+/// block, in every session of a process.  Rows fill in order and then
+/// overwrite the oldest.  The actor and critic keep weights and Adam moments;
+/// their gradients exist only inside train().
 ///
 /// Every input is checked: an observation must be `obs_dim` wide, a state
 /// `state_width` wide, an action list must hold one in-range index per head,
@@ -91,7 +99,9 @@ class PpoAgent {
   /// callers keep and reuse their buffers.
   void store(const std::vector<std::int32_t>& state, const ActResult& act, double reward,
              double next_value, const std::vector<bool>& head0_mask);
-  std::size_t buffer_size() const { return logp_.size(); }
+  std::size_t buffer_size() const {
+    return std::min(buffer_next_, static_cast<std::size_t>(cfg_.buffer_capacity));
+  }
 
   /// Run `update_epochs` minibatch updates (no-op while the buffer is
   /// smaller than one minibatch). Returns the mean actor objective.
@@ -101,9 +111,14 @@ class PpoAgent {
   int obs_dim() const { return obs_dim_; }
   const std::vector<int>& head_sizes() const { return head_sizes_; }
 
+  /// Rows per ring block.
+  static constexpr std::size_t kRingBlockRows = 256;
+
   /// White-box access for differential tests.
   const Mlp& actor() const { return actor_; }
   const Mlp& critic() const { return critic_; }
+  /// Ring rows allocated so far (stored rows rounded up to a block).
+  std::size_t ring_rows_allocated() const;
 
  private:
   /// Split the actor's flat logits into per-head vectors.
@@ -121,12 +136,15 @@ class PpoAgent {
   std::vector<int> head_sizes_;
   Mlp actor_;
   Mlp critic_;
-  // Replay ring, one row per stored step; row r of every array below.
-  std::vector<std::int32_t> states_;  ///< rows x state_width
-  std::vector<int> actions_;        ///< rows x heads
-  std::vector<double> logp_, reward_, value_, next_value_;
-  std::vector<bool> mask_bits_;     ///< rows x head_sizes_[0]
-  std::vector<bool> has_mask_;
+  /// Up to kRingBlockRows consecutive rows of the replay ring.
+  struct RingBlock {
+    std::vector<std::int32_t> states;  ///< rows x state_width
+    std::vector<int> actions;          ///< rows x heads
+    std::vector<double> logp, reward, value, next_value;
+    std::vector<bool> mask_bits;       ///< rows x head_sizes_[0]
+    std::vector<bool> has_mask;
+  };
+  std::vector<RingBlock> blocks_;
   std::size_t buffer_next_ = 0;     ///< ring write cursor (steps stored so far)
 };
 

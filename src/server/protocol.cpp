@@ -1,5 +1,8 @@
 #include "server/protocol.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "io/json.hpp"
 
 namespace harl {
@@ -26,14 +29,16 @@ bool parse_envelope(const std::string& line, json::Value* doc, int* version,
       if (error != nullptr) *error = "\"v\" is not a number";
       return false;
     }
-    *version = static_cast<int>(v->as_int64(kProtocolVersion));
-  }
-  if (*version > kProtocolVersion) {
-    if (error != nullptr) {
-      *error = "incompatible version " + std::to_string(*version) +
-               " (reader supports <= " + std::to_string(kProtocolVersion) + ")";
+    // Compared before narrowing, so 2^32 + 1 is not read as version 1.
+    const std::int64_t v64 = v->as_int64(kProtocolVersion);
+    if (v64 > kProtocolVersion) {
+      if (error != nullptr) {
+        *error = "incompatible version " + std::to_string(v64) +
+                 " (reader supports <= " + std::to_string(kProtocolVersion) + ")";
+      }
+      return false;
     }
-    return false;
+    *version = static_cast<int>(std::max<std::int64_t>(v64, std::numeric_limits<int>::min()));
   }
   return true;
 }
@@ -83,6 +88,23 @@ bool get_double(const json::Value& doc, const char* key, double* out,
     return false;
   }
   *out = v->as_double(*out);
+  return true;
+}
+
+/// A field the encoder writes only when it is >= 0 ("-1 = absent"): a
+/// negative value reads as -1, what the encoder would have sent, so every
+/// accepted message encodes back to itself.
+bool get_optional_int(const json::Value& doc, const char* key, std::int64_t* out,
+                      std::string* error) {
+  if (!get_int(doc, key, out, error)) return false;
+  if (*out < 0) *out = -1;
+  return true;
+}
+
+bool get_optional_double(const json::Value& doc, const char* key, double* out,
+                         std::string* error) {
+  if (!get_double(doc, key, out, error)) return false;
+  if (*out < 0) *out = -1;
   return true;
 }
 
@@ -265,7 +287,7 @@ bool request_from_json(const std::string& line, Request* out,
   }
   req.type = *kind;
   if (!get_string(doc, "tenant", &req.tenant, error)) return false;
-  if (!get_int(doc, "budget", &req.budget, error)) return false;
+  if (!get_optional_int(doc, "budget", &req.budget, error)) return false;
   if (!get_string(doc, "network", &req.network, error)) return false;
   if (!get_string(doc, "task", &req.task, error)) return false;
   if (!get_string(doc, "hw", &req.hw, error)) return false;
@@ -273,8 +295,9 @@ bool request_from_json(const std::string& line, Request* out,
   if (!get_int(doc, "batch", &req.batch, error)) return false;
   if (!get_uint(doc, "seed", &req.seed, error)) return false;
   if (!get_string(doc, "policy", &req.policy, error)) return false;
-  if (!get_int(doc, "job", &req.job, error)) return false;
+  if (!get_optional_int(doc, "job", &req.job, error)) return false;
   if (!get_double(doc, "weight", &req.weight, error)) return false;
+  if (!(req.weight > 0)) req.weight = 0;  // "0 = keep", the only other value sent
   *out = std::move(req);
   return true;
 }
@@ -291,38 +314,38 @@ bool response_from_json(const std::string& line, Response* out,
   if (!get_string(doc, "error", &resp.error, error)) return false;
   if (!get_string(doc, "event", &resp.event, error)) return false;
   if (!get_string(doc, "tier", &resp.tier, error)) return false;
-  if (!get_double(doc, "est_time_ms", &resp.est_time_ms, error)) return false;
-  if (!get_double(doc, "score", &resp.score, error)) return false;
+  if (!get_optional_double(doc, "est_time_ms", &resp.est_time_ms, error)) return false;
+  if (!get_optional_double(doc, "score", &resp.score, error)) return false;
   if (!get_uint(doc, "schedule_fp", &resp.schedule_fp, error)) return false;
   if (!get_string(doc, "record", &resp.record, error)) return false;
-  if (!get_double(doc, "serve_us", &resp.serve_us, error)) return false;
+  if (!get_optional_double(doc, "serve_us", &resp.serve_us, error)) return false;
   if (!get_uint(doc, "cache_gen", &resp.cache_gen, error)) return false;
-  if (!get_int(doc, "job", &resp.job, error)) return false;
+  if (!get_optional_int(doc, "job", &resp.job, error)) return false;
   if (!get_string(doc, "state", &resp.state, error)) return false;
-  if (!get_int(doc, "trials_used", &resp.trials_used, error)) return false;
-  if (!get_double(doc, "latency_ms", &resp.latency_ms, error)) return false;
-  if (!get_int(doc, "round", &resp.round, error)) return false;
-  if (!get_int(doc, "trials_after", &resp.trials_after, error)) return false;
-  if (!get_double(doc, "net_latency_ms", &resp.net_latency_ms, error)) {
+  if (!get_optional_int(doc, "trials_used", &resp.trials_used, error)) return false;
+  if (!get_optional_double(doc, "latency_ms", &resp.latency_ms, error)) return false;
+  if (!get_optional_int(doc, "round", &resp.round, error)) return false;
+  if (!get_optional_int(doc, "trials_after", &resp.trials_after, error)) return false;
+  if (!get_optional_double(doc, "net_latency_ms", &resp.net_latency_ms, error)) {
     return false;
   }
   if (!get_string(doc, "task", &resp.task, error)) return false;
-  if (!get_int(doc, "queries", &resp.queries, error)) return false;
-  if (!get_int(doc, "l1_hits", &resp.l1_hits, error)) return false;
-  if (!get_int(doc, "l2_hits", &resp.l2_hits, error)) return false;
-  if (!get_int(doc, "l3_hits", &resp.l3_hits, error)) return false;
-  if (!get_int(doc, "misses", &resp.misses, error)) return false;
-  if (!get_int(doc, "jobs_admitted", &resp.jobs_admitted, error)) return false;
-  if (!get_int(doc, "jobs_rejected", &resp.jobs_rejected, error)) return false;
-  if (!get_int(doc, "jobs_completed", &resp.jobs_completed, error)) {
+  if (!get_optional_int(doc, "queries", &resp.queries, error)) return false;
+  if (!get_optional_int(doc, "l1_hits", &resp.l1_hits, error)) return false;
+  if (!get_optional_int(doc, "l2_hits", &resp.l2_hits, error)) return false;
+  if (!get_optional_int(doc, "l3_hits", &resp.l3_hits, error)) return false;
+  if (!get_optional_int(doc, "misses", &resp.misses, error)) return false;
+  if (!get_optional_int(doc, "jobs_admitted", &resp.jobs_admitted, error)) return false;
+  if (!get_optional_int(doc, "jobs_rejected", &resp.jobs_rejected, error)) return false;
+  if (!get_optional_int(doc, "jobs_completed", &resp.jobs_completed, error)) {
     return false;
   }
-  if (!get_int(doc, "jobs_resumed", &resp.jobs_resumed, error)) return false;
-  if (!get_int(doc, "tenants", &resp.tenants, error)) return false;
+  if (!get_optional_int(doc, "jobs_resumed", &resp.jobs_resumed, error)) return false;
+  if (!get_optional_int(doc, "tenants", &resp.tenants, error)) return false;
   if (!get_string(doc, "role", &resp.role, error)) return false;
-  if (!get_int(doc, "refreshes", &resp.refreshes, error)) return false;
-  if (!get_int(doc, "invalidations", &resp.invalidations, error)) return false;
-  if (!get_int(doc, "reloads", &resp.reloads, error)) return false;
+  if (!get_optional_int(doc, "refreshes", &resp.refreshes, error)) return false;
+  if (!get_optional_int(doc, "invalidations", &resp.invalidations, error)) return false;
+  if (!get_optional_int(doc, "reloads", &resp.reloads, error)) return false;
   *out = std::move(resp);
   return true;
 }

@@ -460,6 +460,12 @@ bool HarlServer::recover(std::string* error) {
       if (job.id <= 0 || job.trials <= 0 || !known_network_base(job.network)) {
         continue;
       }
+      if (job.batch < 1 || job.batch > kMaxBatch) {
+        HARL_LOG_WARN("server: journaled job %lld has batch %lld outside [1, %lld]; skipped",
+                      static_cast<long long>(job.id), static_cast<long long>(job.batch),
+                      static_cast<long long>(kMaxBatch));
+        continue;
+      }
       // The journal is the admission authority: charge the tenant exactly
       // what the original admission did, budgets-of-today notwithstanding.
       registry_.force_admit(job.tenant, job.trials);
@@ -797,7 +803,9 @@ Response HarlServer::handle_tune(const Request& req) {
     return error_response("tune needs a builtin network base name "
                           "(bert, resnet50, mobilenet_v2)");
   }
-  if (req.batch < 1) return error_response("batch must be >= 1");
+  if (req.batch < 1 || req.batch > kMaxBatch) {
+    return error_response("batch must be between 1 and " + std::to_string(kMaxBatch));
+  }
   if (req.trials <= 0) return error_response("trials must be positive");
   if (req.trials > opts_.max_job_trials) {
     return error_response("trials exceed the per-job cap of " +

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "util/logging.hpp"
 #include "workloads/operators.hpp"
 
 namespace harl {
@@ -129,6 +130,7 @@ Network make_mobilenet_v2(std::int64_t batch) {
 }
 
 Network make_network(const std::string& name, std::int64_t batch) {
+  HARL_CHECK(batch >= 1 && batch <= kMaxBatch, "make_network: batch outside [1, kMaxBatch]");
   if (name == "bert") return make_bert(batch);
   if (name == "resnet50") return make_resnet50(batch);
   if (name == "mobilenet_v2") return make_mobilenet_v2(batch);

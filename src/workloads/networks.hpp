@@ -28,8 +28,19 @@ Network make_bert(std::int64_t batch = 1);
 Network make_resnet50(std::int64_t batch = 1);
 Network make_mobilenet_v2(std::int64_t batch = 1);
 
+/// Largest batch a builtin network or a Table 6 suite is built at.  Every
+/// extent product of every shipped network stays far inside int64 at this
+/// batch (they overflow from about 2^40), and it bounds the daemon's
+/// resolver memo, which keeps one network per distinct valid name: at most
+/// 3 x kMaxBatch = 3072 networks, 72.5 MB of heap (glibc, x86-64).  Entry
+/// points that read a batch from outside (`tune_network --batch`, a daemon
+/// `tune`, a journaled job, a "<base>_b<batch>" name) reject a larger one;
+/// make_network and table6_suite abort on it.
+inline constexpr std::int64_t kMaxBatch = 1024;
+
 /// Lookup by name: "bert", "resnet50", "mobilenet_v2".
-/// Throws std::invalid_argument for unknown names.
+/// Throws std::invalid_argument for unknown names; aborts unless
+/// 1 <= batch <= kMaxBatch.
 Network make_network(const std::string& name, std::int64_t batch = 1);
 
 const std::vector<std::string>& network_names();

@@ -3,6 +3,8 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "util/logging.hpp"
+#include "workloads/networks.hpp"
 #include "workloads/operators.hpp"
 
 namespace harl {
@@ -30,6 +32,7 @@ const std::vector<std::string>& table6_suite_names() {
 }
 
 std::vector<OperatorCase> table6_suite(const std::string& suite, std::int64_t batch) {
+  HARL_CHECK(batch >= 1 && batch <= kMaxBatch, "table6_suite: batch outside [1, kMaxBatch]");
   std::vector<OperatorCase> cases;
   cases.reserve(4);
   auto add_gemm = [&](std::int64_t m, std::int64_t k, std::int64_t n) {

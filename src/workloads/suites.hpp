@@ -22,7 +22,8 @@ struct OperatorCase {
 /// The seven suite names in paper order (Figures 5 and 6 x-axis).
 const std::vector<std::string>& table6_suite_names();
 
-/// All four configurations of one suite at the given batch size.
+/// All four configurations of one suite at the given batch size.  Aborts
+/// unless 1 <= batch <= kMaxBatch (networks.hpp).
 /// Throws std::invalid_argument for unknown suite names.
 std::vector<OperatorCase> table6_suite(const std::string& suite, std::int64_t batch);
 

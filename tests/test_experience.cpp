@@ -353,14 +353,20 @@ TEST(ExperienceStoreTest, BuiltinResolverAcceptsOnlyCanonicalBatchNames) {
   for (const char* name :
        {"bert_b0", "bert_b00", "bert_b01", "bert_b001", "bert_b+1", "bert_b-1",
         "bert_b 1", "bert_b", "bert_b99999999999999999999",
-        "bert_b9223372036854775808", "resnet50_b02"}) {
+        "bert_b9223372036854775808", "bert_b9223372036854775807", "resnet50_b02"}) {
     EXPECT_EQ(memo.resolve(name, "GEMM-I"), nullptr) << name;
     EXPECT_EQ(memo.size(), 1u) << name;
   }
+  // Past kMaxBatch nothing resolves: the memo holds at most kMaxBatch
+  // networks per base.
+  EXPECT_EQ(memo.resolve("bert_b" + std::to_string(kMaxBatch + 1), "GEMM-I"), nullptr);
+  EXPECT_EQ(memo.size(), 1u);
   for (int call = 0; call < 3; ++call) {
     EXPECT_EQ(memo.resolve("bert_b1", "GEMM-I"), gemm);
   }
   EXPECT_EQ(memo.size(), 1u);
+  EXPECT_NE(memo.resolve("bert_b" + std::to_string(kMaxBatch), "GEMM-I"), nullptr);
+  EXPECT_EQ(memo.size(), 2u);
 }
 
 // ------------------------------------------------------------ compaction

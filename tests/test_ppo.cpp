@@ -1,12 +1,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <numeric>
 
 #include "nn/categorical.hpp"
 #include "rl/ppo.hpp"
+
+namespace {
+
+/// Bytes asked of the global operator new in this binary (never decreases).
+std::atomic<std::size_t> g_new_bytes{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line, so the compiler does not pair an inlined free() with new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace harl {
 namespace {
@@ -430,6 +451,59 @@ TEST(PpoRing, MatchesReferenceHarlLayout) {
   // HARL's four heads: tiling moves plus three knob deltas.
   expect_matches_reference(7, {9, 3, 3, 3}, 16, 23);
   expect_matches_reference(7, {9, 3, 3, 3}, 33, 24);
+}
+
+TEST(PpoRing, MatchesReferenceAcrossBlocks) {
+  // 300 rows end inside the second block; 600 rows fill two blocks and end
+  // inside a third.  Both rings wrap across block boundaries six times.
+  static_assert(PpoAgent::kRingBlockRows < 300 && 2 * PpoAgent::kRingBlockRows < 600);
+  expect_matches_reference(3, {5}, 300, 25);
+  expect_matches_reference(7, {9, 3, 3, 3}, 600, 26);
+}
+
+/// Heap bytes requested while `fn` runs.
+template <class Fn>
+std::size_t new_bytes(Fn&& fn) {
+  const std::size_t before = g_new_bytes.load();
+  fn();
+  return g_new_bytes.load() - before;
+}
+
+/// The ring's memory follows the rows stored, not buffer_capacity: building
+/// an agent costs the same at any capacity, storing n rows costs the same as
+/// in an agent whose capacity is n rounded up to a block, and the rows
+/// allocated never exceed that rounding.  Reserving the ring at capacity, or
+/// growing it geometrically, fails one of these.
+TEST(PpoRing, MemoryFollowsStoredRowsNotCapacity) {
+  constexpr std::size_t kBlock = PpoAgent::kRingBlockRows;
+  ObsTable table;
+  const std::vector<std::int32_t> state = table.add({0.5, -0.5});
+  PpoAgent::ActResult act;
+  act.actions = {4, 2};
+  const std::vector<bool> mask(5, true);
+  auto build = [&](std::size_t capacity) {
+    PpoConfig cfg = small_config();
+    cfg.buffer_capacity = static_cast<int>(capacity);
+    return std::make_unique<PpoAgent>(2, 1, table.observe(), std::vector<int>{5, 3}, cfg, 1);
+  };
+  for (std::size_t rows : {std::size_t{1}, kBlock - 1, kBlock, kBlock + 1, 2 * kBlock + 88}) {
+    SCOPED_TRACE("rows " + std::to_string(rows));
+    const std::size_t rounded = (rows + kBlock - 1) / kBlock * kBlock;
+    std::unique_ptr<PpoAgent> big, fit;
+    const std::size_t build_big = new_bytes([&] { big = build(4096); });
+    const std::size_t build_fit = new_bytes([&] { fit = build(rounded); });
+    EXPECT_EQ(build_big, build_fit);
+    EXPECT_EQ(big->ring_rows_allocated(), 0u);
+    auto fill = [&](PpoAgent& agent) {
+      for (std::size_t i = 0; i < rows; ++i) agent.store(state, act, 1.0, 0.5, mask);
+    };
+    const std::size_t store_big = new_bytes([&] { fill(*big); });
+    const std::size_t store_fit = new_bytes([&] { fill(*fit); });
+    EXPECT_EQ(store_big, store_fit);
+    EXPECT_GE(big->ring_rows_allocated(), rows);
+    EXPECT_LE(big->ring_rows_allocated(), rounded);
+    EXPECT_EQ(big->buffer_size(), rows);
+  }
 }
 
 // ---------------------------------------------------------------------------

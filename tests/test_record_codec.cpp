@@ -4,7 +4,8 @@
 // DOM walk over it, and a DOM build plus `dump()` for encoding; for caches,
 // the library DOM with every embedded record dumped and decoded again.  The
 // references live here, in `ref` and `ref_cache`, as the oracles; the
-// library keeps one path per direction.
+// library keeps one path per direction.  The daemon's wire protocol runs
+// under the same mutations, checked against its own encoder.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 #include "sched/schedule.hpp"
 #include "sched/sketch.hpp"
 #include "serve/knowledge_cache.hpp"
+#include "server/protocol.hpp"
 #include "util/rng.hpp"
 #include "workloads/operators.hpp"
 
@@ -1283,6 +1285,283 @@ TEST(CacheCodec, TruncationAtEveryOffset) {
     }
   }
   EXPECT_GE(accepted, 3);  // at least the whole documents
+}
+
+// ============================================================== protocol
+
+/// Requests of every type with each field present or absent at random.
+std::vector<std::string> fuzz_request_lines(Rng& rng, int n) {
+  static const RequestType kTypes[] = {
+      RequestType::kHello,  RequestType::kQuery, RequestType::kTune,
+      RequestType::kStatus, RequestType::kSubscribe, RequestType::kStats,
+      RequestType::kShutdown};
+  std::vector<std::string> lines;
+  for (int i = 0; i < n; ++i) {
+    Request req;
+    req.type = kTypes[i % 7];
+    if (rng.next_bool()) req.tenant = kNames[rng.next_below(6)];
+    if (rng.next_bool()) req.budget = rng.next_int(0, 5000);
+    if (rng.next_bool()) req.network = rng.next_bool() ? "bert" : "bert_b1";
+    if (rng.next_bool()) req.task = kNames[rng.next_below(6)];
+    if (rng.next_bool()) req.hw = rng.next_bool() ? "xeon" : "test";
+    if (rng.next_bool()) req.trials = rng.next_int(1, 5000);
+    if (rng.next_bool()) req.batch = rng.next_int(2, 16);
+    if (rng.next_bool()) req.seed = next_u64(rng);
+    if (rng.next_bool()) req.policy = rng.next_bool() ? "HARL" : "Ansor";
+    if (rng.next_bool()) req.job = rng.next_int(0, 99);
+    if (rng.next_bool()) req.weight = 0.25 + rng.next_double() * 4;
+    lines.push_back(request_to_json(req));
+  }
+  return lines;
+}
+
+/// Replies of every kind: query answers, job states, stream events, stats.
+std::vector<std::string> fuzz_response_lines(const std::vector<TuningRecord>& records,
+                                             Rng& rng, int n) {
+  std::vector<std::string> lines;
+  for (int i = 0; i < n; ++i) {
+    Response resp;
+    resp.ok = rng.next_bool(0.8);
+    if (!resp.ok) resp.error = kNames[rng.next_below(6)];
+    switch (i % 4) {
+      case 0:  // query
+        resp.tier = rng.next_bool() ? "L1" : "miss";
+        resp.est_time_ms = rng.next_double() * 10;
+        resp.score = rng.next_double();
+        resp.schedule_fp = next_u64(rng);
+        resp.record = record_to_json(records[rng.next_below(
+            static_cast<std::uint32_t>(records.size()))]);
+        resp.serve_us = rng.next_double() * 50;
+        resp.cache_gen = next_u64(rng);
+        break;
+      case 1:  // tune / status
+        resp.job = rng.next_int(0, 99);
+        resp.state = rng.next_bool() ? "running" : "done";
+        resp.trials_used = rng.next_int(0, 5000);
+        resp.latency_ms = rng.next_double() * 10;
+        break;
+      case 2:  // stream event
+        resp.event = rng.next_bool() ? "round" : "best";
+        resp.job = rng.next_int(0, 99);
+        resp.round = rng.next_int(0, 300);
+        resp.trials_after = rng.next_int(0, 5000);
+        resp.net_latency_ms = rng.next_double() * 10;
+        resp.task = kNames[rng.next_below(6)];
+        break;
+      default:  // stats
+        for (std::int64_t* c :
+             {&resp.queries, &resp.l1_hits, &resp.l2_hits, &resp.l3_hits, &resp.misses,
+              &resp.jobs_admitted, &resp.jobs_rejected, &resp.jobs_completed,
+              &resp.jobs_resumed, &resp.tenants, &resp.refreshes, &resp.invalidations,
+              &resp.reloads}) {
+          *c = rng.next_int(0, 100000);
+        }
+        resp.role = rng.next_bool() ? "primary" : "replica";
+        break;
+    }
+    lines.push_back(response_to_json(resp));
+  }
+  return lines;
+}
+
+/// A target no decode can produce by accident: every field off its default.
+Request sentinel_request() {
+  Request req;
+  req.version = -7;
+  req.type = RequestType::kShutdown;
+  req.tenant = "sentinel";
+  req.budget = 11;
+  req.network = "net";
+  req.task = "task";
+  req.hw = "hw";
+  req.trials = 13;
+  req.batch = 17;
+  req.seed = 19;
+  req.policy = "policy";
+  req.job = 23;
+  req.weight = 29.5;
+  return req;
+}
+
+Response sentinel_response() {
+  Response resp;
+  resp.version = -7;
+  resp.ok = true;
+  resp.error = "sentinel";
+  resp.tier = "L9";
+  resp.score = 0.5;
+  resp.record = "{}";
+  resp.job = 23;
+  resp.queries = 31;
+  resp.role = "role";
+  return resp;
+}
+
+/// Rejections whose message starts with `prefix`.
+int count_class(const std::map<std::string, int>& classes, const std::string& prefix) {
+  int n = 0;
+  for (const auto& [message, count] : classes) {
+    if (message.compare(0, prefix.size(), prefix) == 0) n += count;
+  }
+  return n;
+}
+
+/// Decodes `line` twice into targets holding `sentinel`.  Both runs give
+/// the same verdict, error and message; a rejection names a reason and
+/// leaves the target untouched; an accepted message encodes to a line that
+/// decodes back to it, byte-stable on a second encode.  `classes` counts
+/// rejections by their message up to its first digit.
+template <class Msg>
+void expect_protocol_decode(const std::string& line, const Msg& sentinel,
+                            bool (*decode)(const std::string&, Msg*, std::string*),
+                            std::string (*encode)(const Msg&),
+                            std::map<std::string, int>* classes, int* accepted) {
+  Msg first = sentinel;
+  Msg second = sentinel;
+  std::string first_error;
+  std::string second_error;
+  const bool ok = decode(line, &first, &first_error);
+  ASSERT_EQ(decode(line, &second, &second_error), ok) << line;
+  ASSERT_EQ(second_error, first_error) << line;
+  ASSERT_TRUE(second == first) << line;
+  if (!ok) {
+    ASSERT_FALSE(first_error.empty()) << line;
+    ASSERT_TRUE(first == sentinel) << "target changed by: " << line;
+    ++(*classes)[first_error.substr(0, first_error.find_first_of("0123456789"))];
+    return;
+  }
+  ++*accepted;
+  const std::string wire = encode(first);
+  Msg back = sentinel;
+  std::string error;
+  ASSERT_TRUE(decode(wire, &back, &error)) << line << "\nencoded: " << wire << "\n" << error;
+  ASSERT_TRUE(back == first) << line << "\nencoded: " << wire;
+  ASSERT_EQ(encode(back), wire) << line;
+}
+
+void expect_request_decode(const std::string& line, std::map<std::string, int>* classes,
+                           int* accepted) {
+  expect_protocol_decode<Request>(line, sentinel_request(), request_from_json,
+                                  request_to_json, classes, accepted);
+}
+
+void expect_response_decode(const std::string& line, std::map<std::string, int>* classes,
+                            int* accepted) {
+  expect_protocol_decode<Response>(line, sentinel_response(), response_from_json,
+                                   response_to_json, classes, accepted);
+}
+
+TEST(ProtocolCodec, RequestDecoderUnderMutation) {
+  Rng rng(24);
+  const std::vector<std::string> lines = fuzz_request_lines(rng, 70);
+  std::map<std::string, int> classes;
+  int accepted = 0;
+  const int kMutants = 20000;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string line = lines[rng.next_below(static_cast<std::uint32_t>(lines.size()))];
+    const int steps = 1 + static_cast<int>(rng.next_below(3));
+    for (int s = 0; s < steps; ++s) {
+      line = rng.next_bool(0.6) ? mutate_structure(line, rng)
+                                : mutate_bytes(std::move(line), rng);
+    }
+    expect_request_decode(line, &classes, &accepted);
+    if (HasFatalFailure()) return;
+  }
+  // Shapes the mutations rarely reach: other top-level kinds, and versions
+  // that only fit an int after truncation.
+  std::vector<std::string> shapes = {
+      "[]", "42", "\"query\"", "null", "true", "{}",
+      "{\"v\":4294967297,\"type\":\"query\"}", "{\"v\":-4294967295,\"type\":\"query\"}",
+      "{\"v\":1e30,\"type\":\"stats\"}", "{\"type\":\"stats\",\"v\":2}"};
+  shapes.insert(shapes.end(), lines.begin(), lines.end());
+  for (const std::string& line : shapes) expect_request_decode(line, &classes, &accepted);
+  EXPECT_GT(accepted, kMutants / 10);
+  // Every verdict of the decoder was reached.
+  for (const char* cls :
+       {"line ", "message is not a JSON object", "missing ", "unknown request type ",
+        "incompatible version ", "\"type\" is not a string", "\"v\" is not a number",
+        "\"tenant\" is not a string", "\"seed\" is not a number",
+        "\"weight\" is not a number"}) {
+    EXPECT_GT(count_class(classes, cls), 0) << cls;
+  }
+}
+
+TEST(ProtocolCodec, ResponseDecoderUnderMutation) {
+  Rng rng(25);
+  const std::vector<std::string> lines =
+      fuzz_response_lines(fuzz_records(rng), rng, 80);
+  std::map<std::string, int> classes;
+  int accepted = 0;
+  const int kMutants = 20000;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string line = lines[rng.next_below(static_cast<std::uint32_t>(lines.size()))];
+    const int steps = 1 + static_cast<int>(rng.next_below(3));
+    for (int s = 0; s < steps; ++s) {
+      line = rng.next_bool(0.6) ? mutate_structure(line, rng)
+                                : mutate_bytes(std::move(line), rng);
+    }
+    expect_response_decode(line, &classes, &accepted);
+    if (HasFatalFailure()) return;
+  }
+  std::vector<std::string> shapes = {"[]", "42", "\"ok\"", "null", "false",
+                                     "{\"ok\":true,\"v\":4294967297}"};
+  shapes.insert(shapes.end(), lines.begin(), lines.end());
+  for (const std::string& line : shapes) expect_response_decode(line, &classes, &accepted);
+  EXPECT_GT(accepted, kMutants / 10);
+  for (const char* cls : {"line ", "message is not a JSON object", "incompatible version ",
+                          "\"ok\" is not a bool", "\"record\" is not a string",
+                          "\"cache_gen\" is not a number"}) {
+    EXPECT_GT(count_class(classes, cls), 0) << cls;
+  }
+}
+
+TEST(ProtocolCodec, TruncationAtEveryOffset) {
+  Rng rng(26);
+  std::map<std::string, int> classes;
+  int accepted = 0;
+  for (const std::string& line : fuzz_request_lines(rng, 14)) {
+    for (std::size_t n = 0; n <= line.size(); ++n) {
+      expect_request_decode(line.substr(0, n), &classes, &accepted);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(accepted, 14);  // only the whole lines
+  accepted = 0;
+  for (const std::string& line : fuzz_response_lines(fuzz_records(rng), rng, 8)) {
+    for (std::size_t n = 0; n <= line.size(); ++n) {
+      expect_response_decode(line.substr(0, n), &classes, &accepted);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(accepted, 8);
+}
+
+TEST(ProtocolCodec, DepthCapOnUnknownMembers) {
+  Rng rng(27);
+  const std::string request = fuzz_request_lines(rng, 3)[2];
+  const std::string response = fuzz_response_lines(fuzz_records(rng), rng, 1)[0];
+  std::map<std::string, int> classes;
+  int accepted = 0;
+  // As in records: a scalar under 63 more containers is at depth 64
+  // (accepted), under 64 more it is at 65 (rejected).
+  for (int levels = 60; levels <= 66; ++levels) {
+    for (bool objects : {false, true}) {
+      const std::string member = nested_member(levels, objects);
+      std::string req = request;
+      req.insert(1, member + ",");
+      std::string resp = response;
+      resp.insert(resp.size() - 1, "," + member);
+      expect_request_decode(req, &classes, &accepted);
+      expect_response_decode(resp, &classes, &accepted);
+      if (HasFatalFailure()) return;
+      Request out;
+      Response rout;
+      std::string error;
+      EXPECT_EQ(request_from_json(req, &out, &error), levels <= 63) << levels << " " << error;
+      EXPECT_EQ(response_from_json(resp, &rout, &error), levels <= 63) << levels << " " << error;
+    }
+  }
+  EXPECT_GT(count_class(classes, "line "), 0);
 }
 
 }  // namespace

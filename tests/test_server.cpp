@@ -179,6 +179,7 @@ TEST(Protocol, MalformedRequestCorpusAllRejected) {
       "{\"v\":1,\"type\":42}",                 // type not a string
       "{\"v\":\"one\",\"type\":\"query\"}",    // version not a number
       "{\"v\":2,\"type\":\"query\"}",          // newer than the reader
+      "{\"v\":4294967297,\"type\":\"query\"}",  // newer, not 1 mod 2^32
       "{\"v\":1,\"type\":\"tune\",\"trials\":\"many\"}",  // wrong field type
       "{\"v\":1,\"type\":\"tune\",\"tenant\":7}",
       "{\"v\":1,\"type\":\"query\",\"seed\":true}",
@@ -425,6 +426,10 @@ TEST(Server, RejectsInvalidRequests) {
   Request bad_batch = tune_request("t", 50, 1);
   bad_batch.batch = 0;
   EXPECT_FALSE(server.handle_for_test(bad_batch).ok);
+  bad_batch.batch = kMaxBatch + 1;  // would build a network make_network refuses
+  Response over = server.handle_for_test(bad_batch);
+  EXPECT_FALSE(over.ok);
+  EXPECT_EQ(over.error, "batch must be between 1 and " + std::to_string(kMaxBatch));
 
   Request too_big = tune_request("t", 20000, 1);  // above max_job_trials
   EXPECT_FALSE(server.handle_for_test(too_big).ok);
@@ -440,6 +445,31 @@ TEST(Server, RejectsInvalidRequests) {
   EXPECT_FALSE(server.handle_for_test(ghost).ok);
 
   EXPECT_EQ(server.stats().jobs_admitted, 0);
+  server.shutdown();
+}
+
+TEST(Server, RecoverySkipsJournaledJobsWithAnOutOfRangeBatch) {
+  // A journal written by hand (or by an older daemon) may hold a batch that
+  // make_network refuses; recovery drops such a job instead of aborting on
+  // it when it would be dispatched.
+  TempDir dir("test_server_journal_batch");
+  ASSERT_EQ(mkdir(dir.path.c_str(), 0755), 0);
+  const std::string line = R"({"v":1,"ev":"job","job":1,"tenant":"t","network":"bert",)"
+                           R"("batch":)" + std::to_string(kMaxBatch + 1) +
+                           R"(,"hw":"test","trials":20,"seed":1})" + "\n" +
+                           R"({"v":1,"ev":"job","job":2,"tenant":"t","network":"bert",)"
+                           R"("batch":9223372036854775807,"hw":"test","trials":20,"seed":1})" +
+                           "\n";
+  std::string error;
+  ASSERT_TRUE(atomic_write_file(dir.path + "/jobs.jsonl", line, false, &error)) << error;
+  HarlServer server(make_server_options(dir.path));
+  ASSERT_TRUE(server.start(&error)) << error;
+  EXPECT_EQ(server.stats().jobs_admitted, 0);
+  EXPECT_EQ(server.stats().jobs_resumed, 0);
+  Request status;
+  status.type = RequestType::kStatus;
+  status.job = 1;
+  EXPECT_FALSE(server.handle_for_test(status).ok);
   server.shutdown();
 }
 

@@ -258,5 +258,25 @@ TEST(Networks, DistinctDominantKindsPresent) {
   EXPECT_GE(kinds.size(), 3u);
 }
 
+/// At the largest accepted batch every extent product of every builtin
+/// network and Table 6 suite is still a positive int64 (they overflow from
+/// about 2^40); one past it, the builders abort.
+TEST(Networks, LargestBatchKeepsEveryExtentProductPositive) {
+  auto expect_positive = [](const Subgraph& g) {
+    EXPECT_GT(g.total_flops(), 0.0) << g.name();
+    for (const Stage& s : g.stages()) EXPECT_GT(s.op.iter_space_points(), 0) << g.name();
+  };
+  for (const std::string& name : network_names()) {
+    for (const Subgraph& g : make_network(name, kMaxBatch).subgraphs) expect_positive(g);
+  }
+  for (const OperatorCase& c : table6_all(kMaxBatch)) expect_positive(c.graph);
+}
+
+TEST(NetworksDeathTest, BuildersRefuseABatchPastTheBound) {
+  EXPECT_DEATH(make_network("bert", kMaxBatch + 1), "batch outside");
+  EXPECT_DEATH(make_network("resnet50", 0), "batch outside");
+  EXPECT_DEATH(table6_suite("C2D", kMaxBatch + 1), "batch outside");
+}
+
 }  // namespace
 }  // namespace harl
