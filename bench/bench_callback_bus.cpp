@@ -5,8 +5,8 @@
 ///   1. baseline — no callbacks,
 ///   2. sync     — a RecordLogger plus a deliberately slow consumer
 ///                 (sleeps 10 ms per record batch) on the tuning thread,
-///   3. async    — the same consumers behind `SearchOptions::async_callbacks`
-///                 (the scheduler-owned AsyncCallbackBus dispatcher).
+///   3. async    — the same consumers registered on an AsyncCallbackBus
+///                 that the run builds and registers on its session.
 ///
 /// Gates (non-zero exit so CI can run this as a check):
 ///   - exit 2: determinism — round_log, per-task bests, and the record-log
@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,22 +92,29 @@ RunResult run_mode(Mode mode, const SearchOptions& base_opts, int rounds,
                    const std::string& log_path) {
   Network net = bench_network();
   HardwareConfig hw = HardwareConfig::xeon_6226r();
-  SearchOptions opts = base_opts;
-  opts.async_callbacks.enabled = (mode == Mode::kAsync);
-  // Ample capacity: the gate measures hot-loop decoupling, not backpressure.
-  opts.async_callbacks.capacity = 4096;
-
-  TuningSession session(net, hw, opts);
+  TuningSession session(net, hw, base_opts);
   SlowConsumer slow;
   RecordLogger logger;
+  // Declared after the consumers, so it is destroyed (drained) first.
+  // Ample capacity: the gate measures hot-loop decoupling, not backpressure.
+  std::unique_ptr<AsyncCallbackBus> bus;
+  if (mode == Mode::kAsync) {
+    bus = std::make_unique<AsyncCallbackBus>(4096);
+    session.add_callback(bus.get());
+  }
   if (mode != Mode::kBaseline) {
     std::remove(log_path.c_str());
     if (!logger.open(log_path, /*append=*/false)) {
       std::fprintf(stderr, "cannot open %s\n", log_path.c_str());
       std::exit(3);
     }
-    session.add_callback(&logger);
-    session.add_callback(&slow);
+    if (bus != nullptr) {
+      bus->add(&logger);
+      bus->add(&slow);
+    } else {
+      session.add_callback(&logger);
+      session.add_callback(&slow);
+    }
   }
 
   RunResult out;

@@ -68,6 +68,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -143,9 +144,10 @@ Network parse_network(const std::string& name, std::int64_t batch) {
   const char* p = name.c_str() + 5;
   for (int i = 0; i < 3; ++i) {
     p = parse_positive(p, &dims[i]);
-    if (p == nullptr || *p != (i < 2 ? 'x' : '\0')) {
+    if (p == nullptr || *p != (i < 2 ? 'x' : '\0') || dims[i] > kMaxGemmDim) {
       throw std::invalid_argument("bad network \"" + name +
-                                  "\": want gemm:MxKxN with positive M, K, N");
+                                  "\": want gemm:MxKxN with M, K, N in [1, " +
+                                  std::to_string(kMaxGemmDim) + "]");
     }
     ++p;
   }
@@ -178,7 +180,10 @@ struct CrashAfterRounds : TuningCallback {
 /// Early-stop for trials-to-target comparisons (the CI value-guide gate):
 /// request a stop at the first round boundary whose estimated latency
 /// reaches the target.  request_stop only affects *when* the run exits — the
-/// rounds that did run are a prefix of the full run, so determinism holds.
+/// rounds that did run are a prefix of the full run, so determinism holds
+/// as long as the stop lands at the round that reached the target: it is
+/// registered on the session, never on the --async-callbacks bus, whose
+/// dispatcher would request it some rounds late.
 struct StopAtLatency : TuningCallback {
   TuningSession* session = nullptr;
   double target_ms = 0;
@@ -352,7 +357,6 @@ int main(int argc, char** argv) {
     SearchOptions opts = preset(PolicyKind::kHarl, seed);
     opts.policy_name = policy_name;
     opts.experience_model = model_path;
-    opts.async_callbacks.enabled = async_callbacks;
     if (!value_model_path.empty() || sample_clusters > 0) {
       opts.value_guide.enabled = true;
       opts.value_guide.model_path = value_model_path;
@@ -410,6 +414,22 @@ int main(int argc, char** argv) {
     }
     RecordLogger logger;
     CrashAfterRounds crasher(stop_after_rounds);
+    StopAtLatency stopper;
+    // --async-callbacks: every observer below runs on this bus's dispatcher
+    // thread.  Declared after the session and the consumers, so it is
+    // destroyed (and drained) before any of them.
+    std::unique_ptr<AsyncCallbackBus> bus;
+    if (async_callbacks) {
+      bus = std::make_unique<AsyncCallbackBus>();
+      session.add_callback(bus.get());
+    }
+    auto observe = [&](TuningCallback* cb) {
+      if (bus != nullptr) {
+        bus->add(cb);
+      } else {
+        session.add_callback(cb);
+      }
+    };
     if (!log_path.empty()) {
       // Self-heal first: a corrupt mid-file line would otherwise end the
       // replay early and fork the run.  The original is kept as evidence.
@@ -471,7 +491,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       logger.set_skip(st.records_matched);
-      session.add_callback(&logger);
+      observe(&logger);
       if (st.records_matched > 0) {
         std::printf("resuming from %s: %zu records, %lld trials to replay\n",
                     log_path.c_str(), st.records_matched,
@@ -482,9 +502,8 @@ int main(int argc, char** argv) {
                      e.line_number, e.message.c_str());
       }
     }
-    if (refresher != nullptr) session.add_callback(refresher.get());
-    if (stop_after_rounds > 0) session.add_callback(&crasher);
-    StopAtLatency stopper;
+    if (refresher != nullptr) observe(refresher.get());
+    if (stop_after_rounds > 0) observe(&crasher);
     if (stop_at_ms > 0) {
       stopper.session = &session;
       stopper.target_ms = stop_at_ms;
@@ -535,12 +554,10 @@ int main(int argc, char** argv) {
       std::printf("record log: %s (+%zu records this run)\n", log_path.c_str(),
                   logger.written());
     }
-    if (const AsyncCallbackBus* bus = session.scheduler().async_bus()) {
-      std::printf("async callbacks: %llu events dispatched (%llu dropped, "
-                  "%llu rejected, %llu consumer errors)\n",
+    if (bus != nullptr) {
+      std::printf("async callbacks: %llu events dispatched (%llu consumer "
+                  "errors)\n",
                   static_cast<unsigned long long>(bus->delivered()),
-                  static_cast<unsigned long long>(bus->dropped()),
-                  static_cast<unsigned long long>(bus->rejected()),
                   static_cast<unsigned long long>(bus->consumer_errors()));
     }
     if (refresher != nullptr) {

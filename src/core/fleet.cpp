@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "cost/gbdt_io.hpp"
+#include "io/async_bus.hpp"
 #include "io/resume.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
@@ -312,9 +313,6 @@ void FleetTuner::tune_one(std::size_t i) {
   }
   SearchOptions opts = w->options;
   if (opts.pool == nullptr) opts.pool = opts_.measure_pool;
-  if (opts_.async_callbacks.enabled && !opts.async_callbacks.enabled) {
-    opts.async_callbacks = opts_.async_callbacks;
-  }
   if (opts.cost_model.pretrained == nullptr && opts.experience_model.empty()) {
     ExperienceRefresher::Published latest;
     if (refresher != nullptr) latest = refresher->published();
@@ -358,6 +356,12 @@ void FleetTuner::tune_one(std::size_t i) {
     // first round.
     if (draining_) s->request_stop();
   }
+  // Every consumer of this workload runs on the workload's own dispatcher
+  // thread: a slow one cannot stall its tuning thread, and one that throws
+  // is counted in `bus_consumer_errors` instead of escaping onto this
+  // fleet worker.
+  auto bus = std::make_unique<AsyncCallbackBus>();
+  s->add_callback(bus.get());
   RecordLogger* logger = nullptr;
   if (logging) {
     // Warm start: replay whatever a previous run already measured, then
@@ -377,7 +381,7 @@ void FleetTuner::tune_one(std::size_t i) {
     auto owned = std::make_unique<RecordLogger>();
     if (owned->open(path, /*append=*/true)) {
       owned->set_skip(stats.records_matched);
-      s->add_callback(owned.get());
+      bus->add(owned.get());
       logger = owned.get();
       std::lock_guard<std::mutex> lk(mu_);
       loggers_[i] = std::move(owned);
@@ -385,9 +389,9 @@ void FleetTuner::tune_one(std::size_t i) {
       HARL_LOG_WARN("fleet: cannot open record log %s", path.c_str());
     }
   }
-  for (TuningCallback* cb : w->callbacks) s->add_callback(cb);
-  if (refresher != nullptr) s->add_callback(refresher);
-  if (cache_updater != nullptr) s->add_callback(cache_updater);
+  for (TuningCallback* cb : w->callbacks) bus->add(cb);
+  bus->add(refresher);
+  bus->add(cache_updater);
   s->run(w->trials);
   if (cache_updater != nullptr) cache_updater->save_now();
   auto t1 = std::chrono::steady_clock::now();
@@ -407,11 +411,7 @@ void FleetTuner::tune_one(std::size_t i) {
   r.records_logged = logger != nullptr ? logger->written() : 0;
   r.failed_measurements = s->measurer().failed();
   r.quarantined = s->measurer().quarantined_schedules();
-  if (const AsyncCallbackBus* bus = s->scheduler().async_bus()) {
-    r.bus_dropped = bus->dropped();
-    r.bus_rejected = bus->rejected();
-    r.bus_consumer_errors = bus->consumer_errors();
-  }
+  r.bus_consumer_errors = bus->consumer_errors();
   r.completed =
       s->scheduler().last_run_exit() != TaskScheduler::RunExit::kStopped;
   // Observed improvement this run bought (ms): the first finite latency
@@ -430,11 +430,12 @@ void FleetTuner::tune_one(std::size_t i) {
   }
 
   // Release the job's search state: a fleet keeps only the results of
-  // finished jobs, so memory and open fds track running jobs.  The session
-  // goes first — its destructor drains the async bus into the logger, the
-  // cache updater and user callbacks, all still alive — then the logger.
-  // The state flips only afterwards, so kDone/kStopped (and on_complete)
-  // follow every event and every close of the job.
+  // finished jobs, so memory and open fds track running jobs.  The bus goes
+  // first — its destructor drains into the logger, the cache updater and
+  // user callbacks while the session they read is still alive — then the
+  // session, then the logger.  The state flips only afterwards, so
+  // kDone/kStopped (and on_complete) follow every event and every close of
+  // the job.
   std::unique_ptr<TuningSession> finished;
   std::unique_ptr<RecordLogger> finished_logger;
   {
@@ -443,6 +444,7 @@ void FleetTuner::tune_one(std::size_t i) {
     finished = std::move(sessions_[i]);
     finished_logger = std::move(loggers_[i]);
   }
+  bus.reset();
   finished.reset();
   finished_logger.reset();
   std::lock_guard<std::mutex> lk(mu_);
@@ -532,28 +534,22 @@ FleetReport FleetTuner::run() {
 std::string FleetReport::to_string() const {
   Table t("fleet tuning report");
   t.set_header({"network", "tasks", "trials", "replayed", "cache_hits",
-                "failed", "quarantined", "bus d/r/e", "latency_ms", "wall_s"});
-  auto bus_cell = [](std::uint64_t d, std::uint64_t r, std::uint64_t e) {
-    return std::to_string(d) + "/" + std::to_string(r) + "/" + std::to_string(e);
-  };
+                "failed", "quarantined", "bus_errors", "latency_ms", "wall_s"});
   std::int64_t total_replayed = 0;
   std::int64_t total_failed = 0;
   std::size_t total_quarantined = 0;
-  std::uint64_t bus_d = 0, bus_r = 0, bus_e = 0;
+  std::uint64_t total_bus_errors = 0;
   for (const FleetNetworkResult& r : networks) {
     t.add(r.name, r.num_tasks, r.trials_used, r.replayed_trials, r.cache_hits,
           r.failed_measurements, r.quarantined,
-          bus_cell(r.bus_dropped, r.bus_rejected, r.bus_consumer_errors),
-          r.latency_ms, r.wall_seconds);
+          std::to_string(r.bus_consumer_errors), r.latency_ms, r.wall_seconds);
     total_replayed += r.replayed_trials;
     total_failed += r.failed_measurements;
     total_quarantined += r.quarantined;
-    bus_d += r.bus_dropped;
-    bus_r += r.bus_rejected;
-    bus_e += r.bus_consumer_errors;
+    total_bus_errors += r.bus_consumer_errors;
   }
   t.add("TOTAL", "", total_trials, total_replayed, total_cache_hits,
-        total_failed, total_quarantined, bus_cell(bus_d, bus_r, bus_e), "",
+        total_failed, total_quarantined, std::to_string(total_bus_errors), "",
         wall_seconds);
   return t.to_string();
 }

@@ -66,9 +66,9 @@ struct FleetNetworkResult {
   std::size_t records_logged = 0;    ///< records appended to the shared log dir
   std::int64_t failed_measurements = 0;  ///< trials that ended in a failed state
   std::size_t quarantined = 0;       ///< schedules quarantined after repeat failures
-  std::uint64_t bus_dropped = 0;     ///< async-bus events evicted (kDropOldest)
-  std::uint64_t bus_rejected = 0;    ///< async-bus events rejected (kFail)
-  std::uint64_t bus_consumer_errors = 0;  ///< consumer exceptions swallowed by the bus
+  /// Exceptions the workload's callbacks threw (one per event and
+  /// callback), caught on its dispatcher thread; the run goes on.
+  std::uint64_t bus_consumer_errors = 0;
   /// False when `drain()` stopped the session before its budget was spent —
   /// the workload is checkpointed, not finished, and should be resubmitted
   /// (its log warm-starts the rerun bit-identically).
@@ -114,10 +114,15 @@ struct FleetReport {
 /// the same options: sessions share threads but no tuning state, and all
 /// determinism is per-(session seed, trial index).
 ///
-/// A workload holds its `TuningSession` and `RecordLogger` only while it
-/// runs: once it finishes (or is drained) both are destroyed and only its
-/// `FleetNetworkResult` remains, so a long-lived fleet's memory and open
-/// fds scale with running workloads, not with workloads served.
+/// Every running workload owns one `AsyncCallbackBus`: its record logger,
+/// its `FleetWorkload::callbacks`, the refresher and the cache updater run
+/// on that bus's dispatcher thread, never on the workload's tuning thread.
+///
+/// A workload holds its bus, `TuningSession` and `RecordLogger` only while
+/// it runs: once it finishes (or is drained) all three are destroyed and
+/// only its `FleetNetworkResult` remains, so a long-lived fleet's memory,
+/// threads and open fds scale with running workloads, not with workloads
+/// served.
 class FleetTuner {
  public:
   struct Options {
@@ -144,12 +149,6 @@ class FleetTuner {
     /// run value-guided (beam pruning + trial filter per their
     /// `value_guide` knobs) and stamp its fingerprint as `vm`.
     std::string value_model;
-    /// Async callback dispatch applied to every workload whose own
-    /// `SearchOptions::async_callbacks` is not already enabled: each
-    /// session's callbacks (record logger, refresher, user callbacks) run
-    /// on a per-session dispatcher thread instead of its tuning thread, so
-    /// a slow consumer cannot stall that workload's hot loop.
-    AsyncCallbackOptions async_callbacks;
     /// In-run experience refresh: when > 0, one fleet-shared
     /// `ExperienceRefresher` observes every session, folds each finished
     /// round into a common `ExperienceStore`, and refits + republishes the
@@ -195,7 +194,7 @@ class FleetTuner {
     std::string cache_save_path;
     /// Incremental-mode completion hook: called on the fleet worker thread
     /// after a workload finishes (or is drained — check
-    /// `FleetNetworkResult::completed`) and its session and logger are
+    /// `FleetNetworkResult::completed`) and its bus, session and logger are
     /// destroyed, so no event of that workload reaches a callback after it.
     /// May call `submit()`; must not block for long (it occupies a tuning
     /// worker).

@@ -13,6 +13,9 @@ namespace harl {
 
 namespace {
 
+/// Trees each refit boosts onto the current model (`Gbdt::fit_more`).
+constexpr int kTreesPerRefresh = 8;
+
 /// Write `model` to `path` atomically: `save_gbdt` publishes via a temp file
 /// renamed over the target, so a concurrent reader (a sibling session
 /// loading `SearchOptions::experience_model`) sees either the previous
@@ -82,7 +85,7 @@ bool ExperienceRefresher::refresh_locked() {
   // left off at, so the refresh sequence is deterministic end to end.
   Gbdt model = current_ != nullptr ? Gbdt(*current_) : Gbdt(opts_.gbdt);
   model.fit_more(ds.features, FeatureExtractor::kNumFeatures, ds.labels,
-                 opts_.trees_per_refresh);
+                 kTreesPerRefresh);
   if (!model.trained()) return false;
   std::uint64_t fp = gbdt_fingerprint(model);
 

@@ -31,9 +31,6 @@ struct RefreshOptions {
   /// Skip the refit while the harvested dataset has fewer rows than this
   /// (too little signal to be worth a model swap).
   std::size_t min_rows = 8;
-  /// Trees boosted per refresh (`Gbdt::fit_more` increment).  The first
-  /// refresh of a cold refresher does a full `gbdt.num_trees` fit instead.
-  int trees_per_refresh = 8;
   /// File the refreshed model is atomically republished to (write-temp +
   /// rename, so readers never see a torn file).  Empty = in-memory only.
   std::string publish_path;
@@ -71,10 +68,14 @@ struct RefreshOptions {
 /// a session's `xm` is fixed at construction, which is what keeps its
 /// schedule stream — and therefore crash-resume — deterministic.
 ///
+/// Each refit boosts 8 more trees onto the current model (`Gbdt::fit_more`);
+/// the first refit of a cold refresher fits a full `gbdt.num_trees` model
+/// instead.
+///
 /// Thread-safe (one internal mutex); a refresh blocks other fold calls for
-/// its duration, so register the refresher behind an `AsyncCallbackBus`
-/// (e.g. `SearchOptions::async_callbacks`) to keep refits off every tuning
-/// hot loop.
+/// its duration, so register the refresher on an `AsyncCallbackBus` (as
+/// `FleetTuner` and `tune_network --async-callbacks` do) to keep refits off
+/// every tuning hot loop.
 class ExperienceRefresher : public TuningCallback {
  public:
   ExperienceRefresher(HardwareConfig hw, RefreshOptions opts,

@@ -8,17 +8,8 @@
 
 namespace harl {
 
-const char* async_overflow_name(AsyncOverflow policy) {
-  switch (policy) {
-    case AsyncOverflow::kBlock: return "block";
-    case AsyncOverflow::kDropOldest: return "drop_oldest";
-    case AsyncOverflow::kFail: return "fail";
-  }
-  return "?";
-}
-
-AsyncCallbackBus::AsyncCallbackBus(AsyncBusOptions opts) : opts_(opts) {
-  if (opts_.capacity == 0) opts_.capacity = 1;
+AsyncCallbackBus::AsyncCallbackBus(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)) {
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -52,27 +43,9 @@ void AsyncCallbackBus::remove(TuningCallback* cb) {
 void AsyncCallbackBus::push(Event event) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (queue_.size() >= opts_.capacity) {
-      switch (opts_.overflow) {
-        case AsyncOverflow::kBlock:
-          space_cv_.wait(lock, [this] { return queue_.size() < opts_.capacity; });
-          break;
-        case AsyncOverflow::kDropOldest:
-          ++dropped_;
-          queue_.pop_front();
-          break;
-        case AsyncOverflow::kFail:
-          ++rejected_;
-          if (!warned_overflow_) {
-            warned_overflow_ = true;
-            HARL_LOG_WARN(
-                "async callback bus full (capacity %zu, policy fail); "
-                "rejecting events",
-                opts_.capacity);
-          }
-          return;
-      }
-    }
+    // Backpressure: wait for the worker to free a slot.  Lossless, so a
+    // consumer slower than the hot loop paces tuning once the queue is full.
+    space_cv_.wait(lock, [this] { return queue_.size() < capacity_; });
     queue_.push_back(std::move(event));
     ++enqueued_;
   }
@@ -240,16 +213,6 @@ std::uint64_t AsyncCallbackBus::enqueued() const {
 std::uint64_t AsyncCallbackBus::delivered() const {
   std::lock_guard<std::mutex> lock(mu_);
   return delivered_;
-}
-
-std::uint64_t AsyncCallbackBus::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-std::uint64_t AsyncCallbackBus::rejected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejected_;
 }
 
 std::uint64_t AsyncCallbackBus::consumer_errors() const {

@@ -5,10 +5,10 @@
 /// `TuningCallback`s so slow consumers (loggers, uploaders, experience
 /// refreshers) run on a worker thread instead of stalling the tuning hot
 /// loop.  Invariant: consumers see the exact event sequence a synchronous
-/// bus would deliver (FIFO, registration order), minus a counted suffix/
-/// window under the lossy overflow policies.  Collaborators: CallbackBus /
-/// TaskScheduler (producer side), RecordLogger / ExperienceRefresher
-/// (typical consumers).
+/// bus would deliver (FIFO, registration order); nothing is ever dropped.
+/// Collaborators: CallbackBus / TaskScheduler (producer side), FleetTuner
+/// and tune_network (owners), RecordLogger / ExperienceRefresher (typical
+/// consumers).
 
 #include <condition_variable>
 #include <cstdint>
@@ -21,49 +21,13 @@
 
 namespace harl {
 
-/// What a producer does when the async queue is full.
-enum class AsyncOverflow {
-  /// Wait until the consumer frees a slot.  Lossless: every event is
-  /// delivered exactly once, but a consumer slower than the hot loop
-  /// eventually throttles tuning to its pace (the bound is the buffer).
-  kBlock,
-  /// Evict the oldest queued event to make room.  Never stalls the hot
-  /// loop; lossy under sustained overload (evictions are counted in
-  /// `dropped()`).  Suits monitoring consumers that only care about fresh
-  /// state, not persistence.
-  kDropOldest,
-  /// Reject the new event.  Never stalls and never reorders what was
-  /// already queued; rejections are counted in `rejected()` and warned
-  /// about once.  Suits consumers that prefer a visible gap over stale
-  /// delivery or hot-loop jitter.
-  kFail,
-};
-
-const char* async_overflow_name(AsyncOverflow policy);
-
-/// Queue shape and backpressure of one `AsyncCallbackBus`.
-struct AsyncBusOptions {
-  std::size_t capacity = 1024;  ///< max queued events (min 1)
-  AsyncOverflow overflow = AsyncOverflow::kBlock;
-};
-
-/// Per-run toggle threaded through `SearchOptions::async_callbacks` /
-/// `FleetTuner::Options`: when `enabled`, the scheduler routes every
-/// registered callback through a bus it owns instead of invoking them
-/// inline on the tuning thread.
-struct AsyncCallbackOptions {
-  bool enabled = false;
-  std::size_t capacity = 1024;
-  AsyncOverflow overflow = AsyncOverflow::kBlock;
-
-  AsyncBusOptions bus_options() const { return {capacity, overflow}; }
-};
-
 /// Decouples event production (the tuning thread) from consumption (one
-/// worker thread owned by the bus).  The bus is itself a `TuningCallback`,
-/// so it drops into any place a synchronous callback goes — including a
-/// scheduler-owned instance behind `SearchOptions::async_callbacks` — and
-/// fans each event out to its registered consumers.
+/// worker thread owned by the bus).  The bus is itself a `TuningCallback`:
+/// a caller that wants its consumers off the tuning thread builds one,
+/// registers it on the session like any other callback, and registers the
+/// consumers on the bus, which fans each event out to them.  `FleetTuner`
+/// builds one per running workload; `tune_network --async-callbacks` builds
+/// one for its run.
 ///
 /// Delivery contract:
 ///   - events are delivered in the exact order they were produced (one
@@ -78,20 +42,27 @@ struct AsyncCallbackOptions {
 ///   - a consumer that throws is isolated: the exception is caught and
 ///     counted (`consumer_errors()`), other consumers and later events are
 ///     unaffected, and the tuning thread never sees it;
+///   - a full queue blocks the producer until the worker frees a slot, so
+///     every event is delivered exactly once; a consumer slower than the
+///     hot loop throttles tuning to its pace once `capacity` events are
+///     queued.  The record logger, the daemon's progress stream and the
+///     experience refresher all need every event, so there is no lossy mode;
 ///   - `flush()` blocks until every queued event is delivered; the
-///     scheduler flushes at `run()` exit and the destructor drains, so a
-///     clean shutdown loses nothing.  After a crash-style `_Exit` the
-///     delivered prefix is intact (consumers like `RecordLogger` flush per
-///     event batch), and the undelivered suffix is exactly what
-///     deterministic resume re-executes.
+///     scheduler flushes its callbacks (this bus among them) at `run()`
+///     exit and the destructor drains, so a clean shutdown loses nothing.
+///     After a crash-style `_Exit` the delivered prefix is intact
+///     (consumers like `RecordLogger` flush per event batch), and the
+///     undelivered suffix is exactly what deterministic resume re-executes.
 ///
 /// Lifetime: consumers and the observed scheduler must outlive the last
-/// `flush()`/destruction.  Producer-side calls (the `on_*` overrides) are
-/// serialized by the tuning thread as usual; `add`/`remove`/`flush` are
-/// thread-safe.  Never call `flush()` from inside a consumer (self-deadlock).
+/// `flush()`/destruction, so declare the bus after the session and the
+/// consumers it serves (it is then destroyed, and drained, first).
+/// Producer-side calls (the `on_*` overrides) are serialized by the tuning
+/// thread as usual; `add`/`remove`/`flush` are thread-safe.  Never call `flush()` from inside a consumer (self-deadlock).
 class AsyncCallbackBus : public TuningCallback {
  public:
-  explicit AsyncCallbackBus(AsyncBusOptions opts = {});
+  /// `capacity`: the most events queued before a producer blocks (min 1).
+  explicit AsyncCallbackBus(std::size_t capacity = 1024);
   ~AsyncCallbackBus() override;
 
   AsyncCallbackBus(const AsyncCallbackBus&) = delete;
@@ -129,14 +100,10 @@ class AsyncCallbackBus : public TuningCallback {
   // ---- accounting (monotone; readable from any thread) -----------------
   std::uint64_t enqueued() const;   ///< events accepted into the queue
   std::uint64_t delivered() const;  ///< events fanned out to consumers
-  std::uint64_t dropped() const;    ///< evictions under kDropOldest
-  std::uint64_t rejected() const;   ///< rejections under kFail
   /// Exceptions thrown by consumers (one per (event, consumer) pair).
   std::uint64_t consumer_errors() const;
   /// Queued events not yet delivered.
   std::size_t backlog() const;
-
-  const AsyncBusOptions& options() const { return opts_; }
 
  private:
   /// One queued event: the kind discriminates which payload fields are live.
@@ -156,7 +123,7 @@ class AsyncCallbackBus : public TuningCallback {
   void worker_loop();
   void deliver(const Event& event);
 
-  AsyncBusOptions opts_;
+  const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable queue_cv_;  ///< signals the worker: work or stop
   std::condition_variable space_cv_;  ///< signals producers/flushers: drained
@@ -166,10 +133,7 @@ class AsyncCallbackBus : public TuningCallback {
   bool delivering_ = false;  ///< worker is between pop and delivery end
   std::uint64_t enqueued_ = 0;
   std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t rejected_ = 0;
   std::uint64_t consumer_errors_ = 0;
-  bool warned_overflow_ = false;
   std::thread worker_;  ///< last member: joins before the rest is torn down
 };
 

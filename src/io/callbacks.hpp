@@ -50,11 +50,13 @@ struct FailureEvent {
 /// `TaskScheduler::run` / `TuningSession::run` budget finishes (including
 /// saturation early-exit), after the final round's events.
 ///
-/// Callbacks run synchronously on the tuning thread by default; with
-/// `SearchOptions::async_callbacks` (or a caller-owned `AsyncCallbackBus`,
-/// io/async_bus.hpp) they run on a dispatcher thread instead, seeing the
-/// same event sequence.  With `FleetTuner` a callback shared by several
-/// workloads must be thread-safe, one registered per workload need not be.
+/// Callbacks registered on a scheduler run synchronously on the tuning
+/// thread.  A caller that wants them off it builds an `AsyncCallbackBus`
+/// (io/async_bus.hpp), registers the bus on the scheduler and the callbacks
+/// on the bus; they then run on its dispatcher thread, seeing the same
+/// event sequence.  `FleetTuner` does this for every workload, so a fleet
+/// callback shared by several workloads must be thread-safe, one registered
+/// per workload need not be.
 class TuningCallback {
  public:
   virtual ~TuningCallback() = default;

@@ -107,21 +107,9 @@ TaskScheduler::TaskScheduler(const Network* net, const HardwareConfig* hw,
     policies_.push_back(
         make_policy(opts_.policy_name, tasks_.back().get(), per_task));
   }
-  if (opts_.async_callbacks.enabled) {
-    async_bus_ =
-        std::make_unique<AsyncCallbackBus>(opts_.async_callbacks.bus_options());
-    callbacks_.add(async_bus_.get());
-  }
 }
 
-TaskScheduler::~TaskScheduler() {
-  // Drain in-flight events while tasks/policies (whose state consumers may
-  // read) are still alive; ~AsyncCallbackBus would drain anyway, but member
-  // destruction order should not be what correctness hangs on.  drain(),
-  // not flush(): a consumer owned next to this scheduler (fleet loggers)
-  // may already be destroyed, and forwarding flush() would call into it.
-  if (async_bus_ != nullptr) async_bus_->drain();
-}
+TaskScheduler::~TaskScheduler() = default;
 
 double TaskScheduler::estimated_latency_ms() const {
   double total = 0;

@@ -3,10 +3,10 @@
 /// \file task_scheduler.hpp
 /// SearchOptions + TaskScheduler: the end-to-end tuner — one TaskState and
 /// policy per subgraph, budget allocation via the Eq. 3 gradient (bandit or
-/// greedy), round pipeline, callback publication (sync or async bus).
-/// Invariant: the schedule stream is a pure function of the run identity
-/// (options + seed + experience fingerprint).  Collaborators: policies,
-/// selectors, Measurer, io/callbacks, io/async_bus.
+/// greedy), round pipeline, callback publication.  Invariant: the schedule
+/// stream is a pure function of the run identity (options + seed +
+/// experience fingerprint).  Collaborators: policies, selectors, Measurer,
+/// io/callbacks.
 
 #include <atomic>
 #include <memory>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bandit/sw_ucb.hpp"
-#include "io/async_bus.hpp"
 #include "io/callbacks.hpp"
 #include "ir/subgraph.hpp"
 #include "search/ansor_search.hpp"
@@ -90,14 +89,6 @@ struct SearchOptions {
   /// trials).  0 disables caching.
   std::size_t measure_cache_capacity = 4096;
 
-  /// When `enabled`, every callback registered on the scheduler runs on a
-  /// scheduler-owned `AsyncCallbackBus` dispatcher thread instead of the
-  /// tuning thread, so slow consumers cannot stall the search hot loop.
-  /// Consumers see the same event stream in the same order; `run()` flushes
-  /// on exit, and round_log/bests/record-log bytes are identical to the
-  /// synchronous path.  See io/async_bus.hpp for capacity/backpressure.
-  AsyncCallbackOptions async_callbacks;
-
 };
 
 /// Instantiate a policy by registry name (case-insensitive).  Throws
@@ -172,27 +163,12 @@ class TaskScheduler {
   const SearchOptions& options() const { return opts_; }
 
   /// Subscribes `cb` (not owned) to this scheduler's tuning events; see
-  /// `TuningCallback` for the event contract.  With
-  /// `SearchOptions::async_callbacks` enabled, `cb` is registered on the
-  /// scheduler-owned async bus and runs on its dispatcher thread.
-  void add_callback(TuningCallback* cb) {
-    if (async_bus_ != nullptr) {
-      async_bus_->add(cb);
-    } else {
-      callbacks_.add(cb);
-    }
-  }
-  void remove_callback(TuningCallback* cb) {
-    if (async_bus_ != nullptr) {
-      async_bus_->remove(cb);
-    } else {
-      callbacks_.remove(cb);
-    }
-  }
+  /// `TuningCallback` for the event contract.  Callbacks run on the tuning
+  /// thread; to run consumers off it, register an `AsyncCallbackBus`
+  /// (io/async_bus.hpp) here and the consumers on the bus.
+  void add_callback(TuningCallback* cb) { callbacks_.add(cb); }
+  void remove_callback(TuningCallback* cb) { callbacks_.remove(cb); }
   const CallbackBus& callbacks() const { return callbacks_; }
-  /// The scheduler-owned async dispatcher (nullptr when callbacks run
-  /// synchronously).  Exposed for stats (backlog, drops, consumer errors).
-  const AsyncCallbackBus* async_bus() const { return async_bus_.get(); }
   /// Drain every registered callback (async dispatchers included).  `run()`
   /// does this on exit; callers driving `run_round` directly call it before
   /// reading consumer side effects (log files, refreshed models).
@@ -255,11 +231,6 @@ class TaskScheduler {
   std::vector<RoundLog> round_log_;
   std::int64_t run_start_trials_ = -1;  ///< trials_used() at the start of run()
   CallbackBus callbacks_;
-  /// Owned async dispatcher when `SearchOptions::async_callbacks.enabled`;
-  /// registered as the only member of `callbacks_`.  Declared last so it is
-  /// destroyed (drained) first, while tasks/policies are still alive for
-  /// consumers reading scheduler state.
-  std::unique_ptr<AsyncCallbackBus> async_bus_;
 };
 
 }  // namespace harl

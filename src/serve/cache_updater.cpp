@@ -24,7 +24,7 @@ void KnowledgeCacheUpdater::on_records(const TaskScheduler& scheduler, int task,
   // Mid-flight invalidation: a fold just beat a cached best, so any published
   // copy of this cache is stale.  Republish before waiting out the periodic
   // cadence so no file reader can serve the retired entry.
-  if (retired_a_best && opts_.publish_on_new_best && !opts_.save_path.empty()) {
+  if (retired_a_best && !opts_.save_path.empty()) {
     if (save_now()) {
       std::lock_guard<std::mutex> lock(mu_);
       ++best_publishes_;

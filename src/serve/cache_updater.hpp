@@ -29,13 +29,6 @@ struct CacheUpdateOptions {
   /// fsync each republished cache file (see `save_cache`), trading publish
   /// latency for durability across power loss.
   bool fsync_publish = false;
-  /// Republish immediately when a fold displaces an entry's best record
-  /// (KnowledgeCache::insert reports the displacement), instead of waiting
-  /// out the periodic cadence — the invalidation path: the stale published
-  /// best is retired before the next file reader can serve it.  In-process
-  /// queries are always fresh either way (the cache mutex orders insert
-  /// before serve).
-  bool publish_on_new_best = true;
 };
 
 /// The serving half of the in-run refresh loop: where `ExperienceRefresher`
@@ -45,7 +38,12 @@ struct CacheUpdateOptions {
 /// measurement into the `KnowledgeCache` as it happens, so a repeat query
 /// against the shared cache becomes an L1 hit within one callback delivery
 /// of the measurement, and periodically republishes the cache file for
-/// sibling serving processes.  Register behind an `AsyncCallbackBus` to keep
+/// sibling serving processes.  A fold that displaces an entry's best record
+/// (KnowledgeCache::insert reports the displacement) republishes at once
+/// instead of waiting out the periodic cadence — the invalidation path: the
+/// stale published best is retired before the next file reader can serve
+/// it.  In-process queries are always fresh either way (the cache mutex
+/// orders insert before serve).  Register on an `AsyncCallbackBus` to keep
 /// file writes off the tuning hot loop.
 class KnowledgeCacheUpdater : public TuningCallback {
  public:

@@ -90,10 +90,10 @@ void accumulate(ServeStats* into, const ServeStats& s) {
 
 /// Per-job server-side TuningCallback: turns scheduler events into protocol
 /// event lines for the job's subscribers.  Registered through the workload's
-/// callback list, so with the fleet's async bus enabled it runs on the
-/// session's dispatcher thread.  The fleet's buses use `kBlock`: a slow
-/// subscriber socket is absorbed up to the bus capacity, then blocks the
-/// tuning thread; no event is ever shed.
+/// callback list, so it runs on the workload's async-bus dispatcher thread.
+/// A full bus blocks its producer: a slow subscriber socket is absorbed up
+/// to the bus capacity, then blocks the tuning thread; no event is ever
+/// shed.
 class HarlServer::ProgressPublisher : public TuningCallback {
  public:
   ProgressPublisher(HarlServer* server, std::int64_t job)
@@ -540,7 +540,6 @@ HarlServer::Shard* HarlServer::shard_for_locked(const std::string& hw_name) {
   fopts.cache_save_path = dir + "/knowledge.cache.json";
   fopts.refresh_period = opts_.refresh_period;
   fopts.value_model = opts_.value_model;
-  fopts.async_callbacks.enabled = true;
   if (opts_.cross_refresh > 0) {
     // Cross-shard warm-up: one refresher per shard under the shared hub.
     // The hub — pushed into every workload's callback list at dispatch —

@@ -38,6 +38,12 @@ Network make_mobilenet_v2(std::int64_t batch = 1);
 /// make_network and table6_suite abort on it.
 inline constexpr std::int64_t kMaxBatch = 1024;
 
+/// Largest M, K or N of a GEMM built by `make_gemm`: the largest bound at
+/// which a batch-kMaxBatch GEMM's iteration-space product and its FLOP
+/// count, 2 x kMaxBatch x M x K x N, still fit in int64.  `tune_network
+/// --network=gemm:MxKxN` rejects a larger dimension; make_gemm aborts on it.
+inline constexpr std::int64_t kMaxGemmDim = 165140;
+
 /// Lookup by name: "bert", "resnet50", "mobilenet_v2".
 /// Throws std::invalid_argument for unknown names; aborts unless
 /// 1 <= batch <= kMaxBatch.

@@ -3,6 +3,9 @@
 #include <utility>
 #include <vector>
 
+#include "util/logging.hpp"
+#include "workloads/networks.hpp"
+
 namespace harl {
 
 namespace {
@@ -215,6 +218,12 @@ TensorOp make_elementwise_op(std::int64_t elems, double flops_per_point, int ari
 
 Subgraph make_gemm(std::int64_t m, std::int64_t k, std::int64_t n,
                    std::int64_t batch, std::string name, double weight) {
+  for (std::int64_t d : {m, k, n}) {
+    HARL_CHECK(d >= 1 && d <= kMaxGemmDim,
+               "make_gemm: dimension outside [1, kMaxGemmDim]");
+  }
+  HARL_CHECK(batch >= 1 && batch <= kMaxBatch,
+             "make_gemm: batch outside [1, kMaxBatch]");
   return make_single_op_subgraph(make_gemm_op(m, k, n, batch, std::move(name)), weight);
 }
 

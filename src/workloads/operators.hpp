@@ -62,7 +62,8 @@ TensorOp make_elementwise_op(std::int64_t elems, double flops_per_point,
 
 // --- Subgraph builders ----------------------------------------------------
 
-/// Single-operator subgraphs.
+/// Single-operator subgraphs.  make_gemm aborts unless every dimension is
+/// in [1, kMaxGemmDim] and batch in [1, kMaxBatch] (networks.hpp).
 Subgraph make_gemm(std::int64_t m, std::int64_t k, std::int64_t n,
                    std::int64_t batch = 1, std::string name = "gemm",
                    double weight = 1.0);

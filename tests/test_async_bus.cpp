@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -86,8 +88,8 @@ struct SeqTrace : TuningCallback {
 };
 
 /// Blocks every delivery until released; signals when the first one starts.
-/// Lets tests park the bus worker mid-delivery so the queue state under
-/// overflow is deterministic.
+/// Lets tests park the bus worker mid-delivery so the state of a full
+/// queue is deterministic.
 struct GatedTrace : SeqTrace {
   std::mutex gate_mu;
   std::condition_variable gate_cv;
@@ -146,7 +148,7 @@ struct BusFixture {
 TEST(AsyncBusTest, FlushDeliversEveryEventExactlyOnceInOrder) {
   BusFixture fx;
   SeqTrace a, b;
-  AsyncCallbackBus bus({/*capacity=*/64, AsyncOverflow::kBlock});
+  AsyncCallbackBus bus(/*capacity=*/64);
   bus.add(&a);
   bus.add(&b);
 
@@ -159,8 +161,6 @@ TEST(AsyncBusTest, FlushDeliversEveryEventExactlyOnceInOrder) {
 
   EXPECT_EQ(bus.enqueued(), 2 * kRounds);
   EXPECT_EQ(bus.delivered(), 2 * kRounds);
-  EXPECT_EQ(bus.dropped(), 0u);
-  EXPECT_EQ(bus.rejected(), 0u);
   EXPECT_EQ(bus.backlog(), 0u);
   ASSERT_EQ(a.items.size(), 2 * kRounds);
   // Identical sequences for every consumer, in emission order.
@@ -176,10 +176,10 @@ TEST(AsyncBusTest, FlushDeliversEveryEventExactlyOnceInOrder) {
   }
 }
 
-TEST(AsyncBusTest, BlockPolicyIsLosslessPastCapacity) {
+TEST(AsyncBusTest, BackpressureIsLosslessPastCapacity) {
   BusFixture fx;
   SeqTrace trace;
-  AsyncCallbackBus bus({/*capacity=*/2, AsyncOverflow::kBlock});
+  AsyncCallbackBus bus(/*capacity=*/2);
   bus.add(&trace);
 
   // Far more events than capacity: producers must stall, never lose.
@@ -188,66 +188,47 @@ TEST(AsyncBusTest, BlockPolicyIsLosslessPastCapacity) {
   bus.flush();
 
   EXPECT_EQ(bus.delivered(), kRounds);
-  EXPECT_EQ(bus.dropped(), 0u);
-  EXPECT_EQ(bus.rejected(), 0u);
   ASSERT_EQ(trace.items.size(), kRounds);
   for (std::size_t i = 0; i < kRounds; ++i) EXPECT_EQ(trace.items[i].round, i);
 }
 
-TEST(AsyncBusTest, DropOldestEvictsTheFrontOfTheQueue) {
+TEST(AsyncBusTest, FullQueueBlocksTheProducerUntilASlotFrees) {
   BusFixture fx;
   GatedTrace trace;
-  AsyncCallbackBus bus({/*capacity=*/4, AsyncOverflow::kDropOldest});
+  AsyncCallbackBus bus(/*capacity=*/2);
   bus.add(&trace);
 
   bus.on_round(fx.sched, fx.round(0));
   trace.wait_entered();  // worker parked inside event 0; queue empty
+  bus.on_round(fx.sched, fx.round(1));
+  bus.on_round(fx.sched, fx.round(2));  // both slots taken
 
-  for (std::size_t i = 1; i <= 10; ++i) bus.on_round(fx.sched, fx.round(i));
-  // 4 slots: events 1..4 queue, each of 5..10 evicts the then-oldest.
+  // The next event cannot be queued until the worker takes event 1, which
+  // it cannot do while parked: the producer must wait, not drop anything.
+  std::atomic<bool> queued{false};
+  std::thread producer([&] {
+    bus.on_round(fx.sched, fx.round(3));
+    queued.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(queued.load());
+  EXPECT_EQ(bus.enqueued(), 3u);
+  EXPECT_EQ(bus.backlog(), 3u);  // two queued + one mid-delivery
+
   trace.release();
+  producer.join();
+  EXPECT_TRUE(queued.load());
   bus.flush();
-
-  EXPECT_EQ(bus.dropped(), 6u);
-  EXPECT_EQ(bus.delivered(), 5u);
-  ASSERT_EQ(trace.items.size(), 5u);
-  EXPECT_EQ(trace.items[0].round, 0u);
-  for (std::size_t i = 1; i < 5; ++i) {
-    EXPECT_EQ(trace.items[i].round, 6 + i);  // the newest four: 7,8,9,10
-  }
-}
-
-TEST(AsyncBusTest, FailRejectsTheNewEventAndKeepsTheQueue) {
-  BusFixture fx;
-  GatedTrace trace;
-  AsyncCallbackBus bus({/*capacity=*/4, AsyncOverflow::kFail});
-  bus.add(&trace);
-
-  bus.on_round(fx.sched, fx.round(0));
-  trace.wait_entered();
-
-  for (std::size_t i = 1; i <= 10; ++i) bus.on_round(fx.sched, fx.round(i));
-  trace.release();
-  bus.flush();
-
-  EXPECT_EQ(bus.rejected(), 6u);
-  EXPECT_EQ(bus.dropped(), 0u);
-  EXPECT_EQ(bus.delivered(), 5u);
-  ASSERT_EQ(trace.items.size(), 5u);
-  // The queue kept the *oldest* waiting events; the rejected ones are gone.
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(trace.items[i].round, i);
-
-  // The bus still works after rejections.
-  bus.on_round(fx.sched, fx.round(99));
-  bus.flush();
-  EXPECT_EQ(trace.items.back().round, 99u);
+  EXPECT_EQ(bus.delivered(), 4u);
+  ASSERT_EQ(trace.items.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(trace.items[i].round, i);
 }
 
 TEST(AsyncBusTest, ThrowingConsumerIsIsolated) {
   BusFixture fx;
   ThrowingCallback thrower;
   SeqTrace witness;
-  AsyncCallbackBus bus({/*capacity=*/64, AsyncOverflow::kBlock});
+  AsyncCallbackBus bus(/*capacity=*/64);
   bus.add(&thrower);  // registered first: throws before the witness runs
   bus.add(&witness);
 
@@ -272,7 +253,7 @@ TEST(AsyncBusTest, FlushForwardsToConsumers) {
   };
   BusFixture fx;
   BufferingConsumer consumer;
-  AsyncCallbackBus bus({/*capacity=*/8, AsyncOverflow::kBlock});
+  AsyncCallbackBus bus(/*capacity=*/8);
   bus.add(&consumer);
   bus.on_round(fx.sched, fx.round(0));
   bus.flush();
@@ -284,7 +265,7 @@ TEST(AsyncBusTest, FlushForwardsToConsumers) {
 
 TEST(AsyncBusTest, NoConsumersMeansNoQueueing) {
   BusFixture fx;
-  AsyncCallbackBus bus({/*capacity=*/8, AsyncOverflow::kBlock});
+  AsyncCallbackBus bus(/*capacity=*/8);
   for (std::size_t i = 0; i < 20; ++i) bus.on_round(fx.sched, fx.round(i));
   bus.flush();
   EXPECT_EQ(bus.enqueued(), 0u);  // nothing copied for nobody
@@ -295,7 +276,7 @@ TEST(AsyncBusTest, DestructorDrainsPendingEvents) {
   BusFixture fx;
   SeqTrace trace;
   {
-    AsyncCallbackBus bus({/*capacity=*/64, AsyncOverflow::kBlock});
+    AsyncCallbackBus bus(/*capacity=*/64);
     bus.add(&trace);
     for (std::size_t i = 0; i < 30; ++i) bus.on_round(fx.sched, fx.round(i));
     // no flush: destruction is the drain
@@ -305,20 +286,25 @@ TEST(AsyncBusTest, DestructorDrainsPendingEvents) {
 
 // ----------------------------------------------- async end-to-end parity
 
-/// One durable tuning run; returns the log bytes.
+/// One durable tuning run; returns the log bytes.  With `async` the logger
+/// runs on a bus the run owns, registered on the session in its place.
 std::string run_logged(PolicyKind kind, bool async, const std::string& path,
                        std::vector<TaskScheduler::RoundLog>* rounds,
                        double* latency) {
   Network net = tiny_network();
   HardwareConfig hw = HardwareConfig::xeon_6226r();
   hw.noise_sigma = 0.05;
-  SearchOptions opts = tiny_options(kind);
-  opts.async_callbacks.enabled = async;
-  opts.async_callbacks.capacity = 256;
-  TuningSession session(net, hw, opts);
+  TuningSession session(net, hw, tiny_options(kind));
   RecordLogger logger;
   EXPECT_TRUE(logger.open(path, /*append=*/false));
-  session.add_callback(&logger);
+  std::unique_ptr<AsyncCallbackBus> bus;
+  if (async) {
+    bus = std::make_unique<AsyncCallbackBus>(/*capacity=*/256);
+    bus->add(&logger);
+    session.add_callback(bus.get());
+  } else {
+    session.add_callback(&logger);
+  }
   session.run(150);
   *rounds = session.scheduler().round_log();
   *latency = session.latency_ms();
@@ -359,18 +345,17 @@ TEST(AsyncRunTest, AsyncRecordLoggerIsByteIdenticalToSync) {
 TEST(AsyncRunTest, RunExitFlushesTheBus) {
   Network net = tiny_network();
   HardwareConfig hw = HardwareConfig::xeon_6226r();
-  SearchOptions opts = tiny_options(PolicyKind::kRandom);
-  opts.async_callbacks.enabled = true;
-  TuningSession session(net, hw, opts);
+  TuningSession session(net, hw, tiny_options(PolicyKind::kRandom));
   SeqTrace trace;
-  session.add_callback(&trace);
+  AsyncCallbackBus bus;
+  bus.add(&trace);
+  session.add_callback(&bus);
   session.run(60);
 
-  const AsyncCallbackBus* bus = session.scheduler().async_bus();
-  ASSERT_NE(bus, nullptr);
   // Everything produced was consumed before run() returned.
-  EXPECT_EQ(bus->backlog(), 0u);
-  EXPECT_EQ(bus->enqueued(), bus->delivered());
+  EXPECT_EQ(bus.backlog(), 0u);
+  EXPECT_GT(bus.enqueued(), 0u);
+  EXPECT_EQ(bus.enqueued(), bus.delivered());
   // The trace saw the full event stream: one task_complete per task last.
   ASSERT_GE(trace.items.size(), 2u);
   EXPECT_EQ(trace.items[trace.items.size() - 2].kind, 'c');
@@ -404,14 +389,14 @@ TEST(RefresherTest, RefitsArePeriodicDeterministicAndPublished) {
   auto run_once = [&]() -> std::uint64_t {
     Network net = tiny_network();
     HardwareConfig hw = HardwareConfig::xeon_6226r();
-    SearchOptions opts = tiny_options(PolicyKind::kHarl);
-    opts.async_callbacks.enabled = true;  // refits off the tuning thread
     RefreshOptions ropts;
     ropts.period_rounds = 3;
     ropts.publish_path = model_path.path;
     ExperienceRefresher refresher(hw, ropts, test_resolver({tiny_network()}));
-    TuningSession session(net, hw, opts);
-    session.add_callback(&refresher);
+    TuningSession session(net, hw, tiny_options(PolicyKind::kHarl));
+    AsyncCallbackBus bus;  // refits off the tuning thread
+    bus.add(&refresher);
+    session.add_callback(&bus);
     session.run(120);
     EXPECT_GT(refresher.refreshes(), 0u);
     EXPECT_GT(refresher.records_folded(), 0u);
@@ -542,7 +527,6 @@ TEST(RefresherTest, FleetSiblingPicksUpMidRunRepublish) {
   fo.refresh_period = 3;
   fo.refresh_snapshots = true;
   fo.refresh_resolver = test_resolver({net_a, net_b});
-  fo.async_callbacks.enabled = true;
   FleetTuner fleet(fo);
 
   FleetWorkload wa;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_set>
@@ -15,6 +16,7 @@
 #include "exp/experience.hpp"
 #include "hwsim/fault_injector.hpp"
 #include "hwsim/measurer.hpp"
+#include "io/async_bus.hpp"
 #include "io/record_io.hpp"
 #include "io/record_logger.hpp"
 #include "io/resume.hpp"
@@ -618,13 +620,18 @@ TEST(OnFailure, DeliveredSyncAndAsyncIdentically) {
   ASSERT_TRUE(FaultSpec::parse("transient=0.6,timeout=0.2:21", &spec, &error));
 
   auto run_traced = [&](bool async) {
-    SearchOptions opts = faults_options();
-    opts.async_callbacks.enabled = async;
-    TuningSession session(faults_network(), faults_hw(), opts);
+    TuningSession session(faults_network(), faults_hw(), faults_options());
     FaultInjector inj(spec);
     session.measurer().set_fault_injector(&inj);
     FailureTrace trace;
-    session.add_callback(&trace);
+    std::unique_ptr<AsyncCallbackBus> bus;
+    if (async) {
+      bus = std::make_unique<AsyncCallbackBus>();
+      bus->add(&trace);
+      session.add_callback(bus.get());
+    } else {
+      session.add_callback(&trace);
+    }
     session.run(60);
     std::int64_t failed = 0;
     for (int i = 0; i < session.scheduler().num_tasks(); ++i) {

@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 
 #include "core/fleet.hpp"
@@ -171,7 +172,6 @@ TEST(FleetTuner, FinishedJobsReleaseTheirSessionAndLogger) {
   opts.max_concurrent = 1;
   opts.measure_pool = &pool;
   opts.log_dir = log_dir;
-  opts.async_callbacks.enabled = true;
   opts.on_complete = [&](int index, const FleetNetworkResult&) {
     probes[index].completed.store(true);
     std::lock_guard<std::mutex> lk(mu);
@@ -224,6 +224,53 @@ TEST(FleetTuner, FinishedJobsReleaseTheirSessionAndLogger) {
   }
   fleet.stop();
   ::rmdir(log_dir.c_str());
+}
+
+/// A callback with a bug: every round it throws.
+struct ThrowingCallback : TuningCallback {
+  void on_round(const TaskScheduler&, const RoundEvent&) override {
+    throw std::runtime_error("observer bug");
+  }
+};
+
+// A fleet runs every workload's callbacks on the workload's own bus, so a
+// callback that throws is counted and isolated: the workload finishes, and
+// its record log is byte-identical to the same fleet without that callback.
+TEST(FleetTuner, ThrowingCallbackIsCountedAndChangesNoRecord) {
+  const std::string log_dir = "harl_test_fleet_throwing";
+  auto run_fleet = [&](TuningCallback* extra, std::string* log_bytes) {
+    FleetTuner::Options opts;
+    opts.max_concurrent = 1;
+    opts.log_dir = log_dir;
+    FleetTuner fleet(opts);
+    FleetWorkload w = make_workload("throwing_net", 64, 21, 40);
+    if (extra != nullptr) w.callbacks.push_back(extra);
+    fleet.add(std::move(w));
+    FleetReport report = fleet.run();
+    *log_bytes = file_bytes(fleet.log_path(0));
+    std::remove(fleet.log_path(0).c_str());
+    return report;
+  };
+
+  std::string plain_log, throwing_log;
+  const FleetReport plain = run_fleet(nullptr, &plain_log);
+  ThrowingCallback thrower;
+  const FleetReport throwing = run_fleet(&thrower, &throwing_log);
+  ::rmdir(log_dir.c_str());
+
+  ASSERT_EQ(plain.networks.size(), 1u);
+  ASSERT_EQ(throwing.networks.size(), 1u);
+  const FleetNetworkResult& p = plain.networks[0];
+  const FleetNetworkResult& t = throwing.networks[0];
+  EXPECT_TRUE(t.completed);
+  EXPECT_EQ(p.bus_consumer_errors, 0u);
+  EXPECT_EQ(t.bus_consumer_errors, t.rounds);  // one per delivered round
+  EXPECT_GT(t.bus_consumer_errors, 0u);
+  EXPECT_EQ(t.latency_ms, p.latency_ms);  // bitwise
+  EXPECT_EQ(t.rounds, p.rounds);
+  EXPECT_FALSE(plain_log.empty());
+  EXPECT_EQ(throwing_log, plain_log);
+  EXPECT_NE(throwing.to_string().find("bus_errors"), std::string::npos);
 }
 
 }  // namespace

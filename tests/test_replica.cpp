@@ -219,9 +219,10 @@ TEST(Replica, HotReloadsEachRepublishBitIdentically) {
 
 TEST(Replica, NextQueryAfterBestDisplacementServesNewBest) {
   // The no-stale-window contract, in process: seed a slow cached best, run
-  // a session through the updater (publish_on_new_best on, periodic
-  // publishing off), and check the published file always holds the current
-  // best — every displacement republished before the next query could read.
+  // a session through the updater (periodic publishing off, so only its
+  // publish on each displaced best writes the file), and check the
+  // published file always holds the current best — every displacement
+  // republished before the next query could read.
   TempDir dir("test_replica_freshness");
   ASSERT_EQ(::mkdir(dir.path.c_str(), 0755), 0);
   const std::string path = dir.path + "/knowledge.cache.json";

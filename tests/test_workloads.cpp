@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -276,6 +277,29 @@ TEST(NetworksDeathTest, BuildersRefuseABatchPastTheBound) {
   EXPECT_DEATH(make_network("bert", kMaxBatch + 1), "batch outside");
   EXPECT_DEATH(make_network("resnet50", 0), "batch outside");
   EXPECT_DEATH(table6_suite("C2D", kMaxBatch + 1), "batch outside");
+}
+
+/// The largest GEMM make_gemm builds, at the largest batch, still counts its
+/// points and its FLOPs (2 per point) inside int64; one more in any
+/// dimension would not.
+TEST(Networks, LargestGemmKeepsItsPointAndFlopCountsInInt64) {
+  constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t d = kMaxGemmDim;
+  Subgraph g = make_gemm(d, d, d, kMaxBatch);
+  const std::int64_t points = g.stages()[0].op.iter_space_points();
+  EXPECT_EQ(points, kMaxBatch * d * d * d);
+  EXPECT_LE(points, kInt64Max / 2);  // the FLOP count fits too
+  EXPECT_EQ(g.total_flops(), 2.0 * static_cast<double>(points));
+  // kMaxGemmDim is the largest such bound: one more overflows the FLOPs.
+  const std::int64_t next = d + 1;
+  EXPECT_GT(next * next * next, kInt64Max / 2 / kMaxBatch);
+}
+
+TEST(NetworksDeathTest, MakeGemmRefusesADimensionPastTheBound) {
+  EXPECT_DEATH(make_gemm(kMaxGemmDim + 1, 64, 64), "dimension outside");
+  EXPECT_DEATH(make_gemm(64, kMaxGemmDim + 1, 64), "dimension outside");
+  EXPECT_DEATH(make_gemm(64, 64, std::int64_t{1} << 32), "dimension outside");
+  EXPECT_DEATH(make_gemm(64, 64, 64, kMaxBatch + 1), "batch outside");
 }
 
 }  // namespace
