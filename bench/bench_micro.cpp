@@ -120,7 +120,8 @@ void BM_PpoAct(benchmark::State& state) {
   PpoAgent agent(
       rl_observation_dim(space), codec.width(),
       [&codec](const std::int32_t* state, double* out) { codec.observe(state, out); },
-      std::vector<int>(sizes.begin(), sizes.end()), PpoConfig{}, 1);
+      std::vector<int>(sizes.begin(), sizes.end()), PpoConfig{}, 1,
+      space.tile_action_support());
   std::vector<bool> mask;
   space.tile_action_mask(s, &mask);
   for (auto _ : state) benchmark::DoNotOptimize(agent.act(obs, mask, rng));

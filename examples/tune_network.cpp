@@ -127,6 +127,25 @@ const char* parse_positive(const char* p, std::int64_t* out) {
   return *out > 0 && errno != ERANGE ? end : nullptr;
 }
 
+/// Parses an unsigned 64-bit decimal integer (digits only) filling all of
+/// `p`; false for anything else or overflow.
+bool parse_u64(const char* p, std::uint64_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*p))) return false;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(p, &end, 10);
+  return errno != ERANGE && *end == '\0';
+}
+
+/// Parses a trial count (--trials= or the positional [trials]): a positive
+/// integer filling all of `p`.  Prints the error and returns false otherwise.
+bool parse_trials(const char* p, std::int64_t* trials) {
+  const char* end = parse_positive(p, trials);
+  if (end != nullptr && *end == '\0') return true;
+  std::fprintf(stderr, "bad trial count %s: want a positive integer\n", p);
+  return false;
+}
+
 /// --network=: a builtin network, a Table 6 suite (its headline case as a
 /// one-subgraph network) or "gemm:MxKxN".  Suite and GEMM networks are named
 /// "<name>_b<batch>" like the builtins, so a record log's network name pins
@@ -249,9 +268,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
     if (flag_value(argv[i], "--trials", &v)) {
-      trials = std::atoll(v);
+      if (!parse_trials(v, &trials)) return 1;
     } else if (flag_value(argv[i], "--seed", &v)) {
-      seed = std::strtoull(v, nullptr, 10);
+      if (!parse_u64(v, &seed)) {
+        std::fprintf(stderr, "bad --seed=%s: want an unsigned 64-bit integer\n", v);
+        return 1;
+      }
     } else if (flag_value(argv[i], "--network", &v)) {
       network_name = v;
     } else if (flag_value(argv[i], "--batch", &v)) {
@@ -299,7 +321,7 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--inject-faults", &v)) {
       fault_spec_text = v;
     } else if (argv[i][0] != '-') {
-      trials = std::atoll(argv[i]);  // legacy positional [trials]
+      if (!parse_trials(argv[i], &trials)) return 1;  // legacy positional [trials]
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       print_usage(stderr);

@@ -6,17 +6,29 @@
 
 namespace harl {
 
-LinearLayer::LinearLayer(int in, int out, Rng& rng) : in_dim(in), out_dim(out) {
-  std::size_t n = static_cast<std::size_t>(in) * static_cast<std::size_t>(out);
+LinearLayer::LinearLayer(int in, int out, Rng& rng, const std::vector<int>& rows)
+    : in_dim(in), out_dim(rows.empty() ? out : static_cast<int>(rows.size())) {
+  std::size_t n = static_cast<std::size_t>(in) * static_cast<std::size_t>(out_dim);
   w.resize(n);
-  // Xavier/Glorot uniform initialization.
+  // Xavier/Glorot uniform initialization over the full layer.
   double bound = std::sqrt(6.0 / (in + out));
-  for (double& v : w) v = rng.next_range(-bound, bound);
-  b.assign(static_cast<std::size_t>(out), 0.0);
+  auto next_kept = rows.begin();
+  double* dst = w.data();
+  for (int o = 0; o < out; ++o) {
+    bool keep = rows.empty() || (next_kept != rows.end() && *next_kept == o);
+    if (keep && !rows.empty()) ++next_kept;
+    for (int i = 0; i < in; ++i) {
+      double v = rng.next_range(-bound, bound);
+      if (keep) *dst++ = v;
+    }
+  }
+  HARL_CHECK(next_kept == rows.end(),
+             "LinearLayer: kept rows must be strictly ascending and below out_dim");
+  b.assign(static_cast<std::size_t>(out_dim), 0.0);
   mw.assign(n, 0.0);
   vw.assign(n, 0.0);
-  mb.assign(static_cast<std::size_t>(out), 0.0);
-  vb.assign(static_cast<std::size_t>(out), 0.0);
+  mb.assign(static_cast<std::size_t>(out_dim), 0.0);
+  vb.assign(static_cast<std::size_t>(out_dim), 0.0);
 }
 
 void LinearLayer::forward(const std::vector<double>& x, std::vector<double>* y) const {
@@ -70,10 +82,12 @@ void LinearLayer::adam_step(double lr, double beta1, double beta2, double eps, i
   std::vector<double>().swap(gb);
 }
 
-Mlp::Mlp(const std::vector<int>& dims, Rng& rng) {
+Mlp::Mlp(const std::vector<int>& dims, Rng& rng, const std::vector<int>& output_rows) {
   HARL_CHECK(dims.size() >= 2, "Mlp needs at least input and output dims");
+  const std::vector<int> all_rows;
   for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
-    layers_.emplace_back(dims[i], dims[i + 1], rng);
+    layers_.emplace_back(dims[i], dims[i + 1], rng,
+                         i + 2 == dims.size() ? output_rows : all_rows);
   }
 }
 

@@ -21,7 +21,12 @@ namespace harl {
 /// allocates them zeroed, and a layer at rest holds only weights and Adam
 /// moments.
 struct LinearLayer {
-  LinearLayer(int in_dim, int out_dim, Rng& rng);
+  /// Xavier-uniform weights drawn row by row for an in_dim x out_dim layer.
+  /// A non-empty `rows` (strictly ascending, each < out_dim) keeps only those
+  /// output rows: every row's draws are still taken, with the full layer's
+  /// bound, so a kept row starts with exactly the weights the full layer
+  /// gives it, and the dropped rows are never stored.
+  LinearLayer(int in_dim, int out_dim, Rng& rng, const std::vector<int>& rows = {});
 
   void forward(const std::vector<double>& x, std::vector<double>* y) const;
 
@@ -49,8 +54,10 @@ struct LinearLayer {
 /// observations.
 class Mlp {
  public:
-  /// dims = {input, hidden..., output}.
-  Mlp(const std::vector<int>& dims, Rng& rng);
+  /// dims = {input, hidden..., output}.  A non-empty `output_rows` keeps
+  /// only those rows of the output layer (see LinearLayer); out_dim() is
+  /// then their count.
+  Mlp(const std::vector<int>& dims, Rng& rng, const std::vector<int>& output_rows = {});
 
   int in_dim() const { return layers_.front().in_dim; }
   int out_dim() const { return layers_.back().out_dim; }

@@ -14,26 +14,44 @@ namespace {
 
 std::vector<int> mlp_dims(int in, int hidden, int out) { return {in, hidden, hidden, out}; }
 
+/// `support` checked against head 0's size, or all of head 0 when empty.
+std::vector<int> checked_support(const std::vector<int>& head_sizes, std::vector<int> support) {
+  HARL_CHECK(!head_sizes.empty(), "PpoAgent needs at least one action head");
+  if (support.empty()) {
+    support.resize(static_cast<std::size_t>(head_sizes[0]));
+    std::iota(support.begin(), support.end(), 0);
+  }
+  for (std::size_t j = 0; j < support.size(); ++j) {
+    HARL_CHECK(support[j] >= (j == 0 ? 0 : support[j - 1] + 1) && support[j] < head_sizes[0],
+               "PpoAgent: head-0 support must be strictly ascending ids below head 0's size");
+  }
+  return support;
+}
+
 }  // namespace
 
 PpoAgent::PpoAgent(int obs_dim, int state_width, ObserveFn observe,
-                   std::vector<int> head_sizes, PpoConfig cfg, std::uint64_t seed)
+                   std::vector<int> head_sizes, PpoConfig cfg, std::uint64_t seed,
+                   std::vector<int> head0_support)
     : cfg_(cfg),
       obs_dim_(obs_dim),
       state_width_(state_width),
       observe_(std::move(observe)),
       head_sizes_(std::move(head_sizes)),
+      support_(checked_support(head_sizes_, std::move(head0_support))),
       actor_([&] {
         Rng rng(seed);
         int total = 0;
         for (int h : head_sizes_) total += h;
-        return Mlp(mlp_dims(obs_dim, cfg.hidden_dim, total), rng);
+        // Head 0's support rows, then every row of the other heads.
+        std::vector<int> rows = support_;
+        for (int r = head_sizes_[0]; r < total; ++r) rows.push_back(r);
+        return Mlp(mlp_dims(obs_dim, cfg.hidden_dim, total), rng, rows);
       }()),
       critic_([&] {
         Rng rng(seed ^ 0x5bd1e995ULL);
         return Mlp(mlp_dims(obs_dim, cfg.hidden_dim, 1), rng);
       }()) {
-  HARL_CHECK(!head_sizes_.empty(), "PpoAgent needs at least one action head");
   HARL_CHECK(cfg_.buffer_capacity >= 1, "PpoAgent needs buffer_capacity >= 1");
   HARL_CHECK(cfg_.minibatch_size >= 1, "PpoAgent needs minibatch_size >= 1");
   HARL_CHECK(state_width_ >= 1 && observe_, "PpoAgent needs a state width and observe");
@@ -51,9 +69,14 @@ void PpoAgent::check_obs(const std::vector<double>& obs) const {
 }
 
 void PpoAgent::check_mask(const std::vector<bool>& head0_mask) const {
-  HARL_CHECK(head0_mask.empty() ||
-                 head0_mask.size() == static_cast<std::size_t>(head_sizes_[0]),
+  if (head0_mask.empty()) return;
+  HARL_CHECK(head0_mask.size() == static_cast<std::size_t>(head_sizes_[0]),
              "PpoAgent: head-0 mask width differs from head 0's size");
+  std::size_t in_support = 0;
+  for (int a : support_) in_support += head0_mask[static_cast<std::size_t>(a)] ? 1 : 0;
+  HARL_CHECK(in_support == static_cast<std::size_t>(
+                               std::count(head0_mask.begin(), head0_mask.end(), true)),
+             "PpoAgent: head-0 mask sets an action outside the support");
 }
 
 std::vector<std::vector<double>> PpoAgent::split_heads(
@@ -61,10 +84,12 @@ std::vector<std::vector<double>> PpoAgent::split_heads(
   std::vector<std::vector<double>> heads;
   heads.reserve(head_sizes_.size());
   std::size_t off = 0;
-  for (int h : head_sizes_) {
+  for (std::size_t h = 0; h < head_sizes_.size(); ++h) {
+    const std::size_t n =
+        h == 0 ? support_.size() : static_cast<std::size_t>(head_sizes_[h]);
     heads.emplace_back(logits.begin() + static_cast<std::ptrdiff_t>(off),
-                       logits.begin() + static_cast<std::ptrdiff_t>(off + h));
-    off += static_cast<std::size_t>(h);
+                       logits.begin() + static_cast<std::ptrdiff_t>(off + n));
+    off += n;
   }
   return heads;
 }
@@ -74,15 +99,19 @@ PpoAgent::ActResult PpoAgent::act(const std::vector<double>& obs,
                                   Rng& rng) const {
   check_obs(obs);
   check_mask(head0_mask);
+  std::vector<bool> mask0(head0_mask.empty() ? 0 : support_.size());
+  for (std::size_t j = 0; j < mask0.size(); ++j) {
+    mask0[j] = head0_mask[static_cast<std::size_t>(support_[j])];
+  }
   ActResult res;
   std::vector<double> logits = actor_.forward(obs);
   std::vector<std::vector<double>> heads = split_heads(logits);
   for (std::size_t h = 0; h < heads.size(); ++h) {
-    const std::vector<bool>* mask =
-        (h == 0 && !head0_mask.empty()) ? &head0_mask : nullptr;
+    const std::vector<bool>* mask = (h == 0 && !mask0.empty()) ? &mask0 : nullptr;
     std::vector<double> probs = masked_softmax(heads[h], mask);
     int a = sample_categorical(probs, rng);
-    res.actions.push_back(a);
+    // Head 0 samples a support index; callers get the action id.
+    res.actions.push_back(h == 0 ? support_[static_cast<std::size_t>(a)] : a);
     res.logp += categorical_log_prob(probs, a);
   }
   res.value = critic_.forward(obs)[0];
@@ -106,8 +135,11 @@ void PpoAgent::store(const std::vector<std::int32_t>& state, const ActResult& ac
     HARL_CHECK(act.actions[h] >= 0 && act.actions[h] < head_sizes_[h],
                "PpoAgent::store: action out of its head's range");
   }
+  const auto in_support = std::lower_bound(support_.begin(), support_.end(), act.actions[0]);
+  HARL_CHECK(in_support != support_.end() && *in_support == act.actions[0],
+             "PpoAgent::store: head-0 action outside the support");
   const auto sw = static_cast<std::size_t>(state_width_);
-  const auto width = static_cast<std::size_t>(head_sizes_[0]);
+  const std::size_t width = support_.size();
   const auto cap = static_cast<std::size_t>(cfg_.buffer_capacity);
   const std::size_t row = buffer_next_ % cap;
   ++buffer_next_;
@@ -136,13 +168,17 @@ void PpoAgent::store(const std::vector<std::int32_t>& state, const ActResult& ac
   std::copy(state.begin(), state.end(), b.states.begin() + static_cast<std::ptrdiff_t>(i * sw));
   std::copy(act.actions.begin(), act.actions.end(),
             b.actions.begin() + static_cast<std::ptrdiff_t>(i * heads));
+  b.actions[i * heads] = static_cast<int>(in_support - support_.begin());
   b.logp[i] = act.logp;
   b.reward[i] = reward;
   b.value[i] = act.value;
   b.next_value[i] = next_value;
   const bool masked = !head0_mask.empty();
   b.has_mask[i] = masked;
-  for (std::size_t j = 0; j < width; ++j) b.mask_bits[i * width + j] = masked && head0_mask[j];
+  for (std::size_t j = 0; j < width; ++j) {
+    b.mask_bits[i * width + j] =
+        masked && head0_mask[static_cast<std::size_t>(support_[j])];
+  }
 }
 
 double PpoAgent::train(Rng& rng) {
@@ -150,7 +186,7 @@ double PpoAgent::train(Rng& rng) {
   if (rows < static_cast<std::size_t>(cfg_.minibatch_size)) return 0;
   const auto sw = static_cast<std::size_t>(state_width_);
   const std::size_t num_heads = head_sizes_.size();
-  const auto width = static_cast<std::size_t>(head_sizes_[0]);
+  const std::size_t width = support_.size();
   double mean_objective = 0;
   int num_updates = 0;
   // One row of the ring, unpacked for the Mlp and the masked softmax.

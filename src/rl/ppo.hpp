@@ -34,9 +34,19 @@ struct PpoConfig {
 ///
 /// The actor trunk emits one logit block per modification-type head (Table 3:
 /// tiling pairs, compute-at, parallel-loops, auto-unroll); the joint action
-/// log-probability is the sum over heads.  Head 0 supports a legality mask
+/// log-probability is the sum over heads.  Head 0 takes a legality mask
 /// (invalid tiling moves get probability zero).  The critic is a separate
 /// value MLP; both use two tanh hidden layers, trained with Adam.
+///
+/// Head 0 has a *support*: the ascending action ids any mask can ever set
+/// (HARL's is ActionSpace::tile_action_support(); empty means every id).
+/// The actor's output layer holds only the support's rows of head 0, drawn
+/// as the full layer would draw them (see LinearLayer), so its outputs are
+/// those of a full-width actor whose other rows are always masked: such
+/// rows get no gradient and never move.  Callers keep head 0's full
+/// numbering: masks are head_sizes()[0] wide, act() returns action ids and
+/// store() takes them; the agent gathers the support's bits and compact
+/// indices inside.  An empty mask allows the whole support.
 ///
 /// Training samples minibatches from a bounded replay ring (Algorithm 1,
 /// lines 14-17) and applies the clipped surrogate objective with an entropy
@@ -50,21 +60,24 @@ struct PpoConfig {
 /// was built with, so the networks see exactly what act() saw.  The ring is
 /// a list of blocks of kRingBlockRows rows; each block holds flat columns
 /// (states, actions, log-prob, reward, value, next value, head-0 mask bits
-/// and a has-mask flag per row).  store() reserves a block's columns the
-/// first time it reaches the block, grows them row by row inside that
-/// reservation while filling, and never moves them: row r lives in block
-/// r / kRingBlockRows at offset r % kRingBlockRows.  Nothing is reserved at
-/// `buffer_capacity`: reserved-but-untouched pages stay out of the resident
-/// set only in a fresh process, and once a process has freed an earlier
-/// session, later reservations come from heap pages that are already
-/// resident.  So an agent's memory is its stored rows rounded up to one
-/// block, in every session of a process.  Rows fill in order and then
-/// overwrite the oldest.  The actor and critic keep weights and Adam moments;
-/// their gradients exist only inside train().
+/// over the support and a has-mask flag per row).  store() reserves a
+/// block's columns the first time it reaches the block, grows them row by
+/// row inside that reservation while filling, and never moves them: row r
+/// lives in block r / kRingBlockRows at offset r % kRingBlockRows.  Nothing
+/// is reserved at `buffer_capacity`: reserved-but-untouched pages stay out
+/// of the resident set only in a fresh process, and once a process has
+/// freed an earlier session, later reservations come from heap pages that
+/// are already resident.  So an agent's memory is its stored rows rounded
+/// up to one block, in every session of a process.  Rows fill in order and
+/// then overwrite the oldest.  The actor and critic keep weights and Adam
+/// moments; their gradients exist only inside train().  No head-0 action
+/// outside the support costs a weight, a moment or a mask bit, so an
+/// agent's memory depends on its support, not on head 0's nominal width.
 ///
 /// Every input is checked: an observation must be `obs_dim` wide, a state
-/// `state_width` wide, an action list must hold one in-range index per head,
-/// and a head-0 mask must be empty or exactly head 0's width.
+/// `state_width` wide, an action list must hold one in-range index per head
+/// (head 0's inside the support), and a head-0 mask must be empty or exactly
+/// head 0's width with no bit set outside the support.
 class PpoAgent {
  public:
   /// Writes the observation (obs_dim doubles) of one stored state row
@@ -72,8 +85,10 @@ class PpoAgent {
   /// every sampled row in train().
   using ObserveFn = std::function<void(const std::int32_t* state, double* obs)>;
 
+  /// `head0_support` lists head 0's possible actions, strictly ascending
+  /// and below head_sizes[0]; empty means all of them.
   PpoAgent(int obs_dim, int state_width, ObserveFn observe, std::vector<int> head_sizes,
-           PpoConfig cfg, std::uint64_t seed);
+           PpoConfig cfg, std::uint64_t seed, std::vector<int> head0_support = {});
 
   struct ActResult {
     std::vector<int> actions;
@@ -81,7 +96,7 @@ class PpoAgent {
     double value = 0;
   };
 
-  /// Sample a joint action. `head0_mask` may be empty (no masking).
+  /// Sample a joint action. `head0_mask` may be empty (the whole support).
   ActResult act(const std::vector<double>& obs, const std::vector<bool>& head0_mask,
                 Rng& rng) const;
 
@@ -121,12 +136,14 @@ class PpoAgent {
   std::size_t ring_rows_allocated() const;
 
  private:
-  /// Split the actor's flat logits into per-head vectors.
+  /// Split the actor's flat logits into per-head vectors (head 0 over the
+  /// support).
   std::vector<std::vector<double>> split_heads(const std::vector<double>& logits) const;
 
   /// Aborts unless `obs` is obs_dim wide.
   void check_obs(const std::vector<double>& obs) const;
-  /// Aborts unless `head0_mask` is empty or head 0's width.
+  /// Aborts unless `head0_mask` is empty or head 0's width with no bit set
+  /// outside the support.
   void check_mask(const std::vector<bool>& head0_mask) const;
 
   PpoConfig cfg_;
@@ -134,14 +151,15 @@ class PpoAgent {
   int state_width_;
   ObserveFn observe_;
   std::vector<int> head_sizes_;
+  std::vector<int> support_;  ///< head 0's action ids, ascending
   Mlp actor_;
   Mlp critic_;
   /// Up to kRingBlockRows consecutive rows of the replay ring.
   struct RingBlock {
     std::vector<std::int32_t> states;  ///< rows x state_width
-    std::vector<int> actions;          ///< rows x heads
+    std::vector<int> actions;          ///< rows x heads, head 0 as a support index
     std::vector<double> logp, reward, value, next_value;
-    std::vector<bool> mask_bits;       ///< rows x head_sizes_[0]
+    std::vector<bool> mask_bits;       ///< rows x support size
     std::vector<bool> has_mask;
   };
   std::vector<RingBlock> blocks_;

@@ -34,6 +34,12 @@ bool ActionSpace::decode_tile_action(int action, int* from, int* to) const {
   return true;
 }
 
+bool ActionSpace::same_axis_pair(int from, int to) const {
+  const TileSlot& sf = slots_[static_cast<std::size_t>(from)];
+  const TileSlot& st = slots_[static_cast<std::size_t>(to)];
+  return to != from && st.stage == sf.stage && st.axis == sf.axis;
+}
+
 void ActionSpace::tile_action_mask(const Schedule& sched, std::vector<bool>* mask) const {
   mask->assign(static_cast<std::size_t>(num_tile_actions()), false);
   (*mask)[static_cast<std::size_t>(dummy_tile_action())] = true;
@@ -44,12 +50,22 @@ void ActionSpace::tile_action_mask(const Schedule& sched, std::vector<bool>* mas
         sched.stage(sf.stage).tiles[static_cast<std::size_t>(sf.axis)];
     if (tv.smallest_movable(sf.level) == 0) continue;
     for (int to = 0; to < n; ++to) {
-      if (to == from) continue;
-      const TileSlot& st = slots_[static_cast<std::size_t>(to)];
-      if (st.stage != sf.stage || st.axis != sf.axis) continue;  // cross-axis: illegal
+      if (!same_axis_pair(from, to)) continue;  // cross-axis: illegal
       (*mask)[static_cast<std::size_t>(from * n + to)] = true;
     }
   }
+}
+
+std::vector<int> ActionSpace::tile_action_support() const {
+  std::vector<int> support;
+  int n = num_slots();
+  for (int from = 0; from < n; ++from) {
+    for (int to = 0; to < n; ++to) {
+      if (same_axis_pair(from, to)) support.push_back(from * n + to);
+    }
+  }
+  support.push_back(dummy_tile_action());
+  return support;
 }
 
 bool ActionSpace::apply_tile(Schedule* sched, int action) const {

@@ -17,8 +17,12 @@ namespace harl {
 
 /// One tile-size parameter slot: a (stage, axis, level) position whose factor
 /// the tiling modification can grow or shrink.  The paper calls the slot
-/// count `num_iters`; the tiling head of the actor network has
-/// num_iters^2 + 1 actions (ordered pair (i, j) plus one dummy).
+/// count `num_iters`; head 0 numbers its actions as the paper does,
+/// num_iters^2 + 1 of them (ordered pair (i, j) plus one dummy), and every
+/// mask, JointAction and apply() call uses that numbering.  Only a move
+/// between two slots of one (stage, axis) can ever be legal, so the PPO
+/// actor scores just those actions and the dummy (the space's
+/// tile_action_support()), and maps what it samples back to the paper's ids.
 struct TileSlot {
   int stage = 0;
   int axis = 0;
@@ -66,6 +70,10 @@ class ActionSpace {
   /// is always valid.
   void tile_action_mask(const Schedule& sched, std::vector<bool>* mask) const;
 
+  /// Every tile action some schedule's mask can set, ascending: the ordered
+  /// pairs of distinct slots of one (stage, axis), then the dummy.
+  std::vector<int> tile_action_support() const;
+
   /// Apply a joint action in place.  Deltas are clamped at knob boundaries
   /// (a clamped move degenerates to the no-op, like the paper's dummy
   /// actions).  Returns true iff the schedule changed.
@@ -84,6 +92,8 @@ class ActionSpace {
   bool apply_compute_at(Schedule* sched, int delta) const;
   bool apply_parallel(Schedule* sched, int delta) const;
   bool apply_unroll(Schedule* sched, int delta) const;
+  /// True iff slots `from` and `to` are distinct slots of one (stage, axis).
+  bool same_axis_pair(int from, int to) const;
 
   const Sketch* sketch_;
   int num_unroll_options_;

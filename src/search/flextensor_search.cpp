@@ -20,7 +20,8 @@ std::vector<MeasuredRecord> FlextensorSearchPolicy::tune_round(Measurer& measure
     agent_ = std::make_unique<PpoAgent>(
         rl_observation_dim(space), c->width(),
         [c](const std::int32_t* state, double* obs) { c->observe(state, obs); },
-        std::vector<int>(sizes.begin(), sizes.end()), cfg_.ppo, cfg_.seed);
+        std::vector<int>(sizes.begin(), sizes.end()), cfg_.ppo, cfg_.seed,
+        space.tile_action_support());
   }
 
   std::vector<MeasuredRecord> all_records;

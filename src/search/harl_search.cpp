@@ -44,7 +44,8 @@ PpoAgent& HarlSearchPolicy::agent_for(int sketch_id) {
     slot = std::make_unique<PpoAgent>(
         rl_observation_dim(space), c->width(),
         [c](const std::int32_t* state, double* obs) { c->observe(state, obs); },
-        head_sizes, cfg_.ppo, cfg_.seed + static_cast<std::uint64_t>(sketch_id));
+        head_sizes, cfg_.ppo, cfg_.seed + static_cast<std::uint64_t>(sketch_id),
+        space.tile_action_support());
   }
   return *slot;
 }

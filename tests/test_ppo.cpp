@@ -19,13 +19,14 @@ std::atomic<std::size_t> g_new_bytes{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Out of line, new and delete alike, so the compiler never pairs an inlined
+// malloc() or free() with the other operator (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_new_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
-// Out of line, so the compiler does not pair an inlined free() with new.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
@@ -100,6 +101,20 @@ TEST(Ppo, MaskExcludesActions) {
   for (int i = 0; i < 100; ++i) {
     auto res = agent.act(obs, mask, rng);
     ASSERT_TRUE(res.actions[0] == 1 || res.actions[0] == 3);
+  }
+}
+
+TEST(Ppo, ActReturnsSupportActionIds) {
+  ObsTable table;
+  PpoAgent agent(2, 1, table.observe(), {6, 2}, small_config(), 3, {1, 3, 5});
+  Rng rng(2);
+  const std::vector<bool> mask = {false, true, false, false, false, true};
+  std::vector<double> obs = {1.0, -1.0};
+  for (int i = 0; i < 100; ++i) {
+    const int any = agent.act(obs, {}, rng).actions[0];
+    ASSERT_TRUE(any == 1 || any == 3 || any == 5) << any;
+    const int masked = agent.act(obs, mask, rng).actions[0];
+    ASSERT_TRUE(masked == 1 || masked == 5) << masked;
   }
 }
 
@@ -367,6 +382,42 @@ void expect_same_network(const Mlp& got, const Mlp& want) {
   }
 }
 
+/// Like expect_same_network for an actor whose output layer keeps only
+/// `rows` of the reference's: the hidden layers match whole, and output row
+/// j matches the reference's row rows[j].
+void expect_same_compact_network(const Mlp& got, const Mlp& want, const std::vector<int>& rows) {
+  ASSERT_EQ(got.layers().size(), want.layers().size());
+  for (std::size_t l = 0; l + 1 < got.layers().size(); ++l) {
+    const LinearLayer& g = got.layers()[l];
+    const LinearLayer& w = want.layers()[l];
+    ASSERT_EQ(g.w, w.w) << "layer " << l;
+    ASSERT_EQ(g.b, w.b) << "layer " << l;
+    ASSERT_EQ(g.mw, w.mw) << "layer " << l;
+    ASSERT_EQ(g.vw, w.vw) << "layer " << l;
+    ASSERT_EQ(g.mb, w.mb) << "layer " << l;
+    ASSERT_EQ(g.vb, w.vb) << "layer " << l;
+  }
+  const LinearLayer& g = got.layers().back();
+  const LinearLayer& w = want.layers().back();
+  ASSERT_EQ(g.in_dim, w.in_dim);
+  ASSERT_EQ(g.out_dim, static_cast<int>(rows.size()));
+  ASSERT_EQ(g.w.size(), rows.size() * static_cast<std::size_t>(g.in_dim));
+  const auto in = static_cast<std::size_t>(g.in_dim);
+  auto row = [in](const std::vector<double>& v, std::size_t r) {
+    return std::vector<double>(v.begin() + static_cast<std::ptrdiff_t>(r * in),
+                               v.begin() + static_cast<std::ptrdiff_t>((r + 1) * in));
+  };
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    const auto r = static_cast<std::size_t>(rows[j]);
+    ASSERT_EQ(row(g.w, j), row(w.w, r)) << "output row " << r;
+    ASSERT_EQ(row(g.mw, j), row(w.mw, r)) << "output row " << r;
+    ASSERT_EQ(row(g.vw, j), row(w.vw, r)) << "output row " << r;
+    ASSERT_EQ(g.b[j], w.b[r]) << "output row " << r;
+    ASSERT_EQ(g.mb[j], w.mb[r]) << "output row " << r;
+    ASSERT_EQ(g.vb[j], w.vb[r]) << "output row " << r;
+  }
+}
+
 /// Drives a PpoAgent and the reference with one seeded stream of act, value,
 /// store and train calls: masked and unmasked rows, several head layouts,
 /// capacities that wrap the ring many times.  The agent stores two-int
@@ -375,8 +426,15 @@ void expect_same_network(const Mlp& got, const Mlp& want) {
 /// Every ActResult, value and train() objective, and the actor's and
 /// critic's weights and Adam moments after every train(), must be
 /// bit-identical.
+///
+/// With a head-0 `support`, the agent keeps only the support's output rows
+/// and the reference stays full width.  Every mask sets bits inside the
+/// support only; where the agent gets an empty mask (the whole support), the
+/// reference gets the support's indicator.  The kept rows must match the
+/// reference's, and the reference's other rows must end with their initial
+/// weights and zero moments: a full-width actor never moves them.
 void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, int capacity,
-                              std::uint64_t seed) {
+                              std::uint64_t seed, const std::vector<int>& support = {}) {
   PpoConfig cfg;
   cfg.hidden_dim = 16;
   cfg.minibatch_size = 8;
@@ -388,12 +446,27 @@ void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, i
     const std::vector<double>& row = table.at(static_cast<std::size_t>(state[0]));
     std::copy(row.begin(), row.end(), out);
   };
-  PpoAgent agent(obs_dim, 2, observe, head_sizes, cfg, seed);
+  PpoAgent agent(obs_dim, 2, observe, head_sizes, cfg, seed, support);
   ReferencePpoAgent ref(obs_dim, head_sizes, cfg, seed);
+  const Mlp initial_actor = ref.actor();
   Rng stream(seed * 7919 + 1);
   Rng agent_rng(seed + 11);
   Rng ref_rng(seed + 11);
   const auto width = static_cast<std::size_t>(head_sizes[0]);
+  // The reference's output rows the agent keeps: the support, then the
+  // other heads whole.
+  std::vector<int> kept = support;
+  if (kept.empty()) {
+    kept.resize(width);
+    std::iota(kept.begin(), kept.end(), 0);
+  }
+  const int total = std::accumulate(head_sizes.begin(), head_sizes.end(), 0);
+  for (int r = head_sizes[0]; r < total; ++r) kept.push_back(r);
+  std::vector<bool> support_mask;
+  if (!support.empty()) {
+    support_mask.assign(width, false);
+    for (int a : support) support_mask[static_cast<std::size_t>(a)] = true;
+  }
 
   auto random_obs = [&] {
     std::vector<double> obs(static_cast<std::size_t>(obs_dim));
@@ -409,11 +482,17 @@ void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, i
     mask.clear();
     if (stream.next_bool()) {
       mask.assign(width, false);
-      for (std::size_t i = 0; i < width; ++i) mask[i] = stream.next_double() < 0.5;
-      mask[stream.pick_index(width)] = true;
+      if (support.empty()) {
+        for (std::size_t i = 0; i < width; ++i) mask[i] = stream.next_double() < 0.5;
+        mask[stream.pick_index(width)] = true;
+      } else {
+        for (int a : support) mask[static_cast<std::size_t>(a)] = stream.next_double() < 0.5;
+        mask[static_cast<std::size_t>(support[stream.pick_index(support.size())])] = true;
+      }
     }
+    const std::vector<bool>& ref_mask = mask.empty() ? support_mask : mask;
     PpoAgent::ActResult got = agent.act(obs, mask, agent_rng);
-    PpoAgent::ActResult want = ref.act(obs, mask, ref_rng);
+    PpoAgent::ActResult want = ref.act(obs, ref_mask, ref_rng);
     ASSERT_EQ(got.actions, want.actions);
     ASSERT_EQ(got.logp, want.logp);
     ASSERT_EQ(got.value, want.value);
@@ -425,12 +504,12 @@ void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, i
     const auto id = static_cast<std::int32_t>(table.size());
     table.push_back(obs);
     agent.store({id, ~id}, got, reward, next_value, mask);
-    ref.store({obs, want.actions, want.logp, reward, want.value, next_value, mask});
+    ref.store({obs, want.actions, want.logp, reward, want.value, next_value, ref_mask});
     ASSERT_EQ(agent.buffer_size(), ref.buffer_size());
 
     if (stream.next_double() < 0.3) {
       ASSERT_EQ(agent.train(agent_rng), ref.train(ref_rng));
-      expect_same_network(agent.actor(), ref.actor());
+      expect_same_compact_network(agent.actor(), ref.actor(), kept);
       expect_same_network(agent.critic(), ref.critic());
     }
     obs = std::move(next_obs);
@@ -438,9 +517,25 @@ void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, i
   // The ring wrapped: training over it still agrees, and so does the policy.
   ASSERT_EQ(agent.buffer_size(), static_cast<std::size_t>(capacity));
   for (int i = 0; i < 3; ++i) ASSERT_EQ(agent.train(agent_rng), ref.train(ref_rng));
-  expect_same_network(agent.actor(), ref.actor());
+  expect_same_compact_network(agent.actor(), ref.actor(), kept);
   expect_same_network(agent.critic(), ref.critic());
-  ASSERT_EQ(agent.act(obs, {}, agent_rng).logp, ref.act(obs, {}, ref_rng).logp);
+  ASSERT_EQ(agent.act(obs, {}, agent_rng).logp, ref.act(obs, support_mask, ref_rng).logp);
+
+  // The rows the agent dropped never moved in the reference.
+  const LinearLayer& out = ref.actor().layers().back();
+  const LinearLayer& init = initial_actor.layers().back();
+  const auto in = static_cast<std::size_t>(out.in_dim);
+  for (std::size_t r = 0; r < static_cast<std::size_t>(out.out_dim); ++r) {
+    if (std::binary_search(kept.begin(), kept.end(), static_cast<int>(r))) continue;
+    for (std::size_t i = r * in; i < (r + 1) * in; ++i) {
+      ASSERT_EQ(out.w[i], init.w[i]) << "dead row " << r;
+      ASSERT_EQ(out.mw[i], 0.0) << "dead row " << r;
+      ASSERT_EQ(out.vw[i], 0.0) << "dead row " << r;
+    }
+    ASSERT_EQ(out.b[r], 0.0) << "dead row " << r;
+    ASSERT_EQ(out.mb[r], 0.0) << "dead row " << r;
+    ASSERT_EQ(out.vb[r], 0.0) << "dead row " << r;
+  }
 }
 
 TEST(PpoRing, MatchesReferenceSingleHead) { expect_matches_reference(3, {5}, 16, 21); }
@@ -459,6 +554,25 @@ TEST(PpoRing, MatchesReferenceAcrossBlocks) {
   static_assert(PpoAgent::kRingBlockRows < 300 && 2 * PpoAgent::kRingBlockRows < 600);
   expect_matches_reference(3, {5}, 300, 25);
   expect_matches_reference(7, {9, 3, 3, 3}, 600, 26);
+}
+
+TEST(PpoRing, MatchesFullWidthReferenceOnASupport) {
+  // A GEMM-like head 0: 101 nominal actions, 27 in the support, dummy last.
+  std::vector<int> gemm_support;
+  for (int from = 0; from < 10; ++from) {
+    for (int to = 0; to < 10; ++to) {
+      const int axis_from = from < 8 ? from / 4 : 2;
+      const int axis_to = to < 8 ? to / 4 : 2;
+      if (from != to && axis_from == axis_to) gemm_support.push_back(from * 10 + to);
+    }
+  }
+  gemm_support.push_back(100);
+  ASSERT_EQ(gemm_support.size(), 27u);
+  expect_matches_reference(7, {101, 3, 3, 3}, 33, 27, gemm_support);
+  expect_matches_reference(7, {101, 3, 3, 3}, 300, 28, gemm_support);
+  // A support of one action, and one that is not at either end.
+  expect_matches_reference(3, {6, 2}, 16, 29, {5});
+  expect_matches_reference(3, {6}, 16, 30, {1, 2, 4});
 }
 
 /// Heap bytes requested while `fn` runs.
@@ -503,6 +617,43 @@ TEST(PpoRing, MemoryFollowsStoredRowsNotCapacity) {
     EXPECT_GE(big->ring_rows_allocated(), rows);
     EXPECT_LE(big->ring_rows_allocated(), rounded);
     EXPECT_EQ(big->buffer_size(), rows);
+  }
+}
+
+/// Head 0's nominal width costs nothing past its support: building an agent
+/// and storing rows ask for the same bytes whether head 0 has 9 or 4097
+/// actions, so no dropped row, Adam moment or mask bit is allocated.
+TEST(PpoRing, MemoryFollowsTheSupportNotHead0Width) {
+  constexpr std::size_t kBlock = PpoAgent::kRingBlockRows;
+  ObsTable table;
+  const std::vector<std::int32_t> state = table.add({0.5, -0.5});
+  const std::vector<int> support = {1, 3, 7, 8};
+  PpoAgent::ActResult act;
+  act.actions = {7, 2};
+  std::size_t build_bytes = 0;
+  std::size_t store_bytes = 0;
+  for (int width : {9, 101, 4097}) {
+    SCOPED_TRACE("head-0 width " + std::to_string(width));
+    std::vector<bool> mask(static_cast<std::size_t>(width), false);
+    mask[3] = mask[7] = true;
+    std::unique_ptr<PpoAgent> agent;
+    const std::size_t build = new_bytes([&] {
+      agent = std::make_unique<PpoAgent>(2, 1, table.observe(), std::vector<int>{width, 3},
+                                         small_config(), 1, support);
+    });
+    const std::size_t store = new_bytes([&] {
+      for (std::size_t i = 0; i < kBlock + 5; ++i) agent->store(state, act, 1.0, 0.5, mask);
+    });
+    const LinearLayer& out = agent->actor().layers().back();
+    EXPECT_EQ(out.out_dim, 4 + 3);
+    EXPECT_EQ(out.w.capacity(), out.w.size());
+    EXPECT_EQ(out.mw.capacity(), out.mw.size());
+    if (build_bytes == 0) {
+      build_bytes = build;
+      store_bytes = store;
+    }
+    EXPECT_EQ(build, build_bytes);
+    EXPECT_EQ(store, store_bytes);
   }
 }
 
@@ -559,6 +710,31 @@ TEST(PpoDeathTest, RejectsWrongMaskWidth) {
   act.actions = {0, 1};
   EXPECT_DEATH(agent.act(obs, short_mask, rng), "head-0 mask width");
   EXPECT_DEATH(agent.store(state, act, 0, 0, short_mask), "head-0 mask width");
+}
+
+TEST(PpoDeathTest, RejectsABadSupport) {
+  ObsTable table;
+  EXPECT_DEATH(PpoAgent(2, 1, table.observe(), {4, 2}, small_config(), 1, {2, 1}),
+               "strictly ascending ids below head 0's size");
+  EXPECT_DEATH(PpoAgent(2, 1, table.observe(), {4, 2}, small_config(), 1, {1, 1}),
+               "strictly ascending ids below head 0's size");
+  EXPECT_DEATH(PpoAgent(2, 1, table.observe(), {4, 2}, small_config(), 1, {0, 4}),
+               "strictly ascending ids below head 0's size");
+}
+
+TEST(PpoDeathTest, RejectsMoveOutsideTheSupport) {
+  ObsTable table;
+  PpoAgent agent(2, 1, table.observe(), {4, 2}, small_config(), 1, {1, 3});
+  Rng rng(1);
+  const std::vector<double> obs = {0.5, -0.5};
+  const std::vector<std::int32_t> state = table.add(obs);
+  const std::vector<bool> outside = {false, true, true, false};
+  PpoAgent::ActResult act;
+  act.actions = {2, 0};
+  EXPECT_DEATH(agent.act(obs, outside, rng), "mask sets an action outside the support");
+  EXPECT_DEATH(agent.store(state, act, 0, 0, {}), "head-0 action outside the support");
+  act.actions = {3, 0};
+  EXPECT_DEATH(agent.store(state, act, 0, 0, outside), "mask sets an action outside the support");
 }
 
 TEST(PpoDeathTest, RejectsBadActions) {
