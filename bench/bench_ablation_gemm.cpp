@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
     std::vector<CurvePoint> curve;
     std::vector<double> critical;
   };
-  std::vector<Run> runs = {{PolicyKind::kAnsor},
-                           {PolicyKind::kHarlFixedLength},
-                           {PolicyKind::kHarl}};
+  std::vector<Run> runs = {{PolicyKind::kAnsor, 0, {}, {}},
+                           {PolicyKind::kHarlFixedLength, 0, {}, {}},
+                           {PolicyKind::kHarl, 0, {}, {}}};
   for (Run& r : runs) {
     TuningSession session(gemm, HardwareConfig::xeon_6226r(), args.options(r.kind));
     session.run(trials);

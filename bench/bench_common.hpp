@@ -3,18 +3,21 @@
 /// Shared helpers for the paper-reproduction benchmark harnesses.
 ///
 /// Every bench binary accepts:
-///   --trials N   measurement-trial budget per tuning run (scaled default)
-///   --seed S     base RNG seed
+///   --trials N   measurement-trial budget per tuning run, a positive integer
+///                (default: scaled per harness)
+///   --seed S     base RNG seed, an unsigned 64-bit integer
 ///   --paper      use the paper's full-scale Table 5 settings (slower)
 ///   --csv DIR    also write each table as CSV into DIR
 /// and prints the rows/series of its figure/table as aligned ASCII tables.
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "core/harl.hpp"
+#include "util/parse.hpp"
 
 namespace harl::bench {
 
@@ -35,9 +38,18 @@ struct BenchArgs {
         return argv[++i];
       };
       if (std::strcmp(argv[i], "--trials") == 0) {
-        args.trials = std::atoll(next("--trials"));
+        const char* v = next("--trials");
+        const char* end = parse_positive(v, &args.trials);
+        if (end == nullptr || *end != '\0') {
+          std::fprintf(stderr, "bad --trials %s: want a positive integer\n", v);
+          std::exit(2);
+        }
       } else if (std::strcmp(argv[i], "--seed") == 0) {
-        args.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
+        const char* v = next("--seed");
+        if (!parse_u64(v, &args.seed)) {
+          std::fprintf(stderr, "bad --seed %s: want an unsigned 64-bit integer\n", v);
+          std::exit(2);
+        }
       } else if (std::strcmp(argv[i], "--paper") == 0) {
         args.paper = true;
       } else if (std::strcmp(argv[i], "--csv") == 0) {

@@ -119,7 +119,7 @@ void BM_PpoAct(benchmark::State& state) {
   auto sizes = space.head_sizes();
   PpoAgent agent(
       rl_observation_dim(space), codec.width(),
-      [&codec](const std::int32_t* state, double* out) { codec.observe(state, out); },
+      [&codec](const std::uint16_t* state, double* out) { codec.observe(state, out); },
       std::vector<int>(sizes.begin(), sizes.end()), PpoConfig{}, 1,
       space.tile_action_support());
   std::vector<bool> mask;
@@ -136,7 +136,7 @@ void BM_PpoTrainMinibatch(benchmark::State& state) {
   std::vector<std::vector<double>> table;
   PpoAgent agent(
       32, 1,
-      [&table](const std::int32_t* state, double* out) {
+      [&table](const std::uint16_t* state, double* out) {
         const std::vector<double>& row = table[static_cast<std::size_t>(state[0])];
         std::copy(row.begin(), row.end(), out);
       },
@@ -149,7 +149,7 @@ void BM_PpoTrainMinibatch(benchmark::State& state) {
     act.actions = {rng.next_int(0, 15), rng.next_int(0, 2), rng.next_int(0, 2),
                    rng.next_int(0, 2)};
     double reward = rng.next_normal();
-    agent.store({i}, act, reward, 0.0, {});
+    agent.store({static_cast<std::uint16_t>(i)}, act, reward, 0.0, {});
   }
   for (auto _ : state) benchmark::DoNotOptimize(agent.train(rng));
 }

@@ -62,8 +62,7 @@
 /// too (the chaos gate in CI proves both).
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -75,6 +74,7 @@
 
 #include "core/harl.hpp"
 #include "sched/loop_nest.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -117,32 +117,25 @@ bool flag_value(const char* arg, const char* name, const char** value) {
   return true;
 }
 
-/// Parses a positive decimal integer (no sign or space) at `p`; returns the
-/// character after it, or nullptr for no digit, zero or overflow.
-const char* parse_positive(const char* p, std::int64_t* out) {
-  if (!std::isdigit(static_cast<unsigned char>(*p))) return nullptr;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoll(p, &end, 10);
-  return *out > 0 && errno != ERANGE ? end : nullptr;
-}
-
-/// Parses an unsigned 64-bit decimal integer (digits only) filling all of
-/// `p`; false for anything else or overflow.
-bool parse_u64(const char* p, std::uint64_t* out) {
-  if (!std::isdigit(static_cast<unsigned char>(*p))) return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(p, &end, 10);
-  return errno != ERANGE && *end == '\0';
-}
-
 /// Parses a trial count (--trials= or the positional [trials]): a positive
 /// integer filling all of `p`.  Prints the error and returns false otherwise.
 bool parse_trials(const char* p, std::int64_t* trials) {
   const char* end = parse_positive(p, trials);
   if (end != nullptr && *end == '\0') return true;
   std::fprintf(stderr, "bad trial count %s: want a positive integer\n", p);
+  return false;
+}
+
+/// Parses the value `v` of flag `name` as an integer in [lo, INT_MAX]
+/// filling all of `v` (lo is 0 where 0 turns the flag off).  Prints the
+/// error and returns false otherwise.
+bool parse_int_flag(const char* name, const char* v, int lo, int* out) {
+  std::uint64_t n = 0;
+  if (parse_u64(v, &n) && n >= static_cast<std::uint64_t>(lo) && n <= INT_MAX) {
+    *out = static_cast<int>(n);
+    return true;
+  }
+  std::fprintf(stderr, "bad %s=%s: want an integer in [%d, %d]\n", name, v, lo, INT_MAX);
   return false;
 }
 
@@ -298,17 +291,20 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--value-model", &v)) {
       value_model_path = v;
     } else if (flag_value(argv[i], "--beam-width", &v)) {
-      beam_width = std::atoi(v);
+      if (!parse_int_flag("--beam-width", v, 1, &beam_width)) return 1;
     } else if (flag_value(argv[i], "--sample-clusters", &v)) {
-      sample_clusters = std::atoi(v);
+      if (!parse_int_flag("--sample-clusters", v, 0, &sample_clusters)) return 1;
     } else if (flag_value(argv[i], "--stop-at-ms", &v)) {
-      stop_at_ms = std::atof(v);
+      if (!parse_nonnegative(v, &stop_at_ms)) {
+        std::fprintf(stderr, "bad --stop-at-ms=%s: want a non-negative number\n", v);
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--verify-resume") == 0) {
       verify_resume_flag = true;
     } else if (std::strcmp(argv[i], "--async-callbacks") == 0) {
       async_callbacks = true;
     } else if (flag_value(argv[i], "--refresh-period", &v)) {
-      refresh_period = std::atoi(v);
+      if (!parse_int_flag("--refresh-period", v, 0, &refresh_period)) return 1;
     } else if (flag_value(argv[i], "--refresh-out", &v)) {
       refresh_out = v;
     } else if (std::strcmp(argv[i], "--help") == 0) {
@@ -317,7 +313,7 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--dump-rounds", &v)) {
       dump_path = v;
     } else if (flag_value(argv[i], "--stop-after-rounds", &v)) {
-      stop_after_rounds = std::atoi(v);
+      if (!parse_int_flag("--stop-after-rounds", v, 0, &stop_after_rounds)) return 1;
     } else if (flag_value(argv[i], "--inject-faults", &v)) {
       fault_spec_text = v;
     } else if (argv[i][0] != '-') {

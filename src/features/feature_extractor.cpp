@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "sched/tiling.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
@@ -277,46 +278,64 @@ std::vector<double> rl_observation(const FeatureExtractor& fx, const ActionSpace
 
 RlStateCodec::RlStateCodec(const FeatureExtractor& fx, const ActionSpace& space)
     : fx_(fx), space_(&space) {
-  // The all-undecided prefix of any schedule of the sketch has its layout.
+  // The all-undecided prefix of any schedule of the sketch has its layout:
+  // trivial tiles, whose product is the axis extent.
   Schedule blank;
   blank.sketch = &space.sketch();
   blank.stages.resize(static_cast<std::size_t>(space.sketch().graph->num_stages()));
   scratch_ = prefix_schedule(blank, 0);
   for (const StageSchedule& ss : scratch_.stages) {
-    for (const TileVector& t : ss.tiles) width_ += t.levels();
+    for (const TileVector& t : ss.tiles) {
+      width_ += t.levels();
+      divisors_.push_back(divisors(t.product()));
+      HARL_CHECK(divisors_.back().size() <= std::size_t{UINT16_MAX} + 1,
+                 "RlStateCodec: an axis extent has more divisors than a uint16 indexes");
+    }
     width_ += 3;
   }
 }
 
-void RlStateCodec::encode(const Schedule& sched, std::int32_t* row) const {
+void RlStateCodec::encode(const Schedule& sched, std::uint16_t* row) const {
   HARL_CHECK(sched.sketch == scratch_.sketch,
              "RlStateCodec::encode: schedule of another sketch");
   HARL_CHECK(sched.stages.size() == scratch_.stages.size(),
              "RlStateCodec::encode: stage count differs from the sketch's");
+  auto knob = [](int v) {
+    HARL_CHECK(v >= 0 && v <= UINT16_MAX, "RlStateCodec::encode: knob outside uint16");
+    return static_cast<std::uint16_t>(v);
+  };
+  const std::vector<std::int64_t>* divs = divisors_.data();
   for (std::size_t s = 0; s < sched.stages.size(); ++s) {
     const StageSchedule& ss = sched.stages[s];
     const std::vector<TileVector>& layout = scratch_.stages[s].tiles;
     HARL_CHECK(ss.tiles.size() == layout.size(),
                "RlStateCodec::encode: tile layout differs from the sketch's");
-    for (std::size_t a = 0; a < layout.size(); ++a) {
+    for (std::size_t a = 0; a < layout.size(); ++a, ++divs) {
       HARL_CHECK(ss.tiles[a].levels() == layout[a].levels(),
                  "RlStateCodec::encode: tile layout differs from the sketch's");
       for (std::int64_t f : ss.tiles[a].factors) {
-        HARL_CHECK(f >= INT32_MIN && f <= INT32_MAX,
-                   "RlStateCodec::encode: tile factor outside int32");
-        *row++ = static_cast<std::int32_t>(f);
+        const auto it = std::lower_bound(divs->begin(), divs->end(), f);
+        HARL_CHECK(it != divs->end() && *it == f,
+                   "RlStateCodec::encode: tile factor is not a divisor of its extent");
+        *row++ = static_cast<std::uint16_t>(it - divs->begin());
       }
     }
-    *row++ = ss.compute_at;
-    *row++ = ss.parallel_depth;
-    *row++ = ss.unroll_index;
+    *row++ = knob(ss.compute_at);
+    *row++ = knob(ss.parallel_depth);
+    *row++ = knob(ss.unroll_index);
   }
 }
 
-void RlStateCodec::decode_into(const std::int32_t* row, Schedule* out) {
+void RlStateCodec::decode_into(const std::uint16_t* row, Schedule* out) const {
+  const std::vector<std::int64_t>* divs = divisors_.data();
   for (StageSchedule& ss : out->stages) {
     for (TileVector& t : ss.tiles) {
-      for (std::int64_t& f : t.factors) f = *row++;
+      for (std::int64_t& f : t.factors) {
+        HARL_CHECK(*row < divs->size(),
+                   "RlStateCodec: divisor index beyond its extent's divisors");
+        f = (*divs)[*row++];
+      }
+      ++divs;
     }
     ss.compute_at = *row++;
     ss.parallel_depth = *row++;
@@ -324,13 +343,13 @@ void RlStateCodec::decode_into(const std::int32_t* row, Schedule* out) {
   }
 }
 
-Schedule RlStateCodec::decode(const std::int32_t* row) const {
+Schedule RlStateCodec::decode(const std::uint16_t* row) const {
   Schedule out = scratch_;
   decode_into(row, &out);
   return out;
 }
 
-void RlStateCodec::observe(const std::int32_t* row, double* obs) {
+void RlStateCodec::observe(const std::uint16_t* row, double* obs) {
   decode_into(row, &scratch_);
   rl_observation_into(fx_, *space_, scratch_, obs);
 }

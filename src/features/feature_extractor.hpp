@@ -103,41 +103,48 @@ void rl_observation_into(const FeatureExtractor& fx, const ActionSpace& space,
 void rl_observation_into(const FeatureExtractor& fx, const ActionSpace& space,
                          const Schedule& sched, std::vector<double>& out);
 
-/// The RL state of one sketch's schedules as a fixed-width int32 row: the
-/// replay ring stores these rows and derives observations from them.
+/// The RL state of one sketch's schedules as a fixed-width row of uint16s:
+/// the replay ring stores these rows and derives observations from them.
 ///
 /// Row layout, stage by stage in sketch order: every tile factor of every
 /// axis (outermost level first), then compute_at, parallel_depth and
-/// unroll_index.  The sketch fixes which stages carry tiles and how many
-/// levels each axis has, so every schedule of the sketch has the same
-/// width() and a row round-trips to a schedule with the same fingerprint().
+/// unroll_index.  A tile factor divides its axis extent (tiling.hpp), so it
+/// is stored as its index in the extent's ascending divisor list, which the
+/// codec builds once per (stage, axis); the three knobs are stored as they
+/// are.  The sketch fixes which stages carry tiles and how many levels each
+/// axis has, so every schedule of the sketch has the same width() and a row
+/// round-trips to a schedule with the same fingerprint().
 class RlStateCodec {
  public:
   /// `space` (and its sketch) must outlive the codec; `fx` is copied.
+  /// Aborts if an axis extent has more divisors than a uint16 indexes.
   RlStateCodec(const FeatureExtractor& fx, const ActionSpace& space);
 
   int width() const { return width_; }
 
-  /// Write `sched`'s decisions to `row` (width() ints).  Aborts unless
-  /// `sched` belongs to this codec's sketch with its tile layout and every
-  /// tile factor fits in an int32.
-  void encode(const Schedule& sched, std::int32_t* row) const;
+  /// Write `sched`'s decisions to `row` (width() values).  Aborts unless
+  /// `sched` belongs to this codec's sketch with its tile layout, every tile
+  /// factor divides its axis extent and every knob fits in a uint16.
+  void encode(const Schedule& sched, std::uint16_t* row) const;
 
   /// The schedule `row` encodes.
-  Schedule decode(const std::int32_t* row) const;
+  Schedule decode(const std::uint16_t* row) const;
 
   /// rl_observation of the schedule `row` encodes, written to `obs`
   /// (rl_observation_dim wide).  Decodes into a reused scratch schedule, so
   /// it does not allocate; not safe to call concurrently on one codec.
-  void observe(const std::int32_t* row, double* obs);
+  void observe(const std::uint16_t* row, double* obs);
 
  private:
   /// Overwrite the decisions of `out`, which already has the row layout.
-  static void decode_into(const std::int32_t* row, Schedule* out);
+  void decode_into(const std::uint16_t* row, Schedule* out) const;
 
   FeatureExtractor fx_;
   const ActionSpace* space_;
   Schedule scratch_;  ///< a schedule of the sketch; fixes the row layout
+  /// Ascending divisors of each tiled axis's extent, (stage, axis) in row
+  /// order.
+  std::vector<std::vector<std::int64_t>> divisors_;
   int width_ = 0;
 };
 

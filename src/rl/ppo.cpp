@@ -25,6 +25,13 @@ std::vector<int> checked_support(const std::vector<int>& head_sizes, std::vector
     HARL_CHECK(support[j] >= (j == 0 ? 0 : support[j - 1] + 1) && support[j] < head_sizes[0],
                "PpoAgent: head-0 support must be strictly ascending ids below head 0's size");
   }
+  // The ring stores head 0's actions as support indices and the other
+  // heads' as action ids, all as uint16.
+  constexpr std::size_t kU16Values = std::size_t{UINT16_MAX} + 1;
+  HARL_CHECK(support.size() <= kU16Values &&
+                 std::all_of(head_sizes.begin() + 1, head_sizes.end(),
+                             [](int n) { return static_cast<std::size_t>(n) <= kU16Values; }),
+             "PpoAgent: head 0's support and every other head must fit in 16 bits");
   return support;
 }
 
@@ -123,7 +130,7 @@ double PpoAgent::value(const std::vector<double>& obs) const {
   return critic_.forward(obs)[0];
 }
 
-void PpoAgent::store(const std::vector<std::int32_t>& state, const ActResult& act,
+void PpoAgent::store(const std::vector<std::uint16_t>& state, const ActResult& act,
                      double reward, double next_value,
                      const std::vector<bool>& head0_mask) {
   HARL_CHECK(state.size() == static_cast<std::size_t>(state_width_),
@@ -148,9 +155,7 @@ void PpoAgent::store(const std::vector<std::int32_t>& state, const ActResult& ac
     RingBlock& b = blocks_.emplace_back();
     b.states.reserve(n * sw);
     b.actions.reserve(n * heads);
-    for (std::vector<double>* col : {&b.logp, &b.reward, &b.value, &b.next_value}) {
-      col->reserve(n);
-    }
+    for (std::vector<double>* col : {&b.logp, &b.value, &b.target}) col->reserve(n);
     b.mask_bits.reserve(n * width);
     b.has_mask.reserve(n);
   }
@@ -159,20 +164,19 @@ void PpoAgent::store(const std::vector<std::int32_t>& state, const ActResult& ac
   if (i == b.logp.size()) {  // still filling: grow each column by one row
     b.states.resize(b.states.size() + sw);
     b.actions.resize(b.actions.size() + heads);
-    for (std::vector<double>* col : {&b.logp, &b.reward, &b.value, &b.next_value}) {
-      col->push_back(0.0);
-    }
+    for (std::vector<double>* col : {&b.logp, &b.value, &b.target}) col->push_back(0.0);
     b.mask_bits.resize(b.mask_bits.size() + width);
     b.has_mask.push_back(false);
   }
   std::copy(state.begin(), state.end(), b.states.begin() + static_cast<std::ptrdiff_t>(i * sw));
-  std::copy(act.actions.begin(), act.actions.end(),
-            b.actions.begin() + static_cast<std::ptrdiff_t>(i * heads));
-  b.actions[i * heads] = static_cast<int>(in_support - support_.begin());
+  std::uint16_t* actions = &b.actions[i * heads];
+  actions[0] = static_cast<std::uint16_t>(in_support - support_.begin());
+  for (std::size_t h = 1; h < heads; ++h) {
+    actions[h] = static_cast<std::uint16_t>(act.actions[h]);
+  }
   b.logp[i] = act.logp;
-  b.reward[i] = reward;
   b.value[i] = act.value;
-  b.next_value[i] = next_value;
+  b.target[i] = reward + cfg_.gamma * next_value;
   const bool masked = !head0_mask.empty();
   b.has_mask[i] = masked;
   for (std::size_t j = 0; j < width; ++j) {
@@ -198,12 +202,13 @@ double PpoAgent::train(Rng& rng) {
     std::vector<std::size_t> batch(static_cast<std::size_t>(cfg_.minibatch_size));
     for (std::size_t& i : batch) i = rng.pick_index(rows);
 
-    // Advantages from collection-time values, normalized per batch (Eq. 6).
+    // Advantages target - V(s) from collection-time values (advantage(),
+    // Eq. 6), normalized per batch.
     std::vector<double> adv(batch.size());
     for (std::size_t k = 0; k < batch.size(); ++k) {
       const RingBlock& b = blocks_[batch[k] / kRingBlockRows];
       const std::size_t i = batch[k] % kRingBlockRows;
-      adv[k] = advantage(b.reward[i], b.value[i], b.next_value[i]);
+      adv[k] = b.target[i] - b.value[i];
     }
     double mean = std::accumulate(adv.begin(), adv.end(), 0.0) /
                   static_cast<double>(adv.size());
@@ -225,7 +230,7 @@ double PpoAgent::train(Rng& rng) {
         for (std::size_t j = 0; j < width; ++j) mask[j] = b.mask_bits[i * width + j];
         mask0 = &mask;
       }
-      const int* actions = &b.actions[i * num_heads];
+      const std::uint16_t* actions = &b.actions[i * num_heads];
       Mlp::Trace atrace;
       std::vector<double> logits = actor_.forward(obs, &atrace);
       std::vector<std::vector<double>> heads = split_heads(logits);
@@ -264,8 +269,7 @@ double PpoAgent::train(Rng& rng) {
       // Critic: w_MSE * (V(s) - (r + gamma * V(s')))^2.
       Mlp::Trace ctrace;
       double v = critic_.forward(obs, &ctrace)[0];
-      double target = b.reward[i] + cfg_.gamma * b.next_value[i];
-      std::vector<double> dv = {cfg_.value_loss_weight * 2.0 * (v - target) * inv_n};
+      std::vector<double> dv = {cfg_.value_loss_weight * 2.0 * (v - b.target[i]) * inv_n};
       critic_.backward(ctrace, dv);
     }
 

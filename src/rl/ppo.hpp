@@ -54,13 +54,16 @@ struct PpoConfig {
 /// r + gamma * V(s') (Eq. 6).
 ///
 /// Memory: the ring stores each step's *state*, not its observation.  A
-/// state is a caller-defined row of `state_width` int32s (HARL's is the
+/// state is a caller-defined row of `state_width` uint16s (HARL's is the
 /// schedule's decisions, see RlStateCodec), and train() rebuilds the
 /// observation of every sampled row through the `observe` function the agent
 /// was built with, so the networks see exactly what act() saw.  The ring is
-/// a list of blocks of kRingBlockRows rows; each block holds flat columns
-/// (states, actions, log-prob, reward, value, next value, head-0 mask bits
-/// over the support and a has-mask flag per row).  store() reserves a
+/// a list of blocks of kRingBlockRows rows; each block holds flat columns:
+/// states, actions (uint16, head 0 as a support index), the collection-time
+/// log-prob and value, the one-step TD target r + gamma * V(s') that store()
+/// computes once, head-0 mask bits over the support and a has-mask flag per
+/// row.  A row thus costs 2 bytes per state value and per head, three
+/// doubles, and one bit per support action plus one.  store() reserves a
 /// block's columns the first time it reaches the block, grows them row by
 /// row inside that reservation while filling, and never moves them: row r
 /// lives in block r / kRingBlockRows at offset r % kRingBlockRows.  Nothing
@@ -77,13 +80,15 @@ struct PpoConfig {
 /// Every input is checked: an observation must be `obs_dim` wide, a state
 /// `state_width` wide, an action list must hold one in-range index per head
 /// (head 0's inside the support), and a head-0 mask must be empty or exactly
-/// head 0's width with no bit set outside the support.
+/// head 0's width with no bit set outside the support.  Every stored action
+/// must fit a uint16: heads after the first, and head 0's support, hold at
+/// most 65,536 actions.
 class PpoAgent {
  public:
   /// Writes the observation (obs_dim doubles) of one stored state row
-  /// (state_width int32s).  Must be deterministic: it is called again for
+  /// (state_width uint16s).  Must be deterministic: it is called again for
   /// every sampled row in train().
-  using ObserveFn = std::function<void(const std::int32_t* state, double* obs)>;
+  using ObserveFn = std::function<void(const std::uint16_t* state, double* obs)>;
 
   /// `head0_support` lists head 0's possible actions, strictly ascending
   /// and below head_sizes[0]; empty means all of them.
@@ -110,9 +115,10 @@ class PpoAgent {
 
   /// Record one environment step (Algorithm 1, line 12): the state acted
   /// in, the action taken with its collection-time log-prob and value, the
-  /// reward, V(s') and head 0's mask (may be empty).  The row is copied in;
-  /// callers keep and reuse their buffers.
-  void store(const std::vector<std::int32_t>& state, const ActResult& act, double reward,
+  /// reward, V(s') and head 0's mask (may be empty).  The row keeps the TD
+  /// target r + gamma * V(s'), not r and V(s').  It is copied in; callers
+  /// keep and reuse their buffers.
+  void store(const std::vector<std::uint16_t>& state, const ActResult& act, double reward,
              double next_value, const std::vector<bool>& head0_mask);
   std::size_t buffer_size() const {
     return std::min(buffer_next_, static_cast<std::size_t>(cfg_.buffer_capacity));
@@ -156,10 +162,11 @@ class PpoAgent {
   Mlp critic_;
   /// Up to kRingBlockRows consecutive rows of the replay ring.
   struct RingBlock {
-    std::vector<std::int32_t> states;  ///< rows x state_width
-    std::vector<int> actions;          ///< rows x heads, head 0 as a support index
-    std::vector<double> logp, reward, value, next_value;
-    std::vector<bool> mask_bits;       ///< rows x support size
+    std::vector<std::uint16_t> states;   ///< rows x state_width
+    std::vector<std::uint16_t> actions;  ///< rows x heads, head 0 as a support index
+    std::vector<double> logp, value;     ///< at collection time
+    std::vector<double> target;          ///< r + gamma * V(s')
+    std::vector<bool> mask_bits;         ///< rows x support size
     std::vector<bool> has_mask;
   };
   std::vector<RingBlock> blocks_;

@@ -1,5 +1,6 @@
 #include "sched/tiling.hpp"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -14,6 +15,23 @@ std::vector<std::int64_t> factorize(std::int64_t n) {
     }
   }
   if (n > 1) out.push_back(n);
+  return out;
+}
+
+std::vector<std::int64_t> divisors(std::int64_t n) {
+  std::vector<std::int64_t> out = {1};
+  const std::vector<std::int64_t> primes = factorize(n);
+  for (std::size_t i = 0; i < primes.size();) {
+    // Multiply the divisors found so far by p, p^2, ... p^multiplicity.
+    const std::int64_t p = primes[i];
+    const std::size_t found = out.size();
+    std::int64_t power = 1;
+    for (; i < primes.size() && primes[i] == p; ++i) {
+      power *= p;
+      for (std::size_t j = 0; j < found; ++j) out.push_back(out[j] * power);
+    }
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

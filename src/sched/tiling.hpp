@@ -17,6 +17,10 @@ namespace harl {
 /// factorize(12) == {2, 2, 3}; factorize(1) == {}.
 std::vector<std::int64_t> factorize(std::int64_t n);
 
+/// Every divisor of n (>= 1), ascending.  divisors(12) == {1, 2, 3, 4, 6, 12}.
+/// A tile factor of an axis is always one of its extent's divisors.
+std::vector<std::int64_t> divisors(std::int64_t n);
+
 /// Number of distinct multi-level tilings of an extent into `levels` ordered
 /// groups (stars-and-bars over the prime multiset).  For 1024 = 2^10 into 4
 /// levels this is C(13,3) = 286, the count the paper quotes for GEMM tiling.

@@ -43,7 +43,7 @@ PpoAgent& HarlSearchPolicy::agent_for(int sketch_id) {
     std::vector<int> head_sizes(sizes.begin(), sizes.end());
     slot = std::make_unique<PpoAgent>(
         rl_observation_dim(space), c->width(),
-        [c](const std::int32_t* state, double* obs) { c->observe(state, obs); },
+        [c](const std::uint16_t* state, double* obs) { c->observe(state, obs); },
         head_sizes, cfg_.ppo, cfg_.seed + static_cast<std::uint64_t>(sketch_id),
         space.tile_action_support());
   }
@@ -132,7 +132,7 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
   std::vector<double> next_scores;
   std::vector<int> valid;
   std::vector<double> advantages;
-  std::vector<std::int32_t> state(
+  std::vector<std::uint16_t> state(
       codec != nullptr ? static_cast<std::size_t>(codec->width()) : 0);
 
   bool episode_done = false;

@@ -47,13 +47,13 @@ PpoConfig small_config() {
 class ObsTable {
  public:
   /// Appends `obs` and returns its state row.
-  std::vector<std::int32_t> add(std::vector<double> obs) {
+  std::vector<std::uint16_t> add(std::vector<double> obs) {
     rows_.push_back(std::move(obs));
-    return {static_cast<std::int32_t>(rows_.size() - 1)};
+    return {static_cast<std::uint16_t>(rows_.size() - 1)};
   }
 
   PpoAgent::ObserveFn observe() const {
-    return [this](const std::int32_t* state, double* obs) {
+    return [this](const std::uint16_t* state, double* obs) {
       const std::vector<double>& row = rows_.at(static_cast<std::size_t>(state[0]));
       std::copy(row.begin(), row.end(), obs);
     };
@@ -131,7 +131,7 @@ TEST(Ppo, BufferIsBoundedRing) {
   cfg.buffer_capacity = 16;
   ObsTable table;
   PpoAgent agent = make_agent(table, 1, {2}, cfg, 5);
-  const std::vector<std::int32_t> state = table.add({0.0});
+  const std::vector<std::uint16_t> state = table.add({0.0});
   PpoAgent::ActResult act;
   act.actions = {0};
   for (int i = 0; i < 100; ++i) agent.store(state, act, 0.0, 0.0, {});
@@ -145,7 +145,7 @@ TEST(Ppo, LearnsContextualBandit) {
   PpoConfig cfg = small_config();
   cfg.entropy_weight = 0.005;
   ObsTable table;
-  const std::vector<std::int32_t> states[2] = {table.add({1.0, 0.0}),
+  const std::vector<std::uint16_t> states[2] = {table.add({1.0, 0.0}),
                                                table.add({0.0, 1.0})};
   const std::vector<double> observations[2] = {{1.0, 0.0}, {0.0, 1.0}};
   PpoAgent agent = make_agent(table, 2, {2}, cfg, 6);
@@ -179,7 +179,7 @@ TEST(Ppo, LearnsJointMultiHeadAction) {
   cfg.entropy_weight = 0.003;
   ObsTable table;
   const std::vector<double> obs = {1.0};
-  const std::vector<std::int32_t> state = table.add(obs);
+  const std::vector<std::uint16_t> state = table.add(obs);
   PpoAgent agent = make_agent(table, 1, {3, 3}, cfg, 8);
   Rng rng(9);
 
@@ -210,7 +210,7 @@ TEST(Ppo, ValueLearnsReturns) {
   Rng rng(11);
   // Constant reward 1 with next_value 0: the TD target is exactly 1.
   const std::vector<double> obs = {1.0};
-  const std::vector<std::int32_t> state = table.add(obs);
+  const std::vector<std::uint16_t> state = table.add(obs);
   for (int i = 0; i < 600; ++i) {
     auto res = agent.act(obs, {}, rng);
     agent.store(state, res, 1.0, 0.0, {});
@@ -222,8 +222,10 @@ TEST(Ppo, ValueLearnsReturns) {
 
 // ---------------------------------------------------------------------------
 // Differential oracle: the agent as it was when every replay row was its own
-// heap-owning struct holding the raw observation.  PpoAgent's flat ring of
-// states, observed again at train() time, must reproduce it bit for bit.
+// heap-owning struct holding the raw observation, int actions, and the
+// reward and V(s') from which train() derived the TD target.  PpoAgent's
+// flat ring of uint16 states and actions, observed again at train() time,
+// with the target computed once by store(), must reproduce it bit for bit.
 
 struct PpoTransition {
   std::vector<double> obs;
@@ -387,6 +389,10 @@ void expect_same_network(const Mlp& got, const Mlp& want) {
 /// j matches the reference's row rows[j].
 void expect_same_compact_network(const Mlp& got, const Mlp& want, const std::vector<int>& rows) {
   ASSERT_EQ(got.layers().size(), want.layers().size());
+  if (rows.size() == static_cast<std::size_t>(want.layers().back().out_dim)) {
+    expect_same_network(got, want);  // every row kept: compare whole layers
+    return;
+  }
   for (std::size_t l = 0; l + 1 < got.layers().size(); ++l) {
     const LinearLayer& g = got.layers()[l];
     const LinearLayer& w = want.layers()[l];
@@ -420,9 +426,11 @@ void expect_same_compact_network(const Mlp& got, const Mlp& want, const std::vec
 
 /// Drives a PpoAgent and the reference with one seeded stream of act, value,
 /// store and train calls: masked and unmasked rows, several head layouts,
-/// capacities that wrap the ring many times.  The agent stores two-int
-/// states {id, ~id} into a table of the observations (the second int pins
-/// the row stride); the reference stores the observations themselves.
+/// capacities that wrap the ring many times.  The agent stores two-value
+/// states {id, ~id} into a table of the observations (the second value pins
+/// the row stride and sets the top bit); the reference stores the
+/// observations themselves.  Rewards mix unit and large scales, so the TD
+/// targets the agent stores round as the reference's do.
 /// Every ActResult, value and train() objective, and the actor's and
 /// critic's weights and Adam moments after every train(), must be
 /// bit-identical.
@@ -441,8 +449,9 @@ void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, i
   cfg.update_epochs = 2;
   cfg.buffer_capacity = capacity;
   std::vector<std::vector<double>> table;
-  auto observe = [&table](const std::int32_t* state, double* out) {
-    ASSERT_EQ(state[1], ~state[0]) << "state row read at the wrong stride";
+  auto observe = [&table](const std::uint16_t* state, double* out) {
+    ASSERT_EQ(state[1], static_cast<std::uint16_t>(~state[0]))
+        << "state row read at the wrong stride";
     const std::vector<double>& row = table.at(static_cast<std::size_t>(state[0]));
     std::copy(row.begin(), row.end(), out);
   };
@@ -500,10 +509,11 @@ void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, i
     std::vector<double> next_obs = random_obs();
     double next_value = agent.value(next_obs);
     ASSERT_EQ(next_value, ref.value(next_obs));
-    double reward = stream.next_normal();
-    const auto id = static_cast<std::int32_t>(table.size());
+    double reward = stream.next_normal() * (stream.next_bool() ? 1.0 : 1e3);
+    ASSERT_LT(table.size(), std::size_t{0x8000});
+    const auto id = static_cast<std::uint16_t>(table.size());
     table.push_back(obs);
-    agent.store({id, ~id}, got, reward, next_value, mask);
+    agent.store({id, static_cast<std::uint16_t>(~id)}, got, reward, next_value, mask);
     ref.store({obs, want.actions, want.logp, reward, want.value, next_value, ref_mask});
     ASSERT_EQ(agent.buffer_size(), ref.buffer_size());
 
@@ -556,6 +566,12 @@ TEST(PpoRing, MatchesReferenceAcrossBlocks) {
   expect_matches_reference(7, {9, 3, 3, 3}, 600, 26);
 }
 
+TEST(PpoRing, MatchesReferenceWithActionsPastInt16) {
+  // The ring stores actions as uint16: head 0's support index passes 32767
+  // on about a fifth of the steps.
+  expect_matches_reference(2, {40000, 3}, 8, 31);
+}
+
 TEST(PpoRing, MatchesFullWidthReferenceOnASupport) {
   // A GEMM-like head 0: 101 nominal actions, 27 in the support, dummy last.
   std::vector<int> gemm_support;
@@ -570,6 +586,7 @@ TEST(PpoRing, MatchesFullWidthReferenceOnASupport) {
   ASSERT_EQ(gemm_support.size(), 27u);
   expect_matches_reference(7, {101, 3, 3, 3}, 33, 27, gemm_support);
   expect_matches_reference(7, {101, 3, 3, 3}, 300, 28, gemm_support);
+  expect_matches_reference(7, {101, 3, 3, 3}, 600, 32, gemm_support);
   // A support of one action, and one that is not at either end.
   expect_matches_reference(3, {6, 2}, 16, 29, {5});
   expect_matches_reference(3, {6}, 16, 30, {1, 2, 4});
@@ -587,11 +604,13 @@ std::size_t new_bytes(Fn&& fn) {
 /// an agent costs the same at any capacity, storing n rows costs the same as
 /// in an agent whose capacity is n rounded up to a block, and the rows
 /// allocated never exceed that rounding.  Reserving the ring at capacity, or
-/// growing it geometrically, fails one of these.
+/// growing it geometrically, fails one of these.  A row's bytes are pinned
+/// too: 2 per state value and per head, three doubles (log-prob, value, TD
+/// target), and one bit per support action plus the has-mask flag.
 TEST(PpoRing, MemoryFollowsStoredRowsNotCapacity) {
   constexpr std::size_t kBlock = PpoAgent::kRingBlockRows;
   ObsTable table;
-  const std::vector<std::int32_t> state = table.add({0.5, -0.5});
+  const std::vector<std::uint16_t> state = table.add({0.5, -0.5});
   PpoAgent::ActResult act;
   act.actions = {4, 2};
   const std::vector<bool> mask(5, true);
@@ -618,6 +637,25 @@ TEST(PpoRing, MemoryFollowsStoredRowsNotCapacity) {
     EXPECT_LE(big->ring_rows_allocated(), rounded);
     EXPECT_EQ(big->buffer_size(), rows);
   }
+
+  // Two rings that each fill one block's reservation, of 64 and 128 rows,
+  // differ by exactly 64 rows.
+  constexpr std::size_t kStateWidth = 3, kHeads = 4, kSupport = 5;
+  const std::vector<std::uint16_t> wide_state = {state[0], 7, 0xffff};
+  PpoAgent::ActResult act4;
+  act4.actions = {4, 2, 1, 0};
+  auto fill_bytes = [&](std::size_t rows) {
+    PpoConfig cfg = small_config();
+    cfg.buffer_capacity = static_cast<int>(rows);
+    PpoAgent agent(2, kStateWidth, table.observe(), {kSupport, 3, 3, 3}, cfg, 1);
+    return new_bytes([&] {
+      for (std::size_t i = 0; i < rows; ++i) agent.store(wide_state, act4, 1.0, 0.5, mask);
+    });
+  };
+  static_assert(128 <= kBlock);
+  const std::size_t row_bytes = 2 * kStateWidth + 2 * kHeads + 3 * sizeof(double);
+  EXPECT_EQ(row_bytes, 38u);
+  EXPECT_EQ(fill_bytes(128) - fill_bytes(64), 64 * row_bytes + 64 * (kSupport + 1) / 8);
 }
 
 /// Head 0's nominal width costs nothing past its support: building an agent
@@ -626,7 +664,7 @@ TEST(PpoRing, MemoryFollowsStoredRowsNotCapacity) {
 TEST(PpoRing, MemoryFollowsTheSupportNotHead0Width) {
   constexpr std::size_t kBlock = PpoAgent::kRingBlockRows;
   ObsTable table;
-  const std::vector<std::int32_t> state = table.add({0.5, -0.5});
+  const std::vector<std::uint16_t> state = table.add({0.5, -0.5});
   const std::vector<int> support = {1, 3, 7, 8};
   PpoAgent::ActResult act;
   act.actions = {7, 2};
@@ -704,7 +742,7 @@ TEST(PpoDeathTest, RejectsWrongMaskWidth) {
   PpoAgent agent = make_agent(table, 2, {4, 2}, small_config(), 1);
   Rng rng(1);
   const std::vector<double> obs = {0.5, -0.5};
-  const std::vector<std::int32_t> state = table.add(obs);
+  const std::vector<std::uint16_t> state = table.add(obs);
   const std::vector<bool> short_mask = {true, false};
   PpoAgent::ActResult act;
   act.actions = {0, 1};
@@ -722,12 +760,28 @@ TEST(PpoDeathTest, RejectsABadSupport) {
                "strictly ascending ids below head 0's size");
 }
 
+TEST(PpoDeathTest, RejectsActionsPastSixteenBits) {
+  ObsTable table;
+  EXPECT_DEATH(PpoAgent(2, 1, table.observe(), {4, 65537}, small_config(), 1),
+               "must fit in 16 bits");
+  EXPECT_DEATH(PpoAgent(2, 1, table.observe(), {65537, 2}, small_config(), 1),
+               "must fit in 16 bits");
+  // Head 0's nominal width may pass 16 bits: the ring stores support indices.
+  PpoConfig cfg = small_config();
+  cfg.hidden_dim = 4;
+  PpoAgent wide(2, 1, table.observe(), {70000, 65536}, cfg, 1, {5, 69999});
+  PpoAgent::ActResult act;
+  act.actions = {69999, 65535};
+  wide.store(table.add({0.5, -0.5}), act, 0, 0, {});
+  EXPECT_EQ(wide.buffer_size(), 1u);
+}
+
 TEST(PpoDeathTest, RejectsMoveOutsideTheSupport) {
   ObsTable table;
   PpoAgent agent(2, 1, table.observe(), {4, 2}, small_config(), 1, {1, 3});
   Rng rng(1);
   const std::vector<double> obs = {0.5, -0.5};
-  const std::vector<std::int32_t> state = table.add(obs);
+  const std::vector<std::uint16_t> state = table.add(obs);
   const std::vector<bool> outside = {false, true, true, false};
   PpoAgent::ActResult act;
   act.actions = {2, 0};
@@ -740,7 +794,7 @@ TEST(PpoDeathTest, RejectsMoveOutsideTheSupport) {
 TEST(PpoDeathTest, RejectsBadActions) {
   ObsTable table;
   PpoAgent agent = make_agent(table, 2, {4, 2}, small_config(), 1);
-  const std::vector<std::int32_t> state = table.add({0.5, -0.5});
+  const std::vector<std::uint16_t> state = table.add({0.5, -0.5});
   PpoAgent::ActResult act;
   act.actions = {0};
   EXPECT_DEATH(agent.store(state, act, 0, 0, {}), "one action per head");

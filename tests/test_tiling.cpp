@@ -13,6 +13,22 @@ TEST(Factorize, SmallCases) {
   EXPECT_EQ(factorize(1024), std::vector<std::int64_t>(10, 2));
 }
 
+TEST(Divisors, AscendingAndComplete) {
+  EXPECT_EQ(divisors(1), (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(divisors(12), (std::vector<std::int64_t>{1, 2, 3, 4, 6, 12}));
+  EXPECT_EQ(divisors(97), (std::vector<std::int64_t>{1, 97}));
+  EXPECT_EQ(divisors(1024).size(), 11u);
+  // The int32 extent with the most divisors: 2^4 3^3 5 7 11 13 17 19.
+  EXPECT_EQ(divisors(2095133040).size(), 1600u);
+  for (std::int64_t n = 1; n <= 720; ++n) {
+    std::vector<std::int64_t> want;
+    for (std::int64_t d = 1; d <= n; ++d) {
+      if (n % d == 0) want.push_back(d);
+    }
+    ASSERT_EQ(divisors(n), want) << n;
+  }
+}
+
 TEST(CountTilings, MatchesPaperGemmExample) {
   // The paper: 1024 = 2^10 into 4 tiling levels gives C(13, 3) = 286 choices.
   EXPECT_EQ(count_tilings(1024, 4), 286);

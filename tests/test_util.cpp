@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
+#include <cstdint>
 #include <cmath>
 #include <set>
 
 #include "util/histogram.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -106,6 +109,42 @@ TEST(Rng, ShufflePreservesElements) {
   r.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
+}
+
+TEST(Parse, PositiveStopsAfterTheDigits) {
+  std::int64_t n = 0;
+  const char* text = "16x9";
+  EXPECT_EQ(parse_positive(text, &n), text + 2);
+  EXPECT_EQ(n, 16);
+  EXPECT_NE(parse_positive("9223372036854775807", &n), nullptr);
+  EXPECT_EQ(n, INT64_MAX);
+  for (const char* bad : {"", "0", "-5", "+5", " 5", "abc", "9223372036854775808"}) {
+    EXPECT_EQ(parse_positive(bad, &n), nullptr) << '"' << bad << '"';
+  }
+}
+
+TEST(Parse, U64FillsTheWholeText) {
+  std::uint64_t n = 1;
+  EXPECT_TRUE(parse_u64("0", &n));
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", &n));
+  EXPECT_EQ(n, UINT64_MAX);
+  for (const char* bad : {"", "7x", "-1", "+1", " 1", "abc", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_u64(bad, &n)) << '"' << bad << '"';
+  }
+}
+
+TEST(Parse, NonnegativeIsAFiniteDecimal) {
+  double x = -1;
+  EXPECT_TRUE(parse_nonnegative("0", &x));
+  EXPECT_EQ(x, 0.0);
+  EXPECT_TRUE(parse_nonnegative("2.5", &x));
+  EXPECT_EQ(x, 2.5);
+  EXPECT_TRUE(parse_nonnegative(".5e1", &x));
+  EXPECT_EQ(x, 5.0);
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1.5ms", "inf", "nan", "0x10", "1e999"}) {
+    EXPECT_FALSE(parse_nonnegative(bad, &x)) << '"' << bad << '"';
+  }
 }
 
 TEST(Stats, BasicMoments) {
