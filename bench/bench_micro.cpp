@@ -118,10 +118,10 @@ void BM_PpoAct(benchmark::State& state) {
   RlStateCodec codec(fx, space);
   auto sizes = space.head_sizes();
   PpoAgent agent(
-      rl_observation_dim(space), codec.width(),
-      [&codec](const std::uint16_t* state, double* out) { codec.observe(state, out); },
+      rl_observation_dim(space), codec.bytes(),
+      [&codec](const std::uint8_t* state, double* out) { codec.observe(state, out); },
       std::vector<int>(sizes.begin(), sizes.end()), PpoConfig{}, 1,
-      space.tile_action_support());
+      space.tile_action_support(), rl_observation_support(space));
   std::vector<bool> mask;
   space.tile_action_mask(s, &mask);
   for (auto _ : state) benchmark::DoNotOptimize(agent.act(obs, mask, rng));
@@ -132,12 +132,13 @@ void BM_PpoTrainMinibatch(benchmark::State& state) {
   PpoConfig cfg;
   cfg.minibatch_size = 64;
   cfg.update_epochs = 1;
-  // States are ids into a table of observations (the ring stores the id).
+  // States are two-byte ids into a table of observations (the ring stores
+  // the id).
   std::vector<std::vector<double>> table;
   PpoAgent agent(
-      32, 1,
-      [&table](const std::uint16_t* state, double* out) {
-        const std::vector<double>& row = table[static_cast<std::size_t>(state[0])];
+      32, 2,
+      [&table](const std::uint8_t* state, double* out) {
+        const std::vector<double>& row = table[std::size_t{state[0]} | std::size_t{state[1]} << 8];
         std::copy(row.begin(), row.end(), out);
       },
       {16, 3, 3, 3}, cfg, 2);
@@ -149,7 +150,8 @@ void BM_PpoTrainMinibatch(benchmark::State& state) {
     act.actions = {rng.next_int(0, 15), rng.next_int(0, 2), rng.next_int(0, 2),
                    rng.next_int(0, 2)};
     double reward = rng.next_normal();
-    agent.store({static_cast<std::uint16_t>(i)}, act, reward, 0.0, {});
+    agent.store({static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8)}, act, reward,
+                0.0, {});
   }
   for (auto _ : state) benchmark::DoNotOptimize(agent.train(rng));
 }

@@ -13,7 +13,8 @@
 /// Exits non-zero if any determinism check fails, so CI can run it as a gate.
 ///
 /// Flags: --trials N --seed S --paper --csv DIR (see bench_common.hpp),
-/// plus --threads T to cap the scaling sweep.
+/// plus --threads T (an integer in [1, 256], default 8) to cap the scaling
+/// sweep; anything else exits 2.
 
 #include <algorithm>
 #include <chrono>
@@ -159,15 +160,24 @@ void bench_cache(const bench::BenchArgs& args) {
 int main(int argc, char** argv) {
   using namespace harl;
   bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-  std::size_t max_threads = 8;
+  constexpr std::int64_t kMaxThreads = 256;
+  std::int64_t max_threads = 8;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      max_threads = static_cast<std::size_t>(std::atoll(argv[i + 1]));
+    if (std::strcmp(argv[i], "--threads") != 0) continue;
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for --threads\n");
+      return 2;
+    }
+    const char* v = argv[++i];
+    const char* end = parse_positive(v, &max_threads);
+    if (end == nullptr || *end != '\0' || max_threads > kMaxThreads) {
+      std::fprintf(stderr, "bad --threads %s: want an integer in [1, %lld]\n", v,
+                   static_cast<long long>(kMaxThreads));
+      return 2;
     }
   }
-  max_threads = std::max<std::size_t>(1, max_threads);
 
-  bool ok = bench_scaling(args, max_threads);
+  bool ok = bench_scaling(args, static_cast<std::size_t>(max_threads));
   ok &= bench_determinism(args);
   bench_cache(args);
 

@@ -7,11 +7,11 @@
 ///                                   (default: all six built-ins)
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "core/harl.hpp"
+#include "util/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace harl;
@@ -53,10 +53,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--policy= needs at least one name\n");
         return 1;
       }
-    } else if (std::strncmp(arg, "--trials=", 9) == 0) {
-      trials = std::atoll(arg + 9);
-    } else if (arg[0] != '-') {
-      trials = std::atoll(arg);  // legacy positional [trials]
+    } else if (std::strncmp(arg, "--trials=", 9) == 0 || arg[0] != '-') {
+      // --trials=N, or the legacy positional [trials].
+      const char* v = arg[0] == '-' ? arg + 9 : arg;
+      const char* end = parse_positive(v, &trials);
+      if (end == nullptr || *end != '\0') {
+        std::fprintf(stderr, "bad trials %s: want a positive integer\n", v);
+        return 1;
+      }
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg);
       return 1;

@@ -13,11 +13,11 @@
 /// trials served from the logs instead of the simulator).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "core/harl.hpp"
+#include "util/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace harl;
@@ -30,7 +30,11 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--log-dir=", 10) == 0) {
       log_dir = argv[i] + 10;
     } else if (argv[i][0] != '-') {
-      trials = std::atoll(argv[i]);
+      const char* end = parse_positive(argv[i], &trials);
+      if (end == nullptr || *end != '\0') {
+        std::fprintf(stderr, "bad trials %s: want a positive integer\n", argv[i]);
+        return 1;
+      }
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 1;

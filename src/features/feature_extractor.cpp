@@ -276,33 +276,131 @@ std::vector<double> rl_observation(const FeatureExtractor& fx, const ActionSpace
   return obs;
 }
 
+std::vector<int> rl_observation_support(const ActionSpace& space) {
+  const Sketch& sk = space.sketch();
+  const Subgraph& g = *sk.graph;
+  const int anchor = g.anchor_stage();
+  const StagePlan& aplan = sk.plan(anchor);
+  const TensorOp& aop = g.stage(anchor).op;
+  // extract_into's early return: a stage without tiles has only globals.
+  const bool anchor_tiled = levels_for_axis(aplan.structure, AxisKind::kSpatial) > 0 &&
+                            aop.num_axes() > 0;
+  const bool has_compute_at = sk.primary_compute_at_stage >= 0;
+  bool has_fused = false;
+  for (const StagePlan& p : sk.plans) {
+    has_fused = has_fused || p.structure == StageStructure::kFusedConsumer;
+  }
+  std::vector<int> support;
+  int col = 0;
+  auto keep = [&](bool kept) {
+    if (kept) support.push_back(col);
+    ++col;
+  };
+  for (int f = 0; f < 4; ++f) keep(true);
+  keep(aplan.cache_write);  // 4
+  keep(aplan.rfactor);      // 5
+  keep(has_fused);          // 6
+  for (int f = 7; f < 31; ++f) keep(anchor_tiled && (f != 14 || has_compute_at));
+  for (int f = 31; f < 35; ++f) keep(anchor_tiled && f - 31 < aop.num_spatial_axes());
+  for (int f = 35; f < 37; ++f) keep(anchor_tiled && f - 35 < aop.num_reduction_axes());
+  for (int f = 37; f < 41; ++f) keep(anchor_tiled);
+  keep(anchor_tiled && sk.sketch_id != 0);  // 41
+  while (col < FeatureExtractor::kNumFeatures) keep(false);  // reserved 42..47
+  for (const TileSlot& slot : space.slots()) {
+    keep(g.stage(slot.stage).op.axes[static_cast<std::size_t>(slot.axis)].extent > 1);
+  }
+  keep(has_compute_at);
+  keep(true);  // parallel depth
+  keep(true);  // unroll index
+  return support;
+}
+
+namespace {
+
+/// Writes the low `bits` bits of `v` at bit `*at` of `row` (least
+/// significant first), which must still be zero there, and advances `*at`.
+void put_bits(std::uint8_t* row, std::size_t* at, int bits, std::uint32_t v) {
+  for (int done = 0; done < bits;) {
+    const std::size_t pos = *at + static_cast<std::size_t>(done);
+    const int shift = static_cast<int>(pos % 8);
+    const int n = std::min(8 - shift, bits - done);
+    row[pos / 8] |= static_cast<std::uint8_t>(((v >> done) & ((1U << n) - 1)) << shift);
+    done += n;
+  }
+  *at += static_cast<std::size_t>(bits);
+}
+
+/// Reads the `bits`-bit value at bit `*at` of `row` and advances `*at`.
+std::uint32_t get_bits(const std::uint8_t* row, std::size_t* at, int bits) {
+  std::uint32_t v = 0;
+  for (int done = 0; done < bits;) {
+    const std::size_t pos = *at + static_cast<std::size_t>(done);
+    const int shift = static_cast<int>(pos % 8);
+    const int n = std::min(8 - shift, bits - done);
+    v |= static_cast<std::uint32_t>((row[pos / 8] >> shift) & ((1U << n) - 1)) << done;
+    done += n;
+  }
+  *at += static_cast<std::size_t>(bits);
+  return v;
+}
+
+}  // namespace
+
 RlStateCodec::RlStateCodec(const FeatureExtractor& fx, const ActionSpace& space)
     : fx_(fx), space_(&space) {
   // The all-undecided prefix of any schedule of the sketch has its layout:
   // trivial tiles, whose product is the axis extent.
+  const Sketch& sk = space.sketch();
   Schedule blank;
-  blank.sketch = &space.sketch();
-  blank.stages.resize(static_cast<std::size_t>(space.sketch().graph->num_stages()));
+  blank.sketch = &sk;
+  blank.stages.resize(static_cast<std::size_t>(sk.graph->num_stages()));
   scratch_ = prefix_schedule(blank, 0);
-  for (const StageSchedule& ss : scratch_.stages) {
+  auto add_field = [this](int lo, std::uint32_t count) {
+    int bits = 0;
+    while ((std::uint64_t{1} << bits) < count) ++bits;
+    fields_.push_back({lo, count, bits});
+  };
+  const StageSchedule unused;  // the knob values of a stage without them
+  for (std::size_t s = 0; s < scratch_.stages.size(); ++s) {
+    const StagePlan& plan = sk.plans[s];
+    const StageSchedule& ss = scratch_.stages[s];
     for (const TileVector& t : ss.tiles) {
-      width_ += t.levels();
       divisors_.push_back(divisors(t.product()));
-      HARL_CHECK(divisors_.back().size() <= std::size_t{UINT16_MAX} + 1,
-                 "RlStateCodec: an axis extent has more divisors than a uint16 indexes");
+      const auto count = static_cast<std::uint32_t>(divisors_.back().size());
+      for (int l = 0; l < t.levels(); ++l) add_field(0, count);
     }
-    width_ += 3;
+    if (plan.has_compute_at_knob) {
+      add_field(0, kComputeAtCandidates);
+    } else {
+      add_field(unused.compute_at, 1);
+    }
+    if (levels_for_axis(plan.structure, AxisKind::kSpatial) > 0) {
+      const int spatial = sk.graph->stage(static_cast<int>(s)).op.num_spatial_axes();
+      add_field(0, static_cast<std::uint32_t>(spatial + 1));
+      add_field(0, static_cast<std::uint32_t>(space.num_unroll_options()));
+    } else {
+      add_field(unused.parallel_depth, 1);
+      add_field(unused.unroll_index, 1);
+    }
   }
+  std::size_t row_bits = 0;
+  for (const Field& f : fields_) row_bits += static_cast<std::size_t>(f.bits);
+  bytes_ = static_cast<int>(std::max<std::size_t>(1, (row_bits + 7) / 8));
 }
 
-void RlStateCodec::encode(const Schedule& sched, std::uint16_t* row) const {
+void RlStateCodec::encode(const Schedule& sched, std::uint8_t* row) const {
   HARL_CHECK(sched.sketch == scratch_.sketch,
              "RlStateCodec::encode: schedule of another sketch");
   HARL_CHECK(sched.stages.size() == scratch_.stages.size(),
              "RlStateCodec::encode: stage count differs from the sketch's");
-  auto knob = [](int v) {
-    HARL_CHECK(v >= 0 && v <= UINT16_MAX, "RlStateCodec::encode: knob outside uint16");
-    return static_cast<std::uint16_t>(v);
+  std::fill(row, row + bytes_, std::uint8_t{0});
+  std::size_t at = 0;
+  const Field* field = fields_.data();
+  auto put = [&](std::uint32_t index) { put_bits(row, &at, field++->bits, index); };
+  auto knob = [&](int v) {
+    HARL_CHECK(v >= field->lo && static_cast<std::uint32_t>(v - field->lo) < field->count,
+               "RlStateCodec::encode: knob outside its legal range");
+    put(static_cast<std::uint32_t>(v - field->lo));
   };
   const std::vector<std::int64_t>* divs = divisors_.data();
   for (std::size_t s = 0; s < sched.stages.size(); ++s) {
@@ -317,39 +415,42 @@ void RlStateCodec::encode(const Schedule& sched, std::uint16_t* row) const {
         const auto it = std::lower_bound(divs->begin(), divs->end(), f);
         HARL_CHECK(it != divs->end() && *it == f,
                    "RlStateCodec::encode: tile factor is not a divisor of its extent");
-        *row++ = static_cast<std::uint16_t>(it - divs->begin());
+        put(static_cast<std::uint32_t>(it - divs->begin()));
       }
     }
-    *row++ = knob(ss.compute_at);
-    *row++ = knob(ss.parallel_depth);
-    *row++ = knob(ss.unroll_index);
+    knob(ss.compute_at);
+    knob(ss.parallel_depth);
+    knob(ss.unroll_index);
   }
 }
 
-void RlStateCodec::decode_into(const std::uint16_t* row, Schedule* out) const {
+void RlStateCodec::decode_into(const std::uint8_t* row, Schedule* out) const {
+  std::size_t at = 0;
+  const Field* field = fields_.data();
+  auto next = [&] {
+    const std::uint32_t v = get_bits(row, &at, field->bits);
+    HARL_CHECK(v < field->count, "RlStateCodec: a field's index is beyond its range");
+    return field++->lo + static_cast<int>(v);
+  };
   const std::vector<std::int64_t>* divs = divisors_.data();
   for (StageSchedule& ss : out->stages) {
     for (TileVector& t : ss.tiles) {
-      for (std::int64_t& f : t.factors) {
-        HARL_CHECK(*row < divs->size(),
-                   "RlStateCodec: divisor index beyond its extent's divisors");
-        f = (*divs)[*row++];
-      }
+      for (std::int64_t& f : t.factors) f = (*divs)[static_cast<std::size_t>(next())];
       ++divs;
     }
-    ss.compute_at = *row++;
-    ss.parallel_depth = *row++;
-    ss.unroll_index = *row++;
+    ss.compute_at = next();
+    ss.parallel_depth = next();
+    ss.unroll_index = next();
   }
 }
 
-Schedule RlStateCodec::decode(const std::uint16_t* row) const {
+Schedule RlStateCodec::decode(const std::uint8_t* row) const {
   Schedule out = scratch_;
   decode_into(row, &out);
   return out;
 }
 
-void RlStateCodec::observe(const std::uint16_t* row, double* obs) {
+void RlStateCodec::observe(const std::uint8_t* row, double* obs) {
   decode_into(row, &scratch_);
   rl_observation_into(fx_, *space_, scratch_, obs);
 }

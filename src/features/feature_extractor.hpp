@@ -103,41 +103,75 @@ void rl_observation_into(const FeatureExtractor& fx, const ActionSpace& space,
 void rl_observation_into(const FeatureExtractor& fx, const ActionSpace& space,
                          const Schedule& sched, std::vector<double>& out);
 
-/// The RL state of one sketch's schedules as a fixed-width row of uint16s:
-/// the replay ring stores these rows and derives observations from them.
+/// The observation columns some schedule of `space`'s sketch can make
+/// nonzero, ascending: every column except
+///   - the reserved features 42-47;
+///   - the sketch flags 4-6 (cache write, rfactor, fused consumer) the
+///     sketch does not set;
+///   - feature 41 (sketch id) of sketch 0;
+///   - feature 14 and the trailing compute-at column when the sketch has no
+///     compute-at knob;
+///   - the per-axis features 31-36 past the anchor's spatial (31-34) and
+///     reduction (35-36) axes;
+///   - the slot features of extent-1 axes;
+///   - features 7-47 when the anchor stage has no tiles.
+/// A column outside it reads exactly 0.0 in every rl_observation of the
+/// sketch's schedules; a column inside it may still be zero everywhere.
+/// PpoAgent builds its first layers over these columns only.
+std::vector<int> rl_observation_support(const ActionSpace& space);
+
+/// The RL state of one sketch's schedules as a fixed-size row of bytes: the
+/// replay ring stores these rows and derives observations from them.
 ///
-/// Row layout, stage by stage in sketch order: every tile factor of every
-/// axis (outermost level first), then compute_at, parallel_depth and
-/// unroll_index.  A tile factor divides its axis extent (tiling.hpp), so it
-/// is stored as its index in the extent's ascending divisor list, which the
-/// codec builds once per (stage, axis); the three knobs are stored as they
-/// are.  The sketch fixes which stages carry tiles and how many levels each
-/// axis has, so every schedule of the sketch has the same width() and a row
-/// round-trips to a schedule with the same fingerprint().
+/// A row is a sequence of bit fields, stage by stage in sketch order: every
+/// tile factor of every axis (outermost level first), then compute_at,
+/// parallel_depth and unroll_index.  A field that takes `n` values holds
+/// ceil(log2 n) bits, packed least significant bit first from bit 0 of byte
+/// 0 with no padding between fields; a row is the fields' bits rounded up
+/// to whole bytes (at least one).  A tile factor divides its axis extent
+/// (tiling.hpp), so it is stored as its index in the extent's ascending
+/// divisor list (n = the list's size), which the codec builds once per
+/// (stage, axis).  A knob is stored as its offset from the bottom of its
+/// legal range: compute_at in [0, kComputeAtCandidates) on a stage with the
+/// knob, parallel_depth in [0, spatial axes] and unroll_index in [0, unroll
+/// options) on a tiled or simple stage, and elsewhere the single value a
+/// default StageSchedule holds (no bits).  So an extent-1 axis and an
+/// unused knob cost nothing.  The sketch fixes which stages carry tiles and
+/// how many levels each axis has, so every schedule of the sketch has the
+/// same bytes() and a row round-trips to a schedule with the same
+/// fingerprint().
 class RlStateCodec {
  public:
   /// `space` (and its sketch) must outlive the codec; `fx` is copied.
-  /// Aborts if an axis extent has more divisors than a uint16 indexes.
   RlStateCodec(const FeatureExtractor& fx, const ActionSpace& space);
 
-  int width() const { return width_; }
+  /// Bytes per row.
+  int bytes() const { return bytes_; }
 
-  /// Write `sched`'s decisions to `row` (width() values).  Aborts unless
+  /// Write `sched`'s decisions to `row` (bytes() values).  Aborts unless
   /// `sched` belongs to this codec's sketch with its tile layout, every tile
-  /// factor divides its axis extent and every knob fits in a uint16.
-  void encode(const Schedule& sched, std::uint16_t* row) const;
+  /// factor divides its axis extent and every knob is in its legal range.
+  void encode(const Schedule& sched, std::uint8_t* row) const;
 
-  /// The schedule `row` encodes.
-  Schedule decode(const std::uint16_t* row) const;
+  /// The schedule `row` encodes.  Aborts when a field holds an index past
+  /// its range (a corrupt row).
+  Schedule decode(const std::uint8_t* row) const;
 
   /// rl_observation of the schedule `row` encodes, written to `obs`
   /// (rl_observation_dim wide).  Decodes into a reused scratch schedule, so
   /// it does not allocate; not safe to call concurrently on one codec.
-  void observe(const std::uint16_t* row, double* obs);
+  void observe(const std::uint8_t* row, double* obs);
 
  private:
+  /// One bit field of the row: a value in [lo, lo + count).
+  struct Field {
+    int lo = 0;
+    std::uint32_t count = 1;
+    int bits = 0;  ///< ceil(log2 count)
+  };
+
   /// Overwrite the decisions of `out`, which already has the row layout.
-  void decode_into(const std::uint16_t* row, Schedule* out) const;
+  void decode_into(const std::uint8_t* row, Schedule* out) const;
 
   FeatureExtractor fx_;
   const ActionSpace* space_;
@@ -145,7 +179,10 @@ class RlStateCodec {
   /// Ascending divisors of each tiled axis's extent, (stage, axis) in row
   /// order.
   std::vector<std::vector<std::int64_t>> divisors_;
-  int width_ = 0;
+  /// Every field of the row in order: a tile factor's range is its divisor
+  /// indices.
+  std::vector<Field> fields_;
+  int bytes_ = 0;
 };
 
 }  // namespace harl

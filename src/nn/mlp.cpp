@@ -6,23 +6,41 @@
 
 namespace harl {
 
-LinearLayer::LinearLayer(int in, int out, Rng& rng, const std::vector<int>& rows)
-    : in_dim(in), out_dim(rows.empty() ? out : static_cast<int>(rows.size())) {
-  std::size_t n = static_cast<std::size_t>(in) * static_cast<std::size_t>(out_dim);
+namespace {
+
+/// Advances `next` past `i` when `i` is kept: every index when `kept` is
+/// empty, else the indices it lists (strictly ascending, walked in order).
+bool take_kept(const std::vector<int>& kept, std::vector<int>::const_iterator* next, int i) {
+  if (kept.empty()) return true;
+  if (*next == kept.end() || **next != i) return false;
+  ++*next;
+  return true;
+}
+
+}  // namespace
+
+LinearLayer::LinearLayer(int in, int out, Rng& rng, const std::vector<int>& rows,
+                         const std::vector<int>& cols)
+    : in_dim(cols.empty() ? in : static_cast<int>(cols.size())),
+      out_dim(rows.empty() ? out : static_cast<int>(rows.size())) {
+  std::size_t n = static_cast<std::size_t>(in_dim) * static_cast<std::size_t>(out_dim);
   w.resize(n);
   // Xavier/Glorot uniform initialization over the full layer.
   double bound = std::sqrt(6.0 / (in + out));
-  auto next_kept = rows.begin();
+  auto next_row = rows.begin();
+  auto next_col = cols.begin();
   double* dst = w.data();
   for (int o = 0; o < out; ++o) {
-    bool keep = rows.empty() || (next_kept != rows.end() && *next_kept == o);
-    if (keep && !rows.empty()) ++next_kept;
+    const bool keep_row = take_kept(rows, &next_row, o);
+    next_col = cols.begin();
     for (int i = 0; i < in; ++i) {
       double v = rng.next_range(-bound, bound);
-      if (keep) *dst++ = v;
+      if (take_kept(cols, &next_col, i) && keep_row) *dst++ = v;
     }
+    HARL_CHECK(next_col == cols.end(),
+               "LinearLayer: kept columns must be strictly ascending and below in_dim");
   }
-  HARL_CHECK(next_kept == rows.end(),
+  HARL_CHECK(next_row == rows.end(),
              "LinearLayer: kept rows must be strictly ascending and below out_dim");
   b.assign(static_cast<std::size_t>(out_dim), 0.0);
   mw.assign(n, 0.0);
@@ -82,12 +100,13 @@ void LinearLayer::adam_step(double lr, double beta1, double beta2, double eps, i
   std::vector<double>().swap(gb);
 }
 
-Mlp::Mlp(const std::vector<int>& dims, Rng& rng, const std::vector<int>& output_rows) {
+Mlp::Mlp(const std::vector<int>& dims, Rng& rng, const std::vector<int>& output_rows,
+         const std::vector<int>& input_cols) {
   HARL_CHECK(dims.size() >= 2, "Mlp needs at least input and output dims");
-  const std::vector<int> all_rows;
+  const std::vector<int> all;
   for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
-    layers_.emplace_back(dims[i], dims[i + 1], rng,
-                         i + 2 == dims.size() ? output_rows : all_rows);
+    layers_.emplace_back(dims[i], dims[i + 1], rng, i + 2 == dims.size() ? output_rows : all,
+                         i == 0 ? input_cols : all);
   }
 }
 

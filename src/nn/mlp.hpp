@@ -20,13 +20,33 @@ namespace harl {
 /// outside that window: `zero_grad` (or the first `backward` after a step)
 /// allocates them zeroed, and a layer at rest holds only weights and Adam
 /// moments.
+///
+/// A layer may be a *compact* copy of a full in_full x out_full layer: it
+/// keeps some output rows and some input columns and stores nothing of the
+/// others.  Every weight of the full layer is still drawn, row-major with
+/// the full layer's Xavier bound, so each kept weight starts exactly as the
+/// full layer's does.  Dropping rows is exact when the caller never lets a
+/// dropped output matter (PpoAgent: a head-0 action no mask allows).
+/// Dropping columns is exact when every dropped input is exactly +-0.0 and
+/// the layer is a network's first (it computes no dx):
+///   - forward: a dropped term w * 0.0 is +-0.0, and adding +-0.0 to an
+///     accumulator leaves it unchanged unless the accumulator is -0.0.  In
+///     round-to-nearest a sum is -0.0 only when both addends are, and the
+///     accumulator starts at the bias, which is never -0.0: it starts at
+///     +0.0, and an Adam step p - u yields +0.0 whenever it yields zero.
+///     So the accumulator never becomes -0.0, and the kept terms sum to the
+///     same bits in the same order;
+///   - backward: a dropped weight's gradient d * 0.0 is +-0.0 added to a
+///     +0.0 accumulator, so it stays +0.0; its Adam moments stay 0 and the
+///     weight never moves.  The full layer's dropped entries keep their
+///     initial values, and the kept ones move as the compact layer's do.
 struct LinearLayer {
   /// Xavier-uniform weights drawn row by row for an in_dim x out_dim layer.
   /// A non-empty `rows` (strictly ascending, each < out_dim) keeps only those
-  /// output rows: every row's draws are still taken, with the full layer's
-  /// bound, so a kept row starts with exactly the weights the full layer
-  /// gives it, and the dropped rows are never stored.
-  LinearLayer(int in_dim, int out_dim, Rng& rng, const std::vector<int>& rows = {});
+  /// output rows, and a non-empty `cols` (strictly ascending, each < in_dim)
+  /// only those input columns; in_dim and out_dim are then the kept counts.
+  LinearLayer(int in_dim, int out_dim, Rng& rng, const std::vector<int>& rows = {},
+              const std::vector<int>& cols = {});
 
   void forward(const std::vector<double>& x, std::vector<double>* y) const;
 
@@ -55,9 +75,12 @@ struct LinearLayer {
 class Mlp {
  public:
   /// dims = {input, hidden..., output}.  A non-empty `output_rows` keeps
-  /// only those rows of the output layer (see LinearLayer); out_dim() is
-  /// then their count.
-  Mlp(const std::vector<int>& dims, Rng& rng, const std::vector<int>& output_rows = {});
+  /// only those rows of the output layer and a non-empty `input_cols` only
+  /// those columns of the first layer (see LinearLayer); out_dim() and
+  /// in_dim() are then their counts, and forward() takes the kept columns
+  /// only.
+  Mlp(const std::vector<int>& dims, Rng& rng, const std::vector<int>& output_rows = {},
+      const std::vector<int>& input_cols = {});
 
   int in_dim() const { return layers_.front().in_dim; }
   int out_dim() const { return layers_.back().out_dim; }

@@ -14,17 +14,25 @@ namespace {
 
 std::vector<int> mlp_dims(int in, int hidden, int out) { return {in, hidden, hidden, out}; }
 
+/// `ids` checked to be strictly ascending and below `n`, or all of [0, n)
+/// when empty.
+std::vector<int> checked_ids(std::vector<int> ids, int n, const char* what) {
+  if (ids.empty()) {
+    ids.resize(static_cast<std::size_t>(std::max(n, 0)));
+    std::iota(ids.begin(), ids.end(), 0);
+  }
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    HARL_CHECK(ids[j] >= (j == 0 ? 0 : ids[j - 1] + 1) && ids[j] < n, what);
+  }
+  return ids;
+}
+
 /// `support` checked against head 0's size, or all of head 0 when empty.
 std::vector<int> checked_support(const std::vector<int>& head_sizes, std::vector<int> support) {
   HARL_CHECK(!head_sizes.empty(), "PpoAgent needs at least one action head");
-  if (support.empty()) {
-    support.resize(static_cast<std::size_t>(head_sizes[0]));
-    std::iota(support.begin(), support.end(), 0);
-  }
-  for (std::size_t j = 0; j < support.size(); ++j) {
-    HARL_CHECK(support[j] >= (j == 0 ? 0 : support[j - 1] + 1) && support[j] < head_sizes[0],
-               "PpoAgent: head-0 support must be strictly ascending ids below head 0's size");
-  }
+  support = checked_ids(
+      std::move(support), head_sizes[0],
+      "PpoAgent: head-0 support must be strictly ascending ids below head 0's size");
   // The ring stores head 0's actions as support indices and the other
   // heads' as action ids, all as uint16.
   constexpr std::size_t kU16Values = std::size_t{UINT16_MAX} + 1;
@@ -37,15 +45,18 @@ std::vector<int> checked_support(const std::vector<int>& head_sizes, std::vector
 
 }  // namespace
 
-PpoAgent::PpoAgent(int obs_dim, int state_width, ObserveFn observe,
+PpoAgent::PpoAgent(int obs_dim, int state_bytes, ObserveFn observe,
                    std::vector<int> head_sizes, PpoConfig cfg, std::uint64_t seed,
-                   std::vector<int> head0_support)
+                   std::vector<int> head0_support, std::vector<int> obs_support)
     : cfg_(cfg),
       obs_dim_(obs_dim),
-      state_width_(state_width),
+      state_bytes_(state_bytes),
       observe_(std::move(observe)),
       head_sizes_(std::move(head_sizes)),
       support_(checked_support(head_sizes_, std::move(head0_support))),
+      obs_support_(checked_ids(
+          std::move(obs_support), obs_dim,
+          "PpoAgent: input support must be strictly ascending columns below obs_dim")),
       actor_([&] {
         Rng rng(seed);
         int total = 0;
@@ -53,15 +64,15 @@ PpoAgent::PpoAgent(int obs_dim, int state_width, ObserveFn observe,
         // Head 0's support rows, then every row of the other heads.
         std::vector<int> rows = support_;
         for (int r = head_sizes_[0]; r < total; ++r) rows.push_back(r);
-        return Mlp(mlp_dims(obs_dim, cfg.hidden_dim, total), rng, rows);
+        return Mlp(mlp_dims(obs_dim, cfg.hidden_dim, total), rng, rows, obs_support_);
       }()),
       critic_([&] {
         Rng rng(seed ^ 0x5bd1e995ULL);
-        return Mlp(mlp_dims(obs_dim, cfg.hidden_dim, 1), rng);
+        return Mlp(mlp_dims(obs_dim, cfg.hidden_dim, 1), rng, {}, obs_support_);
       }()) {
   HARL_CHECK(cfg_.buffer_capacity >= 1, "PpoAgent needs buffer_capacity >= 1");
   HARL_CHECK(cfg_.minibatch_size >= 1, "PpoAgent needs minibatch_size >= 1");
-  HARL_CHECK(state_width_ >= 1 && observe_, "PpoAgent needs a state width and observe");
+  HARL_CHECK(state_bytes_ >= 1 && observe_, "PpoAgent needs a state size and observe");
 }
 
 std::size_t PpoAgent::ring_rows_allocated() const {
@@ -70,9 +81,25 @@ std::size_t PpoAgent::ring_rows_allocated() const {
   return rows;
 }
 
-void PpoAgent::check_obs(const std::vector<double>& obs) const {
+void PpoAgent::gather(const double* obs, std::vector<double>* x) const {
+  x->resize(obs_support_.size());
+  std::size_t j = 0;
+  for (int c = 0; c < obs_dim_; ++c) {
+    if (j < obs_support_.size() && obs_support_[j] == c) {
+      (*x)[j++] = obs[c];
+    } else {
+      HARL_CHECK(obs[c] == 0.0,
+                 "PpoAgent: observation column outside the input support is nonzero");
+    }
+  }
+}
+
+std::vector<double> PpoAgent::gather_checked(const std::vector<double>& obs) const {
   HARL_CHECK(obs.size() == static_cast<std::size_t>(obs_dim_),
              "PpoAgent: observation width differs from obs_dim");
+  std::vector<double> x;
+  gather(obs.data(), &x);
+  return x;
 }
 
 void PpoAgent::check_mask(const std::vector<bool>& head0_mask) const {
@@ -104,14 +131,14 @@ std::vector<std::vector<double>> PpoAgent::split_heads(
 PpoAgent::ActResult PpoAgent::act(const std::vector<double>& obs,
                                   const std::vector<bool>& head0_mask,
                                   Rng& rng) const {
-  check_obs(obs);
+  const std::vector<double> x = gather_checked(obs);
   check_mask(head0_mask);
   std::vector<bool> mask0(head0_mask.empty() ? 0 : support_.size());
   for (std::size_t j = 0; j < mask0.size(); ++j) {
     mask0[j] = head0_mask[static_cast<std::size_t>(support_[j])];
   }
   ActResult res;
-  std::vector<double> logits = actor_.forward(obs);
+  std::vector<double> logits = actor_.forward(x);
   std::vector<std::vector<double>> heads = split_heads(logits);
   for (std::size_t h = 0; h < heads.size(); ++h) {
     const std::vector<bool>* mask = (h == 0 && !mask0.empty()) ? &mask0 : nullptr;
@@ -121,20 +148,19 @@ PpoAgent::ActResult PpoAgent::act(const std::vector<double>& obs,
     res.actions.push_back(h == 0 ? support_[static_cast<std::size_t>(a)] : a);
     res.logp += categorical_log_prob(probs, a);
   }
-  res.value = critic_.forward(obs)[0];
+  res.value = critic_.forward(x)[0];
   return res;
 }
 
 double PpoAgent::value(const std::vector<double>& obs) const {
-  check_obs(obs);
-  return critic_.forward(obs)[0];
+  return critic_.forward(gather_checked(obs))[0];
 }
 
-void PpoAgent::store(const std::vector<std::uint16_t>& state, const ActResult& act,
+void PpoAgent::store(const std::vector<std::uint8_t>& state, const ActResult& act,
                      double reward, double next_value,
                      const std::vector<bool>& head0_mask) {
-  HARL_CHECK(state.size() == static_cast<std::size_t>(state_width_),
-             "PpoAgent::store: state width differs from state_width");
+  HARL_CHECK(state.size() == static_cast<std::size_t>(state_bytes_),
+             "PpoAgent::store: state size differs from state_bytes");
   check_mask(head0_mask);
   const std::size_t heads = head_sizes_.size();
   HARL_CHECK(act.actions.size() == heads, "PpoAgent::store: need one action per head");
@@ -145,7 +171,7 @@ void PpoAgent::store(const std::vector<std::uint16_t>& state, const ActResult& a
   const auto in_support = std::lower_bound(support_.begin(), support_.end(), act.actions[0]);
   HARL_CHECK(in_support != support_.end() && *in_support == act.actions[0],
              "PpoAgent::store: head-0 action outside the support");
-  const auto sw = static_cast<std::size_t>(state_width_);
+  const auto sw = static_cast<std::size_t>(state_bytes_);
   const std::size_t width = support_.size();
   const auto cap = static_cast<std::size_t>(cfg_.buffer_capacity);
   const std::size_t row = buffer_next_ % cap;
@@ -188,13 +214,14 @@ void PpoAgent::store(const std::vector<std::uint16_t>& state, const ActResult& a
 double PpoAgent::train(Rng& rng) {
   const std::size_t rows = buffer_size();
   if (rows < static_cast<std::size_t>(cfg_.minibatch_size)) return 0;
-  const auto sw = static_cast<std::size_t>(state_width_);
+  const auto sw = static_cast<std::size_t>(state_bytes_);
   const std::size_t num_heads = head_sizes_.size();
   const std::size_t width = support_.size();
   double mean_objective = 0;
   int num_updates = 0;
   // One row of the ring, unpacked for the Mlp and the masked softmax.
   std::vector<double> obs(static_cast<std::size_t>(obs_dim_));
+  std::vector<double> x;
   std::vector<bool> mask(width);
 
   for (int epoch = 0; epoch < cfg_.update_epochs; ++epoch) {
@@ -225,6 +252,7 @@ double PpoAgent::train(Rng& rng) {
       const RingBlock& b = blocks_[batch[k] / kRingBlockRows];
       const std::size_t i = batch[k] % kRingBlockRows;
       observe_(&b.states[i * sw], obs.data());
+      gather(obs.data(), &x);
       const std::vector<bool>* mask0 = nullptr;
       if (b.has_mask[i]) {
         for (std::size_t j = 0; j < width; ++j) mask[j] = b.mask_bits[i * width + j];
@@ -232,7 +260,7 @@ double PpoAgent::train(Rng& rng) {
       }
       const std::uint16_t* actions = &b.actions[i * num_heads];
       Mlp::Trace atrace;
-      std::vector<double> logits = actor_.forward(obs, &atrace);
+      std::vector<double> logits = actor_.forward(x, &atrace);
       std::vector<std::vector<double>> heads = split_heads(logits);
 
       double logp_new = 0;
@@ -268,7 +296,7 @@ double PpoAgent::train(Rng& rng) {
 
       // Critic: w_MSE * (V(s) - (r + gamma * V(s')))^2.
       Mlp::Trace ctrace;
-      double v = critic_.forward(obs, &ctrace)[0];
+      double v = critic_.forward(x, &ctrace)[0];
       std::vector<double> dv = {cfg_.value_loss_weight * 2.0 * (v - b.target[i]) * inv_n};
       critic_.backward(ctrace, dv);
     }

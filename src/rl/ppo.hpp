@@ -48,52 +48,67 @@ struct PpoConfig {
 /// store() takes them; the agent gathers the support's bits and compact
 /// indices inside.  An empty mask allows the whole support.
 ///
+/// The observation has an *input support* too: the ascending columns that
+/// can ever be nonzero (HARL's is rl_observation_support(); empty means
+/// every column).  The first layer of the actor and of the critic holds
+/// only those columns, drawn as the full layer would draw them, so every
+/// output, gradient and update is bit-identical to a full-width agent's
+/// (LinearLayer says why).  Callers still pass, and `observe` still writes,
+/// the full obs_dim-wide observation; the agent gathers the kept columns
+/// and aborts if a dropped one is not exactly 0.0.
+///
 /// Training samples minibatches from a bounded replay ring (Algorithm 1,
 /// lines 14-17) and applies the clipped surrogate objective with an entropy
 /// bonus; the critic minimizes MSE against the one-step TD target
 /// r + gamma * V(s') (Eq. 6).
 ///
 /// Memory: the ring stores each step's *state*, not its observation.  A
-/// state is a caller-defined row of `state_width` uint16s (HARL's is the
-/// schedule's decisions, see RlStateCodec), and train() rebuilds the
-/// observation of every sampled row through the `observe` function the agent
-/// was built with, so the networks see exactly what act() saw.  The ring is
-/// a list of blocks of kRingBlockRows rows; each block holds flat columns:
-/// states, actions (uint16, head 0 as a support index), the collection-time
-/// log-prob and value, the one-step TD target r + gamma * V(s') that store()
-/// computes once, head-0 mask bits over the support and a has-mask flag per
-/// row.  A row thus costs 2 bytes per state value and per head, three
-/// doubles, and one bit per support action plus one.  store() reserves a
-/// block's columns the first time it reaches the block, grows them row by
-/// row inside that reservation while filling, and never moves them: row r
-/// lives in block r / kRingBlockRows at offset r % kRingBlockRows.  Nothing
-/// is reserved at `buffer_capacity`: reserved-but-untouched pages stay out
-/// of the resident set only in a fresh process, and once a process has
-/// freed an earlier session, later reservations come from heap pages that
-/// are already resident.  So an agent's memory is its stored rows rounded
-/// up to one block, in every session of a process.  Rows fill in order and
-/// then overwrite the oldest.  The actor and critic keep weights and Adam
-/// moments; their gradients exist only inside train().  No head-0 action
-/// outside the support costs a weight, a moment or a mask bit, so an
-/// agent's memory depends on its support, not on head 0's nominal width.
+/// state is an opaque, caller-defined row of `state_bytes` bytes (HARL's is
+/// the schedule's decisions bit-packed by RlStateCodec), and train()
+/// rebuilds the observation of every sampled row through the `observe`
+/// function the agent was built with, so the networks see exactly what
+/// act() saw.  The ring is a list of blocks of kRingBlockRows rows; each
+/// block holds flat columns: states, actions (uint16, head 0 as a support
+/// index), the collection-time log-prob and value, the one-step TD target
+/// r + gamma * V(s') that store() computes once, head-0 mask bits over the
+/// support and a has-mask flag per row.  A row thus costs its state bytes,
+/// 2 bytes per head, three doubles, and one bit per support action plus
+/// one.  store() reserves a block's columns the first time it reaches the
+/// block, grows them row by row inside that reservation while filling, and
+/// never moves them: row r lives in block r / kRingBlockRows at offset
+/// r % kRingBlockRows.  Nothing is reserved at `buffer_capacity`:
+/// reserved-but-untouched pages stay out of the resident set only in a
+/// fresh process, and once a process has freed an earlier session, later
+/// reservations come from heap pages that are already resident.  So an
+/// agent's memory is its stored rows rounded up to one block, in every
+/// session of a process.  Rows fill in order and then overwrite the oldest.
+/// The actor and critic keep weights and Adam moments; their gradients
+/// exist only inside train().  No head-0 action outside the support and no
+/// observation column outside the input support costs a weight, a moment
+/// or a mask bit, so an agent's memory depends on its supports, not on
+/// head 0's nominal width or obs_dim.
 ///
-/// Every input is checked: an observation must be `obs_dim` wide, a state
-/// `state_width` wide, an action list must hold one in-range index per head
-/// (head 0's inside the support), and a head-0 mask must be empty or exactly
-/// head 0's width with no bit set outside the support.  Every stored action
-/// must fit a uint16: heads after the first, and head 0's support, hold at
-/// most 65,536 actions.
+/// Every input is checked: an observation must be `obs_dim` wide with every
+/// column outside the input support 0.0, a state `state_bytes` long, an
+/// action list must hold one in-range index per head (head 0's inside the
+/// support), and a head-0 mask must be empty or exactly head 0's width with
+/// no bit set outside the support.  Every stored action must fit a uint16:
+/// heads after the first, and head 0's support, hold at most 65,536
+/// actions.
 class PpoAgent {
  public:
   /// Writes the observation (obs_dim doubles) of one stored state row
-  /// (state_width uint16s).  Must be deterministic: it is called again for
+  /// (state_bytes bytes).  Must be deterministic: it is called again for
   /// every sampled row in train().
-  using ObserveFn = std::function<void(const std::uint16_t* state, double* obs)>;
+  using ObserveFn = std::function<void(const std::uint8_t* state, double* obs)>;
 
   /// `head0_support` lists head 0's possible actions, strictly ascending
-  /// and below head_sizes[0]; empty means all of them.
-  PpoAgent(int obs_dim, int state_width, ObserveFn observe, std::vector<int> head_sizes,
-           PpoConfig cfg, std::uint64_t seed, std::vector<int> head0_support = {});
+  /// and below head_sizes[0]; `obs_support` lists the observation columns
+  /// that can be nonzero, strictly ascending and below obs_dim.  Empty means
+  /// all of them.
+  PpoAgent(int obs_dim, int state_bytes, ObserveFn observe, std::vector<int> head_sizes,
+           PpoConfig cfg, std::uint64_t seed, std::vector<int> head0_support = {},
+           std::vector<int> obs_support = {});
 
   struct ActResult {
     std::vector<int> actions;
@@ -118,7 +133,7 @@ class PpoAgent {
   /// reward, V(s') and head 0's mask (may be empty).  The row keeps the TD
   /// target r + gamma * V(s'), not r and V(s').  It is copied in; callers
   /// keep and reuse their buffers.
-  void store(const std::vector<std::uint16_t>& state, const ActResult& act, double reward,
+  void store(const std::vector<std::uint8_t>& state, const ActResult& act, double reward,
              double next_value, const std::vector<bool>& head0_mask);
   std::size_t buffer_size() const {
     return std::min(buffer_next_, static_cast<std::size_t>(cfg_.buffer_capacity));
@@ -146,23 +161,27 @@ class PpoAgent {
   /// support).
   std::vector<std::vector<double>> split_heads(const std::vector<double>& logits) const;
 
-  /// Aborts unless `obs` is obs_dim wide.
-  void check_obs(const std::vector<double>& obs) const;
+  /// The input support's columns of the obs_dim-wide `obs`, written to
+  /// `x`; aborts unless every other column is 0.0.
+  void gather(const double* obs, std::vector<double>* x) const;
+  /// gather() of a caller's observation; aborts unless it is obs_dim wide.
+  std::vector<double> gather_checked(const std::vector<double>& obs) const;
   /// Aborts unless `head0_mask` is empty or head 0's width with no bit set
   /// outside the support.
   void check_mask(const std::vector<bool>& head0_mask) const;
 
   PpoConfig cfg_;
   int obs_dim_;
-  int state_width_;
+  int state_bytes_;
   ObserveFn observe_;
   std::vector<int> head_sizes_;
-  std::vector<int> support_;  ///< head 0's action ids, ascending
+  std::vector<int> support_;      ///< head 0's action ids, ascending
+  std::vector<int> obs_support_;  ///< observation columns kept, ascending
   Mlp actor_;
   Mlp critic_;
   /// Up to kRingBlockRows consecutive rows of the replay ring.
   struct RingBlock {
-    std::vector<std::uint16_t> states;   ///< rows x state_width
+    std::vector<std::uint8_t> states;    ///< rows x state_bytes
     std::vector<std::uint16_t> actions;  ///< rows x heads, head 0 as a support index
     std::vector<double> logp, value;     ///< at collection time
     std::vector<double> target;          ///< r + gamma * V(s')

@@ -18,15 +18,15 @@ std::vector<MeasuredRecord> FlextensorSearchPolicy::tune_round(Measurer& measure
     RlStateCodec* c = codec_.get();
     auto sizes = space.head_sizes();
     agent_ = std::make_unique<PpoAgent>(
-        rl_observation_dim(space), c->width(),
-        [c](const std::uint16_t* state, double* obs) { c->observe(state, obs); },
+        rl_observation_dim(space), c->bytes(),
+        [c](const std::uint8_t* state, double* obs) { c->observe(state, obs); },
         std::vector<int>(sizes.begin(), sizes.end()), cfg_.ppo, cfg_.seed,
-        space.tile_action_support());
+        space.tile_action_support(), rl_observation_support(space));
   }
 
   std::vector<MeasuredRecord> all_records;
   // Step buffers reused across steps and tracks; the agent copies rows in.
-  std::vector<std::uint16_t> state(static_cast<std::size_t>(codec_->width()));
+  std::vector<std::uint8_t> state(static_cast<std::size_t>(codec_->bytes()));
   std::vector<double> obs;
   std::vector<double> next_obs;
   std::vector<bool> mask;

@@ -42,10 +42,10 @@ PpoAgent& HarlSearchPolicy::agent_for(int sketch_id) {
     auto sizes = space.head_sizes();
     std::vector<int> head_sizes(sizes.begin(), sizes.end());
     slot = std::make_unique<PpoAgent>(
-        rl_observation_dim(space), c->width(),
-        [c](const std::uint16_t* state, double* obs) { c->observe(state, obs); },
+        rl_observation_dim(space), c->bytes(),
+        [c](const std::uint8_t* state, double* obs) { c->observe(state, obs); },
         head_sizes, cfg_.ppo, cfg_.seed + static_cast<std::uint64_t>(sketch_id),
-        space.tile_action_support());
+        space.tile_action_support(), rl_observation_support(space));
   }
   return *slot;
 }
@@ -132,8 +132,8 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
   std::vector<double> next_scores;
   std::vector<int> valid;
   std::vector<double> advantages;
-  std::vector<std::uint16_t> state(
-      codec != nullptr ? static_cast<std::size_t>(codec->width()) : 0);
+  std::vector<std::uint8_t> state(
+      codec != nullptr ? static_cast<std::size_t>(codec->bytes()) : 0);
 
   bool episode_done = false;
   while (!episode_done) {

@@ -18,12 +18,9 @@ TEST(Mlp, OutputShapeAndDeterminism) {
   EXPECT_EQ(net.forward(x), net.forward(x));
 }
 
-/// Finite-difference gradient check of the full backprop path: every weight
-/// and bias of every layer.
-TEST(Mlp, GradientMatchesFiniteDifference) {
-  Rng rng(2);
-  Mlp net({3, 5, 2}, rng);
-  std::vector<double> x = {0.3, -0.7, 1.1};
+/// Finite-difference check of `net`'s backprop at `x`: every weight and
+/// bias of every layer.
+void expect_gradient_matches_finite_difference(Mlp& net, const std::vector<double>& x) {
   auto loss = [&]() {
     std::vector<double> y = net.forward(x);
     double l = 0;
@@ -61,6 +58,61 @@ TEST(Mlp, GradientMatchesFiniteDifference) {
       layer.b[k] = save;
       double numeric = (lp - lm) / (2 * eps);
       ASSERT_NEAR(layer.gb[k], numeric, 1e-5) << "layer " << l << " bias " << k;
+    }
+  }
+}
+
+TEST(Mlp, GradientMatchesFiniteDifference) {
+  Rng rng(2);
+  Mlp net({3, 5, 2}, rng);
+  expect_gradient_matches_finite_difference(net, {0.3, -0.7, 1.1});
+}
+
+/// The same check on a compact net: its first layer keeps 3 of 6 input
+/// columns and its last layer 2 of 4 output rows, and it takes the kept
+/// columns only.
+TEST(Mlp, CompactGradientMatchesFiniteDifference) {
+  Rng rng(2);
+  Mlp net({6, 5, 4}, rng, {1, 3}, {0, 2, 5});
+  ASSERT_EQ(net.in_dim(), 3);
+  ASSERT_EQ(net.out_dim(), 2);
+  EXPECT_EQ(net.num_parameters(), 3u * 5 + 5 + 5u * 2 + 2);
+  expect_gradient_matches_finite_difference(net, {0.3, -0.7, 1.1});
+  // A single layer that keeps both rows and columns.
+  Mlp one({5, 4}, rng, {0, 3}, {1, 4});
+  expect_gradient_matches_finite_difference(one, {-0.4, 0.9});
+}
+
+/// A compact net draws every weight of the full one, in the full one's
+/// order and with its bounds: each kept weight equals the full net's entry,
+/// and both leave the Rng in the same state.
+TEST(Mlp, CompactNetKeepsTheFullNetsDraws) {
+  const std::vector<int> dims = {6, 5, 4};
+  const std::vector<int> rows = {1, 3};
+  const std::vector<int> cols = {0, 2, 5};
+  Rng full_rng(9);
+  Rng compact_rng(9);
+  const Mlp full(dims, full_rng);
+  const Mlp compact(dims, compact_rng, rows, cols);
+  EXPECT_EQ(full_rng.serial_state(), compact_rng.serial_state());
+  // Layer 0 keeps every row and the columns `cols`.
+  const LinearLayer& f0 = full.layers()[0];
+  const LinearLayer& c0 = compact.layers()[0];
+  ASSERT_EQ(c0.in_dim, 3);
+  ASSERT_EQ(c0.out_dim, 5);
+  for (std::size_t o = 0; o < 5; ++o) {
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      ASSERT_EQ(c0.w[o * 3 + k], f0.w[o * 6 + static_cast<std::size_t>(cols[k])]);
+    }
+  }
+  // Layer 1 keeps every column and the rows `rows`.
+  const LinearLayer& f1 = full.layers()[1];
+  const LinearLayer& c1 = compact.layers()[1];
+  ASSERT_EQ(c1.in_dim, 5);
+  ASSERT_EQ(c1.out_dim, 2);
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    for (std::size_t i = 0; i < 5; ++i) {
+      ASSERT_EQ(c1.w[j * 5 + i], f1.w[static_cast<std::size_t>(rows[j]) * 5 + i]);
     }
   }
 }
@@ -174,6 +226,17 @@ TEST(MlpDeathTest, ForwardRejectsWrongInputWidth) {
   Rng rng(8);
   Mlp net({4, 3, 1}, rng);
   EXPECT_DEATH(net.forward({1.0, 2.0}), "input width differs from in_dim");
+  // A compact net takes its kept columns only.
+  Mlp compact({4, 3, 1}, rng, {}, {1, 3});
+  EXPECT_DEATH(compact.forward({1.0, 2.0, 3.0, 4.0}), "input width differs from in_dim");
+}
+
+TEST(MlpDeathTest, RejectsBadKeptRowsOrColumns) {
+  Rng rng(8);
+  EXPECT_DEATH(Mlp({4, 3}, rng, {2, 1}), "kept rows must be strictly ascending");
+  EXPECT_DEATH(Mlp({4, 3}, rng, {0, 3}), "kept rows must be strictly ascending");
+  EXPECT_DEATH(Mlp({4, 3}, rng, {}, {1, 1}), "kept columns must be strictly ascending");
+  EXPECT_DEATH(Mlp({4, 3}, rng, {}, {0, 4}), "kept columns must be strictly ascending");
 }
 
 TEST(Categorical, SoftmaxSumsToOne) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <numeric>
@@ -42,19 +43,21 @@ PpoConfig small_config() {
   return cfg;
 }
 
-/// States are one-int ids into a table of observations: the ring stores the
+/// States are two-byte ids into a table of observations: the ring stores the
 /// id and `observe` looks the row up, as HARL's codec decodes a schedule.
 class ObsTable {
  public:
   /// Appends `obs` and returns its state row.
-  std::vector<std::uint16_t> add(std::vector<double> obs) {
+  std::vector<std::uint8_t> add(std::vector<double> obs) {
     rows_.push_back(std::move(obs));
-    return {static_cast<std::uint16_t>(rows_.size() - 1)};
+    const std::size_t id = rows_.size() - 1;
+    return {static_cast<std::uint8_t>(id), static_cast<std::uint8_t>(id >> 8)};
   }
 
   PpoAgent::ObserveFn observe() const {
-    return [this](const std::uint16_t* state, double* obs) {
-      const std::vector<double>& row = rows_.at(static_cast<std::size_t>(state[0]));
+    return [this](const std::uint8_t* state, double* obs) {
+      const std::vector<double>& row =
+          rows_.at(std::size_t{state[0]} | std::size_t{state[1]} << 8);
       std::copy(row.begin(), row.end(), obs);
     };
   }
@@ -65,7 +68,7 @@ class ObsTable {
 
 PpoAgent make_agent(const ObsTable& table, int obs_dim, std::vector<int> head_sizes,
                     PpoConfig cfg, std::uint64_t seed) {
-  return PpoAgent(obs_dim, 1, table.observe(), std::move(head_sizes), cfg, seed);
+  return PpoAgent(obs_dim, 2, table.observe(), std::move(head_sizes), cfg, seed);
 }
 
 TEST(Ppo, AdvantageIsOneStepTd) {
@@ -106,7 +109,7 @@ TEST(Ppo, MaskExcludesActions) {
 
 TEST(Ppo, ActReturnsSupportActionIds) {
   ObsTable table;
-  PpoAgent agent(2, 1, table.observe(), {6, 2}, small_config(), 3, {1, 3, 5});
+  PpoAgent agent(2, 2, table.observe(), {6, 2}, small_config(), 3, {1, 3, 5});
   Rng rng(2);
   const std::vector<bool> mask = {false, true, false, false, false, true};
   std::vector<double> obs = {1.0, -1.0};
@@ -131,7 +134,7 @@ TEST(Ppo, BufferIsBoundedRing) {
   cfg.buffer_capacity = 16;
   ObsTable table;
   PpoAgent agent = make_agent(table, 1, {2}, cfg, 5);
-  const std::vector<std::uint16_t> state = table.add({0.0});
+  const std::vector<std::uint8_t> state = table.add({0.0});
   PpoAgent::ActResult act;
   act.actions = {0};
   for (int i = 0; i < 100; ++i) agent.store(state, act, 0.0, 0.0, {});
@@ -145,7 +148,7 @@ TEST(Ppo, LearnsContextualBandit) {
   PpoConfig cfg = small_config();
   cfg.entropy_weight = 0.005;
   ObsTable table;
-  const std::vector<std::uint16_t> states[2] = {table.add({1.0, 0.0}),
+  const std::vector<std::uint8_t> states[2] = {table.add({1.0, 0.0}),
                                                table.add({0.0, 1.0})};
   const std::vector<double> observations[2] = {{1.0, 0.0}, {0.0, 1.0}};
   PpoAgent agent = make_agent(table, 2, {2}, cfg, 6);
@@ -179,7 +182,7 @@ TEST(Ppo, LearnsJointMultiHeadAction) {
   cfg.entropy_weight = 0.003;
   ObsTable table;
   const std::vector<double> obs = {1.0};
-  const std::vector<std::uint16_t> state = table.add(obs);
+  const std::vector<std::uint8_t> state = table.add(obs);
   PpoAgent agent = make_agent(table, 1, {3, 3}, cfg, 8);
   Rng rng(9);
 
@@ -210,7 +213,7 @@ TEST(Ppo, ValueLearnsReturns) {
   Rng rng(11);
   // Constant reward 1 with next_value 0: the TD target is exactly 1.
   const std::vector<double> obs = {1.0};
-  const std::vector<std::uint16_t> state = table.add(obs);
+  const std::vector<std::uint8_t> state = table.add(obs);
   for (int i = 0; i < 600; ++i) {
     auto res = agent.act(obs, {}, rng);
     agent.store(state, res, 1.0, 0.0, {});
@@ -223,9 +226,11 @@ TEST(Ppo, ValueLearnsReturns) {
 // ---------------------------------------------------------------------------
 // Differential oracle: the agent as it was when every replay row was its own
 // heap-owning struct holding the raw observation, int actions, and the
-// reward and V(s') from which train() derived the TD target.  PpoAgent's
-// flat ring of uint16 states and actions, observed again at train() time,
-// with the target computed once by store(), must reproduce it bit for bit.
+// reward and V(s') from which train() derived the TD target, and whose
+// networks were full width.  PpoAgent's flat ring of opaque state bytes and
+// uint16 actions, observed again at train() time, with the target computed
+// once by store(), and its compact first and last layers must reproduce it
+// bit for bit.
 
 struct PpoTransition {
   std::vector<double> obs;
@@ -369,106 +374,134 @@ class ReferencePpoAgent {
   std::size_t buffer_next_ = 0;
 };
 
-/// Weights and Adam moments of every layer must match bit for bit.
-void expect_same_network(const Mlp& got, const Mlp& want) {
+std::uint64_t bits_of(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+/// `ids`, or every index below `n` when empty.
+std::vector<int> all_if_empty(const std::vector<int>& ids, int n) {
+  if (!ids.empty()) return ids;
+  std::vector<int> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
+/// `got` is a compact copy of `want` that keeps output rows `rows` of the
+/// last layer and input columns `cols` of the first (empty: all of them).
+/// Every weight, bias and Adam moment it keeps must have the bits of the
+/// entry of `want` it stands for.
+void expect_same_kept_entries(const Mlp& got, const Mlp& want, const std::vector<int>& rows = {},
+                              const std::vector<int>& cols = {}) {
   ASSERT_EQ(got.layers().size(), want.layers().size());
-  for (std::size_t l = 0; l < got.layers().size(); ++l) {
+  const std::size_t last = got.layers().size() - 1;
+  for (std::size_t l = 0; l <= last; ++l) {
     const LinearLayer& g = got.layers()[l];
     const LinearLayer& w = want.layers()[l];
-    ASSERT_EQ(g.w, w.w) << "layer " << l;
-    ASSERT_EQ(g.b, w.b) << "layer " << l;
-    ASSERT_EQ(g.mw, w.mw) << "layer " << l;
-    ASSERT_EQ(g.vw, w.vw) << "layer " << l;
-    ASSERT_EQ(g.mb, w.mb) << "layer " << l;
-    ASSERT_EQ(g.vb, w.vb) << "layer " << l;
+    const std::vector<int> r = all_if_empty(l == last ? rows : std::vector<int>{}, w.out_dim);
+    const std::vector<int> c = all_if_empty(l == 0 ? cols : std::vector<int>{}, w.in_dim);
+    ASSERT_EQ(static_cast<std::size_t>(g.out_dim), r.size()) << "layer " << l;
+    ASSERT_EQ(static_cast<std::size_t>(g.in_dim), c.size()) << "layer " << l;
+    ASSERT_EQ(g.w.size(), r.size() * c.size()) << "layer " << l;
+    for (std::size_t j = 0; j < r.size(); ++j) {
+      const auto wr = static_cast<std::size_t>(r[j]);
+      for (std::size_t k = 0; k < c.size(); ++k) {
+        const std::size_t gi = j * c.size() + k;
+        const std::size_t wi = wr * static_cast<std::size_t>(w.in_dim) +
+                               static_cast<std::size_t>(c[k]);
+        ASSERT_EQ(bits_of(g.w[gi]), bits_of(w.w[wi])) << "layer " << l << " w " << wi;
+        ASSERT_EQ(bits_of(g.mw[gi]), bits_of(w.mw[wi])) << "layer " << l << " mw " << wi;
+        ASSERT_EQ(bits_of(g.vw[gi]), bits_of(w.vw[wi])) << "layer " << l << " vw " << wi;
+      }
+      ASSERT_EQ(bits_of(g.b[j]), bits_of(w.b[wr])) << "layer " << l << " b " << wr;
+      ASSERT_EQ(bits_of(g.mb[j]), bits_of(w.mb[wr])) << "layer " << l << " mb " << wr;
+      ASSERT_EQ(bits_of(g.vb[j]), bits_of(w.vb[wr])) << "layer " << l << " vb " << wr;
+    }
   }
 }
 
-/// Like expect_same_network for an actor whose output layer keeps only
-/// `rows` of the reference's: the hidden layers match whole, and output row
-/// j matches the reference's row rows[j].
-void expect_same_compact_network(const Mlp& got, const Mlp& want, const std::vector<int>& rows) {
-  ASSERT_EQ(got.layers().size(), want.layers().size());
-  if (rows.size() == static_cast<std::size_t>(want.layers().back().out_dim)) {
-    expect_same_network(got, want);  // every row kept: compare whole layers
-    return;
-  }
-  for (std::size_t l = 0; l + 1 < got.layers().size(); ++l) {
-    const LinearLayer& g = got.layers()[l];
-    const LinearLayer& w = want.layers()[l];
-    ASSERT_EQ(g.w, w.w) << "layer " << l;
-    ASSERT_EQ(g.b, w.b) << "layer " << l;
-    ASSERT_EQ(g.mw, w.mw) << "layer " << l;
-    ASSERT_EQ(g.vw, w.vw) << "layer " << l;
-    ASSERT_EQ(g.mb, w.mb) << "layer " << l;
-    ASSERT_EQ(g.vb, w.vb) << "layer " << l;
-  }
-  const LinearLayer& g = got.layers().back();
-  const LinearLayer& w = want.layers().back();
-  ASSERT_EQ(g.in_dim, w.in_dim);
-  ASSERT_EQ(g.out_dim, static_cast<int>(rows.size()));
-  ASSERT_EQ(g.w.size(), rows.size() * static_cast<std::size_t>(g.in_dim));
-  const auto in = static_cast<std::size_t>(g.in_dim);
-  auto row = [in](const std::vector<double>& v, std::size_t r) {
-    return std::vector<double>(v.begin() + static_cast<std::ptrdiff_t>(r * in),
-                               v.begin() + static_cast<std::ptrdiff_t>((r + 1) * in));
-  };
-  for (std::size_t j = 0; j < rows.size(); ++j) {
-    const auto r = static_cast<std::size_t>(rows[j]);
-    ASSERT_EQ(row(g.w, j), row(w.w, r)) << "output row " << r;
-    ASSERT_EQ(row(g.mw, j), row(w.mw, r)) << "output row " << r;
-    ASSERT_EQ(row(g.vw, j), row(w.vw, r)) << "output row " << r;
-    ASSERT_EQ(g.b[j], w.b[r]) << "output row " << r;
-    ASSERT_EQ(g.mb[j], w.mb[r]) << "output row " << r;
-    ASSERT_EQ(g.vb[j], w.vb[r]) << "output row " << r;
+/// The entries of the full-width `net` that a compact copy keeping `rows`
+/// of its last layer and `cols` of its first drops never moved from
+/// `initial`: weights as drawn, biases and Adam moments zero.
+void expect_dropped_entries_never_moved(const Mlp& net, const Mlp& initial,
+                                        const std::vector<int>& rows,
+                                        const std::vector<int>& cols) {
+  const std::size_t last = net.layers().size() - 1;
+  for (std::size_t l = 0; l <= last; ++l) {
+    const LinearLayer& now = net.layers()[l];
+    const LinearLayer& init = initial.layers()[l];
+    const std::vector<int> r = all_if_empty(l == last ? rows : std::vector<int>{}, now.out_dim);
+    const std::vector<int> c = all_if_empty(l == 0 ? cols : std::vector<int>{}, now.in_dim);
+    for (int o = 0; o < now.out_dim; ++o) {
+      const bool row_kept = std::binary_search(r.begin(), r.end(), o);
+      const auto ou = static_cast<std::size_t>(o);
+      if (!row_kept) {
+        ASSERT_EQ(bits_of(now.b[ou]), 0u) << "layer " << l << " dead row " << o;
+        ASSERT_EQ(bits_of(now.mb[ou]), 0u) << "layer " << l << " dead row " << o;
+        ASSERT_EQ(bits_of(now.vb[ou]), 0u) << "layer " << l << " dead row " << o;
+      }
+      for (int i = 0; i < now.in_dim; ++i) {
+        if (row_kept && std::binary_search(c.begin(), c.end(), i)) continue;
+        const std::size_t at = ou * static_cast<std::size_t>(now.in_dim) +
+                               static_cast<std::size_t>(i);
+        ASSERT_EQ(bits_of(now.w[at]), bits_of(init.w[at])) << "layer " << l << " " << o << "," << i;
+        ASSERT_EQ(bits_of(now.mw[at]), 0u) << "layer " << l << " " << o << "," << i;
+        ASSERT_EQ(bits_of(now.vw[at]), 0u) << "layer " << l << " " << o << "," << i;
+      }
+    }
   }
 }
 
 /// Drives a PpoAgent and the reference with one seeded stream of act, value,
 /// store and train calls: masked and unmasked rows, several head layouts,
-/// capacities that wrap the ring many times.  The agent stores two-value
-/// states {id, ~id} into a table of the observations (the second value pins
-/// the row stride and sets the top bit); the reference stores the
-/// observations themselves.  Rewards mix unit and large scales, so the TD
-/// targets the agent stores round as the reference's do.
-/// Every ActResult, value and train() objective, and the actor's and
-/// critic's weights and Adam moments after every train(), must be
-/// bit-identical.
+/// capacities that wrap the ring many times.  The agent stores four-byte
+/// states {id, ~id} (two bytes each) into a table of the observations (the
+/// second half pins the row stride and sets the top bits); the reference
+/// stores the observations themselves.  Rewards mix unit and large scales,
+/// so the TD targets the agent stores round as the reference's do.  Every
+/// ActResult, value and train() objective, and the actor's and critic's
+/// weights and Adam moments after every train(), must be bit-identical.
 ///
 /// With a head-0 `support`, the agent keeps only the support's output rows
 /// and the reference stays full width.  Every mask sets bits inside the
 /// support only; where the agent gets an empty mask (the whole support), the
-/// reference gets the support's indicator.  The kept rows must match the
-/// reference's, and the reference's other rows must end with their initial
-/// weights and zero moments: a full-width actor never moves them.
+/// reference gets the support's indicator.
+///
+/// With an input support `cols`, the agent's actor and critic keep only
+/// those input columns and the reference stays full width.  Every
+/// observation holds +0.0 or -0.0 in the other columns.
+///
+/// The kept entries must match the reference's, and the reference's other
+/// entries must end with their initial weights and zero moments: a
+/// full-width agent never moves them.
 void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, int capacity,
-                              std::uint64_t seed, const std::vector<int>& support = {}) {
+                              std::uint64_t seed, const std::vector<int>& support = {},
+                              const std::vector<int>& cols = {}) {
   PpoConfig cfg;
   cfg.hidden_dim = 16;
   cfg.minibatch_size = 8;
   cfg.update_epochs = 2;
   cfg.buffer_capacity = capacity;
   std::vector<std::vector<double>> table;
-  auto observe = [&table](const std::uint16_t* state, double* out) {
-    ASSERT_EQ(state[1], static_cast<std::uint16_t>(~state[0]))
-        << "state row read at the wrong stride";
-    const std::vector<double>& row = table.at(static_cast<std::size_t>(state[0]));
+  auto observe = [&table](const std::uint8_t* state, double* out) {
+    const std::size_t id = std::size_t{state[0]} | std::size_t{state[1]} << 8;
+    const std::size_t check = std::size_t{state[2]} | std::size_t{state[3]} << 8;
+    ASSERT_EQ(check, ~id & 0xffff) << "state row read at the wrong stride";
+    const std::vector<double>& row = table.at(id);
     std::copy(row.begin(), row.end(), out);
   };
-  PpoAgent agent(obs_dim, 2, observe, head_sizes, cfg, seed, support);
+  PpoAgent agent(obs_dim, 4, observe, head_sizes, cfg, seed, support, cols);
   ReferencePpoAgent ref(obs_dim, head_sizes, cfg, seed);
   const Mlp initial_actor = ref.actor();
+  const Mlp initial_critic = ref.critic();
   Rng stream(seed * 7919 + 1);
   Rng agent_rng(seed + 11);
   Rng ref_rng(seed + 11);
   const auto width = static_cast<std::size_t>(head_sizes[0]);
   // The reference's output rows the agent keeps: the support, then the
   // other heads whole.
-  std::vector<int> kept = support;
-  if (kept.empty()) {
-    kept.resize(width);
-    std::iota(kept.begin(), kept.end(), 0);
-  }
+  std::vector<int> kept = all_if_empty(support, head_sizes[0]);
   const int total = std::accumulate(head_sizes.begin(), head_sizes.end(), 0);
   for (int r = head_sizes[0]; r < total; ++r) kept.push_back(r);
   std::vector<bool> support_mask;
@@ -476,10 +509,15 @@ void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, i
     support_mask.assign(width, false);
     for (int a : support) support_mask[static_cast<std::size_t>(a)] = true;
   }
+  std::vector<bool> in_cols(static_cast<std::size_t>(obs_dim), cols.empty());
+  for (int c : cols) in_cols[static_cast<std::size_t>(c)] = true;
 
   auto random_obs = [&] {
     std::vector<double> obs(static_cast<std::size_t>(obs_dim));
-    for (double& v : obs) v = stream.next_range(-1, 1);
+    for (std::size_t c = 0; c < obs.size(); ++c) {
+      const double v = stream.next_range(-1, 1);
+      obs[c] = in_cols[c] ? v : std::copysign(0.0, v);
+    }
     return obs;
   };
   std::vector<double> obs = random_obs();
@@ -503,49 +541,43 @@ void expect_matches_reference(int obs_dim, const std::vector<int>& head_sizes, i
     PpoAgent::ActResult got = agent.act(obs, mask, agent_rng);
     PpoAgent::ActResult want = ref.act(obs, ref_mask, ref_rng);
     ASSERT_EQ(got.actions, want.actions);
-    ASSERT_EQ(got.logp, want.logp);
-    ASSERT_EQ(got.value, want.value);
+    ASSERT_EQ(bits_of(got.logp), bits_of(want.logp));
+    ASSERT_EQ(bits_of(got.value), bits_of(want.value));
 
     std::vector<double> next_obs = random_obs();
     double next_value = agent.value(next_obs);
-    ASSERT_EQ(next_value, ref.value(next_obs));
+    ASSERT_EQ(bits_of(next_value), bits_of(ref.value(next_obs)));
     double reward = stream.next_normal() * (stream.next_bool() ? 1.0 : 1e3);
     ASSERT_LT(table.size(), std::size_t{0x8000});
-    const auto id = static_cast<std::uint16_t>(table.size());
+    const std::size_t id = table.size();
     table.push_back(obs);
-    agent.store({id, static_cast<std::uint16_t>(~id)}, got, reward, next_value, mask);
+    const std::size_t check = ~id & 0xffff;
+    agent.store({static_cast<std::uint8_t>(id), static_cast<std::uint8_t>(id >> 8),
+                 static_cast<std::uint8_t>(check), static_cast<std::uint8_t>(check >> 8)},
+                got, reward, next_value, mask);
     ref.store({obs, want.actions, want.logp, reward, want.value, next_value, ref_mask});
     ASSERT_EQ(agent.buffer_size(), ref.buffer_size());
 
     if (stream.next_double() < 0.3) {
-      ASSERT_EQ(agent.train(agent_rng), ref.train(ref_rng));
-      expect_same_compact_network(agent.actor(), ref.actor(), kept);
-      expect_same_network(agent.critic(), ref.critic());
+      ASSERT_EQ(bits_of(agent.train(agent_rng)), bits_of(ref.train(ref_rng)));
+      expect_same_kept_entries(agent.actor(), ref.actor(), kept, cols);
+      expect_same_kept_entries(agent.critic(), ref.critic(), {}, cols);
     }
     obs = std::move(next_obs);
   }
   // The ring wrapped: training over it still agrees, and so does the policy.
   ASSERT_EQ(agent.buffer_size(), static_cast<std::size_t>(capacity));
-  for (int i = 0; i < 3; ++i) ASSERT_EQ(agent.train(agent_rng), ref.train(ref_rng));
-  expect_same_compact_network(agent.actor(), ref.actor(), kept);
-  expect_same_network(agent.critic(), ref.critic());
-  ASSERT_EQ(agent.act(obs, {}, agent_rng).logp, ref.act(obs, support_mask, ref_rng).logp);
-
-  // The rows the agent dropped never moved in the reference.
-  const LinearLayer& out = ref.actor().layers().back();
-  const LinearLayer& init = initial_actor.layers().back();
-  const auto in = static_cast<std::size_t>(out.in_dim);
-  for (std::size_t r = 0; r < static_cast<std::size_t>(out.out_dim); ++r) {
-    if (std::binary_search(kept.begin(), kept.end(), static_cast<int>(r))) continue;
-    for (std::size_t i = r * in; i < (r + 1) * in; ++i) {
-      ASSERT_EQ(out.w[i], init.w[i]) << "dead row " << r;
-      ASSERT_EQ(out.mw[i], 0.0) << "dead row " << r;
-      ASSERT_EQ(out.vw[i], 0.0) << "dead row " << r;
-    }
-    ASSERT_EQ(out.b[r], 0.0) << "dead row " << r;
-    ASSERT_EQ(out.mb[r], 0.0) << "dead row " << r;
-    ASSERT_EQ(out.vb[r], 0.0) << "dead row " << r;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(bits_of(agent.train(agent_rng)), bits_of(ref.train(ref_rng)));
   }
+  expect_same_kept_entries(agent.actor(), ref.actor(), kept, cols);
+  expect_same_kept_entries(agent.critic(), ref.critic(), {}, cols);
+  ASSERT_EQ(bits_of(agent.act(obs, {}, agent_rng).logp),
+            bits_of(ref.act(obs, support_mask, ref_rng).logp));
+
+  // The entries the agent dropped never moved in the reference.
+  expect_dropped_entries_never_moved(ref.actor(), initial_actor, kept, cols);
+  expect_dropped_entries_never_moved(ref.critic(), initial_critic, {}, cols);
 }
 
 TEST(PpoRing, MatchesReferenceSingleHead) { expect_matches_reference(3, {5}, 16, 21); }
@@ -572,17 +604,22 @@ TEST(PpoRing, MatchesReferenceWithActionsPastInt16) {
   expect_matches_reference(2, {40000, 3}, 8, 31);
 }
 
-TEST(PpoRing, MatchesFullWidthReferenceOnASupport) {
-  // A GEMM-like head 0: 101 nominal actions, 27 in the support, dummy last.
-  std::vector<int> gemm_support;
+/// A GEMM-like head 0: 101 nominal actions, 27 in the support, dummy last.
+std::vector<int> gemm_like_support() {
+  std::vector<int> support;
   for (int from = 0; from < 10; ++from) {
     for (int to = 0; to < 10; ++to) {
       const int axis_from = from < 8 ? from / 4 : 2;
       const int axis_to = to < 8 ? to / 4 : 2;
-      if (from != to && axis_from == axis_to) gemm_support.push_back(from * 10 + to);
+      if (from != to && axis_from == axis_to) support.push_back(from * 10 + to);
     }
   }
-  gemm_support.push_back(100);
+  support.push_back(100);
+  return support;
+}
+
+TEST(PpoRing, MatchesFullWidthReferenceOnASupport) {
+  const std::vector<int> gemm_support = gemm_like_support();
   ASSERT_EQ(gemm_support.size(), 27u);
   expect_matches_reference(7, {101, 3, 3, 3}, 33, 27, gemm_support);
   expect_matches_reference(7, {101, 3, 3, 3}, 300, 28, gemm_support);
@@ -590,6 +627,23 @@ TEST(PpoRing, MatchesFullWidthReferenceOnASupport) {
   // A support of one action, and one that is not at either end.
   expect_matches_reference(3, {6, 2}, 16, 29, {5});
   expect_matches_reference(3, {6}, 16, 30, {1, 2, 4});
+}
+
+TEST(PpoRing, MatchesFullWidthReferenceOnAnInputSupport) {
+  // Columns dropped at both ends and between kept ones.
+  expect_matches_reference(9, {5}, 16, 33, {}, {1, 2, 4, 7});
+  expect_matches_reference(9, {9, 3, 3, 3}, 33, 34, {}, {0, 3, 8});
+  // One kept column, at either end.
+  expect_matches_reference(6, {4, 3}, 16, 35, {}, {0});
+  expect_matches_reference(6, {4, 3}, 16, 36, {}, {5});
+  // With a head-0 support too, across ring blocks: HARL's layout.
+  const std::vector<int> gemm_support = gemm_like_support();
+  std::vector<int> cols;
+  for (int c = 0; c < 40; ++c) {
+    if (c % 3 != 1 && c != 38) cols.push_back(c);
+  }
+  expect_matches_reference(40, {101, 3, 3, 3}, 33, 37, gemm_support, cols);
+  expect_matches_reference(40, {101, 3, 3, 3}, 300, 38, gemm_support, cols);
 }
 
 /// Heap bytes requested while `fn` runs.
@@ -605,19 +659,19 @@ std::size_t new_bytes(Fn&& fn) {
 /// in an agent whose capacity is n rounded up to a block, and the rows
 /// allocated never exceed that rounding.  Reserving the ring at capacity, or
 /// growing it geometrically, fails one of these.  A row's bytes are pinned
-/// too: 2 per state value and per head, three doubles (log-prob, value, TD
+/// too: its state bytes, 2 per head, three doubles (log-prob, value, TD
 /// target), and one bit per support action plus the has-mask flag.
 TEST(PpoRing, MemoryFollowsStoredRowsNotCapacity) {
   constexpr std::size_t kBlock = PpoAgent::kRingBlockRows;
   ObsTable table;
-  const std::vector<std::uint16_t> state = table.add({0.5, -0.5});
+  const std::vector<std::uint8_t> state = table.add({0.5, -0.5});
   PpoAgent::ActResult act;
   act.actions = {4, 2};
   const std::vector<bool> mask(5, true);
   auto build = [&](std::size_t capacity) {
     PpoConfig cfg = small_config();
     cfg.buffer_capacity = static_cast<int>(capacity);
-    return std::make_unique<PpoAgent>(2, 1, table.observe(), std::vector<int>{5, 3}, cfg, 1);
+    return std::make_unique<PpoAgent>(2, 2, table.observe(), std::vector<int>{5, 3}, cfg, 1);
   };
   for (std::size_t rows : {std::size_t{1}, kBlock - 1, kBlock, kBlock + 1, 2 * kBlock + 88}) {
     SCOPED_TRACE("rows " + std::to_string(rows));
@@ -640,21 +694,22 @@ TEST(PpoRing, MemoryFollowsStoredRowsNotCapacity) {
 
   // Two rings that each fill one block's reservation, of 64 and 128 rows,
   // differ by exactly 64 rows.
-  constexpr std::size_t kStateWidth = 3, kHeads = 4, kSupport = 5;
-  const std::vector<std::uint16_t> wide_state = {state[0], 7, 0xffff};
+  // A five-byte state, as a packed HARL row of a small sketch.
+  constexpr std::size_t kStateBytes = 5, kHeads = 4, kSupport = 5;
+  const std::vector<std::uint8_t> wide_state = {state[0], state[1], 7, 0xff, 0x80};
   PpoAgent::ActResult act4;
   act4.actions = {4, 2, 1, 0};
   auto fill_bytes = [&](std::size_t rows) {
     PpoConfig cfg = small_config();
     cfg.buffer_capacity = static_cast<int>(rows);
-    PpoAgent agent(2, kStateWidth, table.observe(), {kSupport, 3, 3, 3}, cfg, 1);
+    PpoAgent agent(2, kStateBytes, table.observe(), {kSupport, 3, 3, 3}, cfg, 1);
     return new_bytes([&] {
       for (std::size_t i = 0; i < rows; ++i) agent.store(wide_state, act4, 1.0, 0.5, mask);
     });
   };
   static_assert(128 <= kBlock);
-  const std::size_t row_bytes = 2 * kStateWidth + 2 * kHeads + 3 * sizeof(double);
-  EXPECT_EQ(row_bytes, 38u);
+  const std::size_t row_bytes = kStateBytes + 2 * kHeads + 3 * sizeof(double);
+  EXPECT_EQ(row_bytes, 37u);
   EXPECT_EQ(fill_bytes(128) - fill_bytes(64), 64 * row_bytes + 64 * (kSupport + 1) / 8);
 }
 
@@ -664,7 +719,7 @@ TEST(PpoRing, MemoryFollowsStoredRowsNotCapacity) {
 TEST(PpoRing, MemoryFollowsTheSupportNotHead0Width) {
   constexpr std::size_t kBlock = PpoAgent::kRingBlockRows;
   ObsTable table;
-  const std::vector<std::uint16_t> state = table.add({0.5, -0.5});
+  const std::vector<std::uint8_t> state = table.add({0.5, -0.5});
   const std::vector<int> support = {1, 3, 7, 8};
   PpoAgent::ActResult act;
   act.actions = {7, 2};
@@ -676,7 +731,7 @@ TEST(PpoRing, MemoryFollowsTheSupportNotHead0Width) {
     mask[3] = mask[7] = true;
     std::unique_ptr<PpoAgent> agent;
     const std::size_t build = new_bytes([&] {
-      agent = std::make_unique<PpoAgent>(2, 1, table.observe(), std::vector<int>{width, 3},
+      agent = std::make_unique<PpoAgent>(2, 2, table.observe(), std::vector<int>{width, 3},
                                          small_config(), 1, support);
     });
     const std::size_t store = new_bytes([&] {
@@ -692,6 +747,31 @@ TEST(PpoRing, MemoryFollowsTheSupportNotHead0Width) {
     }
     EXPECT_EQ(build, build_bytes);
     EXPECT_EQ(store, store_bytes);
+  }
+}
+
+/// The observation's nominal width costs nothing past its input support:
+/// building an agent asks for the same bytes whether the observation has 3
+/// or 5000 columns, and the first layers hold the kept columns only.
+TEST(PpoRing, MemoryFollowsTheInputSupportNotObsDim) {
+  ObsTable table;
+  const std::vector<int> cols = {0, 2};
+  std::size_t build_bytes = 0;
+  for (int obs_dim : {3, 100, 5000}) {
+    SCOPED_TRACE("obs_dim " + std::to_string(obs_dim));
+    std::unique_ptr<PpoAgent> agent;
+    const std::size_t build = new_bytes([&] {
+      agent = std::make_unique<PpoAgent>(obs_dim, 2, table.observe(), std::vector<int>{4, 3},
+                                         small_config(), 1, std::vector<int>{}, cols);
+    });
+    for (const Mlp* net : {&agent->actor(), &agent->critic()}) {
+      const LinearLayer& first = net->layers().front();
+      EXPECT_EQ(first.in_dim, 2);
+      EXPECT_EQ(first.w.size(), 2u * static_cast<std::size_t>(small_config().hidden_dim));
+      EXPECT_EQ(first.mw.size(), first.w.size());
+    }
+    if (build_bytes == 0) build_bytes = build;
+    EXPECT_EQ(build, build_bytes);
   }
 }
 
@@ -715,8 +795,8 @@ TEST(PpoDeathTest, RejectsZeroMinibatch) {
 TEST(PpoDeathTest, RejectsMissingStateLayout) {
   ObsTable table;
   EXPECT_DEATH(PpoAgent(2, 0, table.observe(), {3}, small_config(), 1),
-               "state width and observe");
-  EXPECT_DEATH(PpoAgent(2, 1, nullptr, {3}, small_config(), 1), "state width and observe");
+               "state size and observe");
+  EXPECT_DEATH(PpoAgent(2, 2, nullptr, {3}, small_config(), 1), "state size and observe");
 }
 
 TEST(PpoDeathTest, RejectsWrongObservationWidth) {
@@ -728,13 +808,41 @@ TEST(PpoDeathTest, RejectsWrongObservationWidth) {
   EXPECT_DEATH(agent.value(narrow), "observation width differs from obs_dim");
 }
 
-TEST(PpoDeathTest, RejectsWrongStateWidth) {
+TEST(PpoDeathTest, RejectsWrongStateSize) {
   ObsTable table;
   PpoAgent agent = make_agent(table, 2, {3}, small_config(), 1);
   PpoAgent::ActResult act;
   act.actions = {0};
-  EXPECT_DEATH(agent.store({}, act, 0, 0, {}), "state width differs from state_width");
-  EXPECT_DEATH(agent.store({0, 0}, act, 0, 0, {}), "state width differs from state_width");
+  EXPECT_DEATH(agent.store({}, act, 0, 0, {}), "state size differs from state_bytes");
+  EXPECT_DEATH(agent.store({0}, act, 0, 0, {}), "state size differs from state_bytes");
+  EXPECT_DEATH(agent.store({0, 0, 0}, act, 0, 0, {}), "state size differs from state_bytes");
+}
+
+TEST(PpoDeathTest, RejectsABadInputSupport) {
+  ObsTable table;
+  for (const std::vector<int>& cols :
+       {std::vector<int>{2, 1}, std::vector<int>{1, 1}, std::vector<int>{0, 3},
+        std::vector<int>{-1, 0}}) {
+    EXPECT_DEATH(PpoAgent(3, 2, table.observe(), {4}, small_config(), 1, {}, cols),
+                 "input support must be strictly ascending columns below obs_dim");
+  }
+}
+
+/// A column outside the input support must read 0.0 (either sign) wherever
+/// the agent meets an observation: act(), value() and train()'s observe.
+TEST(PpoDeathTest, RejectsNonzeroColumnOutsideTheInputSupport) {
+  ObsTable table;
+  PpoConfig cfg = small_config();
+  cfg.minibatch_size = 1;
+  PpoAgent agent(3, 2, table.observe(), {4}, cfg, 1, {}, {0, 2});
+  Rng rng(1);
+  PpoAgent::ActResult act = agent.act({0.5, -0.0, 0.25}, {}, rng);
+  EXPECT_EQ(agent.value({0.5, 0.0, 0.25}), agent.value({0.5, -0.0, 0.25}));
+  const std::vector<double> bad = {0.5, 1e-300, 0.25};
+  EXPECT_DEATH(agent.act(bad, {}, rng), "observation column outside the input support is nonzero");
+  EXPECT_DEATH(agent.value(bad), "observation column outside the input support is nonzero");
+  agent.store(table.add(bad), act, 1.0, 0.0, {});
+  EXPECT_DEATH(agent.train(rng), "observation column outside the input support is nonzero");
 }
 
 TEST(PpoDeathTest, RejectsWrongMaskWidth) {
@@ -742,7 +850,7 @@ TEST(PpoDeathTest, RejectsWrongMaskWidth) {
   PpoAgent agent = make_agent(table, 2, {4, 2}, small_config(), 1);
   Rng rng(1);
   const std::vector<double> obs = {0.5, -0.5};
-  const std::vector<std::uint16_t> state = table.add(obs);
+  const std::vector<std::uint8_t> state = table.add(obs);
   const std::vector<bool> short_mask = {true, false};
   PpoAgent::ActResult act;
   act.actions = {0, 1};
@@ -752,24 +860,24 @@ TEST(PpoDeathTest, RejectsWrongMaskWidth) {
 
 TEST(PpoDeathTest, RejectsABadSupport) {
   ObsTable table;
-  EXPECT_DEATH(PpoAgent(2, 1, table.observe(), {4, 2}, small_config(), 1, {2, 1}),
+  EXPECT_DEATH(PpoAgent(2, 2, table.observe(), {4, 2}, small_config(), 1, {2, 1}),
                "strictly ascending ids below head 0's size");
-  EXPECT_DEATH(PpoAgent(2, 1, table.observe(), {4, 2}, small_config(), 1, {1, 1}),
+  EXPECT_DEATH(PpoAgent(2, 2, table.observe(), {4, 2}, small_config(), 1, {1, 1}),
                "strictly ascending ids below head 0's size");
-  EXPECT_DEATH(PpoAgent(2, 1, table.observe(), {4, 2}, small_config(), 1, {0, 4}),
+  EXPECT_DEATH(PpoAgent(2, 2, table.observe(), {4, 2}, small_config(), 1, {0, 4}),
                "strictly ascending ids below head 0's size");
 }
 
 TEST(PpoDeathTest, RejectsActionsPastSixteenBits) {
   ObsTable table;
-  EXPECT_DEATH(PpoAgent(2, 1, table.observe(), {4, 65537}, small_config(), 1),
+  EXPECT_DEATH(PpoAgent(2, 2, table.observe(), {4, 65537}, small_config(), 1),
                "must fit in 16 bits");
-  EXPECT_DEATH(PpoAgent(2, 1, table.observe(), {65537, 2}, small_config(), 1),
+  EXPECT_DEATH(PpoAgent(2, 2, table.observe(), {65537, 2}, small_config(), 1),
                "must fit in 16 bits");
   // Head 0's nominal width may pass 16 bits: the ring stores support indices.
   PpoConfig cfg = small_config();
   cfg.hidden_dim = 4;
-  PpoAgent wide(2, 1, table.observe(), {70000, 65536}, cfg, 1, {5, 69999});
+  PpoAgent wide(2, 2, table.observe(), {70000, 65536}, cfg, 1, {5, 69999});
   PpoAgent::ActResult act;
   act.actions = {69999, 65535};
   wide.store(table.add({0.5, -0.5}), act, 0, 0, {});
@@ -778,10 +886,10 @@ TEST(PpoDeathTest, RejectsActionsPastSixteenBits) {
 
 TEST(PpoDeathTest, RejectsMoveOutsideTheSupport) {
   ObsTable table;
-  PpoAgent agent(2, 1, table.observe(), {4, 2}, small_config(), 1, {1, 3});
+  PpoAgent agent(2, 2, table.observe(), {4, 2}, small_config(), 1, {1, 3});
   Rng rng(1);
   const std::vector<double> obs = {0.5, -0.5};
-  const std::vector<std::uint16_t> state = table.add(obs);
+  const std::vector<std::uint8_t> state = table.add(obs);
   const std::vector<bool> outside = {false, true, true, false};
   PpoAgent::ActResult act;
   act.actions = {2, 0};
@@ -794,7 +902,7 @@ TEST(PpoDeathTest, RejectsMoveOutsideTheSupport) {
 TEST(PpoDeathTest, RejectsBadActions) {
   ObsTable table;
   PpoAgent agent = make_agent(table, 2, {4, 2}, small_config(), 1);
-  const std::vector<std::uint16_t> state = table.add({0.5, -0.5});
+  const std::vector<std::uint8_t> state = table.add({0.5, -0.5});
   PpoAgent::ActResult act;
   act.actions = {0};
   EXPECT_DEATH(agent.store(state, act, 0, 0, {}), "one action per head");
