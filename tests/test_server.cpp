@@ -473,6 +473,39 @@ TEST(Server, RecoverySkipsJournaledJobsWithAnOutOfRangeBatch) {
   server.shutdown();
 }
 
+TEST(Server, JournalBytesAreUnchanged) {
+  // The journal lines of a hello, a tune and its completion, byte for byte:
+  // a restarted daemon of any later build must read what this one wrote.
+  TempDir dir("test_server_journal_bytes");
+  {
+    HarlServer server(make_server_options(dir.path));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    Request hello;
+    hello.type = RequestType::kHello;
+    hello.tenant = "al\"ice";
+    hello.budget = 5000;
+    hello.weight = 2.5;
+    ASSERT_TRUE(server.handle_for_test(hello).ok);
+    Request tune = tune_request("al\"ice", 40, 18446744073709551615ULL);
+    tune.policy = "Ansor";
+    tune.batch = 2;
+    Response admitted = server.handle_for_test(tune);
+    ASSERT_TRUE(admitted.ok) << admitted.error;
+    ASSERT_EQ(wait_for_job(server, admitted.job, 120).state, "done");
+    server.shutdown();
+  }
+  std::string journal;
+  ASSERT_TRUE(read_text_file(dir.path + "/jobs.jsonl", &journal, nullptr));
+  EXPECT_EQ(journal,
+            "{\"v\":1,\"ev\":\"tenant\",\"tenant\":\"al\\\"ice\",\"budget\":5000,"
+            "\"weight\":2.5}\n"
+            "{\"v\":1,\"ev\":\"job\",\"job\":1,\"tenant\":\"al\\\"ice\","
+            "\"network\":\"bert\",\"batch\":2,\"hw\":\"test\",\"trials\":40,"
+            "\"seed\":18446744073709551615,\"policy\":\"Ansor\"}\n"
+            "{\"v\":1,\"ev\":\"done\",\"job\":1}\n");
+}
+
 TEST(Server, HardwareNamesAndTheirErrorReplyAreUnchanged) {
   TempDir dir("test_server_hw_names");
   HarlServer server(make_server_options(dir.path));
