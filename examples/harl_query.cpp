@@ -36,7 +36,8 @@
 ///   --save-cache=FILE  write the folded cache back out (atomic) and, with
 ///                      no --task, exit after building it
 ///   --topk=N           records kept per (network, task, hardware) entry
-///   --repeat=N         serve N times and report the median latency
+///                      (>= 1)
+///   --repeat=N         serve N times and report the median latency (>= 1)
 ///   --tier-stats       print tier hit + freshness counters — the local
 ///                      cache's, or with --connect the server's (queries,
 ///                      per-tier hits, cache refreshes, best-entry
@@ -46,29 +47,34 @@
 ///                      not — the CI round-trip gate; works remotely too)
 ///   --no-golden        report a miss instead of golden advice on cold tasks
 ///   --connect=HOST:PORT  client mode: the daemon to talk to (PORT alone
-///                        means 127.0.0.1:PORT)
+///                        means 127.0.0.1:PORT; PORT is 1-65535)
 ///   --tenant=NAME      tenant to act as (default "default")
-///   --budget=N         hello: set/raise the tenant's trial budget
+///   --budget=N         hello: set/raise the tenant's trial budget (>= 0)
 ///   --weight=W         hello: set the tenant's fair-queue weight (> 0;
 ///                      dispatch shares under overload are weight-
 ///                      proportional, default 1.0)
 ///   --tune=NETWORK     admit a tuning job for this base network
-///   --batch=N          batch size of the tuned network (default 1)
-///   --trials=N         measurement-trial budget of the job
-///   --seed=N           job seed — part of its deterministic run identity
+///   --batch=N          batch size of the tuned network, 1-1024 (default 1)
+///   --trials=N         measurement-trial budget of the job (>= 1)
+///   --seed=N           job seed, an unsigned 64-bit integer — part of its
+///                      deterministic run identity
 ///   --policy=NAME      search policy for the job (harl, random, ...)
 ///   --wait             after --tune, stream round events until the job ends
-///   --watch=JOB        stream an existing job's events until it ends
+///   --watch=JOB        stream an existing job's events until it ends (JOB
+///                      is a job id, >= 1)
 ///   --status=JOB       print one job's state and result summary
 ///   --stats            print server-wide counters
 ///   --shutdown         ask the daemon to drain and exit
 ///   --help             print usage and exit
 ///
-/// Exit codes: 0 served, 1 setup/remote error, 2 usage error, 4 watched job
+/// Exit codes: 0 served, 1 setup/remote error, 2 usage error (an unknown flag,
+/// or a number that is not plain digits within the flag's range), 4 watched job
 /// stopped without completing, 6 --expect-best mismatch.
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -79,6 +85,7 @@
 #include "serve/knowledge_cache.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -449,6 +456,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
+    bool parsed = true;
     if (flag_value(argv[i], "--task", &v)) {
       task_spec = v;
     } else if (flag_value(argv[i], "--hw", &v)) {
@@ -466,9 +474,9 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--save-cache", &v)) {
       save_path = v;
     } else if (flag_value(argv[i], "--topk", &v)) {
-      topk = std::atoi(v);
+      parsed = parse_int_flag("--topk", v, 1, INT_MAX, &topk);
     } else if (flag_value(argv[i], "--repeat", &v)) {
-      repeat = std::atoi(v);
+      parsed = parse_int_flag("--repeat", v, 1, INT_MAX, &repeat);
     } else if (std::strcmp(argv[i], "--tier-stats") == 0) {
       tier_stats = true;
     } else if (std::strcmp(argv[i], "--expect-best") == 0) {
@@ -480,25 +488,27 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--tenant", &v)) {
       remote.tenant = v;
     } else if (flag_value(argv[i], "--budget", &v)) {
-      remote.budget = std::atoll(v);
+      parsed = parse_int_flag("--budget", v, 0, INT64_MAX, &remote.budget);
     } else if (flag_value(argv[i], "--weight", &v)) {
-      remote.weight = std::atof(v);
+      parsed = parse_nonnegative(v, &remote.weight) && remote.weight > 0;
+      if (!parsed) std::fprintf(stderr, "bad --weight=%s: want a positive number\n", v);
     } else if (flag_value(argv[i], "--tune", &v)) {
       remote.tune_network = v;
     } else if (flag_value(argv[i], "--batch", &v)) {
-      remote.batch = std::atoll(v);
+      parsed = parse_int_flag("--batch", v, 1, kMaxBatch, &remote.batch);
     } else if (flag_value(argv[i], "--trials", &v)) {
-      remote.trials = std::atoll(v);
+      parsed = parse_int_flag("--trials", v, 1, INT64_MAX, &remote.trials);
     } else if (flag_value(argv[i], "--seed", &v)) {
-      remote.seed = static_cast<std::uint64_t>(std::atoll(v));
+      parsed = parse_u64(v, &remote.seed);
+      if (!parsed) std::fprintf(stderr, "bad --seed=%s: want an unsigned 64-bit integer\n", v);
     } else if (flag_value(argv[i], "--policy", &v)) {
       remote.policy = v;
     } else if (std::strcmp(argv[i], "--wait") == 0) {
       remote.wait = true;
     } else if (flag_value(argv[i], "--watch", &v)) {
-      remote.watch_job = std::atoll(v);
+      parsed = parse_int_flag("--watch", v, 1, INT64_MAX, &remote.watch_job);
     } else if (flag_value(argv[i], "--status", &v)) {
-      remote.status_job = std::atoll(v);
+      parsed = parse_int_flag("--status", v, 1, INT64_MAX, &remote.status_job);
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       remote.stats = true;
     } else if (std::strcmp(argv[i], "--shutdown") == 0) {
@@ -511,21 +521,20 @@ int main(int argc, char** argv) {
       usage(stderr);
       return 2;
     }
+    if (!parsed) return 2;
   }
 
   if (!connect_spec.empty()) {
     std::size_t colon = connect_spec.find(':');
-    if (colon == std::string::npos) {
-      remote.port = std::atoi(connect_spec.c_str());
-    } else {
-      remote.host = connect_spec.substr(0, colon);
-      remote.port = std::atoi(connect_spec.c_str() + colon + 1);
-    }
-    if (remote.port <= 0) {
-      std::fprintf(stderr, "--connect wants HOST:PORT or PORT, got \"%s\"\n",
+    std::uint64_t port = 0;
+    if (colon != std::string::npos) remote.host = connect_spec.substr(0, colon);
+    const char* port_text = connect_spec.c_str() + (colon == std::string::npos ? 0 : colon + 1);
+    if (!parse_u64(port_text, &port) || port < 1 || port > 65535) {
+      std::fprintf(stderr, "--connect wants HOST:PORT or PORT (1-65535), got \"%s\"\n",
                    connect_spec.c_str());
       return 2;
     }
+    remote.port = static_cast<int>(port);
     remote.task_spec = task_spec;
     remote.hw = hw_name;
     remote.repeat = repeat;

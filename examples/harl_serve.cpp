@@ -13,34 +13,36 @@
 ///
 ///   --state-dir=DIR       durable root: per-hardware record logs + caches,
 ///                         the jobs.jsonl journal, and the `port` file
-///   --port=N              TCP port on 127.0.0.1 (default 0 = ephemeral;
-///                         the chosen port is written to DIR/port)
-///   --max-concurrent=N    tuning jobs run at once (default 2)
-///   --default-budget=N    trial budget a new tenant starts with
+///   --port=N              TCP port on 127.0.0.1, 0-65535 (default 0 =
+///                         ephemeral; the chosen port is written to DIR/port)
+///   --max-concurrent=N    tuning jobs run at once, 1-256 (default 2)
+///   --default-budget=N    trial budget a new tenant starts with, >= 0
 ///                         (default 100000; `hello` can raise it)
-///   --max-job-trials=N    per-job trial cap at admission (default 10000)
-///   --refresh=N           in-run experience refresh period in rounds
+///   --max-job-trials=N    per-job trial cap at admission, >= 1
+///                         (default 10000)
+///   --refresh=N           in-run experience refresh period in rounds, >= 0
 ///                         (default 0 = off, keeping restart resume
 ///                         bit-identical)
 ///   --cross-refresh=N     cross-shard warm-up: refit one experience model
 ///                         per hardware shard every N rounds from every
-///                         shard's records (default 0 = off; like --refresh,
-///                         it changes later sessions' run identity)
+///                         shard's records, >= 0 (default 0 = off; like
+///                         --refresh, it changes later sessions' run
+///                         identity)
 ///   --value-model=PATH    partial-schedule value model (harl_harvest value)
 ///                         shared by every admitted job; part of each job's
 ///                         run identity — a restarted daemon must pass the
 ///                         same model for bit-identical resume
-///   --beam-width=N        value-guided beam width for admitted jobs
+///   --beam-width=N        value-guided beam width for admitted jobs, >= 1
 ///                         (default 16; needs --value-model)
 ///   --sample-clusters=N   measure only N representative candidates per
-///                         round, crediting the rest via the cost model
-///                         (default 0 = off)
+///                         round, crediting the rest via the cost model,
+///                         >= 0 (default 0 = off)
 ///   --no-golden           report misses instead of golden advice (L3)
 ///   --replica             read-only replica: share a primary's state dir,
 ///                         serve query/stats only, and hot-reload each
 ///                         shard's published cache + experience model when
 ///                         the primary republishes them
-///   --watch-interval=MS   replica poll cadence for published files
+///   --watch-interval=MS   replica poll cadence for published files, >= 1
 ///                         (default 100)
 ///   --port-file=PATH      write the bound port here (default DIR/port for
 ///                         a primary, nothing for a replica — replicas never
@@ -48,16 +50,19 @@
 ///   --quiet               suppress the startup banner
 ///   --help                print usage and exit
 ///
-/// Exit codes: 0 clean shutdown, 1 setup error, 2 usage error.
+/// Exit codes: 0 clean shutdown, 1 setup error, 2 usage error (an unknown
+/// flag, or a number that is not plain digits within the flag's range).
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "core/harl.hpp"
 #include "server/server.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -98,22 +103,23 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
+    bool parsed = true;
     if (flag_value(argv[i], "--state-dir", &v)) {
       opts.state_dir = v;
     } else if (flag_value(argv[i], "--port", &v)) {
-      opts.port = std::atoi(v);
+      parsed = parse_int_flag("--port", v, 0, 65535, &opts.port);
     } else if (flag_value(argv[i], "--max-concurrent", &v)) {
-      opts.max_concurrent = std::atoi(v);
+      parsed = parse_int_flag("--max-concurrent", v, 1, 256, &opts.max_concurrent);
     } else if (flag_value(argv[i], "--default-budget", &v)) {
-      opts.default_budget = std::atoll(v);
+      parsed = parse_int_flag("--default-budget", v, 0, INT64_MAX, &opts.default_budget);
     } else if (flag_value(argv[i], "--max-job-trials", &v)) {
-      opts.max_job_trials = std::atoll(v);
+      parsed = parse_int_flag("--max-job-trials", v, 1, INT64_MAX, &opts.max_job_trials);
     } else if (flag_value(argv[i], "--refresh", &v)) {
-      opts.refresh_period = std::atoi(v);
+      parsed = parse_int_flag("--refresh", v, 0, INT_MAX, &opts.refresh_period);
     } else if (flag_value(argv[i], "--cross-refresh", &v)) {
-      opts.cross_refresh = std::atoi(v);
+      parsed = parse_int_flag("--cross-refresh", v, 0, INT_MAX, &opts.cross_refresh);
     } else if (flag_value(argv[i], "--watch-interval", &v)) {
-      opts.watch_interval_ms = std::atoi(v);
+      parsed = parse_int_flag("--watch-interval", v, 1, INT_MAX, &opts.watch_interval_ms);
     } else if (flag_value(argv[i], "--port-file", &v)) {
       opts.port_file = v;
     } else if (std::strcmp(argv[i], "--replica") == 0) {
@@ -121,10 +127,12 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--value-model", &v)) {
       opts.value_model = v;
     } else if (flag_value(argv[i], "--beam-width", &v)) {
-      opts.tuning.value_guide.beam_width = std::atoi(v);
+      parsed = parse_int_flag("--beam-width", v, 1, INT_MAX,
+                              &opts.tuning.value_guide.beam_width);
     } else if (flag_value(argv[i], "--sample-clusters", &v)) {
       opts.tuning.value_guide.enabled = true;
-      opts.tuning.value_guide.sample_clusters = std::atoi(v);
+      parsed = parse_int_flag("--sample-clusters", v, 0, INT_MAX,
+                              &opts.tuning.value_guide.sample_clusters);
     } else if (std::strcmp(argv[i], "--no-golden") == 0) {
       opts.golden_advice = false;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
@@ -137,12 +145,12 @@ int main(int argc, char** argv) {
       usage(stderr);
       return 2;
     }
+    if (!parsed) return 2;
   }
   if (opts.state_dir.empty()) {
     usage(stderr);
     return 2;
   }
-  if (opts.max_concurrent < 1) opts.max_concurrent = 1;
   const bool server_is_replica = opts.replica;
 
   HarlServer server(std::move(opts));

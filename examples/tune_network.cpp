@@ -126,19 +126,6 @@ bool parse_trials(const char* p, std::int64_t* trials) {
   return false;
 }
 
-/// Parses the value `v` of flag `name` as an integer in [lo, INT_MAX]
-/// filling all of `v` (lo is 0 where 0 turns the flag off).  Prints the
-/// error and returns false otherwise.
-bool parse_int_flag(const char* name, const char* v, int lo, int* out) {
-  std::uint64_t n = 0;
-  if (parse_u64(v, &n) && n >= static_cast<std::uint64_t>(lo) && n <= INT_MAX) {
-    *out = static_cast<int>(n);
-    return true;
-  }
-  std::fprintf(stderr, "bad %s=%s: want an integer in [%d, %d]\n", name, v, lo, INT_MAX);
-  return false;
-}
-
 /// --network=: a builtin network, a Table 6 suite (its headline case as a
 /// one-subgraph network) or "gemm:MxKxN".  Suite and GEMM networks are named
 /// "<name>_b<batch>" like the builtins, so a record log's network name pins
@@ -291,9 +278,9 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--value-model", &v)) {
       value_model_path = v;
     } else if (flag_value(argv[i], "--beam-width", &v)) {
-      if (!parse_int_flag("--beam-width", v, 1, &beam_width)) return 1;
+      if (!parse_int_flag("--beam-width", v, 1, INT_MAX, &beam_width)) return 1;
     } else if (flag_value(argv[i], "--sample-clusters", &v)) {
-      if (!parse_int_flag("--sample-clusters", v, 0, &sample_clusters)) return 1;
+      if (!parse_int_flag("--sample-clusters", v, 0, INT_MAX, &sample_clusters)) return 1;
     } else if (flag_value(argv[i], "--stop-at-ms", &v)) {
       if (!parse_nonnegative(v, &stop_at_ms)) {
         std::fprintf(stderr, "bad --stop-at-ms=%s: want a non-negative number\n", v);
@@ -304,7 +291,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--async-callbacks") == 0) {
       async_callbacks = true;
     } else if (flag_value(argv[i], "--refresh-period", &v)) {
-      if (!parse_int_flag("--refresh-period", v, 0, &refresh_period)) return 1;
+      if (!parse_int_flag("--refresh-period", v, 0, INT_MAX, &refresh_period)) return 1;
     } else if (flag_value(argv[i], "--refresh-out", &v)) {
       refresh_out = v;
     } else if (std::strcmp(argv[i], "--help") == 0) {
@@ -313,7 +300,7 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--dump-rounds", &v)) {
       dump_path = v;
     } else if (flag_value(argv[i], "--stop-after-rounds", &v)) {
-      if (!parse_int_flag("--stop-after-rounds", v, 0, &stop_after_rounds)) return 1;
+      if (!parse_int_flag("--stop-after-rounds", v, 0, INT_MAX, &stop_after_rounds)) return 1;
     } else if (flag_value(argv[i], "--inject-faults", &v)) {
       fault_spec_text = v;
     } else if (argv[i][0] != '-') {

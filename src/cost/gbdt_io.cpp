@@ -1,6 +1,6 @@
 #include "cost/gbdt_io.hpp"
 
-#include <cstdio>
+#include <type_traits>
 #include <utility>
 
 #include "io/json.hpp"
@@ -11,210 +11,232 @@ namespace harl {
 
 namespace {
 
-using json::Value;
+using json::Kind;
 
-Value int_array(const std::vector<int>& v) {
-  Value out = Value::array();
-  for (int x : v) out.push_back(Value::number(static_cast<std::int64_t>(x)));
-  return out;
-}
-
-Value double_array(const std::vector<double>& v) {
-  Value out = Value::array();
-  for (double x : v) out.push_back(Value::number(x));
-  return out;
-}
-
-bool read_int_array(const Value& obj, const char* key, std::vector<int>* out,
-                    std::string* error) {
-  const Value* v = obj.find(key);
-  if (v == nullptr || !v->is_array()) {
-    *error = std::string("missing or non-array field \"") + key + "\"";
-    return false;
-  }
-  out->clear();
-  out->reserve(v->items().size());
-  for (const Value& item : v->items()) {
-    if (!item.is_number()) {
-      *error = std::string("non-numeric entry in \"") + key + "\"";
-      return false;
+/// `,"name":[...]` of numbers, appended to `*out`.
+template <typename T>
+void append_array(std::string* out, const char* name, const std::vector<T>& v) {
+  *out += ",\"";
+  *out += name;
+  *out += "\":[";
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i) *out += ',';
+    if constexpr (std::is_floating_point_v<T>) {
+      json::append_double(out, v[i]);
+    } else {
+      json::append_int(out, v[i]);
     }
-    out->push_back(static_cast<int>(item.as_int64()));
   }
-  return true;
+  *out += ']';
 }
 
-bool read_double_array(const Value& obj, const char* key, std::vector<double>* out,
-                       std::string* error) {
-  const Value* v = obj.find(key);
-  if (v == nullptr || !v->is_array()) {
-    *error = std::string("missing or non-array field \"") + key + "\"";
-    return false;
-  }
-  out->clear();
-  out->reserve(v->items().size());
-  for (const Value& item : v->items()) {
-    if (!item.is_number()) {
-      *error = std::string("non-numeric entry in \"") + key + "\"";
-      return false;
+// Model members, in the order `gbdt_from_json` checks them.
+enum Field {
+  kVersion, kCfg, kNf, kFit, kBase, kFeat, kThresh, kChild, kRoot, kRng,
+  kNumFields
+};
+constexpr std::string_view kFieldNames[kNumFields] = {
+    "harl_gbdt", "cfg", "nf", "fit", "base", "feat", "thresh", "child",
+    "root", "rng"};
+
+enum CfgField {
+  kTrees, kDepth, kLr, kMinLeaf, kRowSub, kColSub, kL2, kSeed, kSplit, kBins,
+  kNumCfgFields
+};
+constexpr std::string_view kCfgNames[kNumCfgFields] = {
+    "trees", "depth", "lr", "min_leaf", "row_sub", "col_sub", "l2", "seed",
+    "split", "bins"};
+
+/// The last occurrence of one number array: its items and whether every
+/// item was a number.
+template <typename T>
+struct Numbers {
+  std::vector<T> items;
+  bool numeric = true;
+};
+
+/// Pulls the number array at `c` into `*out`, replacing its last occurrence.
+template <typename T>
+bool read_array(json::Cursor& c, Numbers<T>* out) {
+  out->items.clear();
+  auto push = [out](std::string_view token) {
+    if constexpr (std::is_same_v<T, double>) {
+      out->items.push_back(json::number_to_double(token, 0));
+    } else if constexpr (std::is_same_v<T, int>) {
+      out->items.push_back(static_cast<int>(json::number_to_int64(token, 0)));
+    } else {
+      out->items.push_back(json::number_to_uint64(token, 0));
     }
-    out->push_back(item.as_double());
-  }
-  return true;
-}
-
-bool read_number(const Value& obj, const char* key, const Value** out,
-                 std::string* error) {
-  const Value* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) {
-    *error = std::string("missing or non-numeric field \"") + key + "\"";
-    return false;
-  }
-  *out = v;
-  return true;
+  };
+  return json::read_numbers(c, push, &out->numeric);
 }
 
 }  // namespace
 
 std::string gbdt_to_json(const Gbdt& model) {
   const GbdtConfig& cfg = model.config();
-  Value obj = Value::object();
-  obj.set("harl_gbdt", Value::number(static_cast<std::int64_t>(kGbdtModelVersion)));
-  Value c = Value::object();
-  c.set("trees", Value::number(static_cast<std::int64_t>(cfg.num_trees)));
-  c.set("depth", Value::number(static_cast<std::int64_t>(cfg.max_depth)));
-  c.set("lr", Value::number(cfg.learning_rate));
-  c.set("min_leaf", Value::number(static_cast<std::int64_t>(cfg.min_samples_leaf)));
-  c.set("row_sub", Value::number(cfg.row_subsample));
-  c.set("col_sub", Value::number(cfg.col_subsample));
-  c.set("l2", Value::number(cfg.l2_lambda));
-  c.set("seed", Value::number(cfg.seed));
-  c.set("split", Value::number(static_cast<std::int64_t>(
-                     cfg.split_mode == SplitMode::kHistogram ? 1 : 0)));
-  c.set("bins", Value::number(static_cast<std::int64_t>(cfg.histogram_bins)));
-  obj.set("cfg", std::move(c));
-  obj.set("nf", Value::number(static_cast<std::int64_t>(model.num_features())));
-  obj.set("fit", Value::number(static_cast<std::int64_t>(model.num_trees_fit())));
-  obj.set("base", Value::number(model.base_score()));
-  obj.set("feat", int_array(model.flat_feature()));
-  obj.set("thresh", double_array(model.flat_thresh()));
-  obj.set("child", int_array(model.flat_child()));
-  obj.set("root", int_array(model.flat_root()));
-  Value rng = Value::array();
-  rng.push_back(Value::number(model.rng().serial_state()));
-  rng.push_back(Value::number(model.rng().serial_inc()));
-  obj.set("rng", std::move(rng));
-  return obj.dump() + "\n";
+  std::string out = "{\"harl_gbdt\":";
+  json::append_int(&out, kGbdtModelVersion);
+  out += ",\"cfg\":{\"trees\":";
+  json::append_int(&out, cfg.num_trees);
+  json::append_member(&out, "depth", cfg.max_depth);
+  json::append_member(&out, "lr", cfg.learning_rate);
+  json::append_member(&out, "min_leaf", cfg.min_samples_leaf);
+  json::append_member(&out, "row_sub", cfg.row_subsample);
+  json::append_member(&out, "col_sub", cfg.col_subsample);
+  json::append_member(&out, "l2", cfg.l2_lambda);
+  json::append_member(&out, "seed", cfg.seed);
+  json::append_member(&out, "split", cfg.split_mode == SplitMode::kHistogram ? 1 : 0);
+  json::append_member(&out, "bins", cfg.histogram_bins);
+  out += '}';
+  json::append_member(&out, "nf", model.num_features());
+  json::append_member(&out, "fit", model.num_trees_fit());
+  json::append_member(&out, "base", model.base_score());
+  append_array(&out, "feat", model.flat_feature());
+  append_array(&out, "thresh", model.flat_thresh());
+  append_array(&out, "child", model.flat_child());
+  append_array(&out, "root", model.flat_root());
+  append_array(&out, "rng", std::vector<std::uint64_t>{model.rng().serial_state(),
+                                                       model.rng().serial_inc()});
+  out += "}\n";
+  return out;
 }
 
+// One pass over the document pulls every member into the tables (the arrays
+// straight into vectors); the checks run afterwards in a fixed order, so a
+// syntax error anywhere is reported before any field error.
 bool gbdt_from_json(const std::string& text, Gbdt* out, std::string* error) {
   json::ParseError perr;
-  Value obj = json::parse(text, &perr);
-  if (!perr.ok) {
+  json::Cursor c(text, &perr);
+  json::Members<kNumFields> m(kFieldNames);
+  json::Members<kNumCfgFields> cm(kCfgNames);
+  Numbers<int> feat, child, root;
+  Numbers<double> thresh;
+  Numbers<std::uint64_t> rng;
+  bool is_object = false;
+  const bool read = m.read_document(c, &is_object, [&](std::size_t f, Kind kind) {
+    if (kind == Kind::kObject) {
+      if (f != kCfg) return c.skip_value();
+      cm = json::Members<kNumCfgFields>(kCfgNames);
+      return cm.read(c);
+    }
+    switch (f) {
+      case kFeat: return read_array(c, &feat);
+      case kThresh: return read_array(c, &thresh);
+      case kChild: return read_array(c, &child);
+      case kRoot: return read_array(c, &root);
+      case kRng: return read_array(c, &rng);
+      default: return c.skip_value();
+    }
+  });
+  if (!read) {
     *error = perr.to_string();
     return false;
   }
-  if (!obj.is_object()) {
+  if (!is_object) {
     *error = "model document is not a JSON object";
     return false;
   }
 
-  const Value* v = nullptr;
-  if (!read_number(obj, "harl_gbdt", &v, error)) return false;
-  int version = static_cast<int>(v->as_int64());
+  auto number = [error](const json::Member& v, std::string_view key) {
+    if (v.is(Kind::kNumber)) return true;
+    *error = "missing or non-numeric field \"" + std::string(key) + "\"";
+    return false;
+  };
+  auto array = [&](std::size_t f, bool numeric) {
+    if (!m[f].is(Kind::kArray)) {
+      *error = "missing or non-array field \"" + std::string(kFieldNames[f]) + "\"";
+      return false;
+    }
+    if (numeric) return true;
+    *error = "non-numeric entry in \"" + std::string(kFieldNames[f]) + "\"";
+    return false;
+  };
+
+  if (!number(m[kVersion], kFieldNames[kVersion])) return false;
+  int version = static_cast<int>(m[kVersion].int64(0));
   if (version > kGbdtModelVersion) {
     *error = "incompatible model version " + std::to_string(version) +
              " (reader supports <= " + std::to_string(kGbdtModelVersion) + ")";
     return false;
   }
 
-  const Value* cv = obj.find("cfg");
-  if (cv == nullptr || !cv->is_object()) {
+  if (!m[kCfg].is(Kind::kObject)) {
     *error = "missing or non-object field \"cfg\"";
     return false;
   }
+  for (std::size_t f = 0; f < kNumCfgFields; ++f) {
+    if (!number(cm[f], kCfgNames[f])) return false;
+  }
   GbdtConfig cfg;
-  if (!read_number(*cv, "trees", &v, error)) return false;
-  cfg.num_trees = static_cast<int>(v->as_int64());
-  if (!read_number(*cv, "depth", &v, error)) return false;
-  cfg.max_depth = static_cast<int>(v->as_int64());
-  if (!read_number(*cv, "lr", &v, error)) return false;
-  cfg.learning_rate = v->as_double();
-  if (!read_number(*cv, "min_leaf", &v, error)) return false;
-  cfg.min_samples_leaf = static_cast<int>(v->as_int64());
-  if (!read_number(*cv, "row_sub", &v, error)) return false;
-  cfg.row_subsample = v->as_double();
-  if (!read_number(*cv, "col_sub", &v, error)) return false;
-  cfg.col_subsample = v->as_double();
-  if (!read_number(*cv, "l2", &v, error)) return false;
-  cfg.l2_lambda = v->as_double();
-  if (!read_number(*cv, "seed", &v, error)) return false;
-  cfg.seed = v->as_uint64();
-  if (!read_number(*cv, "split", &v, error)) return false;
-  cfg.split_mode = v->as_int64() == 1 ? SplitMode::kHistogram : SplitMode::kExact;
-  if (!read_number(*cv, "bins", &v, error)) return false;
-  cfg.histogram_bins = static_cast<int>(v->as_int64());
+  cfg.num_trees = static_cast<int>(cm[kTrees].int64(0));
+  cfg.max_depth = static_cast<int>(cm[kDepth].int64(0));
+  cfg.learning_rate = cm[kLr].number(0);
+  cfg.min_samples_leaf = static_cast<int>(cm[kMinLeaf].int64(0));
+  cfg.row_subsample = cm[kRowSub].number(0);
+  cfg.col_subsample = cm[kColSub].number(0);
+  cfg.l2_lambda = cm[kL2].number(0);
+  cfg.seed = cm[kSeed].uint64(0);
+  cfg.split_mode = cm[kSplit].int64(0) == 1 ? SplitMode::kHistogram : SplitMode::kExact;
+  cfg.histogram_bins = static_cast<int>(cm[kBins].int64(0));
 
-  if (!read_number(obj, "nf", &v, error)) return false;
-  int nf = static_cast<int>(v->as_int64());
-  if (!read_number(obj, "fit", &v, error)) return false;
-  int fit = static_cast<int>(v->as_int64());
-  if (!read_number(obj, "base", &v, error)) return false;
-  double base = v->as_double();
+  for (std::size_t f : {kNf, kFit, kBase}) {
+    if (!number(m[f], kFieldNames[f])) return false;
+  }
+  const int nf = static_cast<int>(m[kNf].int64(0));
+  const int fit = static_cast<int>(m[kFit].int64(0));
+  const double base = m[kBase].number(0);
 
-  std::vector<int> feat, child, root;
-  std::vector<double> thresh;
-  if (!read_int_array(obj, "feat", &feat, error)) return false;
-  if (!read_double_array(obj, "thresh", &thresh, error)) return false;
-  if (!read_int_array(obj, "child", &child, error)) return false;
-  if (!read_int_array(obj, "root", &root, error)) return false;
-
-  const Value* rv = obj.find("rng");
-  if (rv == nullptr || !rv->is_array() || rv->items().size() != 2 ||
-      !rv->items()[0].is_number() || !rv->items()[1].is_number()) {
+  if (!array(kFeat, feat.numeric) || !array(kThresh, thresh.numeric) ||
+      !array(kChild, child.numeric) || !array(kRoot, root.numeric)) {
+    return false;
+  }
+  if (!m[kRng].is(Kind::kArray) || rng.items.size() != 2 || !rng.numeric) {
     *error = "missing or malformed field \"rng\" (expected [state, inc])";
     return false;
   }
-  std::uint64_t rng_state = rv->items()[0].as_uint64();
-  std::uint64_t rng_inc = rv->items()[1].as_uint64();
 
   // Structural validation: the predict loop chases child indices without
   // bounds checks, so a corrupt file must be rejected here.
-  int nodes = static_cast<int>(feat.size());
-  if (thresh.size() != feat.size() || child.size() != feat.size()) {
+  const int nodes = static_cast<int>(feat.items.size());
+  if (thresh.items.size() != feat.items.size() ||
+      child.items.size() != feat.items.size()) {
     *error = "forest arrays have mismatched lengths";
     return false;
   }
-  if (nf < 0 || fit < 0 || static_cast<int>(root.size()) != fit) {
-    *error = "root count " + std::to_string(root.size()) +
+  if (nf < 0 || fit < 0 || static_cast<int>(root.items.size()) != fit) {
+    *error = "root count " + std::to_string(root.items.size()) +
              " does not match fitted tree count " + std::to_string(fit);
     return false;
   }
-  for (int r : root) {
+  for (int r : root.items) {
     if (r < 0 || r >= nodes) {
       *error = "root index out of range";
       return false;
     }
   }
   for (int i = 0; i < nodes; ++i) {
-    if (feat[static_cast<std::size_t>(i)] >= nf) {
+    const std::size_t n = static_cast<std::size_t>(i);
+    if (feat.items[n] >= nf) {
       *error = "node feature index out of range";
       return false;
     }
-    if (feat[static_cast<std::size_t>(i)] >= 0) {
-      int c = child[static_cast<std::size_t>(i)];
+    if (feat.items[n] >= 0) {
+      const int next = child.items[n];
       // `flatten` appends children breadth-first, so every legitimate file
       // has child > parent; enforcing it makes the forest provably acyclic
-      // (predict chases child links in an unbounded loop).
-      if (c <= i || c + 1 >= nodes) {
+      // (predict chases child links in an unbounded loop).  The right child
+      // is `next + 1`, compared without computing it (no int overflow).
+      if (next <= i || next >= nodes - 1) {
         *error = "child index out of range or non-monotone (cycle)";
         return false;
       }
     }
   }
 
-  out->restore(cfg, nf, fit, base, std::move(feat), std::move(thresh),
-               std::move(child), std::move(root), rng_state, rng_inc);
+  out->restore(cfg, nf, fit, base, std::move(feat.items), std::move(thresh.items),
+               std::move(child.items), std::move(root.items), rng.items[0],
+               rng.items[1]);
   return true;
 }
 

@@ -2,8 +2,11 @@
 
 /// \file gbdt_io.hpp
 /// Versioned byte-stable GBDT serialization: one-line JSON model files and
-/// the `gbdt_fingerprint` identity.  Invariant: save -> load -> save
-/// reproduces exact bytes and a loaded model predicts bit-identically.
+/// the `gbdt_fingerprint` identity.  The encoder appends the model straight
+/// into one string; the decoder reads the file in one pass over the
+/// `json::Cursor`, the forest arrays straight into vectors.  Invariant:
+/// save -> load -> save reproduces exact bytes and a loaded model predicts
+/// bit-identically.  Experience and value models share the format.
 /// Collaborators: Gbdt, ExperienceStore/Refresher, SearchOptions model load.
 
 #include <string>

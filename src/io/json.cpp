@@ -11,122 +11,6 @@
 namespace harl {
 namespace json {
 
-// ---------------------------------------------------------------- Value
-
-Value Value::null() { return Value(); }
-
-Value Value::boolean(bool b) {
-  Value v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
-  return v;
-}
-
-Value Value::number_raw(std::string raw) {
-  Value v;
-  v.kind_ = Kind::kNumber;
-  v.str_ = std::move(raw);
-  return v;
-}
-
-Value Value::number(std::int64_t n) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(n));
-  return number_raw(buf);
-}
-
-Value Value::number(std::uint64_t n) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(n));
-  return number_raw(buf);
-}
-
-Value Value::number(double v) { return number_raw(format_double(v)); }
-
-Value Value::string(std::string s) {
-  Value v;
-  v.kind_ = Kind::kString;
-  v.str_ = std::move(s);
-  return v;
-}
-
-Value Value::array() {
-  Value v;
-  v.kind_ = Kind::kArray;
-  return v;
-}
-
-Value Value::object() {
-  Value v;
-  v.kind_ = Kind::kObject;
-  return v;
-}
-
-double Value::as_double(double fallback) const {
-  return kind_ == Kind::kNumber ? number_to_double(str_, fallback) : fallback;
-}
-
-std::int64_t Value::as_int64(std::int64_t fallback) const {
-  return kind_ == Kind::kNumber ? number_to_int64(str_, fallback) : fallback;
-}
-
-std::uint64_t Value::as_uint64(std::uint64_t fallback) const {
-  return kind_ == Kind::kNumber ? number_to_uint64(str_, fallback) : fallback;
-}
-
-void Value::set(std::string key, Value v) {
-  members_.emplace_back(std::move(key), std::move(v));
-}
-
-const Value* Value::find(const std::string& key) const {
-  const Value* found = nullptr;
-  for (const auto& kv : members_) {
-    if (kv.first == key) found = &kv.second;
-  }
-  return found;
-}
-
-std::string Value::dump() const {
-  std::string out;
-  dump_to(&out);
-  return out;
-}
-
-void Value::dump_to(std::string* out) const {
-  switch (kind_) {
-    case Kind::kNull:
-      *out += "null";
-      return;
-    case Kind::kBool:
-      *out += bool_ ? "true" : "false";
-      return;
-    case Kind::kNumber:
-      *out += str_;
-      return;
-    case Kind::kString:
-      append_escaped(out, str_);
-      return;
-    case Kind::kArray:
-      *out += '[';
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        if (i) *out += ',';
-        items_[i].dump_to(out);
-      }
-      *out += ']';
-      return;
-    case Kind::kObject:
-      *out += '{';
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        if (i) *out += ',';
-        append_escaped(out, members_[i].first);
-        *out += ':';
-        members_[i].second.dump_to(out);
-      }
-      *out += '}';
-      return;
-  }
-}
-
 // ---------------------------------------------------------------- helpers
 
 double number_to_double(std::string_view token, double fallback) {
@@ -241,6 +125,82 @@ namespace {
 constexpr int kMaxDepth = 64;
 
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// Scans a string body from `p`, just after its opening quote, up to its
+/// closing quote, appending the decoded bytes to `*out` when `out` is not
+/// null.  Returns where the scan stopped: at the closing quote, or at the
+/// offending byte with `*error` set.  Bytes from `end` on read as NUL.
+const char* scan_body(const char* p, const char* end, std::string* out,
+                      const char** error) {
+  auto at = [end](const char* q) { return q < end ? *q : '\0'; };
+  for (;;) {
+    // Copy the run of plain bytes up to the next quote, escape or control.
+    const char* run = p;
+    while (p < end) {
+      const unsigned char c = static_cast<unsigned char>(*p);
+      if (c == '"' || c == '\\' || c < 0x20) break;
+      ++p;
+    }
+    if (out != nullptr) out->append(run, static_cast<std::size_t>(p - run));
+    if (p >= end) {
+      *error = "unterminated string";
+      return p;
+    }
+    if (*p == '"') return p;
+    if (*p != '\\') {
+      *error = "unescaped control character in string";
+      return p;
+    }
+    ++p;  // '\\'
+    char decoded;
+    switch (at(p)) {
+      case '"': decoded = '"'; break;
+      case '\\': decoded = '\\'; break;
+      case '/': decoded = '/'; break;
+      case 'b': decoded = '\b'; break;
+      case 'f': decoded = '\f'; break;
+      case 'n': decoded = '\n'; break;
+      case 'r': decoded = '\r'; break;
+      case 't': decoded = '\t'; break;
+      case 'u': {
+        ++p;
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = at(p);
+          unsigned d;
+          if (h >= '0' && h <= '9') d = static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') d = static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') d = static_cast<unsigned>(h - 'A' + 10);
+          else {
+            *error = "invalid \\u escape";
+            return p;
+          }
+          code = code * 16 + d;
+          ++p;
+        }
+        if (out == nullptr) continue;
+        // UTF-8 encode the code point (surrogate pairs are passed through
+        // as two independent 3-byte sequences; record fields are ASCII).
+        if (code < 0x80) {
+          *out += static_cast<char>(code);
+        } else if (code < 0x800) {
+          *out += static_cast<char>(0xC0 | (code >> 6));
+          *out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          *out += static_cast<char>(0xE0 | (code >> 12));
+          *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          *out += static_cast<char>(0x80 | (code & 0x3F));
+        }
+        continue;
+      }
+      default:
+        *error = "invalid escape character";
+        return p;
+    }
+    ++p;
+    if (out != nullptr) *out += decoded;
+  }
+}
 }  // namespace
 
 Cursor::Cursor(const std::string& text, ParseError* err)
@@ -276,18 +236,18 @@ bool Cursor::fail(const char* msg) {
   return false;
 }
 
-bool Cursor::peek(Value::Kind* kind) {
+bool Cursor::peek(Kind* kind) {
   if (!ok()) return false;
   if (depth_ > kMaxDepth) return fail("nesting too deep");
   switch (cur()) {
-    case '{': *kind = Value::Kind::kObject; return true;
-    case '[': *kind = Value::Kind::kArray; return true;
-    case '"': *kind = Value::Kind::kString; return true;
+    case '{': *kind = Kind::kObject; return true;
+    case '[': *kind = Kind::kArray; return true;
+    case '"': *kind = Kind::kString; return true;
     case 't':
-    case 'f': *kind = Value::Kind::kBool; return true;
-    case 'n': *kind = Value::Kind::kNull; return true;
+    case 'f': *kind = Kind::kBool; return true;
+    case 'n': *kind = Kind::kNull; return true;
     case '\0': return fail("unexpected end of input");
-    default: *kind = Value::Kind::kNumber; return true;
+    default: *kind = Kind::kNumber; return true;
   }
 }
 
@@ -311,73 +271,37 @@ bool Cursor::read_null() { return ok() && literal("null"); }
 
 bool Cursor::read_string(std::string* out) {
   out->clear();
-  return ok() && scan_string(out);
+  return ok() && scan_string(nullptr, out);
 }
 
-bool Cursor::scan_string(std::string* out) {
+bool Cursor::read_token(Kind kind, std::string_view* token) {
+  if (kind == Kind::kString) return ok() && scan_string(token, nullptr);
+  if (kind == Kind::kNumber) return read_number(token);
+  const std::size_t start = pos_;
+  if (!skip_value()) return false;
+  *token = std::string_view(data_ + start, pos_ - start);
+  return true;
+}
+
+bool Cursor::scan_string(std::string_view* body, std::string* out) {
+  const char* start = data_ + pos_ + 1;  // after '"'
+  const char* error = nullptr;
+  const char* stop = scan_body(start, data_ + size_, out, &error);
+  pos_ = static_cast<std::size_t>(stop - data_);
+  if (error != nullptr) return fail(error);
+  if (body != nullptr) *body = std::string_view(start, static_cast<std::size_t>(stop - start));
   ++pos_;  // '"'
-  const std::size_t n = size_;
-  for (;;) {
-    // Copy the run of plain bytes up to the next quote, escape or control.
-    const std::size_t run = pos_;
-    while (pos_ < n) {
-      const unsigned char c = static_cast<unsigned char>(data_[pos_]);
-      if (c == '"' || c == '\\' || c < 0x20) break;
-      ++pos_;
-    }
-    if (out != nullptr) out->append(data_ + run, pos_ - run);
-    if (pos_ >= n) return fail("unterminated string");
-    const char c = data_[pos_];
-    if (c == '"') {
-      ++pos_;
-      return true;
-    }
-    if (c != '\\') return fail("unescaped control character in string");
-    ++pos_;  // '\\'
-    char decoded;
-    switch (cur()) {
-      case '"': decoded = '"'; break;
-      case '\\': decoded = '\\'; break;
-      case '/': decoded = '/'; break;
-      case 'b': decoded = '\b'; break;
-      case 'f': decoded = '\f'; break;
-      case 'n': decoded = '\n'; break;
-      case 'r': decoded = '\r'; break;
-      case 't': decoded = '\t'; break;
-      case 'u': {
-        ++pos_;
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = cur();
-          unsigned d;
-          if (h >= '0' && h <= '9') d = static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') d = static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') d = static_cast<unsigned>(h - 'A' + 10);
-          else return fail("invalid \\u escape");
-          code = code * 16 + d;
-          ++pos_;
-        }
-        if (out == nullptr) continue;
-        // UTF-8 encode the code point (surrogate pairs are passed through
-        // as two independent 3-byte sequences; record fields are ASCII).
-        if (code < 0x80) {
-          *out += static_cast<char>(code);
-        } else if (code < 0x800) {
-          *out += static_cast<char>(0xC0 | (code >> 6));
-          *out += static_cast<char>(0x80 | (code & 0x3F));
-        } else {
-          *out += static_cast<char>(0xE0 | (code >> 12));
-          *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-          *out += static_cast<char>(0x80 | (code & 0x3F));
-        }
-        continue;
-      }
-      default:
-        return fail("invalid escape character");
-    }
-    ++pos_;
-    if (out != nullptr) *out += decoded;
+  return true;
+}
+
+void append_unescaped(std::string* out, std::string_view body) {
+  // A validated body without a backslash holds its bytes verbatim.
+  if (body.find('\\') == std::string_view::npos) {
+    out->append(body);
+    return;
   }
+  const char* error = nullptr;  // the body ends before its closing quote
+  scan_body(body.data(), body.data() + body.size(), out, &error);
 }
 
 bool Cursor::read_number(std::string_view* token) {
@@ -437,7 +361,7 @@ bool Cursor::next_member(std::string* key) {
   }
   if (cur() != '"') return fail("expected object key string");
   key->clear();
-  if (!scan_string(key)) return false;
+  if (!scan_string(nullptr, key)) return false;
   skip_ws();
   if (cur() != ':') return fail("expected ':'");
   ++pos_;
@@ -461,10 +385,10 @@ bool Cursor::next_item() {
 }
 
 bool Cursor::skip_value() {
-  Value::Kind kind;
+  Kind kind;
   if (!peek(&kind)) return false;
   switch (kind) {
-    case Value::Kind::kObject: {
+    case Kind::kObject: {
       enter_object();
       std::string key;
       while (next_member(&key)) {
@@ -472,21 +396,21 @@ bool Cursor::skip_value() {
       }
       return ok();
     }
-    case Value::Kind::kArray:
+    case Kind::kArray:
       enter_array();
       while (next_item()) {
         if (!skip_value()) return false;
       }
       return ok();
-    case Value::Kind::kString:
-      return scan_string(nullptr);
-    case Value::Kind::kBool: {
+    case Kind::kString:
+      return scan_string(nullptr, nullptr);
+    case Kind::kBool: {
       bool b;
       return read_bool(&b);
     }
-    case Value::Kind::kNull:
+    case Kind::kNull:
       return read_null();
-    case Value::Kind::kNumber: {
+    case Kind::kNumber: {
       std::string_view token;
       return read_number(&token);
     }
@@ -501,70 +425,10 @@ bool Cursor::finish() {
   return true;
 }
 
-// ---------------------------------------------------------------- parse
-
-namespace {
-
-Value read_value(Cursor& c) {
-  Value::Kind kind;
-  if (!c.peek(&kind)) return Value();
-  switch (kind) {
-    case Value::Kind::kObject: {
-      Value obj = Value::object();
-      c.enter_object();
-      std::string key;
-      while (c.next_member(&key)) {
-        Value v = read_value(c);
-        if (!c.ok()) return Value();
-        obj.set(key, std::move(v));
-      }
-      return obj;
-    }
-    case Value::Kind::kArray: {
-      Value arr = Value::array();
-      c.enter_array();
-      while (c.next_item()) {
-        Value v = read_value(c);
-        if (!c.ok()) return Value();
-        arr.push_back(std::move(v));
-      }
-      return arr;
-    }
-    case Value::Kind::kString: {
-      std::string s;
-      return c.read_string(&s) ? Value::string(std::move(s)) : Value();
-    }
-    case Value::Kind::kBool: {
-      bool b = false;
-      return c.read_bool(&b) ? Value::boolean(b) : Value();
-    }
-    case Value::Kind::kNull:
-      c.read_null();
-      return Value();
-    case Value::Kind::kNumber: {
-      std::string_view token;
-      return c.read_number(&token) ? Value::number_raw(std::string(token))
-                                   : Value();
-    }
-  }
-  return Value();
-}
-
-}  // namespace
-
 std::string ParseError::to_string() const {
   if (ok) return "ok";
   return "line " + std::to_string(line) + ", column " + std::to_string(column) +
          ": " + message;
-}
-
-Value parse(const std::string& text, ParseError* err) {
-  ParseError local;
-  if (err == nullptr) err = &local;
-  Cursor c(text, err);
-  Value v = read_value(c);
-  if (!c.finish()) return Value();
-  return v;
 }
 
 }  // namespace json

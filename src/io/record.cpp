@@ -1,6 +1,5 @@
 #include "io/record.hpp"
 
-#include <charconv>
 #include <string_view>
 
 #include "io/json.hpp"
@@ -33,15 +32,7 @@ std::vector<StageDecision> decisions_from_schedule(const Schedule& sched) {
   return out;
 }
 
-namespace {
-
-template <typename Int>
-void append_int(std::string* out, Int v) {
-  char buf[24];
-  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
-}
-
-}  // namespace
+using json::append_int;
 
 std::string record_to_json(const TuningRecord& rec) {
   std::string out;
@@ -123,9 +114,9 @@ std::string record_to_json(const TuningRecord& rec) {
 
 namespace {
 
-using Kind = json::Value::Kind;
+using json::Kind;
 
-// Record members, in the order `record_from_json` checks them.
+// Record members, in the order `read_record` checks them.
 enum Field {
   kV, kNet, kTask, kPolicy, kTag, kTaskIndex, kHw, kSeed, kSketch, kMs,
   kTrial, kCached, kFail, kSig, kHwv, kXm, kVm, kStages, kNumFields
@@ -140,74 +131,28 @@ enum StageField { kT, kCa, kPar, kUnr, kNumStageFields };
 constexpr std::string_view kStageFieldNames[kNumStageFields] = {"t", "ca",
                                                                 "par", "unr"};
 
-/// The last occurrence of a member (duplicate keys: last one wins).
-struct Member {
-  bool present = false;
-  Kind kind = Kind::kNull;
-  std::string_view number;  ///< raw token when `kind == kNumber`
-};
-
-template <std::size_t N>
-int field_index(const std::string& key, const std::string_view (&names)[N]) {
-  for (std::size_t i = 0; i < N; ++i) {
-    if (key == names[i]) return static_cast<int>(i);
-  }
-  return static_cast<int>(N);
-}
-
 /// Field checks shared by the record and its stages; each fills `*error` and
 /// returns false.
-bool require(const Member& m, std::string_view key, std::string* error) {
+bool require(const json::Member& m, std::string_view key, std::string* error) {
   if (m.present) return true;
   *error = "missing required field \"" + std::string(key) + "\"";
   return false;
 }
 
-bool check_kind(const Member& m, std::string_view key, Kind kind,
+bool check_kind(const json::Member& m, std::string_view key, Kind kind,
                 const char* what, std::string* error) {
   if (m.kind == kind) return true;
   *error = "field \"" + std::string(key) + "\" is not " + what;
   return false;
 }
 
-bool require_kind(const Member& m, std::string_view key, Kind kind,
+bool require_kind(const json::Member& m, std::string_view key, Kind kind,
                   const char* what, std::string* error) {
   return require(m, key, error) && check_kind(m, key, kind, what, error);
 }
 
 std::string stage_error(std::size_t s, const char* what) {
   return "stage " + std::to_string(s) + " " + what;
-}
-
-/// Decodes an array of numbers into `*out` through `convert`; `*numeric`
-/// turns false when an item is not a number.
-template <typename T, typename Convert>
-bool read_numbers(json::Cursor& c, std::vector<T>* out, Convert convert,
-                  bool* numeric) {
-  out->clear();
-  *numeric = true;
-  Kind kind;
-  std::string_view token;
-  c.enter_array();
-  while (c.next_item()) {
-    if (!c.peek(&kind)) return false;
-    if (kind == Kind::kNumber) {
-      if (!c.read_number(&token)) return false;
-      out->push_back(convert(token));
-      continue;
-    }
-    *numeric = false;
-    if (!c.skip_value()) return false;
-  }
-  return c.ok();
-}
-
-std::int64_t to_int64(std::string_view token) {
-  return json::number_to_int64(token, 0);
-}
-
-double to_double(std::string_view token) {
-  return json::number_to_double(token, 0);
 }
 
 /// Decodes one "t" array into `*tiles`.  `*bad` names the first tile vector
@@ -221,14 +166,22 @@ bool read_tiles(json::Cursor& c, std::vector<std::vector<std::int64_t>>* tiles,
   while (c.next_item()) {
     if (!c.peek(&kind)) return false;
     if (n == tiles->size()) tiles->emplace_back();
-    ++n;
+    std::vector<std::int64_t>& factors = (*tiles)[n++];
     if (kind != Kind::kArray) {
       if (*bad == nullptr) *bad = "tile vector is not an array";
       if (!c.skip_value()) return false;
       continue;
     }
+    factors.clear();
     bool numeric = true;
-    if (!read_numbers(c, &(*tiles)[n - 1], to_int64, &numeric)) return false;
+    if (!json::read_numbers(
+            c,
+            [&factors](std::string_view token) {
+              factors.push_back(json::number_to_int64(token, 0));
+            },
+            &numeric)) {
+      return false;
+    }
     if (!numeric && *bad == nullptr) *bad = "tile factor is not a number";
   }
   tiles->resize(n);
@@ -238,30 +191,14 @@ bool read_tiles(json::Cursor& c, std::vector<std::vector<std::int64_t>>* tiles,
 /// Decodes stage object `s` into `*d`; the first field error of the stage
 /// goes to `*error` unless an earlier stage already set one.
 bool read_stage(json::Cursor& c, std::size_t s, StageDecision* d,
-                std::string* key, std::string* error) {
-  Member m[kNumStageFields];
+                std::string* error) {
+  json::Members<kNumStageFields> m(kStageFieldNames);
   const char* bad_tiles = nullptr;
-  Kind kind;
-  c.enter_object();
-  while (c.next_member(key)) {
-    const int f = field_index(*key, kStageFieldNames);
-    if (f == kNumStageFields) {
-      if (!c.skip_value()) return false;
-      continue;
-    }
-    if (!c.peek(&kind)) return false;
-    m[f] = Member{true, kind, {}};
-    bool consumed;
-    if (kind == Kind::kNumber) {
-      consumed = c.read_number(&m[f].number);
-    } else if (kind == Kind::kArray && f == kT) {
-      consumed = read_tiles(c, &d->tiles, &bad_tiles);
-    } else {
-      consumed = c.skip_value();
-    }
-    if (!consumed) return false;
-  }
-  if (!c.ok()) return false;
+  const bool read = m.read(c, [&](std::size_t f, Kind kind) {
+    return f == kT && kind == Kind::kArray ? read_tiles(c, &d->tiles, &bad_tiles)
+                                           : c.skip_value();
+  });
+  if (!read) return false;
   if (!error->empty()) return true;
   if (!require(m[kT], "t", error)) return true;
   if (m[kT].kind != Kind::kArray) {
@@ -278,15 +215,15 @@ bool read_stage(json::Cursor& c, std::size_t s, StageDecision* d,
       return true;
     }
   }
-  d->compute_at = static_cast<int>(json::number_to_int64(m[kCa].number, 0));
-  d->parallel_depth = static_cast<int>(json::number_to_int64(m[kPar].number, 0));
-  d->unroll_index = static_cast<int>(json::number_to_int64(m[kUnr].number, 0));
+  d->compute_at = static_cast<int>(m[kCa].int64(0));
+  d->parallel_depth = static_cast<int>(m[kPar].int64(0));
+  d->unroll_index = static_cast<int>(m[kUnr].int64(0));
   return true;
 }
 
 /// Decodes a "stages" array into `*stages`, reusing its capacity.
 bool read_stages(json::Cursor& c, std::vector<StageDecision>* stages,
-                 std::string* key, std::string* error) {
+                 std::string* error) {
   error->clear();
   std::size_t n = 0;
   Kind kind;
@@ -296,7 +233,7 @@ bool read_stages(json::Cursor& c, std::vector<StageDecision>* stages,
     if (n == stages->size()) stages->emplace_back();
     const std::size_t s = n++;
     if (kind == Kind::kObject) {
-      if (!read_stage(c, s, &(*stages)[s], key, error)) return false;
+      if (!read_stage(c, s, &(*stages)[s], error)) return false;
       continue;
     }
     if (error->empty()) *error = stage_error(s, "is not an object");
@@ -306,30 +243,16 @@ bool read_stages(json::Cursor& c, std::vector<StageDecision>* stages,
   return c.ok();
 }
 
-std::string* string_field(TuningRecord* rec, int f) {
-  switch (f) {
-    case kNet: return &rec->network;
-    case kTask: return &rec->task;
-    case kPolicy: return &rec->policy;
-    case kTag: return &rec->sketch_tag;
-    case kFail: return &rec->fail;
-    case kSig: return &rec->task_sig;
-    default: return nullptr;
-  }
-}
-
 }  // namespace
 
-// One pass over the value pulls every member straight into `*rec`; the
-// field checks run afterwards, in a fixed order, so a syntax error anywhere
-// in the value is reported before any field error.
+// One pass over the value pulls every member into the table (the arrays
+// straight into `*rec`); the field checks run afterwards, in a fixed order,
+// so a syntax error anywhere in the value is reported before any field
+// error.
 bool read_record(json::Cursor& c, TuningRecord* rec, std::string* error) {
-  Member m[kNumFields];
+  json::Members<kNumFields> m(kFieldNames);
   bool hwv_numeric = true;
   std::string stages_error;
-  std::string key;
-  rec->fail.clear();
-  rec->task_sig.clear();
   rec->hw_sim.clear();
   error->clear();
 
@@ -340,33 +263,22 @@ bool read_record(json::Cursor& c, TuningRecord* rec, std::string* error) {
     *error = "record line is not a JSON object";
     return true;
   }
-  c.enter_object();
-  while (c.next_member(&key)) {
-    const int f = field_index(key, kFieldNames);
-    if (f == kNumFields) {
-      if (!c.skip_value()) return false;
-      continue;
+  const bool read = m.read(c, [&](std::size_t f, Kind k) {
+    if (f == kHwv && k == Kind::kArray) {
+      rec->hw_sim.clear();
+      return json::read_numbers(
+          c,
+          [rec](std::string_view token) {
+            rec->hw_sim.push_back(json::number_to_double(token, 0));
+          },
+          &hwv_numeric);
     }
-    if (!c.peek(&kind)) return false;
-    m[f] = Member{true, kind, {}};
-    std::string* str = string_field(rec, f);
-    bool consumed;
-    if (kind == Kind::kNumber) {
-      consumed = c.read_number(&m[f].number);
-    } else if (kind == Kind::kString && str != nullptr) {
-      consumed = c.read_string(str);
-    } else if (kind == Kind::kBool && f == kCached) {
-      consumed = c.read_bool(&rec->cached);
-    } else if (kind == Kind::kArray && f == kHwv) {
-      consumed = read_numbers(c, &rec->hw_sim, to_double, &hwv_numeric);
-    } else if (kind == Kind::kArray && f == kStages) {
-      consumed = read_stages(c, &rec->stages, &key, &stages_error);
-    } else {
-      consumed = c.skip_value();
+    if (f == kStages && k == Kind::kArray) {
+      return read_stages(c, &rec->stages, &stages_error);
     }
-    if (!consumed) return false;
-  }
-  if (!c.ok()) return false;
+    return c.skip_value();
+  });
+  if (!read) return false;
 
   auto required = [&](int f, Kind k, const char* what) {
     return require_kind(m[f], kFieldNames[f], k, what, error);
@@ -374,13 +286,9 @@ bool read_record(json::Cursor& c, TuningRecord* rec, std::string* error) {
   auto optional = [&](int f, Kind k, const char* what) {
     return !m[f].present || check_kind(m[f], kFieldNames[f], k, what, error);
   };
-  auto int_of = [&](int f, std::int64_t fallback) {
-    return json::number_to_int64(m[f].number, fallback);
-  };
-  auto uint_of = [&](int f) { return json::number_to_uint64(m[f].number, 0); };
 
   if (!required(kV, Kind::kNumber, "a number")) return true;
-  rec->version = static_cast<int>(int_of(kV, 0));
+  rec->version = static_cast<int>(m[kV].int64(0));
   if (rec->version > kRecordSchemaVersion) {
     *error = "incompatible version " + std::to_string(rec->version) +
              " (reader supports <= " + std::to_string(kRecordSchemaVersion) + ")";
@@ -389,29 +297,36 @@ bool read_record(json::Cursor& c, TuningRecord* rec, std::string* error) {
   for (int f : {kNet, kTask, kPolicy, kTag}) {
     if (!required(f, Kind::kString, "a string")) return true;
   }
+  m[kNet].string(&rec->network);
+  m[kTask].string(&rec->task);
+  m[kPolicy].string(&rec->policy);
+  m[kTag].string(&rec->sketch_tag);
   for (int f = kTaskIndex; f <= kTrial; ++f) {
     if (!required(f, Kind::kNumber, "a number")) return true;
   }
-  rec->task_index = static_cast<int>(int_of(kTaskIndex, -1));
-  rec->hardware_fp = uint_of(kHw);
-  rec->seed = uint_of(kSeed);
-  rec->sketch_id = static_cast<int>(int_of(kSketch, 0));
-  rec->time_ms = json::number_to_double(m[kMs].number, 0);
-  rec->trial_index = int_of(kTrial, 0);
+  rec->task_index = static_cast<int>(m[kTaskIndex].int64(-1));
+  rec->hardware_fp = m[kHw].uint64(0);
+  rec->seed = m[kSeed].uint64(0);
+  rec->sketch_id = static_cast<int>(m[kSketch].int64(0));
+  rec->time_ms = m[kMs].number(0);
+  rec->trial_index = m[kTrial].int64(0);
   if (!required(kCached, Kind::kBool, "a boolean")) return true;
+  rec->cached = m[kCached].boolean();
 
   // Optional fields (absent in records written before the features landed).
   if (!optional(kFail, Kind::kString, "a string")) return true;
+  m[kFail].string(&rec->fail);
   if (!optional(kSig, Kind::kString, "a string")) return true;
+  m[kSig].string(&rec->task_sig);
   if (!optional(kHwv, Kind::kArray, "an array")) return true;
   if (!hwv_numeric) {
     *error = "field \"hwv\" has a non-numeric entry";
     return true;
   }
   if (!optional(kXm, Kind::kNumber, "a number")) return true;
-  rec->experience_fp = m[kXm].present ? uint_of(kXm) : 0;
+  rec->experience_fp = m[kXm].uint64(0);
   if (!optional(kVm, Kind::kNumber, "a number")) return true;
-  rec->value_fp = m[kVm].present ? uint_of(kVm) : 0;
+  rec->value_fp = m[kVm].uint64(0);
 
   if (!required(kStages, Kind::kArray, "an array")) return true;
   if (!stages_error.empty()) *error = std::move(stages_error);

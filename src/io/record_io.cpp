@@ -229,12 +229,13 @@ bool line_is_tolerable(const std::string& line) {
   TuningRecord rec;
   std::string error;
   if (record_from_json(line, &rec, &error)) return true;
+  static constexpr std::string_view kVersionName[] = {"v"};
   json::ParseError perr;
-  json::Value obj = json::parse(line, &perr);
-  if (!perr.ok || !obj.is_object()) return false;
-  const json::Value* v = obj.find("v");
-  return v != nullptr && v->is_number() &&
-         v->as_int64() > kRecordSchemaVersion;
+  json::Cursor c(line, &perr);
+  json::Members<1> m(kVersionName);
+  bool is_object = false;
+  return m.read_document(c, &is_object) && m[0].is(json::Kind::kNumber) &&
+         m[0].int64(0) > kRecordSchemaVersion;
 }
 
 }  // namespace

@@ -425,7 +425,7 @@ std::string cache_to_json(const KnowledgeCache& cache) {
 
 namespace {
 
-using Kind = json::Value::Kind;
+using json::Kind;
 
 /// The records of one "entries" member, or the first reason it is unusable
 /// (entries, and within an entry its records, are checked in order).
@@ -434,18 +434,15 @@ struct DecodedEntries {
   std::string error;
 };
 
-/// Decodes the value at `c` as the "entries" member.  False on a syntax
-/// error.  A duplicated "records" member counts by its last occurrence.
+constexpr std::string_view kEntryNames[] = {"records"};
+
+/// Decodes the "entries" array at `c` (after `peek` returned kArray).  False
+/// on a syntax error.  A duplicated "records" member counts by its last
+/// occurrence.
 bool read_entries(json::Cursor& c, DecodedEntries* out) {
   out->records.clear();
   out->error.clear();
   Kind kind;
-  if (!c.peek(&kind)) return false;
-  if (kind != Kind::kArray) {
-    out->error = "cache field \"entries\" is not an array";
-    return c.skip_value();
-  }
-  std::string key;
   std::string record_error;
   c.enter_array();
   while (c.next_item()) {
@@ -460,22 +457,12 @@ bool read_entries(json::Cursor& c, DecodedEntries* out) {
       continue;
     }
     const std::size_t first = out->records.size();
-    bool has_records = false;
     std::string entry_error;
-    c.enter_object();
-    while (c.next_member(&key)) {
-      if (key != "records") {
-        if (!c.skip_value()) return false;
-        continue;
-      }
-      if (!c.peek(&kind)) return false;
+    json::Members<1> entry(kEntryNames);
+    const bool read = entry.read(c, [&](std::size_t, Kind k) {
       out->records.resize(first);
       entry_error.clear();
-      has_records = kind == Kind::kArray;
-      if (!has_records) {
-        if (!c.skip_value()) return false;
-        continue;
-      }
+      if (k != Kind::kArray) return c.skip_value();
       c.enter_array();
       while (c.next_item()) {
         if (!entry_error.empty()) {
@@ -490,10 +477,10 @@ bool read_entries(json::Cursor& c, DecodedEntries* out) {
           entry_error = "embedded record invalid: " + record_error;
         }
       }
-      if (!c.ok()) return false;
-    }
-    if (!c.ok()) return false;
-    if (!has_records) {
+      return c.ok();
+    });
+    if (!read) return false;
+    if (!entry[0].is(Kind::kArray)) {
       out->error = "cache entry without a \"records\" array";
     } else if (!entry_error.empty()) {
       out->error = std::move(entry_error);
@@ -502,17 +489,11 @@ bool read_entries(json::Cursor& c, DecodedEntries* out) {
   return c.ok();
 }
 
-/// The last occurrence of a scalar header member.
-struct Scalar {
-  Kind kind = Kind::kNull;  ///< kNull also when absent
-  std::string_view number;  ///< raw token when `kind == kNumber`
-  bool flag = false;        ///< the value when `kind == kBool`
-};
-
 enum HeaderField { kVersion, kTopK, kMinScore, kPenalty, kRerank, kGolden,
-                   kNumHeaderFields };
+                   kEntries, kNumHeaderFields };
 constexpr std::string_view kHeaderNames[kNumHeaderFields] = {
-    "harl_kcache", "topk", "min_score", "penalty", "rerank", "golden"};
+    "harl_kcache", "topk", "min_score", "penalty", "rerank", "golden",
+    "entries"};
 
 }  // namespace
 
@@ -524,40 +505,14 @@ bool cache_from_json(const std::string& text, KnowledgeCache* out,
                      std::string* error) {
   json::ParseError perr;
   json::Cursor c(text, &perr);
-  Scalar header[kNumHeaderFields];
+  json::Members<kNumHeaderFields> header(kHeaderNames);
   DecodedEntries entries;
-  std::string key;
-  Kind kind;
-  const bool is_object = c.peek(&kind) && kind == Kind::kObject;
-  if (is_object) {
-    c.enter_object();
-    while (c.next_member(&key)) {
-      if (key == "entries") {
-        if (!read_entries(c, &entries)) break;
-        continue;
-      }
-      int f = 0;
-      while (f < kNumHeaderFields && key != kHeaderNames[f]) ++f;
-      if (f == kNumHeaderFields || !c.peek(&kind)) {
-        if (!c.skip_value()) break;
-        continue;
-      }
-      Scalar& h = header[f];
-      h = Scalar{kind, {}, false};
-      bool consumed;
-      if (kind == Kind::kNumber) {
-        consumed = c.read_number(&h.number);
-      } else if (kind == Kind::kBool) {
-        consumed = c.read_bool(&h.flag);
-      } else {
-        consumed = c.skip_value();
-      }
-      if (!consumed) break;
-    }
-  } else {
-    c.skip_value();
-  }
-  if (!c.finish()) {
+  bool is_object = false;
+  const bool read = header.read_document(c, &is_object, [&](std::size_t f, Kind k) {
+    return f == kEntries && k == Kind::kArray ? read_entries(c, &entries)
+                                              : c.skip_value();
+  });
+  if (!read) {
     *error = "cache parse error: " + perr.to_string();
     return false;
   }
@@ -565,36 +520,29 @@ bool cache_from_json(const std::string& text, KnowledgeCache* out,
     *error = "cache document is not an object";
     return false;
   }
-  if (header[kVersion].kind != Kind::kNumber) {
+  if (!header[kVersion].is(Kind::kNumber)) {
     *error = "not a knowledge-cache file (missing harl_kcache)";
     return false;
   }
-  const std::int64_t version = json::number_to_int64(header[kVersion].number, 0);
+  const std::int64_t version = header[kVersion].int64(0);
   if (version > kKnowledgeCacheVersion) {
     *error = "incompatible cache version " + std::to_string(version);
     return false;
   }
 
+  // Each option keeps its default unless its member is a number (or, for
+  // "golden", a boolean).
   KnowledgeCacheOptions opts;
-  auto number = [&](int f) { return header[f].kind == Kind::kNumber; };
-  if (number(kTopK)) {
-    opts.top_k = static_cast<int>(
-        json::number_to_int64(header[kTopK].number, opts.top_k));
+  opts.top_k = static_cast<int>(header[kTopK].int64(opts.top_k));
+  opts.min_score = header[kMinScore].number(opts.min_score);
+  opts.time_penalty = header[kPenalty].number(opts.time_penalty);
+  opts.rerank_k = static_cast<int>(header[kRerank].int64(opts.rerank_k));
+  if (header[kGolden].is(Kind::kBool)) {
+    opts.golden_advice = header[kGolden].boolean();
   }
-  if (number(kMinScore)) {
-    opts.min_score = json::number_to_double(header[kMinScore].number,
-                                            opts.min_score);
-  }
-  if (number(kPenalty)) {
-    opts.time_penalty = json::number_to_double(header[kPenalty].number,
-                                               opts.time_penalty);
-  }
-  if (number(kRerank)) {
-    opts.rerank_k = static_cast<int>(
-        json::number_to_int64(header[kRerank].number, opts.rerank_k));
-  }
-  if (header[kGolden].kind == Kind::kBool) {
-    opts.golden_advice = header[kGolden].flag;
+  if (header[kEntries].present && header[kEntries].kind != Kind::kArray) {
+    *error = "cache field \"entries\" is not an array";
+    return false;
   }
   if (!entries.error.empty()) {
     *error = std::move(entries.error);

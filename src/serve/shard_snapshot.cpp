@@ -13,6 +13,9 @@ namespace harl {
 namespace {
 
 constexpr std::int64_t kSnapshotVersion = 1;
+constexpr std::string_view kManifestNames[] = {"harl_snapshot", "logs"};
+constexpr std::string_view kLogNames[] = {"file", "offset", "lines", "dev",
+                                          "ino",  "tail",   "fp"};
 
 std::string snapshot_path(const std::string& dir) {
   return dir + "/" + kShardSnapshotFile;
@@ -27,6 +30,8 @@ std::string cache_header(const KnowledgeCacheOptions& opts) {
   return header;
 }
 
+}  // namespace
+
 std::string manifest_line(const std::map<std::string, LogCoverage>& logs) {
   std::string out = "{\"harl_snapshot\":" + std::to_string(kSnapshotVersion) +
                     ",\"logs\":[";
@@ -38,10 +43,7 @@ std::string manifest_line(const std::map<std::string, LogCoverage>& logs) {
          {std::make_pair("offset", c.offset), std::make_pair("lines", c.lines),
           std::make_pair("dev", c.dev), std::make_pair("ino", c.ino),
           std::make_pair("tail", c.tail), std::make_pair("fp", c.fp)}) {
-      out += ",\"";
-      out += key;
-      out += "\":";
-      out += std::to_string(value);
+      json::append_member(&out, key, value);
     }
     out += '}';
   }
@@ -52,29 +54,42 @@ std::string manifest_line(const std::map<std::string, LogCoverage>& logs) {
 bool parse_manifest(const std::string& line,
                     std::map<std::string, LogCoverage>* out) {
   json::ParseError perr;
-  const json::Value doc = json::parse(line, &perr);
-  const json::Value* version = perr.ok ? doc.find("harl_snapshot") : nullptr;
-  const json::Value* logs = perr.ok ? doc.find("logs") : nullptr;
-  if (version == nullptr || version->as_int64(0) != kSnapshotVersion ||
-      logs == nullptr || !logs->is_array()) {
+  json::Cursor c(line, &perr);
+  json::Members<2> doc(kManifestNames);
+  std::map<std::string, LogCoverage> logs;
+  bool valid = true;  // every log entry of the last "logs" array is whole
+  bool is_object = false;
+  const bool read = doc.read_document(c, &is_object, [&](std::size_t f, json::Kind kind) {
+    if (f != 1 || kind != json::Kind::kArray) return c.skip_value();
+    logs.clear();
+    valid = true;
+    json::Kind item;
+    c.enter_array();
+    while (c.next_item()) {
+      json::Members<7> log(kLogNames);
+      if (!c.peek(&item) || (item == json::Kind::kObject ? !log.read(c) : !c.skip_value())) {
+        return false;
+      }
+      valid = valid && log[0].is(json::Kind::kString);
+      LogCoverage& cov = logs[log[0].string()];
+      std::size_t k = 1;
+      for (std::uint64_t* slot :
+           {&cov.offset, &cov.lines, &cov.dev, &cov.ino, &cov.tail, &cov.fp}) {
+        valid = valid && log[k].is(json::Kind::kNumber);
+        *slot = log[k++].uint64(0);
+      }
+    }
+    return c.ok();
+  });
+  if (!read || doc[0].int64(0) != kSnapshotVersion ||
+      !doc[1].is(json::Kind::kArray) || !valid) {
     return false;
   }
-  for (const json::Value& log : logs->items()) {
-    const json::Value* file = log.find("file");
-    if (file == nullptr || !file->is_string()) return false;
-    LogCoverage c;
-    for (const auto& [key, slot] :
-         {std::make_pair("offset", &c.offset), std::make_pair("lines", &c.lines),
-          std::make_pair("dev", &c.dev), std::make_pair("ino", &c.ino),
-          std::make_pair("tail", &c.tail), std::make_pair("fp", &c.fp)}) {
-      const json::Value* v = log.find(key);
-      if (v == nullptr || !v->is_number()) return false;
-      *slot = v->as_uint64();
-    }
-    (*out)[file->as_string()] = c;
-  }
+  for (const auto& [name, cov] : logs) (*out)[name] = cov;
   return true;
 }
+
+namespace {
 
 /// Restores `*cache` from the snapshot in `dir` and fills `*covered` with
 /// the coverage it was taken at.  False, with both untouched, when there is

@@ -25,6 +25,16 @@ namespace harl {
 /// footer.
 inline constexpr const char kShardSnapshotFile[] = "knowledge.snapshot";
 
+/// A snapshot's manifest line (with its trailing newline) for `logs`.
+std::string manifest_line(const std::map<std::string, LogCoverage>& logs);
+
+/// Decodes a manifest line into `*out`, by log file name (a duplicated name
+/// counts by its last entry).  False, with `*out` untouched, on malformed
+/// JSON, another version, or a log entry that is not an object with a
+/// string "file" and all six coverage numbers.
+bool parse_manifest(const std::string& line,
+                    std::map<std::string, LogCoverage>* out);
+
 /// What one `hydrate_shard` call folded in.
 struct ShardHydration {
   /// Per log file name, the prefix now in the cache (logs with no complete

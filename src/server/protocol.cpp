@@ -7,121 +7,6 @@
 
 namespace harl {
 
-namespace {
-
-/// Shared guards for both message kinds: one JSON object per line, version
-/// checked before any field is trusted.
-bool parse_envelope(const std::string& line, json::Value* doc, int* version,
-                    std::string* error) {
-  json::ParseError perr;
-  *doc = json::parse(line, &perr);
-  if (!perr.ok) {
-    if (error != nullptr) *error = perr.to_string();
-    return false;
-  }
-  if (!doc->is_object()) {
-    if (error != nullptr) *error = "message is not a JSON object";
-    return false;
-  }
-  *version = kProtocolVersion;
-  if (const json::Value* v = doc->find("v")) {
-    if (!v->is_number()) {
-      if (error != nullptr) *error = "\"v\" is not a number";
-      return false;
-    }
-    // Compared before narrowing, so 2^32 + 1 is not read as version 1.
-    const std::int64_t v64 = v->as_int64(kProtocolVersion);
-    if (v64 > kProtocolVersion) {
-      if (error != nullptr) {
-        *error = "incompatible version " + std::to_string(v64) +
-                 " (reader supports <= " + std::to_string(kProtocolVersion) + ")";
-      }
-      return false;
-    }
-    *version = static_cast<int>(std::max<std::int64_t>(v64, std::numeric_limits<int>::min()));
-  }
-  return true;
-}
-
-bool get_string(const json::Value& doc, const char* key, std::string* out,
-                std::string* error) {
-  const json::Value* v = doc.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_string()) {
-    if (error != nullptr) *error = std::string("\"") + key + "\" is not a string";
-    return false;
-  }
-  *out = v->as_string();
-  return true;
-}
-
-bool get_int(const json::Value& doc, const char* key, std::int64_t* out,
-             std::string* error) {
-  const json::Value* v = doc.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_number()) {
-    if (error != nullptr) *error = std::string("\"") + key + "\" is not a number";
-    return false;
-  }
-  *out = v->as_int64(*out);
-  return true;
-}
-
-bool get_uint(const json::Value& doc, const char* key, std::uint64_t* out,
-              std::string* error) {
-  const json::Value* v = doc.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_number()) {
-    if (error != nullptr) *error = std::string("\"") + key + "\" is not a number";
-    return false;
-  }
-  *out = v->as_uint64(*out);
-  return true;
-}
-
-bool get_double(const json::Value& doc, const char* key, double* out,
-                std::string* error) {
-  const json::Value* v = doc.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_number()) {
-    if (error != nullptr) *error = std::string("\"") + key + "\" is not a number";
-    return false;
-  }
-  *out = v->as_double(*out);
-  return true;
-}
-
-/// A field the encoder writes only when it is >= 0 ("-1 = absent"): a
-/// negative value reads as -1, what the encoder would have sent, so every
-/// accepted message encodes back to itself.
-bool get_optional_int(const json::Value& doc, const char* key, std::int64_t* out,
-                      std::string* error) {
-  if (!get_int(doc, key, out, error)) return false;
-  if (*out < 0) *out = -1;
-  return true;
-}
-
-bool get_optional_double(const json::Value& doc, const char* key, double* out,
-                         std::string* error) {
-  if (!get_double(doc, key, out, error)) return false;
-  if (*out < 0) *out = -1;
-  return true;
-}
-
-bool get_bool(const json::Value& doc, const char* key, bool* out,
-              std::string* error) {
-  const json::Value* v = doc.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_bool()) {
-    if (error != nullptr) *error = std::string("\"") + key + "\" is not a bool";
-    return false;
-  }
-  *out = v->as_bool();
-  return true;
-}
-
-}  // namespace
-
 const char* request_type_name(RequestType type) {
   switch (type) {
     case RequestType::kHello: return "hello";
@@ -176,127 +61,222 @@ bool Response::operator==(const Response& o) const {
 }
 
 std::string request_to_json(const Request& req) {
-  json::Value obj = json::Value::object();
-  obj.set("v", json::Value::number(static_cast<std::int64_t>(req.version)));
-  obj.set("type", json::Value::string(request_type_name(req.type)));
-  if (!req.tenant.empty()) obj.set("tenant", json::Value::string(req.tenant));
-  if (req.budget >= 0) obj.set("budget", json::Value::number(req.budget));
-  if (!req.network.empty()) obj.set("network", json::Value::string(req.network));
-  if (!req.task.empty()) obj.set("task", json::Value::string(req.task));
-  if (!req.hw.empty()) obj.set("hw", json::Value::string(req.hw));
-  if (req.trials != 0) obj.set("trials", json::Value::number(req.trials));
-  if (req.batch != 1) obj.set("batch", json::Value::number(req.batch));
-  if (req.seed != 42) obj.set("seed", json::Value::number(req.seed));
-  if (!req.policy.empty()) obj.set("policy", json::Value::string(req.policy));
-  if (req.job >= 0) obj.set("job", json::Value::number(req.job));
-  if (req.weight > 0) obj.set("weight", json::Value::number(req.weight));
-  return obj.dump();
+  std::string out = "{\"v\":";
+  json::append_int(&out, req.version);
+  json::append_member(&out, "type", request_type_name(req.type));
+  if (!req.tenant.empty()) json::append_member(&out, "tenant", req.tenant);
+  if (req.budget >= 0) json::append_member(&out, "budget", req.budget);
+  if (!req.network.empty()) json::append_member(&out, "network", req.network);
+  if (!req.task.empty()) json::append_member(&out, "task", req.task);
+  if (!req.hw.empty()) json::append_member(&out, "hw", req.hw);
+  if (req.trials != 0) json::append_member(&out, "trials", req.trials);
+  if (req.batch != 1) json::append_member(&out, "batch", req.batch);
+  if (req.seed != 42) json::append_member(&out, "seed", req.seed);
+  if (!req.policy.empty()) json::append_member(&out, "policy", req.policy);
+  if (req.job >= 0) json::append_member(&out, "job", req.job);
+  if (req.weight > 0) json::append_member(&out, "weight", req.weight);
+  out += '}';
+  return out;
 }
 
-std::string response_to_json(const Response& resp) {
-  json::Value obj = json::Value::object();
-  obj.set("v", json::Value::number(static_cast<std::int64_t>(resp.version)));
-  obj.set("ok", json::Value::boolean(resp.ok));
-  if (!resp.error.empty()) obj.set("error", json::Value::string(resp.error));
-  if (!resp.event.empty()) obj.set("event", json::Value::string(resp.event));
-  if (!resp.tier.empty()) obj.set("tier", json::Value::string(resp.tier));
-  if (resp.est_time_ms >= 0) {
-    obj.set("est_time_ms", json::Value::number(resp.est_time_ms));
-  }
-  if (resp.score >= 0) obj.set("score", json::Value::number(resp.score));
-  if (resp.schedule_fp != 0) {
-    obj.set("schedule_fp", json::Value::number(resp.schedule_fp));
-  }
-  if (!resp.record.empty()) {
-    // The record rides as a string of its exact record_to_json bytes, so the
-    // L1 bit-identity contract survives the extra protocol hop.
-    obj.set("record", json::Value::string(resp.record));
-  }
-  if (resp.serve_us >= 0) obj.set("serve_us", json::Value::number(resp.serve_us));
-  if (resp.cache_gen != 0) {
-    obj.set("cache_gen", json::Value::number(resp.cache_gen));
-  }
-  if (resp.job >= 0) obj.set("job", json::Value::number(resp.job));
-  if (!resp.state.empty()) obj.set("state", json::Value::string(resp.state));
-  if (resp.trials_used >= 0) {
-    obj.set("trials_used", json::Value::number(resp.trials_used));
-  }
-  if (resp.latency_ms >= 0) {
-    obj.set("latency_ms", json::Value::number(resp.latency_ms));
-  }
-  if (resp.round >= 0) obj.set("round", json::Value::number(resp.round));
-  if (resp.trials_after >= 0) {
-    obj.set("trials_after", json::Value::number(resp.trials_after));
-  }
-  if (resp.net_latency_ms >= 0) {
-    obj.set("net_latency_ms", json::Value::number(resp.net_latency_ms));
-  }
-  if (!resp.task.empty()) obj.set("task", json::Value::string(resp.task));
-  if (resp.queries >= 0) obj.set("queries", json::Value::number(resp.queries));
-  if (resp.l1_hits >= 0) obj.set("l1_hits", json::Value::number(resp.l1_hits));
-  if (resp.l2_hits >= 0) obj.set("l2_hits", json::Value::number(resp.l2_hits));
-  if (resp.l3_hits >= 0) obj.set("l3_hits", json::Value::number(resp.l3_hits));
-  if (resp.misses >= 0) obj.set("misses", json::Value::number(resp.misses));
-  if (resp.jobs_admitted >= 0) {
-    obj.set("jobs_admitted", json::Value::number(resp.jobs_admitted));
-  }
-  if (resp.jobs_rejected >= 0) {
-    obj.set("jobs_rejected", json::Value::number(resp.jobs_rejected));
-  }
-  if (resp.jobs_completed >= 0) {
-    obj.set("jobs_completed", json::Value::number(resp.jobs_completed));
-  }
-  if (resp.jobs_resumed >= 0) {
-    obj.set("jobs_resumed", json::Value::number(resp.jobs_resumed));
-  }
-  if (resp.tenants >= 0) obj.set("tenants", json::Value::number(resp.tenants));
-  if (!resp.role.empty()) obj.set("role", json::Value::string(resp.role));
-  if (resp.refreshes >= 0) {
-    obj.set("refreshes", json::Value::number(resp.refreshes));
-  }
-  if (resp.invalidations >= 0) {
-    obj.set("invalidations", json::Value::number(resp.invalidations));
-  }
-  if (resp.reloads >= 0) obj.set("reloads", json::Value::number(resp.reloads));
-  return obj.dump();
+namespace {
+
+// Sentinel-valued reply fields stay off the wire: "" and 0 (fingerprints)
+// are absent, and so is any negative count or measure (-1 = absent).
+void put(std::string* out, const char* name, const std::string& s) {
+  if (!s.empty()) json::append_member(out, name, s);
 }
+void put(std::string* out, const char* name, std::int64_t v) {
+  if (v >= 0) json::append_member(out, name, v);
+}
+void put(std::string* out, const char* name, double v) {
+  if (v >= 0) json::append_member(out, name, v);
+}
+void put(std::string* out, const char* name, std::uint64_t v) {
+  if (v != 0) json::append_member(out, name, v);
+}
+
+}  // namespace
+
+std::string response_to_json(const Response& resp) {
+  std::string out = "{\"v\":";
+  json::append_int(&out, resp.version);
+  out += resp.ok ? ",\"ok\":true" : ",\"ok\":false";
+  put(&out, "error", resp.error);
+  put(&out, "event", resp.event);
+  put(&out, "tier", resp.tier);
+  put(&out, "est_time_ms", resp.est_time_ms);
+  put(&out, "score", resp.score);
+  put(&out, "schedule_fp", resp.schedule_fp);
+  // The record rides as a string of its exact record_to_json bytes, so the
+  // L1 bit-identity contract survives the extra protocol hop.
+  put(&out, "record", resp.record);
+  put(&out, "serve_us", resp.serve_us);
+  put(&out, "cache_gen", resp.cache_gen);
+  put(&out, "job", resp.job);
+  put(&out, "state", resp.state);
+  put(&out, "trials_used", resp.trials_used);
+  put(&out, "latency_ms", resp.latency_ms);
+  put(&out, "round", resp.round);
+  put(&out, "trials_after", resp.trials_after);
+  put(&out, "net_latency_ms", resp.net_latency_ms);
+  put(&out, "task", resp.task);
+  put(&out, "queries", resp.queries);
+  put(&out, "l1_hits", resp.l1_hits);
+  put(&out, "l2_hits", resp.l2_hits);
+  put(&out, "l3_hits", resp.l3_hits);
+  put(&out, "misses", resp.misses);
+  put(&out, "jobs_admitted", resp.jobs_admitted);
+  put(&out, "jobs_rejected", resp.jobs_rejected);
+  put(&out, "jobs_completed", resp.jobs_completed);
+  put(&out, "jobs_resumed", resp.jobs_resumed);
+  put(&out, "tenants", resp.tenants);
+  put(&out, "role", resp.role);
+  put(&out, "refreshes", resp.refreshes);
+  put(&out, "invalidations", resp.invalidations);
+  put(&out, "reloads", resp.reloads);
+  out += '}';
+  return out;
+}
+
+namespace {
+
+using json::Kind;
+constexpr Kind kStr = Kind::kString;
+constexpr Kind kNum = Kind::kNumber;
+
+// Message members, in the order the decoders check them, with the kind
+// each must have when present.
+enum RequestField {
+  kReqV, kType, kTenant, kBudget, kNetwork, kReqTask, kHw, kTrials, kBatch,
+  kSeed, kPolicy, kReqJob, kWeight, kNumRequestFields
+};
+constexpr std::string_view kRequestNames[kNumRequestFields] = {
+    "v", "type", "tenant", "budget", "network", "task", "hw", "trials",
+    "batch", "seed", "policy", "job", "weight"};
+constexpr Kind kRequestKinds[kNumRequestFields] = {
+    kNum, kStr, kStr, kNum, kStr, kStr, kStr, kNum, kNum, kNum, kStr, kNum, kNum};
+
+enum ResponseField {
+  kRespV, kOk, kError, kEvent, kTier, kEstTime, kScore, kScheduleFp, kRecord,
+  kServeUs, kCacheGen, kRespJob, kState, kTrialsUsed, kLatency, kRound,
+  kTrialsAfter, kNetLatency, kRespTask, kQueries, kL1, kL2, kL3, kMisses,
+  kAdmitted, kRejected, kCompleted, kResumed, kTenants, kRole, kRefreshes,
+  kInvalidations, kReloads, kNumResponseFields
+};
+constexpr std::string_view kResponseNames[kNumResponseFields] = {
+    "v", "ok", "error", "event", "tier", "est_time_ms", "score",
+    "schedule_fp", "record", "serve_us", "cache_gen", "job", "state",
+    "trials_used", "latency_ms", "round", "trials_after", "net_latency_ms",
+    "task", "queries", "l1_hits", "l2_hits", "l3_hits", "misses",
+    "jobs_admitted", "jobs_rejected", "jobs_completed", "jobs_resumed",
+    "tenants", "role", "refreshes", "invalidations", "reloads"};
+constexpr Kind kResponseKinds[kNumResponseFields] = {
+    kNum, Kind::kBool, kStr, kStr, kStr, kNum, kNum, kNum, kStr, kNum, kNum,
+    kNum, kStr, kNum, kNum, kNum, kNum, kNum, kStr, kNum, kNum, kNum, kNum,
+    kNum, kNum, kNum, kNum, kNum, kNum, kStr, kNum, kNum, kNum};
+
+/// A message's member table, read from one line and checked in field order.
+template <std::size_t N>
+class Message {
+ public:
+  Message(const std::string_view (&names)[N], const Kind (&kinds)[N])
+      : m_(names), kinds_(kinds) {}
+
+  const json::Member& operator[](std::size_t f) const { return m_[f]; }
+
+  /// Pulls `line` into the table: false, with `*error` set, on malformed
+  /// JSON or a document that is not an object.
+  bool read(const std::string& line, std::string* error) {
+    json::ParseError perr;
+    json::Cursor c(line, &perr);
+    bool is_object = false;
+    if (!m_.read_document(c, &is_object)) {
+      *error = perr.to_string();
+      return false;
+    }
+    if (!is_object) *error = "message is not a JSON object";
+    return is_object;
+  }
+
+  /// Checks the kinds of members [from, to); the first present member of
+  /// another kind fills `*error`.
+  bool kinds(std::size_t from, std::size_t to, std::string* error) const {
+    for (std::size_t f = from; f < to; ++f) {
+      if (!m_[f].present || m_[f].kind == kinds_[f]) continue;
+      *error = "\"" + std::string(m_.name(f)) + "\" is not " +
+               (kinds_[f] == kStr ? "a string" : kinds_[f] == kNum ? "a number" : "a bool");
+      return false;
+    }
+    return true;
+  }
+
+  /// The shared guard of both message kinds: "v" (member 0), checked before
+  /// any other field is trusted.
+  bool version(int* out, std::string* error) const {
+    if (!kinds(0, 1, error)) return false;
+    // Compared before narrowing, so 2^32 + 1 is not read as version 1.
+    const std::int64_t v64 = m_[0].int64(kProtocolVersion);
+    if (v64 > kProtocolVersion) {
+      *error = "incompatible version " + std::to_string(v64) +
+               " (reader supports <= " + std::to_string(kProtocolVersion) + ")";
+      return false;
+    }
+    *out = static_cast<int>(
+        std::max<std::int64_t>(v64, std::numeric_limits<int>::min()));
+    return true;
+  }
+
+  /// A field the encoder writes only when it is >= 0 ("-1 = absent"): a
+  /// negative value reads as -1, what the encoder would have sent, so every
+  /// accepted message encodes back to itself.
+  std::int64_t count(std::size_t f) const {
+    const std::int64_t v = m_[f].int64(-1);
+    return v < 0 ? -1 : v;
+  }
+  double measure(std::size_t f) const {
+    const double v = m_[f].number(-1);
+    return v < 0 ? -1 : v;
+  }
+
+ private:
+  json::Members<N> m_;
+  const Kind* kinds_;
+};
+
+}  // namespace
 
 bool request_from_json(const std::string& line, Request* out,
                        std::string* error) {
-  json::Value doc;
-  int version = kProtocolVersion;
-  if (!parse_envelope(line, &doc, &version, error)) return false;
-
+  std::string local;
+  if (error == nullptr) error = &local;
+  Message<kNumRequestFields> m(kRequestNames, kRequestKinds);
   Request req;
-  req.version = version;
-  const json::Value* type = doc.find("type");
-  if (type == nullptr) {
-    if (error != nullptr) *error = "missing \"type\"";
+  if (!m.read(line, error) || !m.version(&req.version, error)) return false;
+  if (!m[kType].present) {
+    *error = "missing \"type\"";
     return false;
   }
-  if (!type->is_string()) {
-    if (error != nullptr) *error = "\"type\" is not a string";
-    return false;
-  }
-  std::optional<RequestType> kind = request_type_from_name(type->as_string());
+  if (!m.kinds(kType, kType + 1, error)) return false;
+  const std::string type = m[kType].string();
+  std::optional<RequestType> kind = request_type_from_name(type);
   if (!kind.has_value()) {
-    if (error != nullptr) {
-      *error = "unknown request type \"" + type->as_string() + "\"";
-    }
+    *error = "unknown request type \"" + type + "\"";
     return false;
   }
+  if (!m.kinds(kTenant, kNumRequestFields, error)) return false;
   req.type = *kind;
-  if (!get_string(doc, "tenant", &req.tenant, error)) return false;
-  if (!get_optional_int(doc, "budget", &req.budget, error)) return false;
-  if (!get_string(doc, "network", &req.network, error)) return false;
-  if (!get_string(doc, "task", &req.task, error)) return false;
-  if (!get_string(doc, "hw", &req.hw, error)) return false;
-  if (!get_int(doc, "trials", &req.trials, error)) return false;
-  if (!get_int(doc, "batch", &req.batch, error)) return false;
-  if (!get_uint(doc, "seed", &req.seed, error)) return false;
-  if (!get_string(doc, "policy", &req.policy, error)) return false;
-  if (!get_optional_int(doc, "job", &req.job, error)) return false;
-  if (!get_double(doc, "weight", &req.weight, error)) return false;
+  m[kTenant].string(&req.tenant);
+  req.budget = m.count(kBudget);
+  m[kNetwork].string(&req.network);
+  m[kReqTask].string(&req.task);
+  m[kHw].string(&req.hw);
+  req.trials = m[kTrials].int64(req.trials);
+  req.batch = m[kBatch].int64(req.batch);
+  req.seed = m[kSeed].uint64(req.seed);
+  m[kPolicy].string(&req.policy);
+  req.job = m.count(kReqJob);
+  req.weight = m[kWeight].number(0);
   if (!(req.weight > 0)) req.weight = 0;  // "0 = keep", the only other value sent
   *out = std::move(req);
   return true;
@@ -304,48 +284,46 @@ bool request_from_json(const std::string& line, Request* out,
 
 bool response_from_json(const std::string& line, Response* out,
                         std::string* error) {
-  json::Value doc;
-  int version = kProtocolVersion;
-  if (!parse_envelope(line, &doc, &version, error)) return false;
-
+  std::string local;
+  if (error == nullptr) error = &local;
+  Message<kNumResponseFields> m(kResponseNames, kResponseKinds);
   Response resp;
-  resp.version = version;
-  if (!get_bool(doc, "ok", &resp.ok, error)) return false;
-  if (!get_string(doc, "error", &resp.error, error)) return false;
-  if (!get_string(doc, "event", &resp.event, error)) return false;
-  if (!get_string(doc, "tier", &resp.tier, error)) return false;
-  if (!get_optional_double(doc, "est_time_ms", &resp.est_time_ms, error)) return false;
-  if (!get_optional_double(doc, "score", &resp.score, error)) return false;
-  if (!get_uint(doc, "schedule_fp", &resp.schedule_fp, error)) return false;
-  if (!get_string(doc, "record", &resp.record, error)) return false;
-  if (!get_optional_double(doc, "serve_us", &resp.serve_us, error)) return false;
-  if (!get_uint(doc, "cache_gen", &resp.cache_gen, error)) return false;
-  if (!get_optional_int(doc, "job", &resp.job, error)) return false;
-  if (!get_string(doc, "state", &resp.state, error)) return false;
-  if (!get_optional_int(doc, "trials_used", &resp.trials_used, error)) return false;
-  if (!get_optional_double(doc, "latency_ms", &resp.latency_ms, error)) return false;
-  if (!get_optional_int(doc, "round", &resp.round, error)) return false;
-  if (!get_optional_int(doc, "trials_after", &resp.trials_after, error)) return false;
-  if (!get_optional_double(doc, "net_latency_ms", &resp.net_latency_ms, error)) {
+  if (!m.read(line, error) || !m.version(&resp.version, error) ||
+      !m.kinds(kOk, kNumResponseFields, error)) {
     return false;
   }
-  if (!get_string(doc, "task", &resp.task, error)) return false;
-  if (!get_optional_int(doc, "queries", &resp.queries, error)) return false;
-  if (!get_optional_int(doc, "l1_hits", &resp.l1_hits, error)) return false;
-  if (!get_optional_int(doc, "l2_hits", &resp.l2_hits, error)) return false;
-  if (!get_optional_int(doc, "l3_hits", &resp.l3_hits, error)) return false;
-  if (!get_optional_int(doc, "misses", &resp.misses, error)) return false;
-  if (!get_optional_int(doc, "jobs_admitted", &resp.jobs_admitted, error)) return false;
-  if (!get_optional_int(doc, "jobs_rejected", &resp.jobs_rejected, error)) return false;
-  if (!get_optional_int(doc, "jobs_completed", &resp.jobs_completed, error)) {
-    return false;
-  }
-  if (!get_optional_int(doc, "jobs_resumed", &resp.jobs_resumed, error)) return false;
-  if (!get_optional_int(doc, "tenants", &resp.tenants, error)) return false;
-  if (!get_string(doc, "role", &resp.role, error)) return false;
-  if (!get_optional_int(doc, "refreshes", &resp.refreshes, error)) return false;
-  if (!get_optional_int(doc, "invalidations", &resp.invalidations, error)) return false;
-  if (!get_optional_int(doc, "reloads", &resp.reloads, error)) return false;
+  resp.ok = m[kOk].boolean();
+  m[kError].string(&resp.error);
+  m[kEvent].string(&resp.event);
+  m[kTier].string(&resp.tier);
+  resp.est_time_ms = m.measure(kEstTime);
+  resp.score = m.measure(kScore);
+  resp.schedule_fp = m[kScheduleFp].uint64(0);
+  m[kRecord].string(&resp.record);
+  resp.serve_us = m.measure(kServeUs);
+  resp.cache_gen = m[kCacheGen].uint64(0);
+  resp.job = m.count(kRespJob);
+  m[kState].string(&resp.state);
+  resp.trials_used = m.count(kTrialsUsed);
+  resp.latency_ms = m.measure(kLatency);
+  resp.round = m.count(kRound);
+  resp.trials_after = m.count(kTrialsAfter);
+  resp.net_latency_ms = m.measure(kNetLatency);
+  m[kRespTask].string(&resp.task);
+  resp.queries = m.count(kQueries);
+  resp.l1_hits = m.count(kL1);
+  resp.l2_hits = m.count(kL2);
+  resp.l3_hits = m.count(kL3);
+  resp.misses = m.count(kMisses);
+  resp.jobs_admitted = m.count(kAdmitted);
+  resp.jobs_rejected = m.count(kRejected);
+  resp.jobs_completed = m.count(kCompleted);
+  resp.jobs_resumed = m.count(kResumed);
+  resp.tenants = m.count(kTenants);
+  m[kRole].string(&resp.role);
+  resp.refreshes = m.count(kRefreshes);
+  resp.invalidations = m.count(kInvalidations);
+  resp.reloads = m.count(kReloads);
   *out = std::move(resp);
   return true;
 }

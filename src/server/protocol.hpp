@@ -2,13 +2,17 @@
 
 /// \file protocol.hpp
 /// The harl_serve wire format: versioned line-JSON requests/responses over a
-/// local TCP socket, one compact JSON object per line.  Invariant:
-/// serialization is deterministic (equal messages produce equal bytes, in the
-/// `src/io/json.*` dialect), parsing is tolerant of unknown fields but
-/// rejects newer protocol versions, and every malformed input yields an
-/// error, never a misparse — the corpus in tests/test_server.cpp pins this
-/// without sockets.  Collaborators: HarlServer, LineClient, harl_query
-/// --connect, docs/PROTOCOL.md.
+/// local TCP socket, one compact JSON object per line.  Encoders append each
+/// field straight into the line; decoders read a line in one pass over the
+/// `json::Cursor` into a `json::Members` table, then check it field by field.
+/// Invariant: serialization is deterministic (equal messages produce equal
+/// bytes, in the `src/io/json.*` dialect), parsing is tolerant of unknown
+/// fields but rejects newer protocol versions, and every malformed input
+/// yields an error, never a misparse — the corpus in tests/test_server.cpp
+/// pins this without sockets, and tests/test_record_codec.cpp holds the
+/// decoders to the DOM codec they replaced under seeded mutation.
+/// Collaborators: HarlServer, LineClient, harl_query --connect,
+/// docs/PROTOCOL.md.
 
 #include <cstdint>
 #include <optional>

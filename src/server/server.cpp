@@ -414,6 +414,31 @@ void HarlServer::journal_append(const std::string& line) {
   std::fflush(journal_);
 }
 
+namespace {
+
+// Journal-line members: every event kind's, in one table.
+enum JournalField {
+  kEv, kJob, kTenant, kBudget, kWeight, kNetwork, kBatch, kHw, kTrials, kSeed,
+  kPolicy, kNumJournalFields
+};
+constexpr std::string_view kJournalNames[kNumJournalFields] = {
+    "ev", "job", "tenant", "budget", "weight", "network", "batch", "hw",
+    "trials", "seed", "policy"};
+
+/// The first member of a job line whose kind is not the one its writer
+/// uses, or nullptr.
+const char* mistyped_job_member(const json::Members<kNumJournalFields>& m) {
+  for (JournalField f : {kJob, kBatch, kTrials, kSeed}) {
+    if (m[f].present && m[f].kind != json::Kind::kNumber) return kJournalNames[f].data();
+  }
+  for (JournalField f : {kTenant, kNetwork, kHw, kPolicy}) {
+    if (m[f].present && m[f].kind != json::Kind::kString) return kJournalNames[f].data();
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 bool HarlServer::recover(std::string* error) {
   (void)error;
   std::string text;
@@ -423,40 +448,46 @@ bool HarlServer::recover(std::string* error) {
   }
   std::lock_guard<std::mutex> lk(jobs_mu_);
   std::size_t pos = 0;
+  std::size_t line_no = 0;
   while (pos < text.size()) {
     std::size_t nl = text.find('\n', pos);
     if (nl == std::string::npos) break;  // torn tail: the crash window
     std::string line = text.substr(pos, nl - pos);
     pos = nl + 1;
+    ++line_no;
     if (line.empty()) continue;
     json::ParseError perr;
-    json::Value doc = json::parse(line, &perr);
-    if (!perr.ok || !doc.is_object()) continue;  // tolerant replay
-    const json::Value* ev = doc.find("ev");
-    if (ev == nullptr || !ev->is_string()) continue;
-    if (ev->as_string() == "tenant") {
-      const json::Value* name = doc.find("tenant");
-      const json::Value* budget = doc.find("budget");
-      const json::Value* weight = doc.find("weight");
-      if (name != nullptr && name->is_string()) {
-        registry_.ensure(name->as_string(),
-                         budget != nullptr ? budget->as_int64(-1) : -1);
-        if (weight != nullptr && weight->is_number()) {
-          registry_.set_weight(name->as_string(), weight->as_double(0));
+    json::Cursor c(line, &perr);
+    json::Members<kNumJournalFields> m(kJournalNames);
+    bool is_object = false;
+    if (!m.read_document(c, &is_object) || !m[kEv].is(json::Kind::kString)) {
+      continue;  // tolerant replay
+    }
+    const std::string ev = m[kEv].string();
+    if (ev == "tenant") {
+      if (m[kTenant].is(json::Kind::kString)) {
+        const std::string name = m[kTenant].string();
+        registry_.ensure(name, m[kBudget].int64(-1));
+        if (m[kWeight].is(json::Kind::kNumber)) {
+          registry_.set_weight(name, m[kWeight].number(0));
         }
       }
-    } else if (ev->as_string() == "job") {
+    } else if (ev == "job") {
+      if (!m[kJob].present) continue;
+      if (const char* bad = mistyped_job_member(m)) {
+        HARL_LOG_WARN("server: journal line %zu: job member \"%s\" has the wrong kind; skipped",
+                      line_no, bad);
+        continue;
+      }
       Job job;
-      const json::Value* id = doc.find("job");
-      if (id == nullptr || !id->is_number()) continue;
-      job.id = id->as_int64(0);
-      if (const json::Value* v = doc.find("tenant")) job.tenant = v->as_string();
-      if (const json::Value* v = doc.find("network")) job.network = v->as_string();
-      if (const json::Value* v = doc.find("batch")) job.batch = v->as_int64(1);
-      if (const json::Value* v = doc.find("hw")) job.hw = v->as_string();
-      if (const json::Value* v = doc.find("trials")) job.trials = v->as_int64(0);
-      if (const json::Value* v = doc.find("seed")) job.seed = v->as_uint64(42);
-      if (const json::Value* v = doc.find("policy")) job.policy = v->as_string();
+      job.id = m[kJob].int64(0);
+      m[kTenant].string(&job.tenant);
+      m[kNetwork].string(&job.network);
+      job.batch = m[kBatch].int64(1);
+      m[kHw].string(&job.hw);
+      job.trials = m[kTrials].int64(0);
+      job.seed = m[kSeed].uint64(42);
+      m[kPolicy].string(&job.policy);
       if (job.id <= 0 || job.trials <= 0 || !known_network_base(job.network)) {
         continue;
       }
@@ -466,16 +497,20 @@ bool HarlServer::recover(std::string* error) {
                       static_cast<long long>(kMaxBatch));
         continue;
       }
+      if (!job.policy.empty() && !PolicyRegistry::instance().contains(job.policy)) {
+        HARL_LOG_WARN("server: journaled job %lld names unknown policy \"%s\"; skipped",
+                      static_cast<long long>(job.id), job.policy.c_str());
+        continue;
+      }
       // The journal is the admission authority: charge the tenant exactly
       // what the original admission did, budgets-of-today notwithstanding.
       registry_.force_admit(job.tenant, job.trials);
       jobs_admitted_ += 1;
       next_job_id_ = std::max(next_job_id_, job.id + 1);
       jobs_[job.id] = std::move(job);
-    } else if (ev->as_string() == "done") {
-      const json::Value* id = doc.find("job");
-      if (id == nullptr || !id->is_number()) continue;
-      auto it = jobs_.find(id->as_int64(0));
+    } else if (ev == "done") {
+      if (!m[kJob].is(json::Kind::kNumber)) continue;
+      auto it = jobs_.find(m[kJob].int64(0));
       if (it == jobs_.end()) continue;
       it->second.done = true;
       it->second.state = FleetJobState::kDone;
@@ -683,11 +718,9 @@ void HarlServer::handle_fleet_complete(const std::string& shard_name,
       job.done = true;
       job.state = FleetJobState::kDone;
       jobs_completed_ += 1;
-      json::Value line = json::Value::object();
-      line.set("v", json::Value::number(static_cast<std::int64_t>(1)));
-      line.set("ev", json::Value::string("done"));
-      line.set("job", json::Value::number(job_id));
-      journal_append(line.dump());
+      std::string line = "{\"v\":1,\"ev\":\"done\"";
+      json::append_member(&line, "job", job_id);
+      journal_append(line + '}');
       registry_.on_job_complete(job.tenant, job.trials, result.trials_used,
                                 result.latency_gain_ms);
     } else {
@@ -732,13 +765,11 @@ Response HarlServer::handle_hello(const Request& req) {
   registry_.ensure(req.tenant, req.budget);
   if (req.weight > 0) registry_.set_weight(req.tenant, req.weight);
   if (req.budget >= 0 || req.weight > 0) {
-    json::Value line = json::Value::object();
-    line.set("v", json::Value::number(static_cast<std::int64_t>(1)));
-    line.set("ev", json::Value::string("tenant"));
-    line.set("tenant", json::Value::string(req.tenant));
-    if (req.budget >= 0) line.set("budget", json::Value::number(req.budget));
-    if (req.weight > 0) line.set("weight", json::Value::number(req.weight));
-    journal_append(line.dump());
+    std::string line = "{\"v\":1,\"ev\":\"tenant\"";
+    json::append_member(&line, "tenant", req.tenant);
+    if (req.budget >= 0) json::append_member(&line, "budget", req.budget);
+    if (req.weight > 0) json::append_member(&line, "weight", req.weight);
+    journal_append(line + '}');
   }
   Response resp;
   resp.ok = true;
@@ -843,20 +874,16 @@ Response HarlServer::handle_tune(const Request& req) {
 
     // Journal before acknowledging: an admitted job must survive a crash
     // that lands between the reply and the first fleet round.
-    json::Value line = json::Value::object();
-    line.set("v", json::Value::number(static_cast<std::int64_t>(1)));
-    line.set("ev", json::Value::string("job"));
-    line.set("job", json::Value::number(job.id));
-    line.set("tenant", json::Value::string(job.tenant));
-    line.set("network", json::Value::string(job.network));
-    line.set("batch", json::Value::number(job.batch));
-    line.set("hw", json::Value::string(job.hw));
-    line.set("trials", json::Value::number(job.trials));
-    line.set("seed", json::Value::number(job.seed));
-    if (!job.policy.empty()) {
-      line.set("policy", json::Value::string(job.policy));
-    }
-    journal_append(line.dump());
+    std::string line = "{\"v\":1,\"ev\":\"job\"";
+    json::append_member(&line, "job", job.id);
+    json::append_member(&line, "tenant", job.tenant);
+    json::append_member(&line, "network", job.network);
+    json::append_member(&line, "batch", job.batch);
+    json::append_member(&line, "hw", job.hw);
+    json::append_member(&line, "trials", job.trials);
+    json::append_member(&line, "seed", job.seed);
+    if (!job.policy.empty()) json::append_member(&line, "policy", job.policy);
+    journal_append(line + '}');
 
     resp.ok = true;
     resp.job = job.id;

@@ -166,6 +166,13 @@ TEST(GbdtIoTest, RejectsNewerVersionsAndCorruptDocuments) {
       "\"root\":[0],\"rng\":[1,2]}";
   EXPECT_FALSE(gbdt_from_json(cyclic, &out, &error));
   EXPECT_NE(error.find("cycle"), std::string::npos);
+
+  // A child index at INT_MAX is past the end; its right sibling would be
+  // INT_MAX + 1, which the range check must not compute.
+  std::string far = cyclic;
+  far.replace(far.find("\"child\":[0"), 10, "\"child\":[2147483647");
+  EXPECT_FALSE(gbdt_from_json(far, &out, &error));
+  EXPECT_NE(error.find("child index out of range"), std::string::npos);
 }
 
 TEST(GbdtIoTest, SaveAndLoadFiles) {

@@ -167,13 +167,13 @@ std::vector<std::int64_t> done_order(const std::string& state_dir) {
     if (nl == std::string::npos) break;
     std::string line = text.substr(pos, nl - pos);
     pos = nl + 1;
+    static constexpr std::string_view kNames[] = {"ev", "job"};
     json::ParseError perr;
-    json::Value doc = json::parse(line, &perr);
-    if (!perr.ok || !doc.is_object()) continue;
-    const json::Value* ev = doc.find("ev");
-    if (ev == nullptr || !ev->is_string() || ev->as_string() != "done") continue;
-    const json::Value* id = doc.find("job");
-    if (id != nullptr && id->is_number()) order.push_back(id->as_int64(0));
+    json::Cursor c(line, &perr);
+    json::Members<2> m(kNames);
+    bool is_object = false;
+    if (!m.read_document(c, &is_object) || m[0].string() != "done") continue;
+    if (m[1].is(json::Kind::kNumber)) order.push_back(m[1].int64(0));
   }
   return order;
 }

@@ -1,11 +1,14 @@
 // Differential tests of the one-pass record codec, the JSON cursor and the
 // one-pass knowledge-cache decoder against the reference implementations
-// they replaced: a recursive-descent parser building a `json::Value` tree, a
-// DOM walk over it, and a DOM build plus `dump()` for encoding; for caches,
-// the library DOM with every embedded record dumped and decoded again.  The
-// references live here, in `ref` and `ref_cache`, as the oracles; the
-// library keeps one path per direction.  The daemon's wire protocol runs
-// under the same mutations, checked against its own encoder.
+// they replaced: a recursive-descent parser building a `ref::Value` tree
+// (tests/support/json_dom.hpp), a DOM walk over it, and a DOM build plus
+// `dump()` for encoding; for caches, the DOM with every embedded record
+// dumped and decoded again.  The record and cache references live here, in
+// `ref` and `ref_cache`; the library keeps one path per direction.  The
+// daemon's wire protocol runs under the same mutations, checked against its
+// own encoder and against the DOM codec it replaced
+// (tests/support/dom_decoders.hpp), as do the GBDT model file and the
+// shard-snapshot manifest.
 
 #include <gtest/gtest.h>
 
@@ -23,11 +26,15 @@
 #include <vector>
 
 #include "io/json.hpp"
+#include "cost/gbdt_io.hpp"
 #include "io/record.hpp"
 #include "sched/schedule.hpp"
 #include "sched/sketch.hpp"
 #include "serve/knowledge_cache.hpp"
+#include "serve/shard_snapshot.hpp"
 #include "server/protocol.hpp"
+#include "support/dom_decoders.hpp"
+#include "support/json_dom.hpp"
 #include "util/rng.hpp"
 #include "workloads/operators.hpp"
 
@@ -38,8 +45,18 @@ namespace {
 
 namespace ref {
 
+using harl::ref::dump;
+using harl::ref::escape;
+using harl::ref::gbdt_from_json;
+using harl::ref::gbdt_to_json;
+using harl::ref::parse;
+using harl::ref::parse_manifest;
+using harl::ref::request_from_json;
+using harl::ref::request_to_json;
+using harl::ref::response_from_json;
+using harl::ref::response_to_json;
+using harl::ref::Value;
 using json::ParseError;
-using json::Value;
 
 std::string format_double(double v) {
   char buf[40];
@@ -48,314 +65,6 @@ std::string format_double(double v) {
     if (std::strtod(buf, nullptr) == v) break;
   }
   return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out = "\"";
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string dump(const Value& v) {
-  switch (v.kind()) {
-    case Value::Kind::kNull: return "null";
-    case Value::Kind::kBool: return v.as_bool() ? "true" : "false";
-    case Value::Kind::kNumber: return v.raw_number();
-    case Value::Kind::kString: return escape(v.as_string());
-    case Value::Kind::kArray: {
-      std::string out = "[";
-      for (std::size_t i = 0; i < v.items().size(); ++i) {
-        if (i) out += ',';
-        out += dump(v.items()[i]);
-      }
-      return out + "]";
-    }
-    case Value::Kind::kObject: {
-      std::string out = "{";
-      for (std::size_t i = 0; i < v.members().size(); ++i) {
-        if (i) out += ',';
-        out += escape(v.members()[i].first) + ":" + dump(v.members()[i].second);
-      }
-      return out + "}";
-    }
-  }
-  return "null";
-}
-
-class Parser {
- public:
-  Parser(const std::string& text, ParseError* err) : text_(text), err_(err) {}
-
-  Value run() {
-    skip_ws();
-    Value v = parse_value();
-    if (!err_->ok) return Value();
-    skip_ws();
-    if (pos_ < text_.size()) {
-      fail("trailing content after JSON value");
-      return Value();
-    }
-    return v;
-  }
-
- private:
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  bool at_end() const { return pos_ >= text_.size(); }
-
-  void advance() {
-    if (pos_ >= text_.size()) return;
-    if (text_[pos_] == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    ++pos_;
-  }
-
-  void skip_ws() {
-    while (!at_end() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                         peek() == '\r')) {
-      advance();
-    }
-  }
-
-  void fail(const std::string& msg) {
-    if (!err_->ok) return;
-    err_->ok = false;
-    err_->line = line_;
-    err_->column = col_;
-    err_->message = msg;
-  }
-
-  bool expect(char c, const char* what) {
-    if (peek() != c) {
-      fail(std::string("expected ") + what);
-      return false;
-    }
-    advance();
-    return true;
-  }
-
-  bool literal(const char* word) {
-    std::size_t n = std::strlen(word);
-    if (text_.compare(pos_, n, word) != 0) {
-      fail(std::string("invalid literal (expected ") + word + ")");
-      return false;
-    }
-    for (std::size_t i = 0; i < n; ++i) advance();
-    return true;
-  }
-
-  Value parse_value() {
-    if (depth_ > 64) {
-      fail("nesting too deep");
-      return Value();
-    }
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return parse_string();
-      case 't': return literal("true") ? Value::boolean(true) : Value();
-      case 'f': return literal("false") ? Value::boolean(false) : Value();
-      case 'n': return literal("null") ? Value::null() : Value();
-      case '\0':
-        fail("unexpected end of input");
-        return Value();
-      default:
-        return parse_number();
-    }
-  }
-
-  Value parse_object() {
-    ++depth_;
-    Value obj = Value::object();
-    advance();
-    skip_ws();
-    if (peek() == '}') {
-      advance();
-      --depth_;
-      return obj;
-    }
-    for (;;) {
-      skip_ws();
-      if (peek() != '"') {
-        fail("expected object key string");
-        return Value();
-      }
-      Value key = parse_string();
-      if (!err_->ok) return Value();
-      skip_ws();
-      if (!expect(':', "':'")) return Value();
-      skip_ws();
-      Value v = parse_value();
-      if (!err_->ok) return Value();
-      obj.set(key.as_string(), std::move(v));
-      skip_ws();
-      if (peek() == ',') {
-        advance();
-        continue;
-      }
-      if (!expect('}', "',' or '}'")) return Value();
-      break;
-    }
-    --depth_;
-    return obj;
-  }
-
-  Value parse_array() {
-    ++depth_;
-    Value arr = Value::array();
-    advance();
-    skip_ws();
-    if (peek() == ']') {
-      advance();
-      --depth_;
-      return arr;
-    }
-    for (;;) {
-      skip_ws();
-      Value v = parse_value();
-      if (!err_->ok) return Value();
-      arr.push_back(std::move(v));
-      skip_ws();
-      if (peek() == ',') {
-        advance();
-        continue;
-      }
-      if (!expect(']', "',' or ']'")) return Value();
-      break;
-    }
-    --depth_;
-    return arr;
-  }
-
-  Value parse_string() {
-    advance();
-    std::string out;
-    for (;;) {
-      if (at_end()) {
-        fail("unterminated string");
-        return Value();
-      }
-      char c = peek();
-      if (c == '"') {
-        advance();
-        return Value::string(std::move(out));
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-        return Value();
-      }
-      if (c != '\\') {
-        out += c;
-        advance();
-        continue;
-      }
-      advance();
-      switch (peek()) {
-        case '"': out += '"'; advance(); break;
-        case '\\': out += '\\'; advance(); break;
-        case '/': out += '/'; advance(); break;
-        case 'b': out += '\b'; advance(); break;
-        case 'f': out += '\f'; advance(); break;
-        case 'n': out += '\n'; advance(); break;
-        case 'r': out += '\r'; advance(); break;
-        case 't': out += '\t'; advance(); break;
-        case 'u': {
-          advance();
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = peek();
-            unsigned d;
-            if (h >= '0' && h <= '9') d = static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') d = static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') d = static_cast<unsigned>(h - 'A' + 10);
-            else {
-              fail("invalid \\u escape");
-              return Value();
-            }
-            code = code * 16 + d;
-            advance();
-          }
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          fail("invalid escape character");
-          return Value();
-      }
-    }
-  }
-
-  Value parse_number() {
-    std::size_t start = pos_;
-    if (peek() == '-') advance();
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-      fail("invalid number");
-      return Value();
-    }
-    while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
-    if (peek() == '.') {
-      advance();
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-        fail("digit expected after decimal point");
-        return Value();
-      }
-      while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      advance();
-      if (peek() == '+' || peek() == '-') advance();
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-        fail("digit expected in exponent");
-        return Value();
-      }
-      while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
-    }
-    return Value::number_raw(text_.substr(start, pos_ - start));
-  }
-
-  const std::string& text_;
-  ParseError* err_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-  int col_ = 1;
-  int depth_ = 0;
-};
-
-Value parse(const std::string& text, ParseError* err) {
-  *err = ParseError{};
-  Value v = Parser(text, err).run();
-  return err->ok ? v : Value();
 }
 
 double as_double(const Value& v, double fallback = 0) {
@@ -621,10 +330,11 @@ struct Decoded {
   std::vector<TuningRecord> records;
 };
 
-/// The knowledge-cache decoder the one-pass `cache_from_json` replaced.
+/// The knowledge-cache decoder the one-pass `cache_from_json` replaced, on
+/// the reference parser.
 bool cache_from_json(const std::string& text, Decoded* out, std::string* error) {
   json::ParseError perr;
-  json::Value doc = json::parse(text, &perr);
+  ref::Value doc = ref::parse(text, &perr);
   if (!perr.ok) {
     *error = "cache parse error: " + perr.to_string();
     return false;
@@ -633,7 +343,7 @@ bool cache_from_json(const std::string& text, Decoded* out, std::string* error) 
     *error = "cache document is not an object";
     return false;
   }
-  const json::Value* ver = doc.find("harl_kcache");
+  const ref::Value* ver = doc.find("harl_kcache");
   if (ver == nullptr || !ver->is_number()) {
     *error = "not a knowledge-cache file (missing harl_kcache)";
     return false;
@@ -644,43 +354,43 @@ bool cache_from_json(const std::string& text, Decoded* out, std::string* error) 
   }
 
   KnowledgeCacheOptions opts;
-  if (const json::Value* v = doc.find("topk"); v != nullptr && v->is_number()) {
+  if (const ref::Value* v = doc.find("topk"); v != nullptr && v->is_number()) {
     opts.top_k = static_cast<int>(v->as_int64(opts.top_k));
   }
-  if (const json::Value* v = doc.find("min_score");
+  if (const ref::Value* v = doc.find("min_score");
       v != nullptr && v->is_number()) {
     opts.min_score = v->as_double(opts.min_score);
   }
-  if (const json::Value* v = doc.find("penalty");
+  if (const ref::Value* v = doc.find("penalty");
       v != nullptr && v->is_number()) {
     opts.time_penalty = v->as_double(opts.time_penalty);
   }
-  if (const json::Value* v = doc.find("rerank");
+  if (const ref::Value* v = doc.find("rerank");
       v != nullptr && v->is_number()) {
     opts.rerank_k = static_cast<int>(v->as_int64(opts.rerank_k));
   }
-  if (const json::Value* v = doc.find("golden"); v != nullptr && v->is_bool()) {
+  if (const ref::Value* v = doc.find("golden"); v != nullptr && v->is_bool()) {
     opts.golden_advice = v->as_bool();
   }
 
   std::vector<TuningRecord> records;
-  const json::Value* entries = doc.find("entries");
+  const ref::Value* entries = doc.find("entries");
   if (entries != nullptr) {
     if (!entries->is_array()) {
       *error = "cache field \"entries\" is not an array";
       return false;
     }
-    for (const json::Value& e : entries->items()) {
+    for (const ref::Value& e : entries->items()) {
       if (!e.is_object()) {
         *error = "cache entry is not an object";
         return false;
       }
-      const json::Value* recs = e.find("records");
+      const ref::Value* recs = e.find("records");
       if (recs == nullptr || !recs->is_array()) {
         *error = "cache entry without a \"records\" array";
         return false;
       }
-      for (const json::Value& r : recs->items()) {
+      for (const ref::Value& r : recs->items()) {
         TuningRecord rec;
         std::string rerr;
         if (!record_from_json(r.dump(), &rec, &rerr)) {
@@ -770,8 +480,8 @@ std::vector<TuningRecord> fuzz_records(Rng& rng) {
 }
 
 /// A random value of a random kind, for type swaps.
-json::Value random_value(Rng& rng) {
-  using json::Value;
+ref::Value random_value(Rng& rng) {
+  using ref::Value;
   switch (rng.next_below(10)) {
     case 0: return Value::null();
     case 1: return Value::boolean(rng.next_bool());
@@ -811,35 +521,35 @@ const char* const kNumberTokens[] = {
     "1e30", "-1e30", "2147483648", "-2147483649", "4294967296.5", "1e18"};
 
 /// Every number-valued slot in a record DOM, for token replacement.
-void collect_numbers(json::Value& v, std::vector<json::Value*>* out) {
+void collect_numbers(ref::Value& v, std::vector<ref::Value*>* out) {
   if (v.is_number()) out->push_back(&v);
-  for (json::Value& item : v.items()) collect_numbers(item, out);
+  for (ref::Value& item : v.items()) collect_numbers(item, out);
   for (auto& member : v.members()) collect_numbers(member.second, out);
 }
 
 /// Every object in a record DOM (the record and its stages).
-void collect_objects(json::Value& v, std::vector<json::Value*>* out) {
+void collect_objects(ref::Value& v, std::vector<ref::Value*>* out) {
   if (v.is_object()) out->push_back(&v);
-  for (json::Value& item : v.items()) collect_objects(item, out);
+  for (ref::Value& item : v.items()) collect_objects(item, out);
   for (auto& member : v.members()) collect_objects(member.second, out);
 }
 
 /// Every array in a record DOM (stages, tiles, tile vectors, hwv).
-void collect_arrays(json::Value& v, std::vector<json::Value*>* out) {
+void collect_arrays(ref::Value& v, std::vector<ref::Value*>* out) {
   if (v.is_array()) out->push_back(&v);
-  for (json::Value& item : v.items()) collect_arrays(item, out);
+  for (ref::Value& item : v.items()) collect_arrays(item, out);
   for (auto& member : v.members()) collect_arrays(member.second, out);
 }
 
 /// One structural mutation of a record line, through the reference DOM.
 std::string mutate_structure(const std::string& line, Rng& rng) {
   json::ParseError err;
-  json::Value doc = ref::parse(line, &err);
+  ref::Value doc = ref::parse(line, &err);
   if (!err.ok) return line;
-  std::vector<json::Value*> objects;
+  std::vector<ref::Value*> objects;
   collect_objects(doc, &objects);
   if (objects.empty()) return line;
-  json::Value& obj = *objects[rng.next_below(static_cast<std::uint32_t>(objects.size()))];
+  ref::Value& obj = *objects[rng.next_below(static_cast<std::uint32_t>(objects.size()))];
   auto& members = obj.members();
   switch (rng.next_below(6)) {
     case 0:  // delete a member
@@ -867,10 +577,10 @@ std::string mutate_structure(const std::string& line, Rng& rng) {
       }
       break;
     case 4: {  // type swap of an array item (stage, tile vector, factor, hwv)
-      std::vector<json::Value*> arrays;
+      std::vector<ref::Value*> arrays;
       collect_arrays(doc, &arrays);
       if (arrays.empty()) break;
-      json::Value& arr = *arrays[rng.next_below(static_cast<std::uint32_t>(arrays.size()))];
+      ref::Value& arr = *arrays[rng.next_below(static_cast<std::uint32_t>(arrays.size()))];
       if (!arr.items().empty()) {
         arr.items()[rng.next_below(static_cast<std::uint32_t>(arr.items().size()))] =
             random_value(rng);
@@ -878,10 +588,10 @@ std::string mutate_structure(const std::string& line, Rng& rng) {
       break;
     }
     default: {  // replace a number token
-      std::vector<json::Value*> numbers;
+      std::vector<ref::Value*> numbers;
       collect_numbers(doc, &numbers);
       if (numbers.empty()) break;
-      *numbers[rng.next_below(static_cast<std::uint32_t>(numbers.size()))] = json::Value::number_raw(
+      *numbers[rng.next_below(static_cast<std::uint32_t>(numbers.size()))] = ref::Value::number_raw(
           kNumberTokens[rng.next_below(sizeof(kNumberTokens) / sizeof(kNumberTokens[0]))]);
       break;
     }
@@ -945,24 +655,66 @@ void expect_same_decode(const std::string& line, TuningRecord* reused,
   ++*accepted;
   ASSERT_TRUE(*reused == want) << line;
   ASSERT_EQ(record_to_json(*reused), ref::record_to_json(want)) << line;
-
-  json::ParseError got_perr;
-  json::ParseError want_perr;
-  json::Value got = json::parse(line, &got_perr);
-  json::Value ref_doc = ref::parse(line, &want_perr);
-  ASSERT_TRUE(got_perr.ok);
-  ASSERT_EQ(got.dump(), ref::dump(ref_doc));
 }
 
-/// `json::parse` (on the cursor) against the reference parser.
+/// Re-serializes the value at `c` through the cursor alone: containers by
+/// walking them, a string by its raw token decoded with `append_unescaped`,
+/// any other scalar by its token.
+bool cursor_dump(json::Cursor& c, std::string* out) {
+  json::Kind kind;
+  if (!c.peek(&kind)) return false;
+  std::string_view token;
+  switch (kind) {
+    case json::Kind::kObject: {
+      std::string key;
+      *out += '{';
+      c.enter_object();
+      while (c.next_member(&key)) {
+        if (out->back() != '{') *out += ',';
+        json::append_escaped(out, key);
+        *out += ':';
+        if (!cursor_dump(c, out)) return false;
+      }
+      *out += '}';
+      return c.ok();
+    }
+    case json::Kind::kArray:
+      *out += '[';
+      c.enter_array();
+      while (c.next_item()) {
+        if (out->back() != '[') *out += ',';
+        if (!cursor_dump(c, out)) return false;
+      }
+      *out += ']';
+      return c.ok();
+    case json::Kind::kString: {
+      if (!c.read_token(kind, &token)) return false;
+      std::string decoded;
+      json::append_unescaped(&decoded, token);
+      json::append_escaped(out, decoded);
+      return true;
+    }
+    default:
+      if (!c.read_token(kind, &token)) return false;
+      out->append(token);
+      return true;
+  }
+}
+
+/// The cursor against the reference parser: the same verdict, error and
+/// position, and the same value.
 void expect_same_parse(const std::string& text) {
   json::ParseError got_err;
+  json::Cursor c(text, &got_err);
+  std::string got;
+  const bool got_ok = cursor_dump(c, &got) && c.finish();
   json::ParseError want_err;
-  json::Value got = json::parse(text, &got_err);
-  json::Value want = ref::parse(text, &want_err);
-  ASSERT_EQ(got_err.ok, want_err.ok) << text;
+  ref::Value want = ref::parse(text, &want_err);
+  ASSERT_EQ(got_ok, want_err.ok) << text;
   ASSERT_EQ(got_err.to_string(), want_err.to_string()) << text;
-  ASSERT_EQ(got.dump(), ref::dump(want)) << text;
+  if (got_ok) {
+    ASSERT_EQ(got, ref::dump(want)) << text;
+  }
 }
 
 /// Decodes a cache document with both decoders and expects the same
@@ -1086,6 +838,7 @@ TEST(RecordCodec, TruncationAtEveryOffset) {
     const std::string line = record_to_json(records[r]);
     for (std::size_t n = 0; n <= line.size(); ++n) {
       expect_same_decode(line.substr(0, n), &reused, &errors, &accepted);
+      expect_same_parse(line.substr(0, n));
       if (HasFatalFailure()) return;
     }
   }
@@ -1135,11 +888,11 @@ TEST(RecordCodec, ReaderContract) {
   // fall back to the field default when a token does not fit.
   auto with = [&](const std::string& key, const std::string& token) {
     json::ParseError err;
-    json::Value doc = json::parse(line, &err);
+    ref::Value doc = ref::parse(line, &err);
     for (auto& member : doc.members()) {
-      if (member.first == key) member.second = json::Value::number_raw(token);
+      if (member.first == key) member.second = ref::Value::number_raw(token);
     }
-    return doc.dump();
+    return ref::dump(doc);
   };
   ASSERT_TRUE(record_from_json(with("trial", "1.5"), &rec, &error)) << error;
   EXPECT_EQ(rec.trial_index, 1);
@@ -1412,10 +1165,17 @@ int count_class(const std::map<std::string, int>& classes, const std::string& pr
 /// decodes back to it, byte-stable on a second encode.  `classes` counts
 /// rejections by their message up to its first digit.
 template <class Msg>
+struct ProtocolCodec {
+  bool (*decode)(const std::string&, Msg*, std::string*);
+  std::string (*encode)(const Msg&);
+};
+
+template <class Msg>
 void expect_protocol_decode(const std::string& line, const Msg& sentinel,
-                            bool (*decode)(const std::string&, Msg*, std::string*),
-                            std::string (*encode)(const Msg&),
+                            ProtocolCodec<Msg> codec, ProtocolCodec<Msg> dom,
                             std::map<std::string, int>* classes, int* accepted) {
+  auto decode = codec.decode;
+  auto encode = codec.encode;
   Msg first = sentinel;
   Msg second = sentinel;
   std::string first_error;
@@ -1424,6 +1184,13 @@ void expect_protocol_decode(const std::string& line, const Msg& sentinel,
   ASSERT_EQ(decode(line, &second, &second_error), ok) << line;
   ASSERT_EQ(second_error, first_error) << line;
   ASSERT_TRUE(second == first) << line;
+  // The DOM codec the one-pass decoder replaced agrees on every input.
+  Msg want = sentinel;
+  std::string want_error;
+  ASSERT_EQ(dom.decode(line, &want, &want_error), ok)
+      << line << "\nref: " << want_error << "\nnew: " << first_error;
+  ASSERT_EQ(first_error, want_error) << line;
+  ASSERT_TRUE(first == want) << line;
   if (!ok) {
     ASSERT_FALSE(first_error.empty()) << line;
     ASSERT_TRUE(first == sentinel) << "target changed by: " << line;
@@ -1432,6 +1199,7 @@ void expect_protocol_decode(const std::string& line, const Msg& sentinel,
   }
   ++*accepted;
   const std::string wire = encode(first);
+  ASSERT_EQ(wire, dom.encode(first)) << line;
   Msg back = sentinel;
   std::string error;
   ASSERT_TRUE(decode(wire, &back, &error)) << line << "\nencoded: " << wire << "\n" << error;
@@ -1441,14 +1209,18 @@ void expect_protocol_decode(const std::string& line, const Msg& sentinel,
 
 void expect_request_decode(const std::string& line, std::map<std::string, int>* classes,
                            int* accepted) {
-  expect_protocol_decode<Request>(line, sentinel_request(), request_from_json,
-                                  request_to_json, classes, accepted);
+  expect_protocol_decode<Request>(line, sentinel_request(),
+                                  {request_from_json, request_to_json},
+                                  {ref::request_from_json, ref::request_to_json},
+                                  classes, accepted);
 }
 
 void expect_response_decode(const std::string& line, std::map<std::string, int>* classes,
                             int* accepted) {
-  expect_protocol_decode<Response>(line, sentinel_response(), response_from_json,
-                                   response_to_json, classes, accepted);
+  expect_protocol_decode<Response>(line, sentinel_response(),
+                                   {response_from_json, response_to_json},
+                                   {ref::response_from_json, ref::response_to_json},
+                                   classes, accepted);
 }
 
 TEST(ProtocolCodec, RequestDecoderUnderMutation) {
@@ -1562,6 +1334,236 @@ TEST(ProtocolCodec, DepthCapOnUnknownMembers) {
     }
   }
   EXPECT_GT(count_class(classes, "line "), 0);
+}
+
+// ============================================================ model files
+
+/// Fitted models of a few shapes and both split modes, as their files' JSON
+/// (without the trailing newline, as the mutations dump it).
+std::vector<std::string> fuzz_model_docs(Rng& rng) {
+  std::vector<std::string> docs;
+  for (int i = 0; i < 6; ++i) {
+    const int d = 2 + i % 3;
+    std::vector<double> x, y;
+    for (int r = 0; r < 40; ++r) {
+      double t = 0;
+      for (int j = 0; j < d; ++j) {
+        const double v = rng.next_range(-2, 2);
+        x.push_back(v);
+        t += (j + 1) * v * v;
+      }
+      y.push_back(t);
+    }
+    GbdtConfig cfg;
+    cfg.num_trees = 2 + i % 3;
+    cfg.max_depth = 2 + i % 2;
+    cfg.seed = next_u64(rng);
+    cfg.split_mode = i % 2 ? SplitMode::kHistogram : SplitMode::kExact;
+    cfg.histogram_bins = 8;
+    Gbdt model(cfg);
+    model.fit(x, d, y);
+    std::string text = gbdt_to_json(model);
+    text.pop_back();
+    docs.push_back(std::move(text));
+  }
+  return docs;
+}
+
+/// A model no decode can produce by accident.
+Gbdt sentinel_model() {
+  GbdtConfig cfg;
+  cfg.num_trees = 1;
+  cfg.seed = 99;
+  Gbdt model(cfg);
+  model.fit({0.0, 1.0, 2.0, 3.0}, 1, {0.0, 1.0, 4.0, 9.0});
+  return model;
+}
+
+/// Decodes a model file with the one-pass decoder and the DOM one: the same
+/// verdict, error and restored forest.  A rejection leaves the target
+/// untouched; an accepted model re-encodes (through either encoder) to
+/// bytes that decode back to themselves.
+void expect_same_model_decode(const std::string& text, const Gbdt& sentinel,
+                              std::map<std::string, int>* classes, int* accepted) {
+  Gbdt got = sentinel;
+  Gbdt want = sentinel;
+  std::string got_error;
+  std::string want_error;
+  const bool ok = gbdt_from_json(text, &got, &got_error);
+  ASSERT_EQ(ok, ref::gbdt_from_json(text, &want, &want_error))
+      << text << "\nref: " << want_error << "\nnew: " << got_error;
+  ASSERT_EQ(got_error, want_error) << text;
+  const std::string bytes = gbdt_to_json(got);
+  ASSERT_EQ(bytes, ref::gbdt_to_json(want)) << text;
+  if (!ok) {
+    ASSERT_EQ(bytes, gbdt_to_json(sentinel)) << "target changed by: " << text;
+    ++(*classes)[got_error.substr(0, got_error.find_first_of(":0123456789"))];
+    return;
+  }
+  ++*accepted;
+  Gbdt back = sentinel;
+  std::string error;
+  ASSERT_TRUE(gbdt_from_json(bytes, &back, &error)) << text << "\n" << error;
+  ASSERT_EQ(gbdt_to_json(back), bytes) << text;
+}
+
+TEST(ModelCodec, SavedModelsReencodeToTheirOwnBytes) {
+  Rng rng(30);
+  for (const std::string& doc : fuzz_model_docs(rng)) {
+    Gbdt model;
+    std::string error;
+    ASSERT_TRUE(gbdt_from_json(doc + "\n", &model, &error)) << error;
+    EXPECT_EQ(gbdt_to_json(model), doc + "\n");
+  }
+}
+
+TEST(ModelCodec, DecoderMatchesDomUnderMutation) {
+  Rng rng(31);
+  const std::vector<std::string> docs = fuzz_model_docs(rng);
+  const Gbdt sentinel = sentinel_model();
+  std::map<std::string, int> classes;
+  int accepted = 0;
+  const int kMutants = 6000;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string text = docs[rng.next_below(static_cast<std::uint32_t>(docs.size()))];
+    const int steps = 1 + static_cast<int>(rng.next_below(3));
+    for (int s = 0; s < steps; ++s) {
+      text = rng.next_bool(0.6) ? mutate_structure(text, rng)
+                                : mutate_bytes(std::move(text), rng);
+    }
+    expect_same_model_decode(text, sentinel, &classes, &accepted);
+    if (HasFatalFailure()) return;
+  }
+  // Shapes the mutations rarely reach: other top-level kinds, a newer
+  // version, and duplicated members whose last occurrence decides.
+  const std::string doc = docs.front();
+  const std::string body = doc.substr(1, doc.size() - 2);
+  const std::vector<std::string> shapes = {
+      "[]", "42", "\"model\"", "null", "{}", "{\"harl_gbdt\":1}",
+      "{" + body + ",\"harl_gbdt\":2}", "{" + body + ",\"cfg\":{}}",
+      "{" + body + ",\"cfg\":[]}", "{\"cfg\":7," + body + "}",
+      "{" + body + ",\"feat\":[1,\"x\"]}", "{" + body + ",\"rng\":[1,2,3]}",
+      "{" + body + ",\"rng\":[1,\"2\"]}", "{" + body + ",\"root\":[]}",
+      "{" + body + ",\"zz\":[1,]}"};
+  for (const std::string& shape : shapes) {
+    expect_same_model_decode(shape, sentinel, &classes, &accepted);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(accepted, kMutants / 20);
+  for (const char* cls :
+       {"line ", "model document is not a JSON object", "missing or non-numeric field ",
+        "incompatible model version ", "missing or non-object field \"cfg\"",
+        "missing or non-array field ", "non-numeric entry in ",
+        "missing or malformed field \"rng\" (expected [state, inc])",
+        "forest arrays have mismatched lengths", "root count ",
+        "root index out of range", "node feature index out of range",
+        "child index out of range or non-monotone (cycle)"}) {
+    EXPECT_GT(count_class(classes, cls), 0) << cls;
+  }
+}
+
+TEST(ModelCodec, TruncationAtEveryOffset) {
+  Rng rng(32);
+  const Gbdt sentinel = sentinel_model();
+  std::map<std::string, int> classes;
+  int accepted = 0;
+  const std::vector<std::string> docs = fuzz_model_docs(rng);
+  for (std::size_t d = 0; d < docs.size(); d += 2) {
+    for (std::size_t n = 0; n <= docs[d].size(); ++n) {
+      expect_same_model_decode(docs[d].substr(0, n), sentinel, &classes, &accepted);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(accepted, 3);  // only the whole documents
+}
+
+// ============================================================== manifest
+
+/// Manifest lines (without their newline) of one to four logs with random
+/// coverage words.
+std::vector<std::string> fuzz_manifest_lines(Rng& rng, int n) {
+  std::vector<std::string> lines;
+  for (int i = 0; i < n; ++i) {
+    std::map<std::string, LogCoverage> logs;
+    const int m = 1 + static_cast<int>(rng.next_below(4));
+    for (int j = 0; j < m; ++j) {
+      LogCoverage c;
+      for (std::uint64_t* w : {&c.offset, &c.lines, &c.dev, &c.ino, &c.tail, &c.fp}) {
+        *w = rng.next_bool() ? rng.next_below(5000) : next_u64(rng);
+      }
+      logs[std::string(kNames[rng.next_below(6)]) + ".jsonl"] = c;
+    }
+    std::string line = manifest_line(logs);
+    line.pop_back();
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+/// Decodes a manifest with the one-pass decoder and the DOM one: the same
+/// verdict and, when accepted, the same map, which re-encodes to a line that
+/// decodes back to it.  A rejection leaves the target untouched.
+void expect_same_manifest_decode(const std::string& line, int* accepted, int* rejected) {
+  std::map<std::string, LogCoverage> got;
+  std::map<std::string, LogCoverage> want;
+  const bool ok = parse_manifest(line, &got);
+  ASSERT_EQ(ok, ref::parse_manifest(line, &want)) << line;
+  if (!ok) {
+    ASSERT_TRUE(got.empty()) << "target changed by: " << line;
+    ++*rejected;
+    return;
+  }
+  ++*accepted;
+  ASSERT_TRUE(got == want) << line;
+  const std::string again = manifest_line(got);
+  std::map<std::string, LogCoverage> back;
+  ASSERT_TRUE(parse_manifest(again.substr(0, again.size() - 1), &back)) << again;
+  ASSERT_TRUE(back == got) << again;
+}
+
+TEST(ManifestCodec, DecoderMatchesDomUnderMutation) {
+  Rng rng(33);
+  const std::vector<std::string> lines = fuzz_manifest_lines(rng, 40);
+  int accepted = 0;
+  int rejected = 0;
+  const int kMutants = 6000;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string line = lines[rng.next_below(static_cast<std::uint32_t>(lines.size()))];
+    const int steps = 1 + static_cast<int>(rng.next_below(3));
+    for (int s = 0; s < steps; ++s) {
+      line = rng.next_bool(0.6) ? mutate_structure(line, rng)
+                                : mutate_bytes(std::move(line), rng);
+    }
+    expect_same_manifest_decode(line, &accepted, &rejected);
+    if (HasFatalFailure()) return;
+  }
+  const std::string line = lines.front();
+  const std::string body = line.substr(1, line.size() - 2);
+  const std::vector<std::string> shapes = {
+      "[]", "{}", "{\"harl_snapshot\":1,\"logs\":[]}",
+      "{\"harl_snapshot\":1,\"logs\":[3]}", "{\"harl_snapshot\":\"1\",\"logs\":[]}",
+      "{" + body + ",\"harl_snapshot\":2}", "{" + body + ",\"logs\":{}}",
+      "{" + body + ",\"logs\":[]}", "{\"logs\":7," + body + "}",
+      "{" + body + ",\"zz\":[1,]}"};
+  for (const std::string& shape : shapes) {
+    expect_same_manifest_decode(shape, &accepted, &rejected);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(accepted, kMutants / 10);
+  EXPECT_GT(rejected, kMutants / 10);
+}
+
+TEST(ManifestCodec, TruncationAtEveryOffset) {
+  Rng rng(34);
+  int accepted = 0;
+  int rejected = 0;
+  for (const std::string& line : fuzz_manifest_lines(rng, 6)) {
+    for (std::size_t n = 0; n <= line.size(); ++n) {
+      expect_same_manifest_decode(line.substr(0, n), &accepted, &rejected);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(accepted, 6);  // only the whole lines
 }
 
 }  // namespace

@@ -18,76 +18,116 @@ namespace {
 
 // ---------------------------------------------------------------- JSON
 
+/// Validates `text` as one document; false with `*err` filled on a syntax
+/// error.
+bool validate(const std::string& text, json::ParseError* err) {
+  json::Cursor c(text, err);
+  return c.skip_value() && c.finish();
+}
+
 TEST(Json, ParsesScalarsAndContainers) {
+  const std::string text = "{\"a\":1,\"b\":[true,null,\"x\"],\"c\":-2.5e3}";
+  static constexpr std::string_view kNames[] = {"a", "b", "c"};
   json::ParseError err;
-  json::Value v = json::parse("{\"a\":1,\"b\":[true,null,\"x\"],\"c\":-2.5e3}", &err);
-  ASSERT_TRUE(err.ok) << err.to_string();
-  ASSERT_TRUE(v.is_object());
-  EXPECT_EQ(v.find("a")->as_int64(), 1);
-  const json::Value* b = v.find("b");
-  ASSERT_TRUE(b != nullptr && b->is_array());
-  ASSERT_EQ(b->items().size(), 3u);
-  EXPECT_TRUE(b->items()[0].as_bool());
-  EXPECT_TRUE(b->items()[1].is_null());
-  EXPECT_EQ(b->items()[2].as_string(), "x");
-  EXPECT_DOUBLE_EQ(v.find("c")->as_double(), -2500.0);
+  json::Cursor c(text, &err);
+  json::Members<3> m(kNames);
+  std::vector<json::Kind> kinds;
+  std::string x;
+  bool b = false;
+  bool is_object = false;
+  ASSERT_TRUE(m.read_document(c, &is_object, [&](std::size_t, json::Kind) {
+    json::Kind kind;
+    c.enter_array();
+    while (c.next_item()) {
+      if (!c.peek(&kind)) return false;
+      kinds.push_back(kind);
+      if (kind == json::Kind::kBool && !c.read_bool(&b)) return false;
+      if (kind == json::Kind::kNull && !c.read_null()) return false;
+      if (kind == json::Kind::kString && !c.read_string(&x)) return false;
+    }
+    return c.ok();
+  })) << err.to_string();
+  ASSERT_TRUE(is_object);
+  EXPECT_EQ(m[0].int64(0), 1);
+  EXPECT_TRUE(m[1].is(json::Kind::kArray));
+  EXPECT_EQ(kinds, (std::vector<json::Kind>{json::Kind::kBool, json::Kind::kNull,
+                                            json::Kind::kString}));
+  EXPECT_TRUE(b);
+  EXPECT_EQ(x, "x");
+  EXPECT_DOUBLE_EQ(m[2].number(0), -2500.0);
 }
 
 TEST(Json, PreservesUint64Fidelity) {
-  // 2^64 - 1 does not fit a double; the raw-token representation must keep
-  // every digit through a parse -> dump round trip.
+  // 2^64 - 1 does not fit a double; the raw token keeps every digit.
+  static constexpr std::string_view kNames[] = {"hw"};
+  const std::string text = "{\"hw\":18446744073709551615}";
   json::ParseError err;
-  json::Value v = json::parse("{\"hw\":18446744073709551615}", &err);
-  ASSERT_TRUE(err.ok);
-  EXPECT_EQ(v.find("hw")->as_uint64(), 18446744073709551615ULL);
-  EXPECT_EQ(v.dump(), "{\"hw\":18446744073709551615}");
+  json::Cursor c(text, &err);
+  json::Members<1> m(kNames);
+  bool is_object = false;
+  ASSERT_TRUE(m.read_document(c, &is_object));
+  EXPECT_EQ(m[0].uint64(0), 18446744073709551615ULL);
+  EXPECT_EQ(m[0].token, "18446744073709551615");
 }
 
 TEST(Json, ReportsLineAndColumn) {
   json::ParseError err;
-  json::parse("{\"a\":1,}", &err);
-  EXPECT_FALSE(err.ok);
+  EXPECT_FALSE(validate("{\"a\":1,}", &err));
   EXPECT_EQ(err.line, 1);
   EXPECT_EQ(err.column, 8);
 
-  json::parse("{\n  \"a\": @\n}", &err);
-  EXPECT_FALSE(err.ok);
+  EXPECT_FALSE(validate("{\n  \"a\": @\n}", &err));
   EXPECT_EQ(err.line, 2);
   EXPECT_EQ(err.column, 8);
 
-  json::parse("{\"a\":1} trailing", &err);
-  EXPECT_FALSE(err.ok);
+  EXPECT_FALSE(validate("{\"a\":1} trailing", &err));
   EXPECT_EQ(err.line, 1);
   EXPECT_EQ(err.column, 9);
 }
 
 TEST(Json, StringEscapes) {
   json::ParseError err;
-  json::Value v = json::parse("\"a\\n\\t\\\"b\\\\c\\u0041\"", &err);
-  ASSERT_TRUE(err.ok) << err.to_string();
-  EXPECT_EQ(v.as_string(), "a\n\t\"b\\cA");
+  const std::string text = "\"a\\n\\t\\\"b\\\\c\\u0041\"";
+  json::Cursor c(text, &err);
+  std::string s;
+  ASSERT_TRUE(c.read_string(&s) && c.finish()) << err.to_string();
+  EXPECT_EQ(s, "a\n\t\"b\\cA");
+  // A raw token decodes to the same bytes.
+  json::Cursor raw(text, &err);
+  std::string_view token;
+  ASSERT_TRUE(raw.read_token(json::Kind::kString, &token));
+  std::string decoded;
+  json::append_unescaped(&decoded, token);
+  EXPECT_EQ(decoded, s);
   // escape() emits a literal that parses back to the same bytes.
-  std::string wild = "tab\tquote\"backslash\\newline\nctrl\x01";
-  json::Value round = json::parse(json::escape(wild), &err);
-  ASSERT_TRUE(err.ok);
-  EXPECT_EQ(round.as_string(), wild);
+  const std::string wild = "tab\tquote\"backslash\\newline\nctrl\x01";
+  const std::string literal = json::escape(wild);
+  json::Cursor round(literal, &err);
+  ASSERT_TRUE(round.read_string(&s));
+  EXPECT_EQ(s, wild);
 }
 
 TEST(Json, FormatDoubleRoundTrips) {
   for (double v : {0.0, 1.0, 0.1, 1.0 / 3.0, 6.795162141492879, 1e-300,
                    123456789.123456789, 2.2250738585072014e-308}) {
+    const std::string text = json::format_double(v);
     json::ParseError err;
-    json::Value parsed = json::parse(json::format_double(v), &err);
-    ASSERT_TRUE(err.ok);
-    EXPECT_EQ(parsed.as_double(), v) << json::format_double(v);
+    json::Cursor c(text, &err);
+    std::string_view token;
+    ASSERT_TRUE(c.read_number(&token) && c.finish());
+    EXPECT_EQ(json::number_to_double(token, -1), v) << text;
   }
 }
 
 TEST(Json, DuplicateKeysLastWins) {
+  static constexpr std::string_view kNames[] = {"a"};
+  const std::string text = "{\"a\":1,\"a\":2}";
   json::ParseError err;
-  json::Value v = json::parse("{\"a\":1,\"a\":2}", &err);
-  ASSERT_TRUE(err.ok);
-  EXPECT_EQ(v.find("a")->as_int64(), 2);
+  json::Cursor c(text, &err);
+  json::Members<1> m(kNames);
+  bool is_object = false;
+  ASSERT_TRUE(m.read_document(c, &is_object));
+  EXPECT_EQ(m[0].int64(0), 2);
 }
 
 // ------------------------------------------------------------ round trip

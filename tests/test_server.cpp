@@ -473,6 +473,59 @@ TEST(Server, RecoverySkipsJournaledJobsWithAnOutOfRangeBatch) {
   server.shutdown();
 }
 
+TEST(Server, RecoverySkipsJournaledJobsWithAnUnknownPolicy) {
+  // A journaled job naming a policy this build does not register is dropped
+  // with a warning; dispatching it would abort the daemon on every restart.
+  // The lines around it still replay.
+  TempDir dir("test_server_journal_policy");
+  ASSERT_EQ(mkdir(dir.path.c_str(), 0755), 0);
+  const std::string journal =
+      R"({"v":1,"ev":"job","job":1,"tenant":"t","network":"bert","batch":1,)"
+      R"("hw":"test","trials":10,"seed":42,"policy":"nope"})" "\n"
+      R"({"v":1,"ev":"job","job":2,"tenant":"t","network":"bert","batch":1,)"
+      R"("hw":"test","trials":10,"seed":42,"policy":"Ansor"})" "\n"
+      R"({"v":1,"ev":"done","job":2})" "\n";
+  std::string error;
+  ASSERT_TRUE(atomic_write_file(dir.path + "/jobs.jsonl", journal, false, &error)) << error;
+  HarlServer server(make_server_options(dir.path));
+  ASSERT_TRUE(server.start(&error)) << error;
+  EXPECT_EQ(server.stats().jobs_admitted, 1);
+  EXPECT_EQ(server.stats().jobs_completed, 1);
+  EXPECT_EQ(server.stats().jobs_resumed, 0);
+  Request status;
+  status.type = RequestType::kStatus;
+  status.job = 1;
+  EXPECT_FALSE(server.handle_for_test(status).ok);
+  status.job = 2;
+  EXPECT_EQ(server.handle_for_test(status).state, "done");
+  server.shutdown();
+}
+
+TEST(Server, RecoverySkipsJournaledJobsWithMistypedMembers) {
+  // Each job line below has one member of a kind its writer never uses; a
+  // string member given a number is not read as its digits ("tenant":7 is
+  // not tenant "7").  Every such job is dropped with a warning.
+  TempDir dir("test_server_journal_kinds");
+  ASSERT_EQ(mkdir(dir.path.c_str(), 0755), 0);
+  const char* const kMistyped[] = {
+      R"("tenant":7)", R"("network":["bert"])", R"("hw":3)", R"("policy":1)",
+      R"("batch":"1")", R"("trials":"10")", R"("seed":true)", R"("job":"9")"};
+  std::string journal;
+  int id = 1;
+  for (const char* member : kMistyped) {
+    journal += R"({"v":1,"ev":"job","job":)" + std::to_string(id++) +
+               R"(,"tenant":"t","network":"bert","batch":1,"hw":"test",)"
+               R"("trials":10,"seed":42,)" + std::string(member) + "}\n";
+  }
+  std::string error;
+  ASSERT_TRUE(atomic_write_file(dir.path + "/jobs.jsonl", journal, false, &error)) << error;
+  HarlServer server(make_server_options(dir.path));
+  ASSERT_TRUE(server.start(&error)) << error;
+  EXPECT_EQ(server.stats().jobs_admitted, 0);
+  EXPECT_EQ(server.stats().jobs_resumed, 0);
+  server.shutdown();
+}
+
 TEST(Server, JournalBytesAreUnchanged) {
   // The journal lines of a hello, a tune and its completion, byte for byte:
   // a restarted daemon of any later build must read what this one wrote.
