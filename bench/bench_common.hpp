@@ -2,24 +2,25 @@
 
 /// Shared helpers for the paper-reproduction benchmark harnesses.
 ///
-/// Every bench binary accepts:
-///   --trials N   measurement-trial budget per tuning run, a positive integer
-///                (default: scaled per harness)
-///   --seed S     base RNG seed, an unsigned 64-bit integer
-///   --paper      use the paper's full-scale Table 5 settings (slower)
-///   --csv DIR    also write each table as CSV into DIR
-/// and prints the rows/series of its figure/table as aligned ASCII tables.
+/// Every bench binary declares the common flags below (`--trials`, `--seed`,
+/// `--paper`, `--csv`) plus its own on one `Flags` table, so `--help` lists
+/// them all and a usage error exits 2.  Each prints the rows/series of its
+/// figure/table as aligned ASCII tables.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/harl.hpp"
-#include "util/parse.hpp"
+#include "util/flags.hpp"
 
 namespace harl::bench {
+
+/// The binary's file name, for its usage line.
+inline std::string program_name(const char* argv0) {
+  std::string path = argv0;
+  return path.substr(path.rfind('/') + 1);
+}
 
 struct BenchArgs {
   std::int64_t trials = 0;  ///< 0 = harness-specific default
@@ -27,38 +28,22 @@ struct BenchArgs {
   bool paper = false;
   std::string csv_dir;
 
+  /// Declares the common flags on `flags`.
+  void declare(Flags* flags) {
+    flags->add_int("--trials", "N", &trials, 1, INT64_MAX,
+                   "trial budget per tuning run (default: scaled per harness)");
+    flags->add_u64("--seed", "S", &seed, "base RNG seed (default 42)");
+    flags->add_switch("--paper", &paper,
+                      "the paper's full-scale Table 5 settings (slower)");
+    flags->add_string("--csv", "DIR", &csv_dir, "also write each table as CSV into DIR");
+  }
+
+  /// The common flags alone, for harnesses that take no others.
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs args;
-    for (int i = 1; i < argc; ++i) {
-      auto next = [&](const char* flag) -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "missing value for %s\n", flag);
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      if (std::strcmp(argv[i], "--trials") == 0) {
-        const char* v = next("--trials");
-        const char* end = parse_positive(v, &args.trials);
-        if (end == nullptr || *end != '\0') {
-          std::fprintf(stderr, "bad --trials %s: want a positive integer\n", v);
-          std::exit(2);
-        }
-      } else if (std::strcmp(argv[i], "--seed") == 0) {
-        const char* v = next("--seed");
-        if (!parse_u64(v, &args.seed)) {
-          std::fprintf(stderr, "bad --seed %s: want an unsigned 64-bit integer\n", v);
-          std::exit(2);
-        }
-      } else if (std::strcmp(argv[i], "--paper") == 0) {
-        args.paper = true;
-      } else if (std::strcmp(argv[i], "--csv") == 0) {
-        args.csv_dir = next("--csv");
-      } else if (std::strcmp(argv[i], "--help") == 0) {
-        std::printf("flags: --trials N --seed S --paper --csv DIR\n");
-        std::exit(0);
-      }
-    }
+    Flags flags(program_name(argv[0]));
+    args.declare(&flags);
+    flags.parse(argc, argv);
     return args;
   }
 

@@ -18,8 +18,8 @@
 /// tests/support/gbdt_reference.hpp), so CI runs it as a gate next to
 /// `bench_parallel`.
 ///
-/// Flags: --trials N --seed S --paper --csv DIR (see bench_common.hpp),
-/// plus --json PATH and --candidates N.
+/// Flags: the common set of bench_common.hpp plus --json and --candidates;
+/// `--help` lists them.
 
 #include <algorithm>
 #include <chrono>
@@ -86,16 +86,16 @@ struct JsonWriter {
 
 int main(int argc, char** argv) {
   using namespace harl;
-  bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+  bench::BenchArgs args;
+  Flags flags(bench::program_name(argv[0]));
+  args.declare(&flags);
   std::string json_path = "BENCH_cost_model.json";
   std::size_t candidates = 2000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--candidates") == 0 && i + 1 < argc) {
-      candidates = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    }
-  }
+  flags.add_string("--json", "PATH", &json_path,
+                   "report path (default BENCH_cost_model.json)");
+  flags.add_int("--candidates", "N", &candidates, 1, INT64_MAX,
+                "candidates scored by the predict section (default 2000)");
+  flags.parse(argc, argv);
 
   HardwareConfig hw = HardwareConfig::xeon_6226r();
   hw.noise_sigma = 0;

@@ -6,14 +6,14 @@
 /// Shape expected from the paper: HARL improves end-to-end performance by
 /// ~8% (CPU) / ~9% (GPU) and cuts search time by up to 55% / 51%.
 ///
-/// Flags beyond the common set:
-///   --nets a,b     comma-separated subset of {bert,resnet50,mobilenet_v2}
-///   --batches a,b  subset of {1,16}
+/// Flags beyond the common set: --nets and --batches pick the networks and
+/// batch sizes; `--help` lists them.
 
 #include "bench_common.hpp"
 
-#include <cstring>
 #include <sstream>
+
+#include "util/parse.hpp"
 
 using namespace harl;
 using namespace harl::bench;
@@ -33,15 +33,28 @@ std::vector<std::string> split_csv(const std::string& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::parse(argc, argv);
-  std::vector<std::string> nets = network_names();
+  BenchArgs args;
+  Flags flags(program_name(argv[0]));
+  args.declare(&flags);
+  std::string net_list;
+  std::string batch_list;
+  flags.add_string("--nets", "A,B", &net_list,
+                   "subset of bert,resnet50,mobilenet_v2 (default all)");
+  flags.add_string("--batches", "A,B", &batch_list, "batch sizes (default 1,16)");
+  flags.parse(argc, argv);
+  std::vector<std::string> nets =
+      flags.given("--nets") ? split_csv(net_list) : network_names();
   std::vector<std::int64_t> batches = {1, 16};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--nets") == 0 && i + 1 < argc) {
-      nets = split_csv(argv[++i]);
-    } else if (std::strcmp(argv[i], "--batches") == 0 && i + 1 < argc) {
-      batches.clear();
-      for (const std::string& b : split_csv(argv[++i])) batches.push_back(std::atoll(b.c_str()));
+  if (flags.given("--batches")) {
+    batches.clear();
+    for (const std::string& b : split_csv(batch_list)) {
+      std::int64_t n = 0;
+      const char* end = parse_positive(b.c_str(), &n);
+      if (end == nullptr || *end != '\0' || n > kMaxBatch) {
+        Flags::fail("bad --batches entry " + b + ": want an integer in [1, " +
+                    std::to_string(kMaxBatch) + "]");
+      }
+      batches.push_back(n);
     }
   }
   // The paper uses 12k-22k trials; the scaled default keeps the multi-task

@@ -11,8 +11,6 @@
 
 #include "bench_common.hpp"
 
-#include <cstring>
-
 using namespace harl;
 using namespace harl::bench;
 
@@ -33,11 +31,13 @@ RunResult tune(const Subgraph& graph, PolicyKind kind, const BenchArgs& args,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::parse(argc, argv);
+  BenchArgs args;
+  Flags flags(program_name(argv[0]));
+  args.declare(&flags);
   bool all_configs = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--all-configs") == 0) all_configs = true;
-  }
+  flags.add_switch("--all-configs", &all_configs,
+                   "all 4 configurations per suite, averaged");
+  flags.parse(argc, argv);
   std::int64_t trials = args.trials > 0 ? args.trials : (args.paper ? 1000 : 300);
 
   std::printf("Figures 5 & 6: tensor operator optimization, Ansor vs HARL\n");

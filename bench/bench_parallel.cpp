@@ -12,13 +12,11 @@
 ///
 /// Exits non-zero if any determinism check fails, so CI can run it as a gate.
 ///
-/// Flags: --trials N --seed S --paper --csv DIR (see bench_common.hpp),
-/// plus --threads T (an integer in [1, 256], default 8) to cap the scaling
-/// sweep; anything else exits 2.
+/// Flags: the common set of bench_common.hpp plus --threads to cap the
+/// scaling sweep; `--help` lists them.
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -159,23 +157,13 @@ void bench_cache(const bench::BenchArgs& args) {
 
 int main(int argc, char** argv) {
   using namespace harl;
-  bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-  constexpr std::int64_t kMaxThreads = 256;
+  bench::BenchArgs args;
+  Flags flags(bench::program_name(argv[0]));
+  args.declare(&flags);
   std::int64_t max_threads = 8;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") != 0) continue;
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for --threads\n");
-      return 2;
-    }
-    const char* v = argv[++i];
-    const char* end = parse_positive(v, &max_threads);
-    if (end == nullptr || *end != '\0' || max_threads > kMaxThreads) {
-      std::fprintf(stderr, "bad --threads %s: want an integer in [1, %lld]\n", v,
-                   static_cast<long long>(kMaxThreads));
-      return 2;
-    }
-  }
+  flags.add_int("--threads", "N", &max_threads, 1, 256,
+                "largest pool of the scaling sweep (default 8)");
+  flags.parse(argc, argv);
 
   bool ok = bench_scaling(args, static_cast<std::size_t>(max_threads));
   ok &= bench_determinism(args);

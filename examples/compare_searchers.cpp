@@ -2,16 +2,18 @@
 /// convolution — the C2D workload class of Table 6) under the same trial
 /// budget, printing a convergence table: Table 1 of the paper, in numbers.
 ///
-///   ./build/compare_searchers [trials] [--trials=N]
-///       [--policy=NAME[,NAME...]]   subset of searchers, by registry name
-///                                   (default: all six built-ins)
+///   ./build/compare_searchers [trials] [--policy=NAME[,NAME...]]
+///
+/// `--policy` picks a subset of the searchers by registry name (default: all
+/// six built-ins).  Exit codes: 0 done, 1 an unknown or empty policy list,
+/// 2 usage error.
 
 #include <cstdio>
-#include <cstring>
+#include <sstream>
 #include <string>
 
 #include "core/harl.hpp"
-#include "util/parse.hpp"
+#include "util/flags.hpp"
 
 int main(int argc, char** argv) {
   using namespace harl;
@@ -23,46 +25,32 @@ int main(int argc, char** argv) {
     names.push_back(policy_kind_name(kind));
   }
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--policy=", 9) == 0) {
-      // Comma-separated registry names (case-insensitive).
-      names.clear();
-      std::string list = arg + 9;
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        std::size_t comma = list.find(',', start);
-        std::string name = list.substr(
-            start, comma == std::string::npos ? std::string::npos : comma - start);
-        if (!name.empty()) {
-          if (PolicyRegistry::instance().contains(name)) {
-            names.push_back(name);
-          } else {
-            std::fprintf(stderr, "unknown policy \"%s\"; registered names:\n",
-                         name.c_str());
-            for (const std::string& n : PolicyRegistry::instance().names()) {
-              std::fprintf(stderr, "  %s\n", n.c_str());
-            }
-            return 1;
-          }
+  std::string policy_list;
+  Flags flags("compare_searchers");
+  flags.add_int("[trials]", "", &trials, 1, INT64_MAX, "trial budget, as --trials");
+  flags.add_int("--trials", "N", &trials, 1, INT64_MAX,
+                "trial budget per searcher (default 300)");
+  flags.add_string("--policy", "NAME[,NAME...]", &policy_list,
+                   "searchers by registry name (default: all six)");
+  flags.parse(argc, argv);
+
+  if (flags.given("--policy")) {
+    // Comma-separated registry names (case-insensitive).
+    names.clear();
+    std::stringstream list(policy_list);
+    for (std::string name; std::getline(list, name, ',');) {
+      if (name.empty()) continue;
+      if (!PolicyRegistry::instance().contains(name)) {
+        std::fprintf(stderr, "unknown policy \"%s\"; registered names:\n", name.c_str());
+        for (const std::string& n : PolicyRegistry::instance().names()) {
+          std::fprintf(stderr, "  %s\n", n.c_str());
         }
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-      if (names.empty()) {
-        std::fprintf(stderr, "--policy= needs at least one name\n");
         return 1;
       }
-    } else if (std::strncmp(arg, "--trials=", 9) == 0 || arg[0] != '-') {
-      // --trials=N, or the legacy positional [trials].
-      const char* v = arg[0] == '-' ? arg + 9 : arg;
-      const char* end = parse_positive(v, &trials);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad trials %s: want a positive integer\n", v);
-        return 1;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg);
+      names.push_back(name);
+    }
+    if (names.empty()) {
+      std::fprintf(stderr, "--policy= needs at least one name\n");
       return 1;
     }
   }

@@ -4,20 +4,20 @@
 ///
 /// Build & run:
 ///   cmake -B build -G Ninja && cmake --build build
-///   ./build/fleet_tune [trials-per-network] [--log-dir=DIR]
+///   ./build/fleet_tune [trials] [--log-dir=DIR]
 ///
-/// With --log-dir, every network appends its measured records to
-/// DIR/<network>.jsonl and warm-starts from that file on the next run: kill
-/// this process at any point, re-run the same command, and each network
-/// resumes from its last completed round (the "replayed" column counts the
-/// trials served from the logs instead of the simulator).
+/// `trials` is the budget per network.  With --log-dir, every network
+/// appends its measured records to DIR/<network>.jsonl and warm-starts from
+/// that file on the next run: kill this process at any point, re-run the same
+/// command, and each network resumes from its last completed round (the
+/// "replayed" column counts the trials served from the logs instead of the
+/// simulator).  Exit codes: 0 done, 2 usage error.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/harl.hpp"
-#include "util/parse.hpp"
+#include "util/flags.hpp"
 
 int main(int argc, char** argv) {
   using namespace harl;
@@ -26,20 +26,11 @@ int main(int argc, char** argv) {
   // budgets below ~250 leave the weighted latency estimate at +inf.
   std::int64_t trials = 400;
   std::string log_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--log-dir=", 10) == 0) {
-      log_dir = argv[i] + 10;
-    } else if (argv[i][0] != '-') {
-      const char* end = parse_positive(argv[i], &trials);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad trials %s: want a positive integer\n", argv[i]);
-        return 1;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
+  Flags flags("fleet_tune");
+  flags.add_int("[trials]", "", &trials, 1, INT64_MAX,
+                "trial budget per network (default 400)");
+  flags.add_string("--log-dir", "DIR", &log_dir, "append and resume DIR/<network>.jsonl");
+  flags.parse(argc, argv);
 
   // One pool serves every session's measurement batches and candidate
   // scoring; sessions themselves run on fleet threads.

@@ -1,54 +1,48 @@
 /// Experience tooling for record logs: turn the JSONL files tuning runs and
 /// fleets write into reusable knowledge.
 ///
-///   harl_harvest harvest --out=model.json [--hw=xeon|rtx3090]
-///                [--trees=N] [--depth=N] [--histogram] [--seed=N]
-///                LOG... [--dir=DIR]
+///   harl_harvest harvest LOG...
 ///       Fold the logs into one training set (deterministic: same records in
 ///       any order produce the same model bytes) and pre-train a GBDT that
 ///       tune_network's model flag / `SearchOptions::experience_model` /
 ///       `FleetTuner::Options::experience_model` start warm from.
 ///
-///   harl_harvest value --out=model.json [--hw=xeon|rtx3090]
-///                [--trees=N] [--depth=N] [--histogram] [--seed=N]
-///                LOG... [--dir=DIR]
+///   harl_harvest value LOG...
 ///       Train the partial-schedule value model: label every decision prefix
 ///       of every logged schedule with the best final quality reachable from
 ///       it, and fit a GBDT over prefix features.  The output feeds
 ///       tune_network's value-model flag / `SearchOptions::value_guide` /
 ///       `FleetTuner::Options::value_model` for value-guided search.
 ///
-///   harl_harvest compact --out=PATH [--best-k=N] [--window=N] LOG...
+///   harl_harvest compact LOG...
 ///       Keep each run's best-k records plus its most recent window, writing
 ///       the same schema (readers, resume, transfer, and harvesting accept
 ///       the compacted file transparently).
 ///
-///   harl_harvest stats LOG... [--dir=DIR]
+///   harl_harvest stats LOG...
 ///       Per-(network, task, policy, seed) record counts and best times.
 ///
-/// `--dir=DIR` adds every `*.jsonl` file in DIR (sorted) to the input list —
-/// handy on a `FleetTuner::Options::log_dir`.  `--help` prints usage.
+/// `--dir=DIR` adds every `*.jsonl` file in DIR (sorted) to the input list,
+/// in command-line order among the LOG arguments — handy on a
+/// `FleetTuner::Options::log_dir`.  `--help` lists every flag.
+///
+/// Exit codes: 0 done, 1 setup error (unknown hardware, a missing --out, no
+/// model trained, an unwritable output), 2 usage error.
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/harl.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
 using namespace harl;
-
-bool flag_value(const char* arg, const char* name, const char** value) {
-  std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *value = arg + n + 1;
-  return true;
-}
 
 struct CommonArgs {
   std::vector<std::string> logs;
@@ -56,45 +50,7 @@ struct CommonArgs {
   std::string hw_name = "xeon";
   GbdtConfig gbdt;
   CompactOptions compact;
-  bool parsed_ok = true;
-  bool help = false;
 };
-
-CommonArgs parse_args(int argc, char** argv, int first) {
-  CommonArgs args;
-  for (int i = first; i < argc; ++i) {
-    const char* v = nullptr;
-    if (flag_value(argv[i], "--out", &v)) {
-      args.out = v;
-    } else if (flag_value(argv[i], "--hw", &v)) {
-      args.hw_name = v;
-    } else if (flag_value(argv[i], "--trees", &v)) {
-      args.gbdt.num_trees = std::atoi(v);
-    } else if (flag_value(argv[i], "--depth", &v)) {
-      args.gbdt.max_depth = std::atoi(v);
-    } else if (flag_value(argv[i], "--seed", &v)) {
-      args.gbdt.seed = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--histogram") == 0) {
-      args.gbdt.split_mode = SplitMode::kHistogram;
-    } else if (flag_value(argv[i], "--best-k", &v)) {
-      args.compact.best_k = std::atoi(v);
-    } else if (flag_value(argv[i], "--window", &v)) {
-      args.compact.window = std::atoi(v);
-    } else if (flag_value(argv[i], "--dir", &v)) {
-      std::string error;
-      for (std::string& f : jsonl_files(v, &error)) args.logs.push_back(std::move(f));
-      if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      args.help = true;
-    } else if (argv[i][0] != '-') {
-      args.logs.push_back(argv[i]);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      args.parsed_ok = false;
-    }
-  }
-  return args;
-}
 
 int cmd_harvest(const CommonArgs& args) {
   if (args.out.empty()) {
@@ -268,46 +224,46 @@ int cmd_stats(const CommonArgs& args) {
   return 0;
 }
 
-void usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: harl_harvest <harvest|value|compact|stats> [flags] LOG... "
-      "[--dir=DIR]\n"
-      "  harvest --out=model.json [--hw=xeon|rtx3090|test] [--trees=N]\n"
-      "          [--depth=N] [--histogram] [--seed=N]\n"
-      "  value   --out=model.json [--hw=xeon|rtx3090|test] [--trees=N]\n"
-      "          [--depth=N] [--histogram] [--seed=N]\n"
-      "  compact --out=PATH [--best-k=N] [--window=N]\n"
-      "  stats\n"
-      "  --dir=DIR adds every *.jsonl under DIR; --help prints usage\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage(stderr);
-    return 2;
-  }
-  if (std::strcmp(argv[1], "--help") == 0) {
-    usage(stdout);
-    return 0;
-  }
-  CommonArgs args = parse_args(argc, argv, 2);
-  if (!args.parsed_ok) return 2;
-  if (args.help) {
-    usage(stdout);
-    return 0;
-  }
-  if (args.logs.empty()) {
-    std::fprintf(stderr, "no input logs\n");
-    return 2;
-  }
+  CommonArgs args;
+  bool histogram = false;
+  Flags flags("harl_harvest <harvest|value|compact|stats>");
+  flags.add_each("LOG...", "", [&](const std::string& log) { args.logs.push_back(log); },
+                 "record logs to read");
+  flags.add_string("--out", "PATH", &args.out,
+                   "output model (harvest, value) or log (compact); required");
+  flags.add_string("--hw", "NAME", &args.hw_name,
+                   "harvest/value: xeon (default), xeon_6226r, rtx3090, gpu, test");
+  flags.add_int("--trees", "N", &args.gbdt.num_trees, 1, INT_MAX,
+                "harvest/value: boosted trees (default 50)");
+  flags.add_int("--depth", "N", &args.gbdt.max_depth, 1, INT_MAX,
+                "harvest/value: tree depth (default 6)");
+  flags.add_switch("--histogram", &histogram, "harvest/value: histogram split search");
+  flags.add_u64("--seed", "N", &args.gbdt.seed, "harvest/value: GBDT seed (default 7)");
+  flags.add_int("--best-k", "N", &args.compact.best_k, 0, INT_MAX,
+                "compact: fastest records kept per run (default 8)");
+  flags.add_int("--window", "N", &args.compact.window, 0, INT_MAX,
+                "compact: most recent records kept per run (default 64)");
+  flags.add_each("--dir", "DIR",
+                 [&](const std::string& dir) {
+                   std::string error;
+                   for (std::string& f : jsonl_files(dir, &error)) {
+                     args.logs.push_back(std::move(f));
+                   }
+                   if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
+                 },
+                 "add every *.jsonl under DIR (sorted)");
+  const bool has_cmd = argc >= 2 && argv[1][0] != '-';
+  flags.parse(argc, argv, has_cmd ? 2 : 1);
+  if (!has_cmd) Flags::fail("missing command: harvest, value, compact or stats");
+  if (histogram) args.gbdt.split_mode = SplitMode::kHistogram;
+  if (args.logs.empty()) Flags::fail("no input logs");
   std::string cmd = argv[1];
   if (cmd == "harvest") return cmd_harvest(args);
   if (cmd == "value") return cmd_value(args);
   if (cmd == "compact") return cmd_compact(args);
   if (cmd == "stats") return cmd_stats(args);
-  usage(stderr);
-  return 2;
+  Flags::fail("unknown command " + cmd);
 }

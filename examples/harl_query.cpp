@@ -3,72 +3,31 @@
 /// session — locally from cache/log files, or remotely from a running
 /// harl_serve daemon over its line-JSON protocol (docs/PROTOCOL.md).
 ///
-///   harl_query --task=NETWORK/SUBGRAPH [--hw=xeon|rtx3090|test]
-///              [--cache=FILE] [--logs=LOG]... [--dir=DIR] [--model=FILE]
-///              [--save-cache=FILE] [--topk=N] [--repeat=N]
-///              [--tier-stats] [--expect-best] [--no-golden]
+///   harl_query --task=NETWORK/SUBGRAPH [flags]
 ///       Local mode: load the cache file (if given), fold in the record
 ///       logs, optionally attach a pretrained GBDT for L2 re-ranking, and
 ///       serve the query:
 ///       L1 = exact (network, task, hardware) best rebuilt from its record,
 ///       L2 = structural near-miss adapted to the query shape,
 ///       L3 = deterministic golden-advice default on a cold miss.
+///       `--task` names builtin workloads, e.g. bert_b1/GEMM-I (see
+///       harl_harvest stats).
 ///
-///   harl_query --connect=HOST:PORT [--tenant=NAME] [--budget=N]
-///              [--weight=W] [--task=NETWORK/SUBGRAPH] [--tune=NETWORK]
-///              [--batch=N] [--trials=N] [--seed=N] [--policy=NAME] [--wait]
-///              [--watch=JOB] [--status=JOB] [--stats] [--tier-stats]
-///              [--shutdown]
+///   harl_query --connect=HOST:PORT [flags]
 ///       Client mode: talk to a harl_serve daemon (--connect=PORT implies
 ///       host 127.0.0.1).  Queries print the same tier/record lines as
 ///       local mode plus `cache_gen:`, the generation fingerprint of the
 ///       daemon's cache that answered; tuning requests are admitted against
 ///       the tenant's trial budget and can be streamed to completion.
+///       `--weight` sets the tenant's fair-queue weight: dispatch shares
+///       under overload are weight-proportional.
 ///
-///   --task=NETWORK/SUBGRAPH  what to serve, e.g. bert_b1/GEMM-I (builtin
-///                            workload names; see harl_harvest stats)
-///   --hw=NAME          target hardware preset (default xeon)
-///   --cache=FILE       knowledge-cache JSON to load before the logs
-///   --logs=LOG         a tuning log to fold in (repeatable); with
-///                      --connect, the reference logs for --expect-best
-///   --dir=DIR          fold in every *.jsonl under DIR (sorted)
-///   --model=FILE       pretrained GBDT re-ranking L2 candidates
-///   --save-cache=FILE  write the folded cache back out (atomic) and, with
-///                      no --task, exit after building it
-///   --topk=N           records kept per (network, task, hardware) entry
-///                      (>= 1)
-///   --repeat=N         serve N times and report the median latency (>= 1)
-///   --tier-stats       print tier hit + freshness counters — the local
-///                      cache's, or with --connect the server's (queries,
-///                      per-tier hits, cache refreshes, best-entry
-///                      invalidations, replica hot-reloads)
-///   --expect-best      verify the answer is an L1 hit whose record is
-///                      byte-identical to the best log record (exit 6 when
-///                      not — the CI round-trip gate; works remotely too)
-///   --no-golden        report a miss instead of golden advice on cold tasks
-///   --connect=HOST:PORT  client mode: the daemon to talk to (PORT alone
-///                        means 127.0.0.1:PORT; PORT is 1-65535)
-///   --tenant=NAME      tenant to act as (default "default")
-///   --budget=N         hello: set/raise the tenant's trial budget (>= 0)
-///   --weight=W         hello: set the tenant's fair-queue weight (> 0;
-///                      dispatch shares under overload are weight-
-///                      proportional, default 1.0)
-///   --tune=NETWORK     admit a tuning job for this base network
-///   --batch=N          batch size of the tuned network, 1-1024 (default 1)
-///   --trials=N         measurement-trial budget of the job (>= 1)
-///   --seed=N           job seed, an unsigned 64-bit integer — part of its
-///                      deterministic run identity
-///   --policy=NAME      search policy for the job (harl, random, ...)
-///   --wait             after --tune, stream round events until the job ends
-///   --watch=JOB        stream an existing job's events until it ends (JOB
-///                      is a job id, >= 1)
-///   --status=JOB       print one job's state and result summary
-///   --stats            print server-wide counters
-///   --shutdown         ask the daemon to drain and exit
-///   --help             print usage and exit
+/// `--logs` and `--dir` add logs in command-line order.  `--expect-best`
+/// checks that the answer is an L1 hit whose record is byte-identical to the
+/// best log record (the CI round-trip gate; with --connect, against the
+/// daemon's logs given by --logs/--dir).  `--help` lists every flag.
 ///
-/// Exit codes: 0 served, 1 setup/remote error, 2 usage error (an unknown flag,
-/// or a number that is not plain digits within the flag's range), 4 watched job
+/// Exit codes: 0 served, 1 setup/remote error, 2 usage error, 4 watched job
 /// stopped without completing, 6 --expect-best mismatch.
 
 #include <algorithm>
@@ -76,7 +35,6 @@
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -85,33 +43,12 @@
 #include "serve/knowledge_cache.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
+#include "util/flags.hpp"
 #include "util/parse.hpp"
 
 namespace {
 
 using namespace harl;
-
-bool flag_value(const char* arg, const char* name, const char** value) {
-  std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *value = arg + n + 1;
-  return true;
-}
-
-void usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: harl_query --task=NETWORK/SUBGRAPH [--hw=xeon|rtx3090|test]\n"
-      "                  [--cache=FILE] [--logs=LOG]... [--dir=DIR]\n"
-      "                  [--model=FILE] [--save-cache=FILE] [--topk=N]\n"
-      "                  [--repeat=N] [--tier-stats] [--expect-best]\n"
-      "                  [--no-golden] [--help]\n"
-      "       harl_query --connect=HOST:PORT [--tenant=NAME] [--budget=N]\n"
-      "                  [--weight=W] [--task=NETWORK/SUBGRAPH]\n"
-      "                  [--tune=NETWORK] [--batch=N] [--trials=N] [--seed=N]\n"
-      "                  [--policy=NAME] [--wait] [--watch=JOB] [--status=JOB]\n"
-      "                  [--stats] [--tier-stats] [--shutdown]\n");
-}
 
 /// The minimum record under (time_ms asc, serialized asc) the logs hold for
 /// this (network, task, hardware) triple — the --expect-best reference.
@@ -170,7 +107,8 @@ int check_expect_best(const std::vector<std::string>& logs,
 // Remote (client) mode
 // ---------------------------------------------------------------------------
 
-struct RemoteArgs {
+/// Every flag's value; the client fields are read in client mode only.
+struct QueryArgs {
   std::string host = "127.0.0.1";
   int port = 0;
   std::string tenant;
@@ -271,7 +209,7 @@ int remote_watch(LineClient& cli, std::int64_t job) {
   }
 }
 
-int remote_main(const RemoteArgs& args) {
+int remote_main(const QueryArgs& args) {
   LineClient cli;
   std::string err;
   if (!cli.connect(args.host, args.port, &err)) {
@@ -366,12 +304,6 @@ int remote_main(const RemoteArgs& args) {
 
   if (!args.task_spec.empty()) {
     std::size_t slash = args.task_spec.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= args.task_spec.size()) {
-      std::fprintf(stderr, "--task wants NETWORK/SUBGRAPH, got \"%s\"\n",
-                   args.task_spec.c_str());
-      return 2;
-    }
     std::string net_name = args.task_spec.substr(0, slash);
     std::string sub_name = args.task_spec.substr(slash + 1);
     Request req;
@@ -379,7 +311,7 @@ int remote_main(const RemoteArgs& args) {
     req.network = net_name;
     req.task = sub_name;
     req.hw = args.hw;
-    int repeat = args.repeat < 1 ? 1 : args.repeat;
+    int repeat = args.repeat;
     Response r;
     std::vector<double> micros;
     micros.reserve(static_cast<std::size_t>(repeat));
@@ -447,117 +379,93 @@ int remote_main(const RemoteArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string task_spec, hw_name = "xeon", cache_path, model_path, save_path;
-  std::vector<std::string> logs;
-  int topk = 0, repeat = 1;
-  bool tier_stats = false, expect_best = false, no_golden = false;
-  std::string connect_spec;
-  RemoteArgs remote;
+  std::string cache_path, model_path, save_path, connect_spec;
+  int topk = 0;
+  bool no_golden = false;
+  QueryArgs args;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    bool parsed = true;
-    if (flag_value(argv[i], "--task", &v)) {
-      task_spec = v;
-    } else if (flag_value(argv[i], "--hw", &v)) {
-      hw_name = v;
-    } else if (flag_value(argv[i], "--cache", &v)) {
-      cache_path = v;
-    } else if (flag_value(argv[i], "--logs", &v)) {
-      logs.push_back(v);
-    } else if (flag_value(argv[i], "--dir", &v)) {
-      std::string error;
-      for (std::string& f : jsonl_files(v, &error)) logs.push_back(std::move(f));
-      if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
-    } else if (flag_value(argv[i], "--model", &v)) {
-      model_path = v;
-    } else if (flag_value(argv[i], "--save-cache", &v)) {
-      save_path = v;
-    } else if (flag_value(argv[i], "--topk", &v)) {
-      parsed = parse_int_flag("--topk", v, 1, INT_MAX, &topk);
-    } else if (flag_value(argv[i], "--repeat", &v)) {
-      parsed = parse_int_flag("--repeat", v, 1, INT_MAX, &repeat);
-    } else if (std::strcmp(argv[i], "--tier-stats") == 0) {
-      tier_stats = true;
-    } else if (std::strcmp(argv[i], "--expect-best") == 0) {
-      expect_best = true;
-    } else if (std::strcmp(argv[i], "--no-golden") == 0) {
-      no_golden = true;
-    } else if (flag_value(argv[i], "--connect", &v)) {
-      connect_spec = v;
-    } else if (flag_value(argv[i], "--tenant", &v)) {
-      remote.tenant = v;
-    } else if (flag_value(argv[i], "--budget", &v)) {
-      parsed = parse_int_flag("--budget", v, 0, INT64_MAX, &remote.budget);
-    } else if (flag_value(argv[i], "--weight", &v)) {
-      parsed = parse_nonnegative(v, &remote.weight) && remote.weight > 0;
-      if (!parsed) std::fprintf(stderr, "bad --weight=%s: want a positive number\n", v);
-    } else if (flag_value(argv[i], "--tune", &v)) {
-      remote.tune_network = v;
-    } else if (flag_value(argv[i], "--batch", &v)) {
-      parsed = parse_int_flag("--batch", v, 1, kMaxBatch, &remote.batch);
-    } else if (flag_value(argv[i], "--trials", &v)) {
-      parsed = parse_int_flag("--trials", v, 1, INT64_MAX, &remote.trials);
-    } else if (flag_value(argv[i], "--seed", &v)) {
-      parsed = parse_u64(v, &remote.seed);
-      if (!parsed) std::fprintf(stderr, "bad --seed=%s: want an unsigned 64-bit integer\n", v);
-    } else if (flag_value(argv[i], "--policy", &v)) {
-      remote.policy = v;
-    } else if (std::strcmp(argv[i], "--wait") == 0) {
-      remote.wait = true;
-    } else if (flag_value(argv[i], "--watch", &v)) {
-      parsed = parse_int_flag("--watch", v, 1, INT64_MAX, &remote.watch_job);
-    } else if (flag_value(argv[i], "--status", &v)) {
-      parsed = parse_int_flag("--status", v, 1, INT64_MAX, &remote.status_job);
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      remote.stats = true;
-    } else if (std::strcmp(argv[i], "--shutdown") == 0) {
-      remote.do_shutdown = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      usage(stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      usage(stderr);
-      return 2;
-    }
-    if (!parsed) return 2;
+  auto add_log = [&](const std::string& log) { args.logs.push_back(log); };
+  Flags flags("harl_query");
+  flags.add_string("--task", "NETWORK/SUBGRAPH", &args.task_spec,
+                   "what to serve, e.g. bert_b1/GEMM-I");
+  flags.add_string("--hw", "NAME", &args.hw, "target hardware preset (default xeon)");
+  flags.add_string("--cache", "FILE", &cache_path,
+                   "knowledge-cache JSON to load before the logs");
+  flags.add_each("--logs", "LOG", add_log, "a tuning log to fold in (repeatable)");
+  flags.add_each("--dir", "DIR",
+                 [&](const std::string& dir) {
+                   std::string error;
+                   for (std::string& f : jsonl_files(dir, &error)) add_log(f);
+                   if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
+                 },
+                 "fold in every *.jsonl under DIR (sorted)");
+  flags.add_string("--model", "FILE", &model_path,
+                   "pretrained GBDT re-ranking L2 candidates");
+  flags.add_string("--save-cache", "FILE", &save_path,
+                   "write the folded cache; with no --task, exit after");
+  flags.add_int("--topk", "N", &topk, 1, INT_MAX, "records kept per cache entry");
+  flags.add_int("--repeat", "N", &args.repeat, 1, INT_MAX,
+                "serve N times, report the median");
+  flags.add_switch("--tier-stats", &args.tier_stats, "print tier hit + freshness counters");
+  flags.add_switch("--expect-best", &args.expect_best,
+                   "exit 6 unless L1 matches the best log record");
+  flags.add_switch("--no-golden", &no_golden, "report a miss instead of golden advice");
+  flags.add_string("--connect", "HOST:PORT", &connect_spec,
+                   "client mode: the daemon (PORT alone: 127.0.0.1)");
+  flags.add_string("--tenant", "NAME", &args.tenant,
+                   "client: tenant to act as (default \"default\")");
+  flags.add_int("--budget", "N", &args.budget, 0, INT64_MAX,
+                "client: set/raise the tenant's trial budget");
+  flags.add_double("--weight", "W", &args.weight, /*positive=*/true,
+                   "client: the tenant's fair-queue weight (default 1.0)");
+  flags.add_string("--tune", "NETWORK", &args.tune_network,
+                   "client: admit a tuning job for this base network");
+  flags.add_int("--batch", "N", &args.batch, 1, kMaxBatch,
+                "client: batch size (default 1)");
+  flags.add_int("--trials", "N", &args.trials, 1, INT64_MAX,
+                "client: the job's trial budget");
+  flags.add_u64("--seed", "N", &args.seed, "client: the job's seed (default 42)");
+  flags.add_string("--policy", "NAME", &args.policy, "client: the job's search policy");
+  flags.add_switch("--wait", &args.wait,
+                   "client: after --tune, stream rounds until the end");
+  flags.add_int("--watch", "JOB", &args.watch_job, 1, INT64_MAX,
+                "client: stream a job's events until it ends");
+  flags.add_int("--status", "JOB", &args.status_job, 1, INT64_MAX,
+                "client: print one job's state and result");
+  flags.add_switch("--stats", &args.stats, "client: print server-wide counters");
+  flags.add_switch("--shutdown", &args.do_shutdown, "client: drain and stop the daemon");
+  flags.parse(argc, argv);
+
+  std::size_t slash = args.task_spec.find('/');
+  if (!args.task_spec.empty() &&
+      (slash == std::string::npos || slash == 0 || slash + 1 == args.task_spec.size())) {
+    Flags::fail("--task wants NETWORK/SUBGRAPH, got \"" + args.task_spec + "\"");
   }
-
   if (!connect_spec.empty()) {
     std::size_t colon = connect_spec.find(':');
     std::uint64_t port = 0;
-    if (colon != std::string::npos) remote.host = connect_spec.substr(0, colon);
+    if (colon != std::string::npos) args.host = connect_spec.substr(0, colon);
     const char* port_text = connect_spec.c_str() + (colon == std::string::npos ? 0 : colon + 1);
     if (!parse_u64(port_text, &port) || port < 1 || port > 65535) {
-      std::fprintf(stderr, "--connect wants HOST:PORT or PORT (1-65535), got \"%s\"\n",
-                   connect_spec.c_str());
-      return 2;
+      Flags::fail("--connect wants HOST:PORT or PORT (1-65535), got \"" + connect_spec +
+                  "\"");
     }
-    remote.port = static_cast<int>(port);
-    remote.task_spec = task_spec;
-    remote.hw = hw_name;
-    remote.repeat = repeat;
-    remote.expect_best = expect_best;
-    remote.tier_stats = tier_stats;
-    remote.logs = logs;
-    return remote_main(remote);
+    args.port = static_cast<int>(port);
+    return remote_main(args);
   }
-  if (!remote.tune_network.empty() || remote.watch_job >= 0 ||
-      remote.status_job >= 0 || remote.stats || remote.do_shutdown ||
-      remote.weight > 0) {
-    std::fprintf(stderr, "that flag needs --connect=HOST:PORT\n");
-    return 2;
+  if (!args.tune_network.empty() || args.watch_job >= 0 ||
+      args.status_job >= 0 || args.stats || args.do_shutdown ||
+      args.weight > 0) {
+    Flags::fail("that flag needs --connect=HOST:PORT");
   }
-  if (task_spec.empty() && save_path.empty()) {
-    usage(stderr);
-    return 2;
+  if (args.task_spec.empty() && save_path.empty()) {
+    Flags::fail("nothing to do: want --task=NETWORK/SUBGRAPH or --save-cache=FILE");
   }
 
-  std::optional<HardwareConfig> hw = HardwareConfig::preset(hw_name);
+  std::optional<HardwareConfig> hw = HardwareConfig::preset(args.hw);
   if (!hw) {
     std::fprintf(stderr, "unknown --hw=%s (%s)\n",
-                 hw_name.c_str(), HardwareConfig::kPresetNames);
+                 args.hw.c_str(), HardwareConfig::kPresetNames);
     return 1;
   }
 
@@ -577,7 +485,7 @@ int main(int argc, char** argv) {
                 cache_path.c_str(), cache.num_entries(), cache.num_records(),
                 static_cast<unsigned long long>(cache_fingerprint(cache)));
   }
-  for (const std::string& log : logs) {
+  for (const std::string& log : args.logs) {
     // Fold record by record instead of insert_log, so malformed lines get a
     // path:line diagnostic here (the cache itself rejects failed records).
     std::vector<RecordReadError> errors;
@@ -611,18 +519,11 @@ int main(int argc, char** argv) {
     std::printf("cache saved: %s (%zu entries, %zu records, fp %llu)\n",
                 save_path.c_str(), cache.num_entries(), cache.num_records(),
                 static_cast<unsigned long long>(cache_fingerprint(cache)));
-    if (task_spec.empty()) return 0;
+    if (args.task_spec.empty()) return 0;
   }
 
-  std::size_t slash = task_spec.find('/');
-  if (slash == std::string::npos || slash == 0 ||
-      slash + 1 >= task_spec.size()) {
-    std::fprintf(stderr, "--task wants NETWORK/SUBGRAPH, got \"%s\"\n",
-                 task_spec.c_str());
-    return 2;
-  }
-  std::string net_name = task_spec.substr(0, slash);
-  std::string sub_name = task_spec.substr(slash + 1);
+  std::string net_name = args.task_spec.substr(0, slash);
+  std::string sub_name = args.task_spec.substr(slash + 1);
   TaskResolver resolver = make_builtin_resolver();
   const Subgraph* graph = resolver(net_name, sub_name);
   if (graph == nullptr) {
@@ -631,11 +532,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (repeat < 1) repeat = 1;
   ServeResult result;
   std::vector<double> micros;
-  micros.reserve(static_cast<std::size_t>(repeat));
-  for (int r = 0; r < repeat; ++r) {
+  micros.reserve(static_cast<std::size_t>(args.repeat));
+  for (int r = 0; r < args.repeat; ++r) {
     auto t0 = std::chrono::steady_clock::now();
     result = cache.serve(net_name, *graph, *hw);
     auto t1 = std::chrono::steady_clock::now();
@@ -661,9 +561,9 @@ int main(int argc, char** argv) {
   }
   std::sort(micros.begin(), micros.end());
   std::printf("lookup: median %.1f us over %d repeat(s)\n",
-              micros[micros.size() / 2], repeat);
+              micros[micros.size() / 2], args.repeat);
 
-  if (tier_stats) {
+  if (args.tier_stats) {
     ServeStats s = cache.stats();
     std::printf(
         "tier stats: queries=%zu l1=%zu l2=%zu l3=%zu miss=%zu inserts=%zu "
@@ -673,10 +573,10 @@ int main(int argc, char** argv) {
         s.duplicates, s.evictions, s.rejected, s.refreshes, s.invalidations);
   }
 
-  if (expect_best) {
+  if (args.expect_best) {
     // The CI round-trip contract: the answer must be an L1 hit whose record
     // is byte-identical to the best record the logs hold for this triple.
-    return check_expect_best(logs, net_name, sub_name, hw->fingerprint(),
+    return check_expect_best(args.logs, net_name, sub_name, hw->fingerprint(),
                              serve_tier_name(result.tier), result.record_json);
   }
   return 0;

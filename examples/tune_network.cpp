@@ -6,52 +6,8 @@
 /// measured record is appended to a JSONL log, and re-running the same
 /// command resumes from the log bit-identically instead of starting over.
 ///
-///   ./build/tune_network [trials]
-///       [--trials=N] [--network=NAME] [--seed=N]
-///                               NAME: bert|resnet50|mobilenet_v2, a Table 6
-///                               suite (GEMM-S ... T2D: its headline case), or
-///                               gemm:MxKxN (default bert)
-///       [--batch=N]             batch size (default 1)
-///       [--hw=NAME]             hardware preset: xeon (default), xeon_6226r,
-///                               rtx3090, gpu or test
-///       [--paper]               Table 5 search options; not with --log
-///       [--policy=NAME]         tune one policy instead of the comparison
-///       [--log=PATH]            append records; resume when the log exists
-///       [--model=PATH]          pretrained experience model (harl_harvest)
-///       [--value-model=PATH]    partial-schedule value model (harl_harvest
-///                               value): policies beam-prune their expansions
-///                               with it and records stamp its fingerprint
-///       [--beam-width=N]        tracks/population kept after value pruning
-///                               (default 16; needs --value-model)
-///       [--sample-clusters=N]   adaptive-sampling trial filter: measure only
-///                               N cluster representatives per round (0 = off)
-///       [--stop-at-ms=X]        stop at the first round boundary whose
-///                               estimated latency is <= X ms (for
-///                               trials-to-target comparisons)
-///       [--verify-resume]       re-simulate a sample of replayed trials and
-///                               fail (exit 4) if the log diverges from the
-///                               current simulator instead of silently forking
-///       [--async-callbacks]     run callbacks (logger, refresher) on an
-///                               AsyncCallbackBus dispatcher thread instead of
-///                               the tuning thread; output stays bit-identical
-///       [--refresh-period=N]    in-run experience refresh: fold finished
-///                               rounds into an ExperienceStore and refit +
-///                               republish the model every N rounds
-///       [--refresh-out=PATH]    refreshed-model publish target (default:
-///                               <log>.model.json, else refresh.model.json)
-///       [--stop-after-rounds=N] simulate a crash: _Exit(3) after N rounds
-///       [--inject-faults=SPEC]  deterministic measurement faults; SPEC is
-///                               `none` or comma-separated terms
-///                               transient=P|timeout=P|garbage=P|crash=N,
-///                               optionally `:SEED` (e.g.
-///                               --inject-faults=transient=0.1,crash=120:77).
-///                               crash=N _Exit(3)s when trial N is assigned;
-///                               drop the crash= term to resume, exactly like
-///                               --stop-after-rounds
-///       [--dump-rounds=PATH]    bit-exact round log (hexfloat) for diffing
-///       [--loop-nest]           print each task's best schedule as a loop
-///                               nest (HARL's, in the comparison)
-///       [--help]                print this usage and exit
+/// `--network=` takes a builtin network, a Table 6 suite (its headline case)
+/// or `gemm:MxKxN`; `--help` lists every flag.
 ///
 /// Crash-resume walkthrough (the CI determinism gate):
 ///   ./build/tune_network --policy=HARL --log=run.jsonl --stop-after-rounds=6
@@ -59,13 +15,17 @@
 /// The resumed round log is byte-identical to an uninterrupted run's.
 /// The same walkthrough holds under --inject-faults with the same SPEC:SEED:
 /// failures land on the same trials, so the faulty resume is bit-identical
-/// too (the chaos gate in CI proves both).
+/// too (the chaos gate in CI proves both).  A spec's `crash=N` term
+/// _Exit(3)s when trial N is assigned; drop the term to resume.
+///
+/// Exit codes: 0 done, 1 setup error (an unknown network, hardware or policy
+/// name, a bad fault spec, --paper with --log, an unreadable model or log),
+/// 2 usage error, 3 simulated crash, 4 --verify-resume drift.
 
 #include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -74,57 +34,12 @@
 
 #include "core/harl.hpp"
 #include "sched/loop_nest.hpp"
+#include "util/flags.hpp"
 #include "util/parse.hpp"
 
 namespace {
 
 using namespace harl;
-
-void print_usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: tune_network [trials]\n"
-      "  [--trials=N] [--network=NAME] [--seed=N]\n"
-      "                          NAME: bert|resnet50|mobilenet_v2, a Table 6\n"
-      "                          suite (GEMM-S..T2D) or gemm:MxKxN\n"
-      "  [--batch=N]             batch size (default 1)\n"
-      "  [--hw=NAME]             xeon (default), xeon_6226r, rtx3090, gpu, test\n"
-      "  [--paper]               Table 5 search options; not with --log\n"
-      "  [--policy=NAME]         tune one registered policy (durable mode)\n"
-      "  [--log=PATH]            append records; resume when the log exists\n"
-      "  [--model=PATH]          pretrained experience model (harl_harvest)\n"
-      "  [--value-model=PATH]    partial-schedule value model (harl_harvest value)\n"
-      "  [--beam-width=N]        tracks kept after value pruning (default 16)\n"
-      "  [--sample-clusters=N]   measure only N cluster representatives (0 = off)\n"
-      "  [--stop-at-ms=X]        stop once estimated latency <= X ms\n"
-      "  [--verify-resume]       re-simulate replayed trials; exit 4 on drift\n"
-      "  [--async-callbacks]     callbacks on a dispatcher thread (bit-identical)\n"
-      "  [--refresh-period=N]    refit + republish experience model every N rounds\n"
-      "  [--refresh-out=PATH]    refreshed-model publish target\n"
-      "  [--stop-after-rounds=N] simulate a crash: _Exit(3) after N rounds\n"
-      "  [--inject-faults=SPEC]  deterministic faults: none or\n"
-      "                          transient=P,timeout=P,garbage=P,crash=N[:SEED]\n"
-      "  [--dump-rounds=PATH]    bit-exact round log (hexfloat) for diffing\n"
-      "  [--loop-nest]           print each task's best schedule as a loop nest\n"
-      "  [--help]                print this usage and exit\n");
-}
-
-/// Matches "--name=value" and returns the value part.
-bool flag_value(const char* arg, const char* name, const char** value) {
-  std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *value = arg + n + 1;
-  return true;
-}
-
-/// Parses a trial count (--trials= or the positional [trials]): a positive
-/// integer filling all of `p`.  Prints the error and returns false otherwise.
-bool parse_trials(const char* p, std::int64_t* trials) {
-  const char* end = parse_positive(p, trials);
-  if (end != nullptr && *end == '\0') return true;
-  std::fprintf(stderr, "bad trial count %s: want a positive integer\n", p);
-  return false;
-}
 
 /// --network=: a builtin network, a Table 6 suite (its headline case as a
 /// one-subgraph network) or "gemm:MxKxN".  Suite and GEMM networks are named
@@ -245,72 +160,47 @@ int main(int argc, char** argv) {
   int sample_clusters = 0;
   double stop_at_ms = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if (flag_value(argv[i], "--trials", &v)) {
-      if (!parse_trials(v, &trials)) return 1;
-    } else if (flag_value(argv[i], "--seed", &v)) {
-      if (!parse_u64(v, &seed)) {
-        std::fprintf(stderr, "bad --seed=%s: want an unsigned 64-bit integer\n", v);
-        return 1;
-      }
-    } else if (flag_value(argv[i], "--network", &v)) {
-      network_name = v;
-    } else if (flag_value(argv[i], "--batch", &v)) {
-      const char* end = parse_positive(v, &batch);
-      if (end == nullptr || *end != '\0' || batch > kMaxBatch) {
-        std::fprintf(stderr, "bad --batch=%s: want an integer in [1, %lld]\n", v,
-                     static_cast<long long>(kMaxBatch));
-        return 1;
-      }
-    } else if (flag_value(argv[i], "--hw", &v)) {
-      hw_name = v;
-    } else if (std::strcmp(argv[i], "--paper") == 0) {
-      paper = true;
-    } else if (std::strcmp(argv[i], "--loop-nest") == 0) {
-      loop_nest = true;
-    } else if (flag_value(argv[i], "--policy", &v)) {
-      policy_name = v;
-    } else if (flag_value(argv[i], "--log", &v)) {
-      log_path = v;
-    } else if (flag_value(argv[i], "--model", &v)) {
-      model_path = v;
-    } else if (flag_value(argv[i], "--value-model", &v)) {
-      value_model_path = v;
-    } else if (flag_value(argv[i], "--beam-width", &v)) {
-      if (!parse_int_flag("--beam-width", v, 1, INT_MAX, &beam_width)) return 1;
-    } else if (flag_value(argv[i], "--sample-clusters", &v)) {
-      if (!parse_int_flag("--sample-clusters", v, 0, INT_MAX, &sample_clusters)) return 1;
-    } else if (flag_value(argv[i], "--stop-at-ms", &v)) {
-      if (!parse_nonnegative(v, &stop_at_ms)) {
-        std::fprintf(stderr, "bad --stop-at-ms=%s: want a non-negative number\n", v);
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--verify-resume") == 0) {
-      verify_resume_flag = true;
-    } else if (std::strcmp(argv[i], "--async-callbacks") == 0) {
-      async_callbacks = true;
-    } else if (flag_value(argv[i], "--refresh-period", &v)) {
-      if (!parse_int_flag("--refresh-period", v, 0, INT_MAX, &refresh_period)) return 1;
-    } else if (flag_value(argv[i], "--refresh-out", &v)) {
-      refresh_out = v;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      print_usage(stdout);
-      return 0;
-    } else if (flag_value(argv[i], "--dump-rounds", &v)) {
-      dump_path = v;
-    } else if (flag_value(argv[i], "--stop-after-rounds", &v)) {
-      if (!parse_int_flag("--stop-after-rounds", v, 0, INT_MAX, &stop_after_rounds)) return 1;
-    } else if (flag_value(argv[i], "--inject-faults", &v)) {
-      fault_spec_text = v;
-    } else if (argv[i][0] != '-') {
-      if (!parse_trials(argv[i], &trials)) return 1;  // legacy positional [trials]
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      print_usage(stderr);
-      return 1;
-    }
-  }
+  Flags flags("tune_network");
+  flags.add_int("[trials]", "", &trials, 1, INT64_MAX, "trial budget, as --trials");
+  flags.add_int("--trials", "N", &trials, 1, INT64_MAX, "trial budget (default 600)");
+  flags.add_string("--network", "NAME", &network_name,
+                   "a builtin network (default bert), a Table 6 suite or gemm:MxKxN");
+  flags.add_u64("--seed", "N", &seed, "search seed (default 42)");
+  flags.add_int("--batch", "N", &batch, 1, kMaxBatch, "batch size (default 1)");
+  flags.add_string("--hw", "NAME", &hw_name,
+                   "xeon (default), xeon_6226r, rtx3090, gpu, test");
+  flags.add_switch("--paper", &paper, "Table 5 search options; not with --log");
+  flags.add_string("--policy", "NAME", &policy_name,
+                   "tune one registered policy (durable mode)");
+  flags.add_string("--log", "PATH", &log_path,
+                   "append records; resume when the log exists");
+  flags.add_string("--model", "PATH", &model_path,
+                   "pretrained experience model (harl_harvest)");
+  flags.add_string("--value-model", "PATH", &value_model_path,
+                   "partial-schedule value model (harl_harvest value)");
+  flags.add_int("--beam-width", "N", &beam_width, 1, INT_MAX,
+                "tracks kept after value pruning (default 16)");
+  flags.add_int("--sample-clusters", "N", &sample_clusters, 0, INT_MAX,
+                "measure only N cluster representatives (0 = off)");
+  flags.add_double("--stop-at-ms", "X", &stop_at_ms, /*positive=*/false,
+                   "stop once estimated latency <= X ms");
+  flags.add_switch("--verify-resume", &verify_resume_flag,
+                   "re-simulate replayed trials; exit 4 on drift");
+  flags.add_switch("--async-callbacks", &async_callbacks,
+                   "callbacks on a dispatcher thread (bit-identical)");
+  flags.add_int("--refresh-period", "N", &refresh_period, 0, INT_MAX,
+                "refit + republish experience model every N rounds");
+  flags.add_string("--refresh-out", "PATH", &refresh_out,
+                   "refreshed-model target (default <log>.model.json)");
+  flags.add_int("--stop-after-rounds", "N", &stop_after_rounds, 0, INT_MAX,
+                "simulate a crash: _Exit(3) after N rounds");
+  flags.add_string("--inject-faults", "SPEC", &fault_spec_text,
+                   "none or transient=P,timeout=P,garbage=P,crash=N[:SEED]");
+  flags.add_string("--dump-rounds", "PATH", &dump_path,
+                   "bit-exact round log (hexfloat) for diffing");
+  flags.add_switch("--loop-nest", &loop_nest,
+                   "print each task's best schedule as a loop nest");
+  flags.parse(argc, argv);
 
   FaultSpec fault_spec;
   if (!fault_spec_text.empty()) {

@@ -1,53 +1,56 @@
 #!/usr/bin/env python3
 """Documentation consistency gate (CI docs job).
 
-Two checks, both against the working tree (no build needed):
+    scripts/check_docs.py [--bin-dir=DIR]   (default DIR: build)
+
+Four checks; the second runs the built binaries in DIR:
 
 1. Intra-repo markdown links: every relative link target in a tracked
    ``*.md`` file must exist.  External links (http/https/mailto), pure
    anchors, and targets resolving outside the repo (GitHub web paths like
    the CI badge's ``../../actions/...``) are skipped.
 
-2. CLI flag drift: for the documented binaries (``tune_network``,
-   ``harl_harvest``) the set of flags the code parses (exact ``"--flag"``
-   string literals), the flags its ``///`` doc-header usage block mentions,
-   and the flags README.md documents must agree:
+2. CLI usage drift: README.md's usage block of every binary that takes
+   flags must equal the binary's ``--help`` output.  The binaries are every
+   ``examples/*.cpp`` that declares a ``Flags`` table and every
+   ``bench/bench_*.cpp`` that reads ``BenchArgs``.  A harness that reads
+   only the common bench flags (``BenchArgs::parse``) must print README's
+   ``bench_table4_bert`` block under its own name.
 
-   - every parsed flag appears in the doc header (stale header),
-   - every header flag is parsed (stale docs / removed flag),
-   - every parsed flag appears in README.md (stale README).
+3. Record-schema drift: every field ``record_to_json`` writes (its
+   ``",\\"key\\":"`` literals in ``src/io/record.cpp``) must be documented in
+   ``docs/RECORD_SCHEMA.md`` as a backticked ``key``.
 
-3. Record-schema drift: every top-level field the record serializer writes
-   (``obj.set("key", ...)`` in ``src/io/record.cpp``) must be documented in
-   ``docs/RECORD_SCHEMA.md`` (as a backticked ``key``).  Per-stage keys use
-   a different receiver and are covered by the ``stages`` row.
-
-4. Protocol-schema drift: every wire field the harl_serve protocol
-   serializer writes (``obj.set("key", ...)`` in
+4. Protocol-schema drift: every wire field the protocol writers append
+   (``put(&out, "key"`` and ``append_member(&out, "key"`` in
    ``src/server/protocol.cpp``) must be documented in ``docs/PROTOCOL.md``.
+
+A listed source that yields no keys fails too: a writer rewritten past the
+pattern would otherwise pass without checking anything.
 
 Exit 0 when clean, 1 with a per-violation report otherwise.
 """
 
+import argparse
+import glob
 import os
 import re
+import subprocess
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-FLAG = re.compile(r"--[a-z][a-z0-9-]*")
-PARSED_FLAG = re.compile(r"\"(--[a-z][a-z0-9-]*)\"")
 
-# Binaries whose usage documentation is under the drift contract.
-CLI_SOURCES = [
-    "examples/tune_network.cpp",
-    "examples/harl_harvest.cpp",
-    "examples/harl_query.cpp",
-    "examples/harl_serve.cpp",
-]
+# The README block every common-flags-only bench harness must match.
+COMMON_BENCH = "bench_table4_bert"
 
 SKIP_DIRS = {".git", "build", "build-asan", ".claude"}
+
+
+def read(rel):
+    with open(os.path.join(REPO, rel), encoding="utf-8") as f:
+        return f.read()
 
 
 def markdown_files():
@@ -79,90 +82,97 @@ def check_links(errors):
                 errors.append(f"{rel}: broken link -> {target}")
 
 
-def doc_header_flags(source_text):
-    """Flags mentioned in the leading /// comment block of a source file."""
-    flags = set()
-    for line in source_text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#") or stripped.startswith("int main"):
-            break  # first include / code ends the header block
-        if stripped.startswith("///"):
-            flags.update(FLAG.findall(stripped))
-    return flags
-
-
-def check_flag_drift(errors):
-    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:
-        readme_flags = set(FLAG.findall(f.read()))
-
-    for rel in CLI_SOURCES:
-        path = os.path.join(REPO, rel)
-        if not os.path.exists(path):
-            # A listed binary that vanished is drift, not a skip: the list
-            # itself is documentation of the CLI surface.
-            errors.append(f"{rel}: listed in CLI_SOURCES but does not exist")
-            continue
+def flag_binaries():
+    """(binary, README block name) of every binary that takes flags."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(REPO, "examples", "*.cpp"))):
+        with open(path, encoding="utf-8") as f:
+            if "Flags flags(" in f.read():
+                name = os.path.basename(path)[:-4]
+                out.append((name, name))
+    for path in sorted(glob.glob(os.path.join(REPO, "bench", "bench_*.cpp"))):
         with open(path, encoding="utf-8") as f:
             text = f.read()
-        parsed = set(PARSED_FLAG.findall(text))
-        header = doc_header_flags(text)
-        for flag in sorted(parsed - header):
-            errors.append(f"{rel}: parsed flag {flag} missing from the /// usage header")
-        for flag in sorted(header - parsed):
-            errors.append(f"{rel}: usage header mentions {flag}, which the code does not parse")
-        for flag in sorted(parsed - readme_flags):
-            errors.append(f"README.md: flag {flag} of {rel} is undocumented")
+        name = os.path.basename(path)[:-4]
+        if "BenchArgs::parse(" in text:
+            out.append((name, COMMON_BENCH))
+        elif "args.declare(" in text:
+            out.append((name, name))
+    return out
 
 
-RECORD_KEY = re.compile(r"obj\.set\(\"(\w+)\"")
+def code_blocks(text):
+    """The bodies of the fenced code blocks in markdown `text`."""
+    blocks, body = [], None
+    for line in text.splitlines(keepends=True):
+        if line.startswith("```"):
+            if body is not None:
+                blocks.append("".join(body))
+            body = [] if body is None else None
+        elif body is not None:
+            body.append(line)
+    return blocks
 
 
-def check_record_schema(errors):
-    with open(os.path.join(REPO, "src", "io", "record.cpp"), encoding="utf-8") as f:
-        keys = set(RECORD_KEY.findall(f.read()))
-    with open(os.path.join(REPO, "docs", "RECORD_SCHEMA.md"), encoding="utf-8") as f:
-        doc = f.read()
-    for key in sorted(keys):
-        if f"`{key}`" not in doc:
+def check_usage(errors, bin_dir):
+    blocks = {}
+    for block in code_blocks(read("README.md")):
+        match = re.match(r"usage: (\S+)", block)
+        if match:
+            blocks[match.group(1)] = block
+    for binary, block_name in flag_binaries():
+        if block_name not in blocks:
+            errors.append(f"README.md: no usage block for {block_name}")
+            continue
+        path = os.path.join(bin_dir, binary)
+        if not os.path.exists(path):
+            errors.append(f"{path}: not built; the usage check runs --help")
+            continue
+        run = subprocess.run([path, "--help"], capture_output=True, text=True)
+        want = blocks[block_name].replace(f"usage: {block_name} ", f"usage: {binary} ", 1)
+        if run.returncode != 0 or run.stdout != want:
             errors.append(
-                f"docs/RECORD_SCHEMA.md: record field `{key}` "
-                "(src/io/record.cpp) is undocumented"
-            )
+                f"README.md: the {block_name} usage block differs from "
+                f"`{binary} --help` (exit {run.returncode}):\n{run.stdout}")
 
 
-def check_protocol_schema(errors):
-    """Every wire field the protocol serializer writes must be documented.
-
-    Same contract as the record schema: ``obj.set("key", ...)`` calls in
-    ``src/server/protocol.cpp`` against backticked keys in
-    ``docs/PROTOCOL.md``.
-    """
-    with open(
-        os.path.join(REPO, "src", "server", "protocol.cpp"), encoding="utf-8"
-    ) as f:
-        keys = set(RECORD_KEY.findall(f.read()))
-    with open(os.path.join(REPO, "docs", "PROTOCOL.md"), encoding="utf-8") as f:
-        doc = f.read()
-    for key in sorted(keys):
-        if f"`{key}`" not in doc:
-            errors.append(
-                f"docs/PROTOCOL.md: wire field `{key}` "
-                "(src/server/protocol.cpp) is undocumented"
-            )
+def check_schema(errors, sources, doc, what):
+    """Every key the `sources` writers append is backticked in `doc`."""
+    text = read(doc)
+    for rel, pattern, body in sources:
+        source = read(rel)
+        if body:
+            start = source.index(body)
+            source = source[start:source.index("\n}\n", start)]
+        keys = set(re.findall(pattern, source))
+        if not keys:
+            errors.append(f"{rel}: no {what} keys found; the schema check is vacuous")
+        for key in sorted(keys):
+            if f"`{key}`" not in text:
+                errors.append(f"{doc}: {what} field `{key}` ({rel}) is undocumented")
 
 
 def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--bin-dir", default=os.path.join(REPO, "build"),
+                    help="directory of the built binaries (default: build)")
+    args = ap.parse_args()
     errors = []
     check_links(errors)
-    check_flag_drift(errors)
-    check_record_schema(errors)
-    check_protocol_schema(errors)
+    check_usage(errors, args.bin_dir)
+    check_schema(errors, [("src/io/record.cpp", r'\\"(\w+)\\":',
+                           "std::string record_to_json(")],
+                 "docs/RECORD_SCHEMA.md", "record")
+    check_schema(errors, [("src/server/protocol.cpp", r'put\(&out, "(\w+)"', None),
+                          ("src/server/protocol.cpp",
+                           r'append_member\(&out, "(\w+)"', None)],
+                 "docs/PROTOCOL.md", "wire")
     if errors:
         print(f"check_docs: {len(errors)} problem(s)")
         for e in errors:
             print(f"  {e}")
         return 1
-    print("check_docs: markdown links, CLI flag docs, and the record and "
+    print("check_docs: markdown links, CLI usage blocks, and the record and "
           "protocol schemas are consistent")
     return 0
 

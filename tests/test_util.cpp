@@ -5,7 +5,11 @@
 #include <cstdint>
 #include <cmath>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "util/flags.hpp"
 #include "util/histogram.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
@@ -145,6 +149,218 @@ TEST(Parse, NonnegativeIsAFiniteDecimal) {
   for (const char* bad : {"", "abc", "-1", "+1", " 1", "1.5ms", "inf", "nan", "0x10", "1e999"}) {
     EXPECT_FALSE(parse_nonnegative(bad, &x)) << '"' << bad << '"';
   }
+}
+
+/// Reads `args` into `flags`; the reason for a usage error, or "".
+std::string read(Flags& flags, const std::vector<std::string>& args) {
+  bool help = false;
+  return flags.read(args, &help);
+}
+
+/// The value kinds of the table, one flag each, read from "--NAME=VALUE".
+struct KindCase {
+  const char* name;
+  std::vector<const char*> accepted;
+  std::vector<const char*> rejected;
+};
+
+TEST(Flags, EachKindAcceptsOnlyItsValues) {
+  const KindCase cases[] = {
+      {"--int", {"1", "1024", "007"},
+       {"", "0", "1025", "-5", "+5", "5x", " 5", "abc", "99999999999999999999"}},
+      {"--u64", {"0", "18446744073709551615"},
+       {"", "-1", "+1", "7x", " 1", "abc", "18446744073709551616"}},
+      {"--nonneg", {"0", "2.5", ".5e1"},
+       {"", "-1", "+1", " 1", "1.5ms", "inf", "nan", "0x10", "1e999"}},
+      {"--positive", {"0.5", "3"}, {"", "0", "0.0", "-1", "abc"}},
+      {"--string", {"", "x", "a=b", "--dash"}, {}},
+      {"--each", {"", "x", "a=b"}, {}},
+  };
+  for (const KindCase& c : cases) {
+    for (bool accept : {true, false}) {
+      for (const char* value : accept ? c.accepted : c.rejected) {
+        Flags flags("prog");
+        std::int64_t i = 0;
+        std::uint64_t u = 0;
+        double x = 0, y = 0;
+        std::string str;
+        flags.add_int("--int", "N", &i, 1, 1024, "");
+        flags.add_u64("--u64", "N", &u, "");
+        flags.add_double("--nonneg", "X", &x, false, "");
+        flags.add_double("--positive", "X", &y, true, "");
+        flags.add_string("--string", "S", &str, "");
+        flags.add_each("--each", "S", [](const std::string&) {}, "");
+        std::string error = read(flags, {std::string(c.name) + "=" + value});
+        EXPECT_EQ(error.empty(), accept) << c.name << "=" << value << ": " << error;
+        EXPECT_EQ(flags.given(c.name), accept) << c.name << "=" << value;
+      }
+    }
+  }
+}
+
+TEST(Flags, ValuesAreReadExactly) {
+  Flags flags("prog");
+  int n = 0;
+  std::uint64_t seed = 0;
+  double ms = 0;
+  std::string out;
+  std::vector<std::string> each;
+  flags.add_int("--n", "N", &n, 0, INT_MAX, "");
+  flags.add_u64("--seed", "S", &seed, "");
+  flags.add_double("--ms", "X", &ms, false, "");
+  flags.add_string("--out", "PATH", &out, "");
+  flags.add_each("--log", "LOG", [&](const std::string& v) { each.push_back(v); }, "");
+  EXPECT_EQ(read(flags, {"--n=2147483647", "--seed=18446744073709551615", "--ms=0.25",
+                         "--out=a", "--log=x", "--out=b", "--log=y"}),
+            "");
+  EXPECT_EQ(n, INT_MAX);
+  EXPECT_EQ(seed, UINT64_MAX);
+  EXPECT_EQ(ms, 0.25);
+  EXPECT_EQ(out, "b");  // the last occurrence wins
+  EXPECT_EQ(each, (std::vector<std::string>{"x", "y"}));
+  EXPECT_NE(read(flags, {"--n=2147483648"}), "");
+}
+
+TEST(Flags, BothSyntaxesGiveTheSameResult) {
+  struct Targets {
+    std::int64_t n = 0;
+    std::uint64_t seed = 0;
+    double ms = 0;
+    std::string out;
+    bool on = false;
+    std::vector<std::string> logs;
+  };
+  auto parse = [](const std::vector<std::string>& args, Targets* t) {
+    Flags flags("prog");
+    flags.add_int("--n", "N", &t->n, 1, 100, "");
+    flags.add_u64("--seed", "S", &t->seed, "");
+    flags.add_double("--ms", "X", &t->ms, false, "");
+    flags.add_string("--out", "PATH", &t->out, "");
+    flags.add_switch("--on", &t->on, "");
+    flags.add_each("--log", "LOG", [t](const std::string& v) { t->logs.push_back(v); }, "");
+    return read(flags, args);
+  };
+  Targets eq, space;
+  EXPECT_EQ(parse({"--n=7", "--seed=9", "--on", "--ms=1.5", "--out=--x", "--log=a",
+                   "--log=b"},
+                  &eq),
+            "");
+  EXPECT_EQ(parse({"--n", "7", "--seed", "9", "--on", "--ms", "1.5", "--out", "--x",
+                   "--log", "a", "--log", "b"},
+                  &space),
+            "");
+  EXPECT_EQ(eq.n, 7);
+  EXPECT_EQ(eq.n, space.n);
+  EXPECT_EQ(eq.seed, space.seed);
+  EXPECT_EQ(eq.ms, space.ms);
+  EXPECT_EQ(eq.out, "--x");
+  EXPECT_EQ(eq.out, space.out);
+  EXPECT_TRUE(eq.on && space.on);
+  EXPECT_EQ(eq.logs, space.logs);
+  // A bad value is the same usage error in either syntax.
+  Targets bad;
+  EXPECT_EQ(parse({"--n", "0"}, &bad), parse({"--n=0"}, &bad));
+}
+
+TEST(Flags, UsageErrorsNameTheirReason) {
+  Flags flags("prog");
+  bool on = false;
+  std::int64_t n = 0;
+  flags.add_switch("--on", &on, "");
+  flags.add_int("--n", "N", &n, 1, 10, "");
+  EXPECT_EQ(read(flags, {"--nope"}), "unknown flag --nope");
+  EXPECT_EQ(read(flags, {"--nope=1"}), "unknown flag --nope=1");
+  EXPECT_EQ(read(flags, {"-5"}), "unknown flag -5");
+  EXPECT_EQ(read(flags, {"--n"}), "missing value for --n");
+  EXPECT_EQ(read(flags, {"--n="}), "bad --n=: want an integer in [1, 10]");
+  EXPECT_EQ(read(flags, {"--n", "11"}), "bad --n=11: want an integer in [1, 10]");
+  EXPECT_EQ(read(flags, {"--on=1"}), "--on takes no value");
+  EXPECT_EQ(read(flags, {"--on="}), "--on takes no value");
+  EXPECT_EQ(read(flags, {"stray"}), "unexpected argument stray");
+  EXPECT_FALSE(on);
+  // The first bad argument is the one reported; --help stops reading.
+  EXPECT_EQ(read(flags, {"--n=0", "--nope"}), "bad --n=0: want an integer in [1, 10]");
+  bool help = false;
+  EXPECT_EQ(flags.read({"--help", "--nope"}, &help), "");
+  EXPECT_TRUE(help);
+  EXPECT_EQ(flags.read({"--help=1"}, &help), "--help takes no value");
+}
+
+TEST(Flags, PositionalsTakeTheirKindInOrder) {
+  Flags counted("prog");
+  std::int64_t trials = 0;
+  counted.add_int("[trials]", "", &trials, 1, INT64_MAX, "");
+  counted.add_int("--trials", "N", &trials, 1, INT64_MAX, "");
+  EXPECT_EQ(read(counted, {"40"}), "");
+  EXPECT_EQ(trials, 40);
+  EXPECT_EQ(read(counted, {"--trials=7", "9"}), "");
+  EXPECT_EQ(trials, 9);
+  EXPECT_EQ(read(counted, {"5x"}), "bad [trials] 5x: want an integer >= 1");
+  EXPECT_EQ(read(counted, {"0"}), "bad [trials] 0: want an integer >= 1");
+
+  // Positionals and a repeatable flag feeding one list keep argument order.
+  Flags listed("prog");
+  std::vector<std::string> inputs;
+  auto add = [&](const std::string& v) { inputs.push_back(v); };
+  listed.add_each("LOG...", "", add, "");
+  listed.add_each("--dir", "DIR", [&](const std::string& v) { add("dir:" + v); }, "");
+  EXPECT_EQ(read(listed, {"a", "--dir=d", "b", "--dir", "e"}), "");
+  EXPECT_EQ(inputs, (std::vector<std::string>{"a", "dir:d", "b", "dir:e"}));
+}
+
+TEST(Flags, HelpListsEveryFlagExactlyOnce) {
+  Flags flags("prog <cmd>");
+  bool on = false;
+  int n = 0;
+  std::uint64_t seed = 0;
+  double ms = 0;
+  std::string out;
+  flags.add_each("LOG...", "", [](const std::string&) {}, "inputs");
+  flags.add_switch("--on", &on, "a switch");
+  flags.add_int("--n", "N", &n, 0, 5, "a count");
+  flags.add_u64("--seed", "S", &seed, "a seed");
+  flags.add_double("--ms", "X", &ms, false, "a time");
+  flags.add_string("--out", "PATH", &out, "a path");
+  std::string help = flags.help();
+  std::istringstream lines(help);
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_EQ(line, "usage: prog <cmd> [flags] LOG...");
+  std::vector<std::string> labels;
+  while (std::getline(lines, line)) {
+    std::istringstream words(line);
+    std::string label;
+    words >> label;
+    labels.push_back(label);
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{"LOG...", "--on", "--n=N", "--seed=S",
+                                              "--ms=X", "--out=PATH", "--help"}));
+  EXPECT_NE(help.find("\n  --n=N       a count\n"), std::string::npos);
+}
+
+TEST(FlagsDeathTest, ANameDeclaredTwiceIsACheckFailure) {
+  bool on = false;
+  std::string out;
+  EXPECT_DEATH(
+      {
+        Flags flags("prog");
+        flags.add_switch("--x", &on, "");
+        flags.add_string("--x", "S", &out, "");
+      },
+      "flag declared twice");
+  EXPECT_DEATH(
+      {
+        Flags flags("prog");
+        flags.add_switch("--help", &on, "");
+      },
+      "--help is built in");
+  EXPECT_DEATH(
+      {
+        Flags flags("prog");
+        flags.add_string("A", "", &out, "");
+        flags.add_string("B", "", &out, "");
+      },
+      "a second positional declaration");
 }
 
 TEST(Stats, BasicMoments) {
