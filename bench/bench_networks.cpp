@@ -7,10 +7,12 @@
 /// ~8% (CPU) / ~9% (GPU) and cuts search time by up to 55% / 51%.
 ///
 /// Flags beyond the common set: --nets and --batches pick the networks and
-/// batch sizes; `--help` lists them.
+/// batch sizes; `--help` lists them.  A --nets list that names no network,
+/// or a name `network_names()` does not hold, exits 1 before any work.
 
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/parse.hpp"
@@ -44,6 +46,21 @@ int main(int argc, char** argv) {
   flags.parse(argc, argv);
   std::vector<std::string> nets =
       flags.given("--nets") ? split_csv(net_list) : network_names();
+  // Every name is checked before any network is tuned or a header printed.
+  const std::vector<std::string>& known = network_names();
+  std::string known_list;
+  for (const std::string& k : known) known_list += (known_list.empty() ? "" : ", ") + k;
+  if (nets.empty()) {
+    std::fprintf(stderr, "--nets names no network (%s)\n", known_list.c_str());
+    return 1;
+  }
+  for (const std::string& name : nets) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "unknown --nets entry \"%s\" (%s)\n", name.c_str(),
+                   known_list.c_str());
+      return 1;
+    }
+  }
   std::vector<std::int64_t> batches = {1, 16};
   if (flags.given("--batches")) {
     batches.clear();

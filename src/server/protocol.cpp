@@ -1,7 +1,9 @@
 #include "server/protocol.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
+#include <utility>
 
 #include "io/json.hpp"
 
@@ -58,6 +60,13 @@ bool Response::operator==(const Response& o) const {
          cache_gen == o.cache_gen && role == o.role &&
          refreshes == o.refreshes && invalidations == o.invalidations &&
          reloads == o.reloads;
+}
+
+bool JournalEntry::operator==(const JournalEntry& o) const {
+  return version == o.version && event == o.event && tenant == o.tenant &&
+         budget == o.budget && weight == o.weight && job == o.job &&
+         network == o.network && batch == o.batch && hw == o.hw &&
+         trials == o.trials && seed == o.seed && policy == o.policy;
 }
 
 std::string request_to_json(const Request& req) {
@@ -139,6 +148,36 @@ std::string response_to_json(const Response& resp) {
   return out;
 }
 
+std::string journal_to_json(const JournalEntry& entry) {
+  std::string out = "{\"v\":";
+  json::append_int(&out, entry.version);
+  switch (entry.event) {
+    case JournalEvent::kTenant:
+      json::append_member(&out, "ev", "tenant");
+      json::append_member(&out, "tenant", entry.tenant);
+      if (entry.budget >= 0) json::append_member(&out, "budget", entry.budget);
+      if (entry.weight > 0) json::append_member(&out, "weight", entry.weight);
+      break;
+    case JournalEvent::kJob:
+      json::append_member(&out, "ev", "job");
+      json::append_member(&out, "job", entry.job);
+      json::append_member(&out, "tenant", entry.tenant);
+      json::append_member(&out, "network", entry.network);
+      json::append_member(&out, "batch", entry.batch);
+      json::append_member(&out, "hw", entry.hw);
+      json::append_member(&out, "trials", entry.trials);
+      json::append_member(&out, "seed", entry.seed);
+      if (!entry.policy.empty()) json::append_member(&out, "policy", entry.policy);
+      break;
+    case JournalEvent::kDone:
+      json::append_member(&out, "ev", "done");
+      json::append_member(&out, "job", entry.job);
+      break;
+  }
+  out += '}';
+  return out;
+}
+
 namespace {
 
 using json::Kind;
@@ -171,6 +210,20 @@ constexpr std::string_view kResponseNames[kNumResponseFields] = {
     "task", "queries", "l1_hits", "l2_hits", "l3_hits", "misses",
     "jobs_admitted", "jobs_rejected", "jobs_completed", "jobs_resumed",
     "tenants", "role", "refreshes", "invalidations", "reloads"};
+enum JournalField {
+  kJrnV, kEv, kJrnJob, kJrnTenant, kJrnBudget, kJrnWeight, kJrnNetwork,
+  kJrnBatch, kJrnHw, kJrnTrials, kJrnSeed, kJrnPolicy, kNumJournalFields
+};
+constexpr std::string_view kJournalNames[kNumJournalFields] = {
+    "v", "ev", "job", "tenant", "budget", "weight", "network", "batch", "hw",
+    "trials", "seed", "policy"};
+constexpr Kind kJournalKinds[kNumJournalFields] = {
+    kNum, kStr, kNum, kStr, kNum, kNum, kStr, kNum, kStr, kNum, kNum, kStr};
+constexpr std::pair<JournalEvent, std::string_view> kJournalEvents[] = {
+    {JournalEvent::kTenant, "tenant"},
+    {JournalEvent::kJob, "job"},
+    {JournalEvent::kDone, "done"}};
+
 constexpr Kind kResponseKinds[kNumResponseFields] = {
     kNum, Kind::kBool, kStr, kStr, kStr, kNum, kNum, kNum, kStr, kNum, kNum,
     kNum, kStr, kNum, kNum, kNum, kNum, kNum, kStr, kNum, kNum, kNum, kNum,
@@ -182,6 +235,14 @@ class Message {
  public:
   Message(const std::string_view (&names)[N], const Kind (&kinds)[N])
       : m_(names), kinds_(kinds) {}
+
+  /// A member the message cannot do without: false, with `*error` set,
+  /// when it is absent.
+  bool required(std::size_t f, std::string* error) const {
+    if (m_[f].present) return true;
+    *error = "missing \"" + std::string(m_.name(f)) + "\"";
+    return false;
+  }
 
   const json::Member& operator[](std::size_t f) const { return m_[f]; }
 
@@ -253,11 +314,7 @@ bool request_from_json(const std::string& line, Request* out,
   Message<kNumRequestFields> m(kRequestNames, kRequestKinds);
   Request req;
   if (!m.read(line, error) || !m.version(&req.version, error)) return false;
-  if (!m[kType].present) {
-    *error = "missing \"type\"";
-    return false;
-  }
-  if (!m.kinds(kType, kType + 1, error)) return false;
+  if (!m.required(kType, error) || !m.kinds(kType, kType + 1, error)) return false;
   const std::string type = m[kType].string();
   std::optional<RequestType> kind = request_type_from_name(type);
   if (!kind.has_value()) {
@@ -325,6 +382,62 @@ bool response_from_json(const std::string& line, Response* out,
   resp.invalidations = m.count(kInvalidations);
   resp.reloads = m.count(kReloads);
   *out = std::move(resp);
+  return true;
+}
+
+bool journal_from_json(const std::string& line, JournalEntry* out,
+                       std::string* error) {
+  std::string local;
+  if (error == nullptr) error = &local;
+  Message<kNumJournalFields> m(kJournalNames, kJournalKinds);
+  JournalEntry entry;
+  if (!m.read(line, error) || !m.version(&entry.version, error) ||
+      !m.required(kEv, error) || !m.kinds(kEv, kEv + 1, error)) {
+    return false;
+  }
+  const std::string ev = m[kEv].string();
+  const auto* named = std::find_if(
+      std::begin(kJournalEvents), std::end(kJournalEvents),
+      [&ev](const auto& event) { return ev == event.second; });
+  if (named == std::end(kJournalEvents)) {
+    *error = "unknown journal event \"" + ev + "\"";
+    return false;
+  }
+  entry.event = named->first;
+  // Each event's own members, in the order its writer puts them.
+  switch (entry.event) {
+    case JournalEvent::kTenant:
+      for (std::size_t f : {kJrnTenant, kJrnBudget, kJrnWeight}) {
+        if (!m.kinds(f, f + 1, error)) return false;
+      }
+      m[kJrnTenant].string(&entry.tenant);
+      entry.budget = m.count(kJrnBudget);
+      entry.weight = m[kJrnWeight].number(0);
+      if (!(entry.weight > 0)) entry.weight = 0;
+      break;
+    case JournalEvent::kJob:
+      if (!m.required(kJrnJob, error)) return false;
+      for (std::size_t f : {kJrnJob, kJrnTenant, kJrnNetwork, kJrnBatch, kJrnHw,
+                            kJrnTrials, kJrnSeed, kJrnPolicy}) {
+        if (!m.kinds(f, f + 1, error)) return false;
+      }
+      entry.job = m[kJrnJob].int64(entry.job);
+      m[kJrnTenant].string(&entry.tenant);
+      m[kJrnNetwork].string(&entry.network);
+      entry.batch = m[kJrnBatch].int64(entry.batch);
+      m[kJrnHw].string(&entry.hw);
+      entry.trials = m[kJrnTrials].int64(entry.trials);
+      entry.seed = m[kJrnSeed].uint64(entry.seed);
+      m[kJrnPolicy].string(&entry.policy);
+      break;
+    case JournalEvent::kDone:
+      if (!m.required(kJrnJob, error) || !m.kinds(kJrnJob, kJrnJob + 1, error)) {
+        return false;
+      }
+      entry.job = m[kJrnJob].int64(entry.job);
+      break;
+  }
+  *out = std::move(entry);
   return true;
 }
 

@@ -2,7 +2,8 @@
 
 /// \file protocol.hpp
 /// The harl_serve wire format: versioned line-JSON requests/responses over a
-/// local TCP socket, one compact JSON object per line.  Encoders append each
+/// local TCP socket, one compact JSON object per line; and, in the same
+/// dialect, the lines of the daemon's job journal.  Encoders append each
 /// field straight into the line; decoders read a line in one pass over the
 /// `json::Cursor` into a `json::Members` table, then check it field by field.
 /// Invariant: serialization is deterministic (equal messages produce equal
@@ -10,7 +11,7 @@
 /// fields but rejects newer protocol versions, and every malformed input
 /// yields an error, never a misparse — the corpus in tests/test_server.cpp
 /// pins this without sockets, and tests/test_record_codec.cpp holds the
-/// decoders to the DOM codec they replaced under seeded mutation.
+/// decoders to the DOM codecs they replaced under seeded mutation.
 /// Collaborators: HarlServer, LineClient, harl_query --connect,
 /// docs/PROTOCOL.md.
 
@@ -123,5 +124,46 @@ bool request_from_json(const std::string& line, Request* out,
                        std::string* error);
 bool response_from_json(const std::string& line, Response* out,
                         std::string* error);
+
+/// What one line of the daemon's journal (`<state_dir>/jobs.jsonl`) records.
+enum class JournalEvent {
+  kTenant,  ///< a hello that set a tenant's budget or weight
+  kJob,     ///< an admitted job, written before the admission is acked
+  kDone,    ///< a job that ran to completion
+};
+
+/// One journal line.  Like `Request`, a union over the event kinds: each
+/// kind writes and reads only its own members (`tenant`: tenant, budget,
+/// weight; `job`: every job member; `done`: job), and the others keep their
+/// defaults.  Journal lines share the wire protocol's version and dialect.
+struct JournalEntry {
+  int version = kProtocolVersion;
+  JournalEvent event = JournalEvent::kJob;
+  std::string tenant;
+  std::int64_t budget = -1;  ///< tenant: -1 = keep (off the line)
+  double weight = 0;         ///< tenant: 0 = keep (off the line)
+  std::int64_t job = -1;
+  std::string network;
+  std::int64_t batch = 1;
+  std::string hw;
+  std::int64_t trials = 0;
+  std::uint64_t seed = 42;
+  std::string policy;        ///< "" = HARL (off the line)
+
+  bool operator==(const JournalEntry& o) const;
+};
+
+/// One compact JSON line (no trailing newline), deterministic like the
+/// protocol encoders; a job line writes every member but an empty policy.
+std::string journal_to_json(const JournalEntry& entry);
+
+/// Parse one journal line.  Returns false and fills `*error` on malformed
+/// JSON, a non-object document, a newer version, a missing or unknown
+/// `ev`, a job or done line without `job`, or a member of the event's own
+/// of another kind than its writer uses; `*out` is untouched on failure.
+/// Values are not range-checked: replay (`HarlServer::recover`) decides
+/// which entries it can apply.
+bool journal_from_json(const std::string& line, JournalEntry* out,
+                       std::string* error);
 
 }  // namespace harl

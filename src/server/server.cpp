@@ -13,11 +13,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 
 #include "cost/gbdt_io.hpp"
 #include "exp/experience.hpp"
-#include "io/json.hpp"
 #include "io/safe_file.hpp"
 #include "search/policy_registry.hpp"
 #include "serve/shard_snapshot.hpp"
@@ -414,31 +414,6 @@ void HarlServer::journal_append(const std::string& line) {
   std::fflush(journal_);
 }
 
-namespace {
-
-// Journal-line members: every event kind's, in one table.
-enum JournalField {
-  kEv, kJob, kTenant, kBudget, kWeight, kNetwork, kBatch, kHw, kTrials, kSeed,
-  kPolicy, kNumJournalFields
-};
-constexpr std::string_view kJournalNames[kNumJournalFields] = {
-    "ev", "job", "tenant", "budget", "weight", "network", "batch", "hw",
-    "trials", "seed", "policy"};
-
-/// The first member of a job line whose kind is not the one its writer
-/// uses, or nullptr.
-const char* mistyped_job_member(const json::Members<kNumJournalFields>& m) {
-  for (JournalField f : {kJob, kBatch, kTrials, kSeed}) {
-    if (m[f].present && m[f].kind != json::Kind::kNumber) return kJournalNames[f].data();
-  }
-  for (JournalField f : {kTenant, kNetwork, kHw, kPolicy}) {
-    if (m[f].present && m[f].kind != json::Kind::kString) return kJournalNames[f].data();
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 bool HarlServer::recover(std::string* error) {
   (void)error;
   std::string text;
@@ -456,62 +431,56 @@ bool HarlServer::recover(std::string* error) {
     pos = nl + 1;
     ++line_no;
     if (line.empty()) continue;
-    json::ParseError perr;
-    json::Cursor c(line, &perr);
-    json::Members<kNumJournalFields> m(kJournalNames);
-    bool is_object = false;
-    if (!m.read_document(c, &is_object) || !m[kEv].is(json::Kind::kString)) {
-      continue;  // tolerant replay
+    JournalEntry e;
+    std::string derr;
+    if (!journal_from_json(line, &e, &derr)) {
+      HARL_LOG_WARN("server: journal line %zu: %s; skipped", line_no, derr.c_str());
+      continue;
     }
-    const std::string ev = m[kEv].string();
-    if (ev == "tenant") {
-      if (m[kTenant].is(json::Kind::kString)) {
-        const std::string name = m[kTenant].string();
-        registry_.ensure(name, m[kBudget].int64(-1));
-        if (m[kWeight].is(json::Kind::kNumber)) {
-          registry_.set_weight(name, m[kWeight].number(0));
-        }
+    if (e.event == JournalEvent::kTenant) {
+      if (e.tenant.empty()) continue;  // hello refuses an unnamed tenant
+      registry_.ensure(e.tenant, e.budget);
+      registry_.set_weight(e.tenant, e.weight);
+    } else if (e.event == JournalEvent::kJob) {
+      // The admission checks of handle_tune, and an id the journal has not
+      // used whose successor (the next admission's id) still fits.
+      std::string why;
+      if (e.job <= 0 || e.job == std::numeric_limits<std::int64_t>::max()) {
+        why = "an id outside [1, 2^63 - 2]";
+      } else if (jobs_.count(e.job) != 0) {
+        why = "an id journaled before";
+      } else if (e.trials <= 0) {
+        why = "no trials";
+      } else if (!known_network_base(e.network)) {
+        why = "an unknown network";
+      } else if (e.batch < 1 || e.batch > kMaxBatch) {
+        why = "a batch outside [1, " + std::to_string(kMaxBatch) + "]";
+      } else if (!e.policy.empty() && !PolicyRegistry::instance().contains(e.policy)) {
+        why = "an unknown policy";
       }
-    } else if (ev == "job") {
-      if (!m[kJob].present) continue;
-      if (const char* bad = mistyped_job_member(m)) {
-        HARL_LOG_WARN("server: journal line %zu: job member \"%s\" has the wrong kind; skipped",
-                      line_no, bad);
+      if (!why.empty()) {
+        HARL_LOG_WARN("server: journal line %zu: job %lld has %s; skipped", line_no,
+                      static_cast<long long>(e.job), why.c_str());
         continue;
       }
       Job job;
-      job.id = m[kJob].int64(0);
-      m[kTenant].string(&job.tenant);
-      m[kNetwork].string(&job.network);
-      job.batch = m[kBatch].int64(1);
-      m[kHw].string(&job.hw);
-      job.trials = m[kTrials].int64(0);
-      job.seed = m[kSeed].uint64(42);
-      m[kPolicy].string(&job.policy);
-      if (job.id <= 0 || job.trials <= 0 || !known_network_base(job.network)) {
-        continue;
-      }
-      if (job.batch < 1 || job.batch > kMaxBatch) {
-        HARL_LOG_WARN("server: journaled job %lld has batch %lld outside [1, %lld]; skipped",
-                      static_cast<long long>(job.id), static_cast<long long>(job.batch),
-                      static_cast<long long>(kMaxBatch));
-        continue;
-      }
-      if (!job.policy.empty() && !PolicyRegistry::instance().contains(job.policy)) {
-        HARL_LOG_WARN("server: journaled job %lld names unknown policy \"%s\"; skipped",
-                      static_cast<long long>(job.id), job.policy.c_str());
-        continue;
-      }
+      job.id = e.job;
+      job.tenant = std::move(e.tenant);
+      job.network = std::move(e.network);
+      job.batch = e.batch;
+      job.hw = std::move(e.hw);
+      job.trials = e.trials;
+      job.seed = e.seed;
+      job.policy = std::move(e.policy);
       // The journal is the admission authority: charge the tenant exactly
       // what the original admission did, budgets-of-today notwithstanding.
       registry_.force_admit(job.tenant, job.trials);
       jobs_admitted_ += 1;
       next_job_id_ = std::max(next_job_id_, job.id + 1);
       jobs_[job.id] = std::move(job);
-    } else if (ev == "done") {
-      if (!m[kJob].is(json::Kind::kNumber)) continue;
-      auto it = jobs_.find(m[kJob].int64(0));
-      if (it == jobs_.end()) continue;
+    } else {
+      auto it = jobs_.find(e.job);
+      if (it == jobs_.end() || it->second.done) continue;
       it->second.done = true;
       it->second.state = FleetJobState::kDone;
       jobs_completed_ += 1;
@@ -718,9 +687,10 @@ void HarlServer::handle_fleet_complete(const std::string& shard_name,
       job.done = true;
       job.state = FleetJobState::kDone;
       jobs_completed_ += 1;
-      std::string line = "{\"v\":1,\"ev\":\"done\"";
-      json::append_member(&line, "job", job_id);
-      journal_append(line + '}');
+      JournalEntry done;
+      done.event = JournalEvent::kDone;
+      done.job = job_id;
+      journal_append(journal_to_json(done));
       registry_.on_job_complete(job.tenant, job.trials, result.trials_used,
                                 result.latency_gain_ms);
     } else {
@@ -765,11 +735,12 @@ Response HarlServer::handle_hello(const Request& req) {
   registry_.ensure(req.tenant, req.budget);
   if (req.weight > 0) registry_.set_weight(req.tenant, req.weight);
   if (req.budget >= 0 || req.weight > 0) {
-    std::string line = "{\"v\":1,\"ev\":\"tenant\"";
-    json::append_member(&line, "tenant", req.tenant);
-    if (req.budget >= 0) json::append_member(&line, "budget", req.budget);
-    if (req.weight > 0) json::append_member(&line, "weight", req.weight);
-    journal_append(line + '}');
+    JournalEntry tenant;
+    tenant.event = JournalEvent::kTenant;
+    tenant.tenant = req.tenant;
+    tenant.budget = req.budget;
+    tenant.weight = req.weight;
+    journal_append(journal_to_json(tenant));
   }
   Response resp;
   resp.ok = true;
@@ -874,16 +845,16 @@ Response HarlServer::handle_tune(const Request& req) {
 
     // Journal before acknowledging: an admitted job must survive a crash
     // that lands between the reply and the first fleet round.
-    std::string line = "{\"v\":1,\"ev\":\"job\"";
-    json::append_member(&line, "job", job.id);
-    json::append_member(&line, "tenant", job.tenant);
-    json::append_member(&line, "network", job.network);
-    json::append_member(&line, "batch", job.batch);
-    json::append_member(&line, "hw", job.hw);
-    json::append_member(&line, "trials", job.trials);
-    json::append_member(&line, "seed", job.seed);
-    if (!job.policy.empty()) json::append_member(&line, "policy", job.policy);
-    journal_append(line + '}');
+    JournalEntry admitted;
+    admitted.job = job.id;
+    admitted.tenant = job.tenant;
+    admitted.network = job.network;
+    admitted.batch = job.batch;
+    admitted.hw = job.hw;
+    admitted.trials = job.trials;
+    admitted.seed = job.seed;
+    admitted.policy = job.policy;
+    journal_append(journal_to_json(admitted));
 
     resp.ok = true;
     resp.job = job.id;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace harl {
 
@@ -59,7 +60,10 @@ bool TenantRegistry::admit(const std::string& name, std::int64_t trials,
 void TenantRegistry::force_admit(const std::string& name, std::int64_t trials) {
   std::lock_guard<std::mutex> lk(mu_);
   TenantStatus& t = ensure_locked(name);
-  t.charged += trials;
+  // Saturating: a journal's charges are not bounded by any one budget.
+  const std::int64_t room = std::numeric_limits<std::int64_t>::max() - t.charged;
+  t.charged = trials > room ? std::numeric_limits<std::int64_t>::max()
+                            : t.charged + trials;
   t.jobs += 1;
   // A recovered charge may exceed a since-lowered budget; stretch the budget
   // so `remaining()` never goes negative (the journal is the authority).

@@ -97,6 +97,7 @@ class TenantRegistry {
 
   /// Recovery-path admission (daemon restart): charge unconditionally, so a
   /// journaled job survives even a budget lowered since it was admitted.
+  /// The charge saturates at INT64_MAX instead of overflowing.
   void force_admit(const std::string& name, std::int64_t trials);
 
   /// A job of `name` finished: record the observed improvement for the

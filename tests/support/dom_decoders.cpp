@@ -252,6 +252,83 @@ bool request_from_json(const std::string& line, Request* out,
   return true;
 }
 
+std::string journal_to_json(const JournalEntry& entry) {
+  Value obj = Value::object();
+  obj.set("v", Value::number(static_cast<std::int64_t>(entry.version)));
+  switch (entry.event) {
+    case JournalEvent::kTenant:
+      obj.set("ev", Value::string("tenant"));
+      obj.set("tenant", Value::string(entry.tenant));
+      if (entry.budget >= 0) obj.set("budget", Value::number(entry.budget));
+      if (entry.weight > 0) obj.set("weight", Value::number(entry.weight));
+      break;
+    case JournalEvent::kJob:
+      obj.set("ev", Value::string("job"));
+      obj.set("job", Value::number(entry.job));
+      obj.set("tenant", Value::string(entry.tenant));
+      obj.set("network", Value::string(entry.network));
+      obj.set("batch", Value::number(entry.batch));
+      obj.set("hw", Value::string(entry.hw));
+      obj.set("trials", Value::number(entry.trials));
+      obj.set("seed", Value::number(entry.seed));
+      if (!entry.policy.empty()) obj.set("policy", Value::string(entry.policy));
+      break;
+    case JournalEvent::kDone:
+      obj.set("ev", Value::string("done"));
+      obj.set("job", Value::number(entry.job));
+      break;
+  }
+  return obj.dump();
+}
+
+bool journal_from_json(const std::string& line, JournalEntry* out,
+                       std::string* error) {
+  Value doc;
+  int version = kProtocolVersion;
+  if (!parse_envelope(line, &doc, &version, error)) return false;
+
+  JournalEntry entry;
+  entry.version = version;
+  const Value* ev = doc.find("ev");
+  if (ev == nullptr) {
+    if (error != nullptr) *error = "missing \"ev\"";
+    return false;
+  }
+  if (!ev->is_string()) {
+    if (error != nullptr) *error = "\"ev\" is not a string";
+    return false;
+  }
+  const std::string& name = ev->as_string();
+  if (name == "tenant") {
+    entry.event = JournalEvent::kTenant;
+    if (!get_string(doc, "tenant", &entry.tenant, error)) return false;
+    if (!get_optional_int(doc, "budget", &entry.budget, error)) return false;
+    if (!get_double(doc, "weight", &entry.weight, error)) return false;
+    if (!(entry.weight > 0)) entry.weight = 0;
+  } else if (name == "job" || name == "done") {
+    entry.event = name == "job" ? JournalEvent::kJob : JournalEvent::kDone;
+    if (doc.find("job") == nullptr) {
+      if (error != nullptr) *error = "missing \"job\"";
+      return false;
+    }
+    if (!get_int(doc, "job", &entry.job, error)) return false;
+    if (entry.event == JournalEvent::kJob) {
+      if (!get_string(doc, "tenant", &entry.tenant, error)) return false;
+      if (!get_string(doc, "network", &entry.network, error)) return false;
+      if (!get_int(doc, "batch", &entry.batch, error)) return false;
+      if (!get_string(doc, "hw", &entry.hw, error)) return false;
+      if (!get_int(doc, "trials", &entry.trials, error)) return false;
+      if (!get_uint(doc, "seed", &entry.seed, error)) return false;
+      if (!get_string(doc, "policy", &entry.policy, error)) return false;
+    }
+  } else {
+    if (error != nullptr) *error = "unknown journal event \"" + name + "\"";
+    return false;
+  }
+  *out = std::move(entry);
+  return true;
+}
+
 bool response_from_json(const std::string& line, Response* out,
                         std::string* error) {
   Value doc;

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file dom_decoders.hpp
-/// Test oracles: the DOM codecs of the daemon's wire protocol, the GBDT
-/// model file and the shard-snapshot manifest, as the library had them
+/// Test oracles: the DOM codecs of the daemon's wire protocol and journal,
+/// the GBDT model file and the shard-snapshot manifest, as the library had them
 /// before its readers moved to `json::Cursor` and `json::Members` and its
 /// writers to appending.  The differential tests require the library to
 /// give the same verdict, error and decoded value on every input, and the
@@ -22,6 +22,12 @@ std::string request_to_json(const Request& req);
 std::string response_to_json(const Response& resp);
 bool request_from_json(const std::string& line, Request* out, std::string* error);
 bool response_from_json(const std::string& line, Response* out, std::string* error);
+
+/// The daemon's journal lines, as `HarlServer` wrote and replayed them
+/// before they shared the protocol codec, with replay's kind checks made
+/// the decoder's verdicts.
+std::string journal_to_json(const JournalEntry& entry);
+bool journal_from_json(const std::string& line, JournalEntry* out, std::string* error);
 
 std::string gbdt_to_json(const Gbdt& model);
 bool gbdt_from_json(const std::string& text, Gbdt* out, std::string* error);

@@ -5,8 +5,8 @@
 // `dump()` for encoding; for caches, the DOM with every embedded record
 // dumped and decoded again.  The record and cache references live here, in
 // `ref` and `ref_cache`; the library keeps one path per direction.  The
-// daemon's wire protocol runs under the same mutations, checked against its
-// own encoder and against the DOM codec it replaced
+// daemon's wire protocol and journal run under the same mutations, checked
+// against their own encoders and against the DOM codecs they replaced
 // (tests/support/dom_decoders.hpp), as do the GBDT model file and the
 // shard-snapshot manifest.
 
@@ -49,6 +49,8 @@ using harl::ref::dump;
 using harl::ref::escape;
 using harl::ref::gbdt_from_json;
 using harl::ref::gbdt_to_json;
+using harl::ref::journal_from_json;
+using harl::ref::journal_to_json;
 using harl::ref::parse;
 using harl::ref::parse_manifest;
 using harl::ref::request_from_json;
@@ -1334,6 +1336,153 @@ TEST(ProtocolCodec, DepthCapOnUnknownMembers) {
     }
   }
   EXPECT_GT(count_class(classes, "line "), 0);
+}
+
+// =============================================================== journal
+
+/// Journal lines of every event kind, as the daemon writes them, with ids,
+/// trials and seeds across their whole ranges (replay, not the codec,
+/// rejects the ones it cannot apply).
+std::vector<std::string> fuzz_journal_lines(Rng& rng, int n) {
+  std::vector<std::string> lines;
+  for (int i = 0; i < n; ++i) {
+    JournalEntry e;
+    e.event = i % 3 == 0 ? JournalEvent::kTenant
+                         : i % 3 == 1 ? JournalEvent::kJob : JournalEvent::kDone;
+    e.tenant = kNames[rng.next_below(6)];
+    if (rng.next_bool()) e.budget = rng.next_int(0, 5000);
+    if (rng.next_bool()) e.weight = 0.25 + rng.next_double() * 4;
+    e.job = rng.next_bool(0.8) ? rng.next_int(1, 99)
+                               : static_cast<std::int64_t>(next_u64(rng) >> 1);
+    e.network = rng.next_bool() ? "bert" : kNames[rng.next_below(6)];
+    e.batch = rng.next_int(1, 1024);
+    e.hw = rng.next_bool() ? "test" : "xeon";
+    e.trials = rng.next_bool(0.8) ? rng.next_int(1, 5000)
+                                  : static_cast<std::int64_t>(next_u64(rng) >> 1);
+    e.seed = next_u64(rng);
+    if (rng.next_bool()) e.policy = rng.next_bool() ? "HARL" : "Ansor";
+    lines.push_back(journal_to_json(e));
+  }
+  return lines;
+}
+
+JournalEntry sentinel_journal() {
+  JournalEntry e;
+  e.version = -7;
+  e.event = JournalEvent::kDone;
+  e.tenant = "sentinel";
+  e.budget = 3;
+  e.weight = 5.5;
+  e.job = 23;
+  e.network = "net";
+  e.batch = 7;
+  e.hw = "hw";
+  e.trials = 11;
+  e.seed = 13;
+  e.policy = "policy";
+  return e;
+}
+
+void expect_journal_decode(const std::string& line, std::map<std::string, int>* classes,
+                           int* accepted) {
+  expect_protocol_decode<JournalEntry>(line, sentinel_journal(),
+                                       {journal_from_json, journal_to_json},
+                                       {ref::journal_from_json, ref::journal_to_json},
+                                       classes, accepted);
+}
+
+TEST(JournalCodec, WriterBytesDecodeToTheirEntries) {
+  // The three line shapes a daemon writes (Server.JournalBytesAreUnchanged
+  // pins them end to end) decode to the entries that encode them.
+  JournalEntry tenant;
+  tenant.event = JournalEvent::kTenant;
+  tenant.tenant = "al\"ice";
+  tenant.budget = 5000;
+  tenant.weight = 2.5;
+  JournalEntry job;
+  job.job = 1;
+  job.tenant = "al\"ice";
+  job.network = "bert";
+  job.batch = 2;
+  job.hw = "test";
+  job.trials = 40;
+  job.seed = 18446744073709551615ULL;
+  job.policy = "Ansor";
+  JournalEntry done;
+  done.event = JournalEvent::kDone;
+  done.job = 1;
+  const std::pair<JournalEntry, std::string> kLines[] = {
+      {tenant, R"({"v":1,"ev":"tenant","tenant":"al\"ice","budget":5000,"weight":2.5})"},
+      {job, R"({"v":1,"ev":"job","job":1,"tenant":"al\"ice","network":"bert","batch":2,)"
+            R"("hw":"test","trials":40,"seed":18446744073709551615,"policy":"Ansor"})"},
+      {done, R"({"v":1,"ev":"done","job":1})"}};
+  for (const auto& [entry, line] : kLines) {
+    EXPECT_EQ(journal_to_json(entry), line);
+    JournalEntry back = sentinel_journal();
+    std::string error;
+    ASSERT_TRUE(journal_from_json(line, &back, &error)) << line << "\n" << error;
+    EXPECT_TRUE(back == entry) << line;
+  }
+}
+
+TEST(JournalCodec, DecoderMatchesDomUnderMutation) {
+  Rng rng(28);
+  const std::vector<std::string> lines = fuzz_journal_lines(rng, 60);
+  std::map<std::string, int> classes;
+  int accepted = 0;
+  const int kMutants = 20000;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string line = lines[rng.next_below(static_cast<std::uint32_t>(lines.size()))];
+    const int steps = 1 + static_cast<int>(rng.next_below(3));
+    for (int s = 0; s < steps; ++s) {
+      line = rng.next_bool(0.6) ? mutate_structure(line, rng)
+                                : mutate_bytes(std::move(line), rng);
+    }
+    expect_journal_decode(line, &classes, &accepted);
+    if (HasFatalFailure()) return;
+  }
+  // Shapes the mutations rarely reach: other top-level kinds, versions that
+  // only fit an int after truncation, unknown events, members of another
+  // event's kind, and ids and trials at the ends of their range.
+  std::vector<std::string> shapes = {
+      "[]", "42", "\"job\"", "null", "true", "{}", "{\"v\":1}",
+      "{\"v\":4294967297,\"ev\":\"done\",\"job\":1}",
+      "{\"v\":1e30,\"ev\":\"done\",\"job\":1}", "{\"ev\":\"done\",\"job\":1,\"v\":2}",
+      "{\"v\":1,\"ev\":\"hello\",\"tenant\":\"t\"}", "{\"v\":1,\"ev\":\"Job\",\"job\":1}",
+      "{\"v\":1,\"ev\":\"done\"}", "{\"v\":1,\"ev\":\"job\",\"tenant\":\"t\"}",
+      "{\"v\":1,\"ev\":\"done\",\"job\":1,\"tenant\":7,\"trials\":\"x\"}",
+      "{\"v\":1,\"ev\":\"tenant\",\"tenant\":\"t\",\"job\":\"x\",\"budget\":-5,\"weight\":-1}",
+      "{\"v\":1,\"ev\":\"tenant\",\"tenant\":\"t\",\"weight\":1e999}",
+      "{\"v\":1,\"ev\":\"job\",\"job\":9223372036854775807,\"trials\":9223372036854775807}",
+      "{\"v\":1,\"ev\":\"job\",\"job\":9223372036854775808,\"seed\":-1}",
+      "{\"v\":1,\"ev\":\"job\",\"job\":-9223372036854775808,\"batch\":1.5e3}"};
+  shapes.insert(shapes.end(), lines.begin(), lines.end());
+  for (const std::string& line : shapes) expect_journal_decode(line, &classes, &accepted);
+  EXPECT_GT(accepted, kMutants / 10);
+  // Every verdict of the decoder was reached.
+  for (const char* cls :
+       {"line ", "message is not a JSON object", "missing \"ev\"", "missing \"job\"",
+        "unknown journal event ", "incompatible version ", "\"ev\" is not a string",
+        "\"v\" is not a number", "\"job\" is not a number", "\"tenant\" is not a string",
+        "\"budget\" is not a number", "\"seed\" is not a number",
+        "\"policy\" is not a string"}) {
+    EXPECT_GT(count_class(classes, cls), 0) << cls;
+  }
+}
+
+TEST(JournalCodec, TruncationAtEveryOffset) {
+  // A torn tail is the journal's crash window: no prefix of a line but the
+  // whole line is accepted.
+  Rng rng(29);
+  std::map<std::string, int> classes;
+  int accepted = 0;
+  for (const std::string& line : fuzz_journal_lines(rng, 12)) {
+    for (std::size_t n = 0; n <= line.size(); ++n) {
+      expect_journal_decode(line.substr(0, n), &classes, &accepted);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(accepted, 12);
 }
 
 // ============================================================ model files

@@ -526,6 +526,40 @@ TEST(Server, RecoverySkipsJournaledJobsWithMistypedMembers) {
   server.shutdown();
 }
 
+TEST(Server, RecoveryAppliesEachJournaledJobAndCompletionOnce) {
+  // Lines no daemon writes, but a damaged or hand-edited journal may hold:
+  // an id with no successor (the next admission's id would overflow), a
+  // repeated id, a repeated done marker, charges whose sum overflows, and a
+  // newer version.  Replay applies each job and each completion once and
+  // keeps admitting after the largest id it kept.
+  TempDir dir("test_server_journal_replay");
+  ASSERT_EQ(mkdir(dir.path.c_str(), 0755), 0);
+  auto job_line = [](const std::string& id, const std::string& trials) {
+    return R"({"v":1,"ev":"job","job":)" + id +
+           R"(,"tenant":"t","network":"bert","batch":1,"hw":"test","trials":)" +
+           trials + R"(,"seed":1})" "\n";
+  };
+  const std::string kMax = "9223372036854775807";
+  const std::string journal =
+      job_line(kMax, "10") + job_line("5", kMax) + job_line("6", kMax) +
+      job_line("5", "10") +
+      R"({"v":1,"ev":"done","job":5})" "\n"
+      R"({"v":1,"ev":"done","job":5})" "\n"
+      R"({"v":1,"ev":"done","job":6})" "\n"
+      R"({"v":2,"ev":"done","job":7})" "\n";
+  std::string error;
+  ASSERT_TRUE(atomic_write_file(dir.path + "/jobs.jsonl", journal, false, &error)) << error;
+  HarlServer server(make_server_options(dir.path));
+  ASSERT_TRUE(server.start(&error)) << error;
+  EXPECT_EQ(server.stats().jobs_admitted, 2);
+  EXPECT_EQ(server.stats().jobs_completed, 2);
+  EXPECT_EQ(server.stats().jobs_resumed, 0);
+  Response admitted = server.handle_for_test(tune_request("u", 10, 1));
+  ASSERT_TRUE(admitted.ok) << admitted.error;
+  EXPECT_EQ(admitted.job, 7);
+  server.shutdown();
+}
+
 TEST(Server, JournalBytesAreUnchanged) {
   // The journal lines of a hello, a tune and its completion, byte for byte:
   // a restarted daemon of any later build must read what this one wrote.
