@@ -6,6 +6,7 @@
 #endif
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -33,6 +34,11 @@ std::string sanitize_for_filename(const std::string& name) {
   }
   return out.empty() ? "workload" : out;
 }
+
+/// Jobs running on any fleet of this process (a daemon runs one fleet per
+/// hardware shard).  The heap is per process, so the trim in worker_loop
+/// asks whether any fleet's job is running, not only its own.
+std::atomic<int> running_fleet_jobs{0};
 
 }  // namespace
 
@@ -278,6 +284,7 @@ void FleetTuner::worker_loop() {
       pending_.pop_front();
       states_[i] = FleetJobState::kRunning;
       ++active_;
+      running_fleet_jobs.fetch_add(1);
     }
     tune_one(i);
     FleetNetworkResult snapshot;
@@ -286,6 +293,20 @@ void FleetTuner::worker_loop() {
       snapshot = results_[i];
       --active_;
     }
+    bool last_running = running_fleet_jobs.fetch_sub(1) == 1;
+    // glibc keeps freed pages resident, so without a trim the process RSS
+    // ratchets up to its worst job: a daemon held 16.3 MB after one bert
+    // job with 0.4 MB in use, the rest the job's freed PPO weights, Adam
+    // moments and replay rings.  The trim (about 1 ms) runs only when no
+    // job of any fleet in the process is running: it locks every arena and
+    // drops every free page, which stalls a running job's mallocs and makes
+    // it fault its freed pages back in.  Of jobs that end together, the
+    // last one to get here trims.
+#ifdef __GLIBC__
+    if (last_running) malloc_trim(0);
+#else
+    (void)last_running;
+#endif
     idle_cv_.notify_all();
     // Outside the lock: the hook may call submit() (re-admitting a drained
     // job) or take server-side locks of its own.
@@ -436,14 +457,10 @@ void FleetTuner::tune_one(std::size_t i) {
   // finished jobs, so memory and open fds track running jobs.  The bus goes
   // first — its destructor drains into the logger, the cache updater and
   // user callbacks while the session they read is still alive — then the
-  // session, then the logger.  glibc keeps freed pages resident, so the
-  // heap the job freed (PPO weights, Adam moments and replay rings: about
-  // 12 MB for bert) is then handed back to the OS, outside mu_ and before
-  // this worker takes its next job; without it the process RSS ratchets up
-  // to its worst job (a daemon held 16.3 MB after one bert job with 0.4 MB
-  // in use; the trim takes about 1 ms).  The state flips only afterwards,
-  // so kDone/kStopped (and on_complete) follow every event and every close
-  // of the job.
+  // session, then the logger (worker_loop then hands the freed pages back
+  // to the OS if no job of any fleet is running).  The state flips only
+  // afterwards, so kDone/kStopped (and on_complete) follow every event and
+  // every close of the job.
   std::unique_ptr<TuningSession> finished;
   std::unique_ptr<RecordLogger> finished_logger;
   {
@@ -455,9 +472,6 @@ void FleetTuner::tune_one(std::size_t i) {
   bus.reset();
   finished.reset();
   finished_logger.reset();
-#ifdef __GLIBC__
-  malloc_trim(0);
-#endif
   std::lock_guard<std::mutex> lk(mu_);
   states_[i] =
       results_[i].completed ? FleetJobState::kDone : FleetJobState::kStopped;

@@ -438,7 +438,10 @@ bool HarlServer::recover(std::string* error) {
       continue;
     }
     if (e.event == JournalEvent::kTenant) {
-      if (e.tenant.empty()) continue;  // hello refuses an unnamed tenant
+      if (e.tenant.empty()) {  // hello refuses an unnamed tenant
+        HARL_LOG_WARN("server: journal line %zu: a tenant without a name; skipped", line_no);
+        continue;
+      }
       registry_.ensure(e.tenant, e.budget);
       registry_.set_weight(e.tenant, e.weight);
     } else if (e.event == JournalEvent::kJob) {
@@ -480,7 +483,12 @@ bool HarlServer::recover(std::string* error) {
       jobs_[job.id] = std::move(job);
     } else {
       auto it = jobs_.find(e.job);
-      if (it == jobs_.end() || it->second.done) continue;
+      if (it == jobs_.end() || it->second.done) {
+        HARL_LOG_WARN("server: journal line %zu: done marker for %s job %lld; skipped", line_no,
+                      it == jobs_.end() ? "an unknown" : "an already done",
+                      static_cast<long long>(e.job));
+        continue;
+      }
       it->second.done = true;
       it->second.state = FleetJobState::kDone;
       jobs_completed_ += 1;
